@@ -11,7 +11,6 @@ strict (constancy) and threshold (homothety) predictions.
 """
 
 from .bochner import (
-    bochner_Q,
     bochner_residual,
     compute_bochner,
     integral_identity_residual,

@@ -86,24 +86,6 @@ def target_term_diagonal_field(f, J=None):
     return out
 
 
-def bochner_Q_field(f, J=None):
-    if J is None:
-        J = jacobian_field(f)
-    return ricci_term_field(f, J) - target_term_field(f, J)
-
-
-def ricci_term(f, node):
-    return float(ricci_term_field(f)[node])
-
-
-def target_term(f, node):
-    return float(target_term_field(f)[node])
-
-
-def bochner_Q(f, node):
-    return float(bochner_Q_field(f)[node])
-
-
 @dataclass(frozen=True)
 class BochnerData:
     """Per-node Bochner bookkeeping for one map."""
@@ -225,9 +207,7 @@ def lambda_chain_check(lams):
     lam = np.maximum(lam, 0.0)
     n = lam.size
     S = lam.sum()
-    lhs = float((S**2 - np.sum(lam**2)) / 2.0) if n > 50 else float(
-        sum(lam[i] * lam[j] for i in range(n) for j in range(i + 1, n))
-    )
+    lhs = float(sum(lam[i] * lam[j] for i in range(n) for j in range(i + 1, n)))
     mid = float((S**2 - np.sum(lam**2)) / 2.0)
     bound = float((n - 1) / (2.0 * n) * S**2)
     equality = bool(np.max(lam) - np.min(lam) <= 1e-12)

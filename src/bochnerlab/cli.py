@@ -111,7 +111,9 @@ def _add_common(sub):
         default=64,
         help=f"latitude nodes n1 (>= {MIN_RESOLUTION}); n2 follows the domain kind",
     )
-    sub.add_argument("--seed", type=int, default=0, help="seed for sampled extremizers")
+    sub.add_argument(
+        "--seed", type=int, default=0, help="seed for the report --global-sample draw"
+    )
     sub.add_argument("--json", default=None, help="write the JSON summary here")
     sub.add_argument("--config", default=None, help="JSON config file; flags override")
 
@@ -229,7 +231,7 @@ def _emit(ns, payload):
         sys.stdout.write(text)
 
 
-def _verify_level(f, seed):
+def _verify_level(f):
     dom = f.domain
     h = grid_h(dom)
     data = compute_bochner(f)
@@ -263,7 +265,7 @@ def cmd_verify(ns):
         if lev:
             dom = f.domain.with_resolution(2 * f.domain.n1)
             f = catalog_map(ns.map, dom, f.target)
-        data, summary = _verify_level(f, ns.seed)
+        data, summary = _verify_level(f)
         levels.append(summary)
 
     ratios = [
@@ -307,8 +309,7 @@ def _write_node_csv(ns, f, data):
     dom, tgt = f.domain, f.target
     rmin, _ = ricci_min(dom)
     sec_max, _ = sec_max_over_region(
-        tgt, f.values.reshape(-1, tgt.m)[:: max(1, f.values.shape[0] * f.values.shape[1] // 2048)],
-        seed=ns.seed,
+        tgt, f.values.reshape(-1, tgt.m)[:: max(1, f.values.shape[0] * f.values.shape[1] // 2048)]
     )
     sec_max = max(float(sec_max), 0.0)
     _, _, slack = pinching_bound_fields(f, rmin, sec_max, data)

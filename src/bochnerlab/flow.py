@@ -13,6 +13,7 @@ from .maps import energy_density_field, tension_field, total_energy
 
 ENERGY_SLACK = 1e-10
 MAX_HALVINGS = 20
+DIAMETER_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -54,16 +55,20 @@ class FlowSummary:
 def image_diameter(f_or_values, exact_limit=4096):
     """Maximum pairwise ambient distance between node values.
 
-    Exact pairwise scan up to exact_limit points; larger sets use
-    iterated farthest-point sweeps from the bounding-sphere center,
-    which attain the true diameter on the round image sets handled
-    here and are never above it.
+    Exact pairwise scan up to exact_limit points, in blocks of
+    DIAMETER_BLOCK rows so memory stays linear in the point count;
+    larger sets use iterated farthest-point sweeps from the
+    bounding-sphere center, which attain the true diameter on the round
+    image sets handled here and are never above it.
     """
     vals = getattr(f_or_values, "values", f_or_values)
     pts = np.asarray(vals, dtype=float).reshape(-1, vals.shape[-1])
     if pts.shape[0] <= exact_limit:
-        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-        return float(np.sqrt(d2.max()))
+        d2 = 0.0
+        for lo in range(0, pts.shape[0], DIAMETER_BLOCK):
+            block = pts[lo : lo + DIAMETER_BLOCK, None, :]
+            d2 = max(d2, np.sum((block - pts[None, :, :]) ** 2, axis=-1).max())
+        return float(np.sqrt(d2))
     best = 0.0
     seed_pts = [pts.mean(axis=0)]
     for _ in range(4):

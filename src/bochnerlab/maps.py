@@ -16,7 +16,7 @@ import numpy as np
 
 from .catalog import parse_descriptor, parse_domain, parse_target
 from .domains import FlatTorus2, RoundSphere2
-from .errors import UsageError
+from .errors import NumericalError, UsageError
 from .numerics import fmt17, gen_eigh
 
 VALUE_TOL = 1e-10
@@ -41,6 +41,8 @@ class DiscreteMap:
                 f"value grid shape {v.shape} does not match "
                 f"({self.domain.n1}, {self.domain.n2}, {self.target.m})"
             )
+        if not np.all(np.isfinite(v)):
+            raise NumericalError("map values contain non-finite entries")
         v = self.target.closest_point(v)
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -266,14 +268,6 @@ def total_energy(f):
     return float(np.sum(e * f.domain.quad_weight_grid()))
 
 
-def laplacian_scalar(domain, field, node=None):
-    """Discrete Laplace-Beltrami of a scalar node field."""
-    lap = domain.laplace_beltrami(np.asarray(field, dtype=float))
-    if node is None:
-        return lap
-    return float(lap[node])
-
-
 def tension_field(f):
     """Tension tau = tangential part of the componentwise Laplace-Beltrami."""
     lap = f.domain.laplace_beltrami(f.values)
@@ -312,12 +306,7 @@ def hessian_field(f, accuracy=2):
     return H, norm2
 
 
-# -- per-node wrappers -------------------------------------------------------
-
-
-def differential(f, node):
-    """Jacobian at a grid node (m, 2)."""
-    return jacobian_field(f)[node]
+# -- per-node wrapper ---------------------------------------------------------
 
 
 def pullback_and_spectrum(f, node):
@@ -326,15 +315,6 @@ def pullback_and_spectrum(f, node):
     P = pullback_field(f, J)[node]
     lam, S, e = spectrum_fields(f, J)
     return P, lam[node], float(S[node]), float(e[node])
-
-
-def tension_at(f, node):
-    return tension_field(f)[node]
-
-
-def hessian(f, node):
-    H, n2 = hessian_field(f)
-    return H[node], float(n2[node])
 
 
 # -- serialization -----------------------------------------------------------
@@ -353,6 +333,7 @@ def save_map(f, path):
 
 
 def load_map(path):
+    """Read a `save_map` dump; a malformed file raises UsageError."""
     with open(path) as fh:
         magic = fh.readline().split()
         if not magic or magic[0] != "bochnerlab-map":
@@ -363,11 +344,11 @@ def load_map(path):
             header[key.strip()] = rest.strip()
         try:
             n1, n2, m = (int(x) for x in header["grid"].split())
+            domain = parse_domain(header["domain"], n1, n2)
+            target = parse_target(header["target"])
+            if target.m != m:
+                raise UsageError(f"ambient dimension mismatch in {path}")
+            vals = np.loadtxt(fh).reshape(n1, n2, m)
         except (KeyError, ValueError) as exc:
-            raise UsageError(f"bad grid header in {path}") from exc
-        domain = parse_domain(header["domain"], n1, n2)
-        target = parse_target(header["target"])
-        if target.m != m:
-            raise UsageError(f"ambient dimension mismatch in {path}")
-        vals = np.loadtxt(fh).reshape(n1, n2, m)
+            raise UsageError(f"malformed map dump {path}: {exc}") from exc
     return DiscreteMap(domain, target, vals)

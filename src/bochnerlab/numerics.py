@@ -1,12 +1,9 @@
 """Small shared numerical helpers: batched generalized eigensolves,
-Fejer quadrature weights, Gram-Schmidt for plane frames, deterministic
-per-point seeding and 17-significant-digit float formatting for
-byte-stable output files.
+Fejer quadrature weights, Gram-Schmidt for plane frames and
+17-significant-digit float formatting for byte-stable output files.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 
@@ -70,19 +67,6 @@ def orthonormal_pair(X, Y, eps=1e-12):
     ok = ok & (ny[..., 0] > eps)
     Yh = np.divide(Yp, np.where(ny > eps, ny, 1.0))
     return Xh, Yh, ok
-
-
-def point_seed(q, seed=0):
-    """Deterministic 64-bit seed derived from a point's coordinates.
-
-    Used so that per-point randomized searches are functions of the
-    point alone; maxima over point sets are then monotone under set
-    inclusion by construction.
-    """
-    q = np.ascontiguousarray(np.asarray(q, dtype=float))
-    h = hashlib.blake2b(q.tobytes(), digest_size=8,
-                        key=int(seed).to_bytes(8, "little", signed=False))
-    return int.from_bytes(h.digest(), "little")
 
 
 def fmt17(x):

@@ -7,12 +7,13 @@ equation
 
     <R(X, Y) Y, X> = <A(X, X), A(Y, Y)> - |A(X, Y)|^2,
 
-with closed-form overrides for the constant-curvature kinds.  The
-region extremizer max Sec over all 2-planes based at a point set uses
-per-point randomized plane sampling plus local ascent on the
-Grassmannian; the per-point search is a deterministic function of the
-point and the seed, which makes the maximum monotone under set
-inclusion.
+with closed-form overrides for the constant-curvature kinds.  The same
+equation gives the curvature operator on the 2-vectors of T_q.  Its
+largest eigenvalue bounds every sectional curvature at q from above,
+and equals their maximum when its eigenvector is decomposable: always
+in dimension <= 3, and for the product of spheres.  The region
+extremizer takes that eigenvalue's maximum over a point set, so it is
+deterministic and monotone under set inclusion.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (
     ChartDomainError,
@@ -28,7 +28,6 @@ from .errors import (
     NumericalError,
     UsageError,
 )
-from .numerics import orthonormal_pair, point_seed
 
 ON_TARGET_TOL = 1e-8
 
@@ -449,87 +448,42 @@ def tangent_basis(target, q):
     return evecs[..., -target.dim:]
 
 
-# -- region extremizer -------------------------------------------------------
+# -- curvature operator and region extremizer -------------------------------
 
 
-def _sample_and_ascend(target, pts, planes, steps, seed, cands=4):
-    """Deterministic per-point plane search; returns (values, frames)."""
-    B, m = pts.shape
-    P = target.tangent_projector(pts)
-    delta0, shrink = 0.4, 0.845
+def curvature_operator(target, q):
+    """Curvature operator on the 2-vectors of T_q, batched over points (..., m).
 
-    raw_pl = np.empty((B, planes, m, 2))
-    raw_st = np.empty((B, steps, cands, m, 2))
-    for b in range(B):
-        rng = np.random.default_rng(point_seed(pts[b], seed))
-        raw_pl[b] = rng.standard_normal((planes, m, 2))
-        raw_st[b] = rng.standard_normal((steps, cands, m, 2))
+    Returns (R, T).  T is the orthonormal frame of `tangent_basis`, and R
+    (..., p, p) with p = k(k-1)/2 holds, over the index pairs a < b in
+    `np.triu_indices(k, 1)` order,
 
-    def project(Z):
-        return np.einsum("bij,b...j->b...i", P, Z)
+        <R(e_a ^ e_b), e_c ^ e_d> = <A(e_b, e_d), A(e_a, e_c)>
+                                    - <A(e_a, e_d), A(e_b, e_c)>.
 
-    Xs, Ys, ok = orthonormal_pair(
-        project(raw_pl[..., 0]), project(raw_pl[..., 1])
+    Its diagonal holds the sectional curvatures of the coordinate planes.
+    """
+    q = np.asarray(q, dtype=float)
+    T = tangent_basis(target, q)
+    E = np.swapaxes(T, -1, -2)  # frame vectors e_a along axis -2
+    A = target.second_fundamental(
+        q[..., None, None, :], E[..., :, None, :], E[..., None, :, :]
     )
-    vals = sectional_batch(target, pts[:, None], Xs, Ys)
-    vals = np.where(ok, vals, -np.inf)
-    best = np.argmax(vals, axis=1)
-    idx = np.arange(B)
-    cur_v = vals[idx, best]
-    cur_X = Xs[idx, best]
-    cur_Y = Ys[idx, best]
-
-    for t in range(steps):
-        d = delta0 * shrink**t
-        Z1 = project(raw_st[:, t, ..., 0])
-        Z2 = project(raw_st[:, t, ..., 1])
-        Xc, Yc, ok = orthonormal_pair(cur_X[:, None] + d * Z1, cur_Y[:, None] + d * Z2)
-        v = sectional_batch(target, pts[:, None], Xc, Yc)
-        v = np.where(ok, v, -np.inf)
-        k = np.argmax(v, axis=1)
-        vk = v[idx, k]
-        take = vk > cur_v
-        cur_v = np.where(take, vk, cur_v)
-        cur_X = np.where(take[:, None], Xc[idx, k], cur_X)
-        cur_Y = np.where(take[:, None], Yc[idx, k], cur_Y)
-    return cur_v, cur_X, cur_Y
+    G = np.einsum("...abm,...cdm->...abcd", A, A)  # <A_ab, A_cd>
+    a, b = np.triu_indices(target.dim, 1)
+    a1, a2, b1, b2 = a[:, None], a[None, :], b[:, None], b[None, :]
+    return G[..., a1, a2, b1, b2] - G[..., a1, b2, b1, a2], T
 
 
-def _polish_plane(target, q, X0, Y0):
-    """Local maximization of Sec over frames at a fixed base point."""
-    P = target.tangent_projector(q)
-    m = target.m
-
-    def negsec(z):
-        X = P @ z[:m]
-        Y = P @ z[m:]
-        Xh, Yh, ok = orthonormal_pair(X, Y)
-        if not ok:
-            return 1e6
-        return -float(sectional_batch(target, q, Xh, Yh))
-
-    res = optimize.minimize(
-        negsec,
-        np.concatenate([X0, Y0]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000},
-    )
-    X = P @ res.x[:m]
-    Y = P @ res.x[m:]
-    Xh, Yh, ok = orthonormal_pair(X, Y)
-    if not ok:
-        return -np.inf, X0, Y0
-    return -res.fun, Xh, Yh
-
-
-def sec_max_over_region(
-    target, points, planes=512, ascent_steps=50, seed=0, polish=True, chunk=512
-):
+def sec_max_over_region(target, points):
     """Maximum sectional curvature over all 2-planes at the given points.
 
-    Returns (value, CurvatureSample witness).  The per-point search is
-    deterministic given the point and the seed, so enlarging the point
-    set can only increase the result.
+    Returns (value, CurvatureSample witness).  The value is the largest
+    eigenvalue of the curvature operator over the points: an upper bound
+    on every sectional curvature there, attained for every target kind
+    in this module.  The witness is the first point that reaches it,
+    with the plane of the two leading singular vectors of its top
+    eigenvector read as a skew k x k matrix.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
@@ -550,27 +504,12 @@ def sec_max_over_region(
         sample = CurvatureSample(q, T[:, 0], T[:, 1], float(target.constant_sec))
         return float(target.constant_sec), sample
 
-    if target.dim == 2:
-        # one tangent plane per point: the extremizer is a pointwise max
-        T = tangent_basis(target, pts)
-        X, Y = T[..., 0], T[..., 1]
-        vals = sectional_batch(target, pts, X, Y)
-        b = int(np.argmax(vals))
-        sample = CurvatureSample(pts[b], X[b], Y[b], float(vals[b]))
-        return float(vals[b]), sample
-
-    best_v = -np.inf
-    best = None
-    for lo in range(0, pts.shape[0], chunk):
-        sub = pts[lo : lo + chunk]
-        v, X, Y = _sample_and_ascend(target, sub, planes, ascent_steps, seed)
-        b = int(np.argmax(v))
-        if v[b] > best_v:
-            best_v = float(v[b])
-            best = (sub[b], X[b], Y[b])
-    q, X, Y = best
-    if polish:
-        pv, pX, pY = _polish_plane(target, q, X, Y)
-        if pv > best_v:
-            best_v, X, Y = float(pv), pX, pY
-    return best_v, CurvatureSample(q, X, Y, best_v)
+    R, T = curvature_operator(target, pts)
+    lam, vec = np.linalg.eigh(R)
+    b = int(np.argmax(lam[:, -1]))
+    value = float(lam[b, -1])
+    W = np.zeros((target.dim, target.dim))
+    W[np.triu_indices(target.dim, 1)] = vec[b, :, -1]
+    U = np.linalg.svd(W - W.T)[0]
+    X, Y = (T[b] @ U[:, :2]).T
+    return value, CurvatureSample(pts[b], X, Y, value)

@@ -180,7 +180,7 @@ def test_criterion_8_grassmann_extremizer():
     rng = np.random.default_rng(0)
     pts = tgt.sample_points(4096, rng)
     t0 = time.perf_counter()
-    val, _ = sec_max_over_region(tgt, pts, seed=0)
+    val, _ = sec_max_over_region(tgt, pts)
     elapsed = time.perf_counter() - t0
     ok = abs(val - 1.0) <= 1e-6 and elapsed < 30.0
     report(8, ok, f"sec_max {val:.9f} (target 1), {elapsed:.1f} s")

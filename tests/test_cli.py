@@ -1,6 +1,8 @@
 """CLI harness: commands, config merging, exit codes, reproducibility."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -46,6 +48,37 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             run_cli("verify", "--map", "identity", "--resolution", "4")
         assert exc.value.code == 2
+
+
+class TestSavedMapErrors:
+    HEADER = "bochnerlab-map 1\ndomain torus:a=1,b=1\ntarget sphere:r=1\ngrid 8 8 3\n"
+    ROW = "0 0 1\n"
+
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            (HEADER.replace("target sphere:r=1\n", "") + ROW * 64, 2),  # no target
+            (HEADER + ROW * 63 + "0 0\n", 2),  # truncated body
+            (HEADER + ROW * 63 + "nan 0 1\n", 3),  # non-finite node
+        ],
+        ids=["missing-target", "truncated", "nan-node"],
+    )
+    def test_exit_codes(self, tmp_path, capsys, text, code):
+        path = tmp_path / "bad.map"
+        path.write_text(text)
+        out = tmp_path / "r.json"
+        assert run_cli("report", "--load", str(path), "--json", str(out)) == code
+        assert not out.exists()
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == ("usage" if code == 2 else "NumericalError")
+
+
+def test_import_leaves_out_scipy_optimize():
+    code = "import sys, bochnerlab.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestFlow:

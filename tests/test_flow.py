@@ -1,5 +1,7 @@
 """Heat flow: energy monotonicity, stopping conditions, diameter helper."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,21 @@ class TestDiameter:
         swept = image_diameter(pts)  # sweep path (default limit 4096)
         assert swept <= exact + 1e-12  # sweeps never overshoot
         assert swept == pytest.approx(exact, abs=1e-3)
+
+    def test_exact_scan_memory_is_linear(self):
+        # 4096 points in R^6: a pairwise difference array would take
+        # 4096^2 * 6 * 8 B = 768 MiB; the blocked scan stays far below
+        rng = np.random.default_rng(2)
+        pts = rng.standard_normal((4096, 6))
+        tracemalloc.start()
+        try:
+            diam = image_diameter(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
+        d2 = np.sum((pts[:512, None] - pts[None]) ** 2, axis=-1)
+        assert diam >= np.sqrt(d2.max())
 
     def test_accepts_maps(self):
         f = cap()
