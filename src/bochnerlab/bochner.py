@@ -18,47 +18,64 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HypothesisViolationError, UsageError
-from .maps import hessian_field, jacobian_field, pullback_field, tension_field
+from .maps import (
+    hessian_field,
+    jacobian_field,
+    pullback_field,
+    spectrum_fields,
+    tension_field,
+)
 from .numerics import gen_eigh
 from .targets import sectional_batch
 
 DEGENERATE_PAIR_TOL = 1e-14
 
 
-def _inv_metric_full(domain):
-    # both charts are orthogonal, so the inverse is the reciprocal
-    # diagonal (bit-identical to a general 2x2 inverse, and cheaper)
-    gd = domain.inv_metric_diag_grid()
-    ginv = np.zeros(gd.shape + (2,))
-    ginv[..., 0, 0] = gd[..., 0]
-    ginv[..., 1, 1] = gd[..., 1]
-    return ginv
-
-
 def ricci_term_field(f, J=None):
-    """Ric^{ij} (f*gbar)_{ij} at every node."""
+    """Ric^{ij} (f*gbar)_{ij} at every node.
+
+    Metric and Ricci tensor are diagonal, so this is
+    sum_i (g^ii)^2 Ric_ii P_ii.
+    """
     if J is None:
         J = jacobian_field(f)
     P = pullback_field(f, J)
-    ginv = _inv_metric_full(f.domain)
+    ginv = f.domain.inv_metric_diag_grid()
     ric = f.domain.ricci_grid()
-    return np.einsum("...ia,...jb,...ab,...ij->...", ginv, ginv, ric, P)
+    out = np.zeros(P.shape[:-2])
+    for i in range(2):
+        out += ginv[..., i] * ginv[..., i] * ric[..., i] * P[..., i, i]
+    return out
 
 
 def target_term_field(f, J=None):
-    """Invariant contraction of the target curvature term (Gauss equation)."""
+    """Invariant contraction of the target curvature term (Gauss equation).
+
+    With a diagonal metric it is
+    sum_{i,j} g^ii g^jj (<A_ii, A_jj> - <A_ij, A_ji>).
+    """
     if J is None:
         J = jacobian_field(f)
     q = f.values
     tgt = f.target
-    m = tgt.m
-    A = np.empty(q.shape[:2] + (2, 2, m))
+    A = [
+        [tgt.second_fundamental(q, J[..., i], J[..., j]) for j in range(2)]
+        for i in range(2)
+    ]
+    ginv = f.domain.inv_metric_diag_grid()
+    t1 = np.zeros(q.shape[:2])
+    t2 = np.zeros(q.shape[:2])
+    # accumulate one term at a time over i, then j, then the ambient
+    # index m: np.einsum's order for the dense contraction
+    # g^ia g^jb A_iam A_jbm, so the sums match it bit for bit and the
+    # output files stay byte-stable (summing over m first with np.sum
+    # changes the last bits)
     for i in range(2):
         for j in range(2):
-            A[..., i, j, :] = tgt.second_fundamental(q, J[..., i], J[..., j])
-    ginv = _inv_metric_full(f.domain)
-    t1 = np.einsum("...ia,...jb,...iam,...jbm->...", ginv, ginv, A, A)
-    t2 = np.einsum("...ia,...jb,...ibm,...jam->...", ginv, ginv, A, A)
+            w = ginv[..., i] * ginv[..., j]
+            for m in range(tgt.m):
+                t1 += w * A[i][i][..., m] * A[j][j][..., m]
+                t2 += w * A[i][j][..., m] * A[j][i][..., m]
     return t1 - t2
 
 
@@ -71,8 +88,7 @@ def target_term_diagonal_field(f, J=None):
     if J is None:
         J = jacobian_field(f)
     P = pullback_field(f, J)
-    g = f.domain.metric_grid()
-    lam, vecs = gen_eigh(P, g)  # ascending, g-orthonormal columns
+    lam, vecs = gen_eigh(P, f.domain.metric_diag_grid())  # ascending, g-orthonormal
     n = lam.shape[-1]
     out = np.zeros(lam.shape[:-1])
     for a in range(n):
@@ -113,11 +129,7 @@ def compute_bochner(f):
     """
     dom = f.domain
     J = jacobian_field(f)
-    P = pullback_field(f, J)
-    g = dom.metric_grid()
-    lam, _ = gen_eigh(P, g)
-    lam = np.where(lam > -1e-12, np.maximum(lam, 0.0), lam)[..., ::-1]
-    S = lam.sum(axis=-1)
+    lam, S, e = spectrum_fields(f, J)
     ric = ricci_term_field(f, J)
     tt = target_term_field(f, J)
     ttf = target_term_diagonal_field(f, J)
@@ -143,7 +155,7 @@ def compute_bochner(f):
         path_disagreement=disagreement,
         S=S,
         lam=lam,
-        e=S / 2.0,
+        e=e,
     )
 
 

@@ -8,14 +8,15 @@ JSON), scan (parameter sweep, one report per CSV row), consistency
 Exit codes: 0 all enabled assertions pass, 1 assertion failure,
 2 usage error, 3 numerical error.  All floats are written with 17
 significant digits so identical configs and seeds reproduce identical
-bytes.  The environment variable BRL_THREADS caps worker threads.
+bytes.  To cap the BLAS/OpenMP worker threads, set OMP_NUM_THREADS and
+OPENBLAS_NUM_THREADS before Python starts: the pools are sized when
+numpy is imported.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -49,33 +50,6 @@ CONSISTENCY_CATALOG = (
     ("holomorphic_degree_2", "sphere:r=1", "holomorphic:k=2"),
     ("holomorphic_degree_3", "sphere:r=1", "holomorphic:k=3"),
 )
-
-
-def apply_thread_cap(env=os.environ):
-    """Honor BRL_THREADS by capping the BLAS/OpenMP thread pools."""
-    raw = env.get("BRL_THREADS")
-    if not raw:
-        return None
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"BRL_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise UsageError("BRL_THREADS must be at least 1")
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-    ):
-        env.setdefault(var, str(n))
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(n)
-    except ImportError:
-        pass
-    return n
 
 
 def _resolution(text):
@@ -217,9 +191,17 @@ def _build_map(ns, attr="map"):
     return catalog_map(name, dom, tgt)
 
 
-def _provenance(ns):
+def _provenance(ns, f=None):
+    """The run's settings; a saved map supplies its own domain, target and n1."""
     keys = ("command", "domain", "target", "resolution", "seed")
-    return {k: getattr(ns, k) for k in keys if hasattr(ns, k)}
+    prov = {k: getattr(ns, k) for k in keys if hasattr(ns, k)}
+    if getattr(ns, "load", None):
+        prov.update(
+            domain=f.domain.descriptor(),
+            target=f.target.descriptor(),
+            resolution=f.domain.n1,
+        )
+    return prov
 
 
 def _emit(ns, payload):
@@ -292,7 +274,7 @@ def cmd_verify(ns):
         _write_node_csv(ns, f, data)
 
     payload = {
-        "provenance": _provenance(ns),
+        "provenance": _provenance(ns, f),
         "map": ns.map or ns.load,
         "levels": levels,
         "residual_ratios": ratios,
@@ -360,7 +342,7 @@ def cmd_flow(ns):
     monotone = bool(np.all(np.diff(energies) <= 1e-10))
     passed = monotone and summary.outcome != "max_steps"
     payload = {
-        "provenance": _provenance(ns),
+        "provenance": _provenance(ns, f0),
         "init": ns.init or ns.load,
         "dt": summary.dt,
         "steps": summary.steps,
@@ -379,7 +361,7 @@ def cmd_flow(ns):
 def cmd_report(ns):
     f = _build_map(ns)
     rep = build_report(f, seed=ns.seed, global_sample=ns.global_sample)
-    payload = {"provenance": _provenance(ns), "report": rep.to_dict()}
+    payload = {"provenance": _provenance(ns, f), "report": rep.to_dict()}
     if rep.classification == "equality" and not rep.is_constant:
         diag = equality_diagnostics(f, rep)
         payload["equality_diagnostics"] = {
@@ -500,7 +482,6 @@ def run(ns):
 
 def main(argv=None):
     try:
-        apply_thread_cap()
         ns = parse_config(sys.argv[1:] if argv is None else argv)
         return run(ns)
     except UsageError as exc:

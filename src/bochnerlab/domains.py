@@ -6,6 +6,13 @@ on a periodic (torus) or pole-staggered (sphere) node grid, plus the
 finite-difference curvature paths used as cross-checks against the
 closed forms.
 
+Both charts are orthogonal warped products g = diag(E(u), G(u)), so the
+grid forms store only what can be nonzero: the metric and Ricci
+diagonals, shape (n1, n2, 2), and the Christoffel symbols
+(Gamma^u_vv, Gamma^v_uv = Gamma^v_vu), also (n1, n2, 2).  The dense
+point forms metric_at, christoffel_at and ricci_at feed the
+finite-difference cross-checks.
+
 Sphere grids stagger the latitude nodes so no node sits on a chart
 pole; ghost rows continue fields across the pole antipodally, which
 keeps stencils of any width central.  The two rows adjacent to the
@@ -19,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ChartDomainError, UsageError
-from .numerics import fejer1_weights, gen_eigvalsh
+from .numerics import fejer1_weights, gen_eigh
 
 TWO_PI = 2.0 * np.pi
 
@@ -97,13 +104,6 @@ class FlatTorus2:
     def inv_metric_diag_grid(self):
         return 1.0 / self.metric_diag_grid()
 
-    def metric_grid(self):
-        gd = self.metric_diag_grid()
-        g = np.zeros((self.n1, self.n2, 2, 2))
-        g[..., 0, 0] = gd[..., 0]
-        g[..., 1, 1] = gd[..., 1]
-        return g
-
     def sqrt_det_grid(self):
         return np.full((self.n1, self.n2), self.a * self.b)
 
@@ -112,14 +112,16 @@ class FlatTorus2:
         return np.zeros((2, 2, 2))
 
     def christoffel_grid(self):
-        return np.zeros((self.n1, self.n2, 2, 2, 2))
+        """(Gamma^u_vv, Gamma^v_uv) on the last axis; flat, so zero."""
+        return np.zeros((self.n1, self.n2, 2))
 
     def ricci_at(self, p):
         self.check_point(p)
         return np.zeros((2, 2))
 
     def ricci_grid(self):
-        return np.zeros((self.n1, self.n2, 2, 2))
+        """Ricci diagonal (Ric_uu, Ric_vv); flat, so zero."""
+        return np.zeros((self.n1, self.n2, 2))
 
     # -- discrete calculus ---------------------------------------------------
 
@@ -232,13 +234,6 @@ class RoundSphere2:
     def inv_metric_diag_grid(self):
         return 1.0 / self.metric_diag_grid()
 
-    def metric_grid(self):
-        gd = self.metric_diag_grid()
-        g = np.zeros((self.n1, self.n2, 2, 2))
-        g[..., 0, 0] = gd[..., 0]
-        g[..., 1, 1] = gd[..., 1]
-        return g
-
     def sqrt_det_grid(self):
         theta, _ = self.axes()
         return np.broadcast_to(
@@ -254,12 +249,14 @@ class RoundSphere2:
         return G
 
     def christoffel_grid(self):
+        """(Gamma^theta_phiphi, Gamma^phi_thetaphi) on the last axis.
+
+        The other symbols of the warped product vanish.
+        """
         theta, _ = self.axes()
-        G = np.zeros((self.n1, self.n2, 2, 2, 2))
-        G[..., 0, 1, 1] = (-np.sin(theta) * np.cos(theta))[:, None]
-        cot = (np.cos(theta) / np.sin(theta))[:, None]
-        G[..., 1, 0, 1] = cot
-        G[..., 1, 1, 0] = cot
+        G = np.empty((self.n1, self.n2, 2))
+        G[..., 0] = (-np.sin(theta) * np.cos(theta))[:, None]
+        G[..., 1] = (np.cos(theta) / np.sin(theta))[:, None]
         return G
 
     def ricci_at(self, p):
@@ -267,7 +264,8 @@ class RoundSphere2:
         return self.metric_at(p) / self.r**2
 
     def ricci_grid(self):
-        return self.metric_grid() / self.r**2
+        """Ricci diagonal: Ric = g / r^2."""
+        return self.metric_diag_grid() / self.r**2
 
     # -- discrete calculus ---------------------------------------------------
 
@@ -404,14 +402,15 @@ def ricci_min(domain, nodes=None):
     if nodes is None:
         U, V = domain.chart_grid()
         pts = np.stack([U.ravel(), V.ravel()], axis=-1)
-        g = domain.metric_grid().reshape(-1, 2, 2)
-        ric = domain.ricci_grid().reshape(-1, 2, 2)
+        gd = domain.metric_diag_grid().reshape(-1, 2)
+        ric = np.zeros(gd.shape + (2,))
+        ric[:, (0, 1), (0, 1)] = domain.ricci_grid().reshape(-1, 2)
     else:
         pts = np.atleast_2d(np.asarray(nodes, dtype=float))
         if pts.size == 0:
             raise UsageError("ricci_min needs a nonempty sample set")
-        g = np.stack([domain.metric_at(p) for p in pts])
+        gd = np.stack([np.diag(domain.metric_at(p)) for p in pts])
         ric = np.stack([domain.ricci_at(p) for p in pts])
-    lam = gen_eigvalsh(ric, g)[..., 0]
+    lam = gen_eigh(ric, gd)[0][..., 0]
     k = int(np.argmin(lam))
     return float(lam[k]), pts[k]

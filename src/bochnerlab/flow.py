@@ -79,7 +79,11 @@ def image_diameter(f_or_values, exact_limit=4096):
     return best
 
 
-def _radius_bound(values):
+def image_radius(values):
+    """Largest distance of a node value from their centroid.
+
+    It brackets the image diameter: R <= diam <= 2R.
+    """
     pts = values.reshape(-1, values.shape[-1])
     center = pts.mean(axis=0)
     return float(np.max(np.linalg.norm(pts - center, axis=-1)))
@@ -135,13 +139,13 @@ def run_flow(f0, params=None):
         e_max = float(np.max(energy_density_field(f)))
         if params.snapshot_stride and step % params.snapshot_stride == 0:
             summary.trace.append(
-                (step, summary.energies[-1], sup_tau, 2 * _radius_bound(f.values), e_max)
+                (step, summary.energies[-1], sup_tau, 2 * image_radius(f.values), e_max)
             )
         if sup_tau < params.tension_tol:
             summary.outcome = "converged"
             break
         # 2 * bounding radius dominates the diameter, so this is safe
-        if 2 * _radius_bound(f.values) < params.collapse_tol:
+        if 2 * image_radius(f.values) < params.collapse_tol:
             summary.outcome = "collapsed_to_constant"
             break
         if e_max0 > 1e-12 and e_max > params.concentration_factor * e_max0:

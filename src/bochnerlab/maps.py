@@ -246,8 +246,7 @@ def spectrum_fields(f, J=None):
     their sum (= |df|^2) and e = S / 2.
     """
     P = pullback_field(f, J)
-    g = f.domain.metric_grid()
-    lam, _ = gen_eigh(P, g)
+    lam, _ = gen_eigh(P, f.domain.metric_diag_grid())
     lam = np.where(lam > -1e-12, np.maximum(lam, 0.0), lam)[..., ::-1]
     S = lam.sum(axis=-1)
     return lam, S, S / 2.0
@@ -280,7 +279,9 @@ def hessian_field(f, accuracy=2):
 
     Returns (H, norm2) with H of shape (n1, n2, 2, 2, m):
     H_ij = P(f) (d_i d_j f - Gamma^k_ij d_k f), the chart derivatives
-    taken with stencils of the given accuracy.
+    taken with stencils of the given accuracy.  The chart is a warped
+    product, so H_uu = f_uu, H_uv = H_vu = f_uv - Gamma^v_uv f_v and
+    H_vv = f_vv - Gamma^u_vv f_u before the projection.
     """
     dom = f.domain
     v = f.values
@@ -289,13 +290,11 @@ def hessian_field(f, accuracy=2):
     fuu = derivative(dom, v, 0, 2, accuracy)
     fvv = derivative(dom, v, 1, 2, accuracy)
     fuv = derivative(dom, fv, 0, 1, accuracy)
-    G = dom.christoffel_grid()  # (n1, n2, k, i, j)
+    G = dom.christoffel_grid()  # (Gamma^u_vv, Gamma^v_uv)
     H = np.empty(v.shape[:2] + (2, 2) + v.shape[-1:])
-    second = ((fuu, fuv), (fuv, fvv))
-    for i in range(2):
-        for j in range(2):
-            corr = G[..., 0, i, j, None] * fu + G[..., 1, i, j, None] * fv
-            H[..., i, j, :] = second[i][j] - corr
+    H[..., 0, 0, :] = fuu
+    H[..., 0, 1, :] = H[..., 1, 0, :] = fuv - G[..., 1, None] * fv
+    H[..., 1, 1, :] = fvv - G[..., 0, None] * fu
     P = f.target.tangent_projector(v)
     H = np.einsum("...ab,...ijb->...ija", P, H)
     ginv = dom.inv_metric_diag_grid()
@@ -304,17 +303,6 @@ def hessian_field(f, accuracy=2):
         for j in range(2):
             norm2 += ginv[..., i] * ginv[..., j] * np.sum(H[..., i, j, :] ** 2, axis=-1)
     return H, norm2
-
-
-# -- per-node wrapper ---------------------------------------------------------
-
-
-def pullback_and_spectrum(f, node):
-    """(pullback 2x2, lam desc, S, e) at a grid node."""
-    J = jacobian_field(f)
-    P = pullback_field(f, J)[node]
-    lam, S, e = spectrum_fields(f, J)
-    return P, lam[node], float(S[node]), float(e[node])
 
 
 # -- serialization -----------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Small shared numerical helpers: batched generalized eigensolves,
-Fejer quadrature weights, Gram-Schmidt for plane frames and
-17-significant-digit float formatting for byte-stable output files.
+"""Small shared numerical helpers: batched generalized eigensolves
+against a diagonal metric, Fejer quadrature weights, Gram-Schmidt for
+plane frames and 17-significant-digit float formatting for byte-stable
+output files.
 """
 
 from __future__ import annotations
@@ -10,32 +11,26 @@ import numpy as np
 from .errors import NumericalError
 
 
-def gen_eigh(P, g):
-    """Solve the symmetric generalized eigenproblem P v = lam g v (batched).
+def gen_eigh(P, gd):
+    """Solve P v = lam g v (batched) for a diagonal metric g = diag(gd).
 
-    P and g are (..., n, n) with P symmetric and g SPD.  Returns
+    P is (..., n, n) symmetric and gd the metric diagonal (..., n),
+    positive.  With d = gd^{-1/2} the problem is the symmetric one for
+    A_ij = d_i P_ij d_j, and v = d W for its eigenvectors W.  Returns
     (lam, vecs) with eigenvalues ascending along the last axis and
     eigenvector columns g-orthonormal.  lam are the eigenvalues of
     g^{-1} P, i.e. the squared singular values when P is a pullback
     metric.
     """
     P = np.asarray(P, dtype=float)
-    g = np.asarray(g, dtype=float)
-    try:
-        L = np.linalg.cholesky(g)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"metric not positive definite: {exc}") from exc
-    Linv = np.linalg.inv(L)
-    A = Linv @ P @ np.swapaxes(Linv, -1, -2)
+    gd = np.asarray(gd, dtype=float)
+    if not np.all(gd > 0):
+        raise NumericalError("metric not positive definite")
+    d = 1.0 / np.sqrt(gd)
+    A = d[..., :, None] * P * d[..., None, :]
     A = 0.5 * (A + np.swapaxes(A, -1, -2))
     lam, W = np.linalg.eigh(A)
-    vecs = np.swapaxes(Linv, -1, -2) @ W
-    return lam, vecs
-
-
-def gen_eigvalsh(P, g):
-    """Eigenvalues of g^{-1} P, ascending (batched)."""
-    return gen_eigh(P, g)[0]
+    return lam, d[..., :, None] * W
 
 
 def fejer1_weights(n):

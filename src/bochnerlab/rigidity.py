@@ -17,7 +17,8 @@ import numpy as np
 from .bochner import compute_bochner
 from .domains import ricci_min
 from .errors import UsageError
-from .flow import image_diameter
+from .flow import image_diameter, image_radius
+from .maps import spectrum_fields
 from .targets import curvature_operator, sec_max_over_region
 
 # Margin/diagnostic band coefficients for tol(h) = C h^2, calibrated on
@@ -125,8 +126,12 @@ def build_report(
     threshold_e = (n - 1) / n * sec_img * e_max
     margin = rmin - threshold_S0
 
-    diam = image_diameter(f)
-    is_constant = diam < CONSTANT_DIAMETER_TOL
+    # R <= diam <= 2R decides diam < tol without the pairwise scan
+    # unless R lies in [tol/2, tol)
+    R = image_radius(f.values)
+    is_constant = 2 * R < CONSTANT_DIAMETER_TOL or (
+        R < CONSTANT_DIAMETER_TOL and image_diameter(f) < CONSTANT_DIAMETER_TOL
+    )
     harmonic = data.sup_tension <= harmonic_tol
 
     if margin > tol:
@@ -205,7 +210,11 @@ class EqualityDiagnostics:
 
 
 def equality_diagnostics(f, report, diag_coeff=DEFAULT_DIAG_COEFF):
-    """Check the threshold-case predictions on an equality-classified map."""
+    """Check the threshold-case predictions on an equality-classified map.
+
+    The Hessian sup, singular-value spread and homothety factor are the
+    report's own; only the |df|^2 variation is computed here.
+    """
     if report.classification != "equality":
         raise UsageError("equality diagnostics apply only to equality-classified maps")
     if report.is_constant:
@@ -213,15 +222,9 @@ def equality_diagnostics(f, report, diag_coeff=DEFAULT_DIAG_COEFF):
     dom = f.domain
     h = grid_h(dom)
     tol = diag_coeff * h * h
-    data = compute_bochner(f)
-    keep = ~dom.flagged_mask()
-    lam = data.lam
-    spread = float(np.max((lam[..., 0] - lam[..., -1])[keep]))
-    hess_sup = float(np.max(np.sqrt(np.maximum(data.hess, 0.0))[keep]))
-    Svals = data.S[keep]
+    _, S, _ = spectrum_fields(f)
+    Svals = S[~dom.flagged_mask()]
     svar = float(np.max(np.abs(Svals - Svals.mean())))
-    w = dom.quad_weight_grid()
-    homothety = float(np.sum(lam.mean(axis=-1) * w) / np.sum(w))
 
     affine = None
     if f.target.kind == "euclid":
@@ -231,16 +234,16 @@ def equality_diagnostics(f, report, diag_coeff=DEFAULT_DIAG_COEFF):
         # a totally geodesic image in flat space fits an affine subspace
         affine = float(sv[dom.n:].max() / max(sv[0], 1e-30)) if sv.size > dom.n else 0.0
 
-    scale = max(1.0, homothety)
-    ok = spread <= tol * scale and hess_sup <= tol * scale and svar <= tol * scale
+    band = tol * max(1.0, report.homothety_factor)
+    ok = report.lambda_spread <= band and report.hess_sup <= band and svar <= band
     if affine is not None:
         ok = ok and affine <= tol
     return EqualityDiagnostics(
-        hess_sup=hess_sup,
-        lambda_spread=spread,
+        hess_sup=report.hess_sup,
+        lambda_spread=report.lambda_spread,
         energy_density_variation=svar,
-        homothety_factor=homothety,
-        totally_geodesic_residual=hess_sup,
+        homothety_factor=report.homothety_factor,
+        totally_geodesic_residual=report.totally_geodesic_residual,
         affine_fit_residual=affine,
         tol=tol,
         ok=ok,

@@ -7,7 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from bochnerlab.cli import apply_thread_cap, main
+from bochnerlab.catalog import parse_domain, parse_target
+from bochnerlab.cli import main
+from bochnerlab.maps import catalog_map, save_map
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
 
@@ -119,6 +121,22 @@ class TestReport:
         assert doc["equality_diagnostics"]["ok"] is True
         assert doc["report"]["seed"] == 0
 
+    def test_saved_map_provenance_is_the_maps(self, tmp_path):
+        # a saved map's own domain, target and n1 are recorded, not the
+        # CLI defaults (sphere:r=1, sphere:r=1, 64)
+        dom = parse_domain("torus:a=1,b=2", 16)
+        f = catalog_map("cap:amplitude=0.3", dom, parse_target("sphere:r=2"))
+        path, out = tmp_path / "cap.map", tmp_path / "r.json"
+        save_map(f, path)
+        assert run_cli("report", "--load", str(path), "--json", str(out)) == 0
+        assert json.loads(out.read_text())["provenance"] == {
+            "command": "report",
+            "domain": "torus:a=1,b=2",
+            "target": "sphere:r=2",
+            "resolution": 16,
+            "seed": 0,
+        }
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["report", "--map", "holomorphic:k=2", "--resolution", "32"]
@@ -176,15 +194,3 @@ class TestConfig:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"mop": "identity"}))
         assert run_cli("verify", "--config", str(cfg)) == 2
-
-
-class TestEnvironment:
-    def test_thread_cap_parses(self):
-        assert apply_thread_cap({"BRL_THREADS": "2"}) == 2
-        assert apply_thread_cap({}) is None
-
-    def test_thread_cap_rejects_garbage(self):
-        from bochnerlab.errors import UsageError
-
-        with pytest.raises(UsageError):
-            apply_thread_cap({"BRL_THREADS": "many"})

@@ -158,6 +158,30 @@ class TestRoundSphere:
             FlatTorus2(a=1.0, b=1.0, n1=2, n2=16)
 
 
+@pytest.mark.parametrize(
+    "dom",
+    [RoundSphere2(r=1.5, n1=8, n2=16), FlatTorus2(a=2.0, b=0.5, n1=8, n2=8)],
+    ids=["sphere", "torus"],
+)
+def test_grid_forms_match_point_forms(dom):
+    # the charts are warped products diag(E(u), G(u)): metric and Ricci
+    # are diagonal, and of the eight Christoffel symbols only Gamma^u_vv
+    # and Gamma^v_uv = Gamma^v_vu can be nonzero
+    G_grid, ric_grid = dom.christoffel_grid(), dom.ricci_grid()
+    g_grid = dom.metric_diag_grid()
+    stored = np.zeros((2, 2, 2), dtype=bool)
+    stored[0, 1, 1] = stored[1, 0, 1] = stored[1, 1, 0] = True
+    U, V = dom.chart_grid()
+    for idx in np.ndindex(U.shape):
+        p = (U[idx], V[idx])
+        G = dom.christoffel_at(p)
+        assert G[0, 1, 1] == G_grid[idx][0]
+        assert G[1, 0, 1] == G[1, 1, 0] == G_grid[idx][1]
+        assert np.all(G[~stored] == 0.0)
+        assert np.array_equal(dom.ricci_at(p), np.diag(ric_grid[idx]))
+        assert np.array_equal(dom.metric_at(p), np.diag(g_grid[idx]))
+
+
 class TestFejerWeights:
     @pytest.mark.parametrize("n", [4, 5, 16, 33, 128])
     def test_weights_sum_to_two(self, n):

@@ -17,7 +17,6 @@ from bochnerlab.maps import (
     identity_sphere_map,
     jacobian_field,
     load_map,
-    pullback_and_spectrum,
     radial_scaling_map,
     save_map,
     spectrum_fields,
@@ -84,14 +83,6 @@ class TestJacobianOracle:
         m = keep(SPHERE)
         np.testing.assert_allclose(lam[m], 0.25, atol=1e-2)
         np.testing.assert_allclose(S[m], 2 * e[m], atol=0)
-
-    def test_per_node_wrappers_match_fields(self):
-        f = identity_sphere_map(SPHERE, Sphere(k=2, r=1.0))
-        node = (30, 11)
-        P, lam, S, e = pullback_and_spectrum(f, node)
-        lam_f, S_f, e_f = spectrum_fields(f)
-        np.testing.assert_allclose(lam, lam_f[node])
-        assert S == pytest.approx(S_f[node]) and e == pytest.approx(e_f[node])
 
 
 class TestTension:
