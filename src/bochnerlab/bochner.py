@@ -237,10 +237,8 @@ class PinchingCheck:
     slack: float
 
 
-def pinching_bound_fields(f, ric_min, sec_max, data=None):
+def pinching_bound_fields(f, ric_min, sec_max, data):
     """(Q, bound, slack) fields for Q >= S (ric_min - (n-1)/n sec_max S)."""
-    if data is None:
-        data = compute_bochner(f)
     n = f.domain.n
     S = data.S
     bound = S * (ric_min - (n - 1) / n * sec_max * S)

@@ -24,7 +24,7 @@ import numpy as np
 from .bochner import compute_bochner, integral_identity_residual, pinching_bound_fields
 from .catalog import parse_descriptor, parse_domain, parse_target
 from .domains import ricci_min
-from .errors import NumericalError, UsageError
+from .errors import ChartDomainError, NumericalError, UsageError
 from .flow import FlowParams, run_flow
 from .io_utils import dump_json, json_dumps, write_csv
 from .maps import catalog_map, load_map, save_map, total_energy
@@ -71,8 +71,8 @@ def _dt(text):
         v = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"--dt takes 'auto' or a number: {text!r}")
-    if v <= 0:
-        raise argparse.ArgumentTypeError("--dt must be positive")
+    if not 0 < v < np.inf:
+        raise argparse.ArgumentTypeError("--dt must be positive and finite")
     return v
 
 
@@ -172,7 +172,8 @@ def parse_config(argv):
         unknown = set(cfg) - known
         if unknown:
             raise UsageError(f"unknown config keys {sorted(unknown)}")
-        sub.set_defaults(**cfg)
+        # as strings, file values pass each flag's type check like typed ones
+        sub.set_defaults(**{k: v if v is None else str(v) for k, v in cfg.items()})
         ns = parser.parse_args(argv)  # explicit flags override file values
     return ns
 
@@ -321,6 +322,8 @@ def _write_node_csv(ns, f, data):
 
 
 def cmd_flow(ns):
+    if ns.trace and ns.trace_stride < 1:
+        raise UsageError("--trace-stride must be at least 1")
     f0 = _build_map(ns, attr="init")
     params = FlowParams(
         dt=None if ns.dt == "auto" else ns.dt,
@@ -388,8 +391,8 @@ def _sweep_values(spec):
         start, stop, step = (float(x) for x in parts)
     except ValueError as exc:
         raise UsageError(f"non-numeric sweep bound in {spec!r}") from exc
-    if step <= 0 or stop < start:
-        raise UsageError("sweep needs step > 0 and stop >= start")
+    if not (step > 0 and np.isfinite(stop - start) and stop >= start):
+        raise UsageError("sweep needs finite bounds, step > 0 and stop >= start")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
     return key.strip(), [start + i * step for i in range(count)]
 
@@ -487,7 +490,8 @@ def main(argv=None):
     except UsageError as exc:
         sys.stderr.write(json_dumps({"error": "usage", "message": str(exc)}))
         return 2
-    except NumericalError as exc:
+    # reached from the CLI, off-target points and float overflow are numerical
+    except (NumericalError, ChartDomainError, ArithmeticError) as exc:
         sys.stderr.write(
             json_dumps({"error": type(exc).__name__, "message": str(exc)})
         )

@@ -308,8 +308,7 @@ class RoundSphere2:
         c = Fp[1:-1, 1:-1]
         flux = s_up * (Fp[2:, 1:-1] - c) - s_dn * (c - Fp[:-2, 1:-1])
         d1 = flux / (self.r**2 * s * h1**2)
-        sphi = np.sin(theta).reshape(shape)
-        d2 = (Fp[1:-1, 2:] - 2 * c + Fp[1:-1, :-2]) / (self.r**2 * sphi**2 * h2**2)
+        d2 = (Fp[1:-1, 2:] - 2 * c + Fp[1:-1, :-2]) / (self.r**2 * s**2 * h2**2)
         return d1 + d2
 
     def quad_weight_grid(self):
@@ -393,24 +392,16 @@ def ricci_fd_at(domain, p, h=None):
     return 0.5 * (ric + ric.T)
 
 
-def ricci_min(domain, nodes=None):
-    """Minimum over sample nodes of the least eigenvalue of g^{-1} Ric.
+def ricci_min(domain):
+    """Minimum over the grid nodes of the least eigenvalue of g^{-1} Ric.
 
-    Returns (value, witness chart point).  nodes defaults to all grid
-    nodes; an explicitly empty sample set is a usage error.
+    Returns (value, witness chart point).
     """
-    if nodes is None:
-        U, V = domain.chart_grid()
-        pts = np.stack([U.ravel(), V.ravel()], axis=-1)
-        gd = domain.metric_diag_grid().reshape(-1, 2)
-        ric = np.zeros(gd.shape + (2,))
-        ric[:, (0, 1), (0, 1)] = domain.ricci_grid().reshape(-1, 2)
-    else:
-        pts = np.atleast_2d(np.asarray(nodes, dtype=float))
-        if pts.size == 0:
-            raise UsageError("ricci_min needs a nonempty sample set")
-        gd = np.stack([np.diag(domain.metric_at(p)) for p in pts])
-        ric = np.stack([domain.ricci_at(p) for p in pts])
+    U, V = domain.chart_grid()
+    pts = np.stack([U.ravel(), V.ravel()], axis=-1)
+    gd = domain.metric_diag_grid().reshape(-1, 2)
+    ric = np.zeros(gd.shape + (2,))
+    ric[:, (0, 1), (0, 1)] = domain.ricci_grid().reshape(-1, 2)
     lam = gen_eigh(ric, gd)[0][..., 0]
     k = int(np.argmin(lam))
     return float(lam[k]), pts[k]

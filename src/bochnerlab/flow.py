@@ -14,28 +14,29 @@ from .maps import energy_density_field, tension_field, total_energy
 ENERGY_SLACK = 1e-10
 MAX_HALVINGS = 20
 DIAMETER_BLOCK = 256
+AUTO_DT_COEFF = 0.2
+CONCENTRATION_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
 class FlowParams:
     """Controls for the explicit flow driver.
 
-    dt=None selects the automatic step c_auto * h^2 / max(1, sup|df|^2)
+    dt=None selects the automatic step AUTO_DT_COEFF * h^2 / max(1, sup|df|^2)
     from the initial map.
     """
 
     dt: float | None = None
-    c_auto: float = 0.2
     max_steps: int = 10000
     tension_tol: float = 1e-6
     collapse_tol: float = 1e-3
     snapshot_stride: int = 0
-    concentration_factor: float = 10.0
 
     def __post_init__(self):
-        if self.dt is not None and self.dt <= 0:
+        # written as not (x > 0) so that NaN is rejected too
+        if self.dt is not None and not self.dt > 0:
             raise UsageError("time step must be positive")
-        if self.tension_tol <= 0 or self.collapse_tol <= 0:
+        if not (self.tension_tol > 0 and self.collapse_tol > 0):
             raise UsageError("tolerances must be positive")
         if self.max_steps < 1:
             raise UsageError("max_steps must be at least 1")
@@ -95,7 +96,7 @@ def flow_step(f, dt):
     Returns (map, accepted_dt, energy_after).  Raises StabilityError
     after MAX_HALVINGS consecutive rejections.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise UsageError("time step must be positive")
     e0 = total_energy(f)
     tau = tension_field(f)
@@ -110,10 +111,10 @@ def flow_step(f, dt):
     )
 
 
-def auto_dt(f, c_auto=0.2):
+def auto_dt(f):
     h = min(f.domain.spacing)
     sup_df2 = float(np.max(2.0 * energy_density_field(f)))
-    return c_auto * h * h / max(1.0, sup_df2)
+    return AUTO_DT_COEFF * h * h / max(1.0, sup_df2)
 
 
 def run_flow(f0, params=None):
@@ -121,12 +122,12 @@ def run_flow(f0, params=None):
 
     Outcomes: 'converged' (sup|tau| below tolerance), and
     'collapsed_to_constant' (image diameter below tolerance),
-    'max_steps'.  Aborts with NumericalError if the energy density
-    concentrates (possible bubbling), which is outside this solver's
-    scope.
+    'max_steps'.  Aborts with NumericalError if sup e exceeds
+    CONCENTRATION_FACTOR times its initial value (possible bubbling),
+    which is outside this solver's scope.
     """
     params = params or FlowParams()
-    dt = params.dt if params.dt is not None else auto_dt(f0, params.c_auto)
+    dt = params.dt if params.dt is not None else auto_dt(f0)
     f = f0
     summary = FlowSummary(dt=dt)
     keep = ~f0.domain.flagged_mask()
@@ -137,18 +138,17 @@ def run_flow(f0, params=None):
         tau = tension_field(f)
         sup_tau = float(np.max(np.linalg.norm(tau, axis=-1)[keep]))
         e_max = float(np.max(energy_density_field(f)))
+        # 2 * bounding radius dominates the diameter, so the collapse test is safe
+        diam = 2 * image_radius(f.values)
         if params.snapshot_stride and step % params.snapshot_stride == 0:
-            summary.trace.append(
-                (step, summary.energies[-1], sup_tau, 2 * image_radius(f.values), e_max)
-            )
+            summary.trace.append((step, summary.energies[-1], sup_tau, diam, e_max))
         if sup_tau < params.tension_tol:
             summary.outcome = "converged"
             break
-        # 2 * bounding radius dominates the diameter, so this is safe
-        if 2 * image_radius(f.values) < params.collapse_tol:
+        if diam < params.collapse_tol:
             summary.outcome = "collapsed_to_constant"
             break
-        if e_max0 > 1e-12 and e_max > params.concentration_factor * e_max0:
+        if e_max0 > 1e-12 and e_max > CONCENTRATION_FACTOR * e_max0:
             raise NumericalError(
                 f"energy density concentrated ({e_max:.3e} vs initial {e_max0:.3e})"
             )

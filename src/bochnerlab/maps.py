@@ -11,6 +11,7 @@ quadrature needs a smaller truncation error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,15 +20,15 @@ from .domains import FlatTorus2, RoundSphere2
 from .errors import NumericalError, UsageError
 from .numerics import fmt17, gen_eigh
 
-VALUE_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class DiscreteMap:
     """Map f: domain -> target sampled on the domain grid.
 
     values has shape (n1, n2, m) and always lies on the target: the
-    constructor reprojects through the closest-point map.
+    constructor reprojects through the closest-point map.  The values
+    are read-only, so the tension and energy density are cached; the
+    Jacobian and projector are not (16 MB per map at 256x512).
     """
 
     domain: object
@@ -43,9 +44,20 @@ class DiscreteMap:
             )
         if not np.all(np.isfinite(v)):
             raise NumericalError("map values contain non-finite entries")
-        v = self.target.closest_point(v)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _read_only(self.target.closest_point(v)))
+
+    @cached_property
+    def tension(self):
+        lap = self.domain.laplace_beltrami(self.values)
+        P = self.target.tangent_projector(self.values)
+        return _read_only(np.einsum("...ab,...b->...a", P, lap))
+
+    @cached_property
+    def energy_density(self):
+        J = jacobian_field(self)
+        ginv = self.domain.inv_metric_diag_grid()
+        S = sum(ginv[..., d] * np.sum(J[..., :, d] ** 2, axis=-1) for d in range(2))
+        return _read_only(S / 2.0)
 
     def with_values(self, values):
         return DiscreteMap(self.domain, self.target, values)
@@ -86,10 +98,9 @@ def default_basepoint(target):
     raise UsageError(f"no default basepoint for target kind {kind!r}")
 
 
-def constant_map(domain, target, q0=None):
-    q0 = default_basepoint(target) if q0 is None else np.asarray(q0, dtype=float)
-    vals = np.broadcast_to(q0, (domain.n1, domain.n2, target.m)).copy()
-    return DiscreteMap(domain, target, vals)
+def constant_map(domain, target):
+    vals = np.broadcast_to(default_basepoint(target), (domain.n1, domain.n2, target.m))
+    return DiscreteMap(domain, target, vals.copy())
 
 
 def radial_scaling_map(domain, target):
@@ -104,16 +115,17 @@ def radial_scaling_map(domain, target):
 
 
 def identity_sphere_map(domain, target):
-    if target.kind != "sphere" or abs(target.r - domain.r) > 1e-12:
-        raise UsageError("identity map needs matching sphere radii")
+    spheres = domain.kind == target.kind == "sphere"
+    if not (spheres and abs(target.r - domain.r) <= 1e-12):
+        raise UsageError("identity map needs a sphere domain and target of one radius")
     return radial_scaling_map(domain, target)
 
 
 def holomorphic_map(domain, target, k):
     """Degree-k power map of the sphere in a stereographic coordinate."""
-    k = int(k)
-    if k < 1:
+    if not (float(k).is_integer() and k >= 1):
         raise UsageError("holomorphic degree must be a positive integer")
+    k = int(k)
     if target.kind != "sphere" or target.m != 3:
         raise UsageError("holomorphic map needs a 2-sphere target in R^3")
     TH, PH = domain.chart_grid()
@@ -146,6 +158,11 @@ def cap_map(domain, target, amplitude):
     q0 = np.array([0.0, 0.0, 1.0])
     vals = target.r * _normalize(q0 + disp)
     return DiscreteMap(domain, target, vals)
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 def _normalize(v):
@@ -252,26 +269,19 @@ def spectrum_fields(f, J=None):
     return lam, S, S / 2.0
 
 
-def energy_density_field(f, J=None):
+def energy_density_field(f):
     """e = trace_g(f*gbar) / 2 without an eigensolve."""
-    if J is None:
-        J = jacobian_field(f)
-    ginv = f.domain.inv_metric_diag_grid()
-    S = sum(ginv[..., d] * np.sum(J[..., :, d] ** 2, axis=-1) for d in range(2))
-    return S / 2.0
+    return f.energy_density
 
 
 def total_energy(f):
     """Quadrature of the energy density over the domain."""
-    e = energy_density_field(f)
-    return float(np.sum(e * f.domain.quad_weight_grid()))
+    return float(np.sum(f.energy_density * f.domain.quad_weight_grid()))
 
 
 def tension_field(f):
     """Tension tau = tangential part of the componentwise Laplace-Beltrami."""
-    lap = f.domain.laplace_beltrami(f.values)
-    P = f.target.tangent_projector(f.values)
-    return np.einsum("...ab,...b->...a", P, lap)
+    return f.tension
 
 
 def hessian_field(f, accuracy=2):

@@ -10,6 +10,8 @@ import numpy as np
 
 from .errors import NumericalError
 
+DEGENERATE_NORM = 1e-12
+
 
 def gen_eigh(P, gd):
     """Solve P v = lam g v (batched) for a diagonal metric g = diag(gd).
@@ -46,7 +48,7 @@ def fejer1_weights(n):
     return 2.0 / n * (1.0 - 2.0 * series.sum(axis=1))
 
 
-def orthonormal_pair(X, Y, eps=1e-12):
+def orthonormal_pair(X, Y):
     """Gram-Schmidt a batch of vector pairs (..., m).
 
     Returns (Xh, Yh, ok) where ok marks pairs that span a genuine
@@ -55,12 +57,12 @@ def orthonormal_pair(X, Y, eps=1e-12):
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     nx = np.linalg.norm(X, axis=-1, keepdims=True)
-    ok = nx[..., 0] > eps
-    Xh = np.divide(X, np.where(nx > eps, nx, 1.0))
+    ok = nx[..., 0] > DEGENERATE_NORM
+    Xh = np.divide(X, np.where(nx > DEGENERATE_NORM, nx, 1.0))
     Yp = Y - np.sum(Xh * Y, axis=-1, keepdims=True) * Xh
     ny = np.linalg.norm(Yp, axis=-1, keepdims=True)
-    ok = ok & (ny[..., 0] > eps)
-    Yh = np.divide(Yp, np.where(ny > eps, ny, 1.0))
+    ok = ok & (ny[..., 0] > DEGENERATE_NORM)
+    Yh = np.divide(Yp, np.where(ny > DEGENERATE_NORM, ny, 1.0))
     return Xh, Yh, ok
 
 

@@ -25,10 +25,12 @@ from .targets import curvature_operator, sec_max_over_region
 # the homothety family (see tests): discrete margins and Hessian sups of
 # the exact equality-case maps stay well inside these bands at every
 # tested resolution while remaining far below genuine violations.
-DEFAULT_TOL_COEFF = 8.0
-DEFAULT_DIAG_COEFF = 30.0
-DEFAULT_HARMONIC_COEFF = 30.0
+TOL_COEFF = 8.0
+DIAG_COEFF = 30.0
+HARMONIC_COEFF = 30.0
 CONSTANT_DIAMETER_TOL = 1e-8
+# Sec_max and the curvature certificate use at most this many image points
+IMAGE_CAP = 2048
 
 
 def grid_h(domain):
@@ -74,12 +76,12 @@ class PinchingReport:
         return d
 
 
-def _image_points(f, cap):
+def _image_points(f):
+    """At most IMAGE_CAP node values, each run of equal ones cut to its first."""
     pts = f.values.reshape(-1, f.target.m)
-    if cap and pts.shape[0] > cap:
-        stride = int(np.ceil(pts.shape[0] / cap))
-        pts = pts[::stride]
-    return pts
+    if pts.shape[0] > IMAGE_CAP:
+        pts = pts[:: int(np.ceil(pts.shape[0] / IMAGE_CAP))]
+    return pts[np.concatenate([[True], np.any(pts[1:] != pts[:-1], axis=1)])]
 
 
 def _hypothesis_ok(f, pts):
@@ -87,26 +89,20 @@ def _hypothesis_ok(f, pts):
     return bool(np.linalg.eigvalsh(curvature_operator(f.target, pts)[0]).min() >= -1e-10)
 
 
-def build_report(
-    f,
-    seed=0,
-    tol_coeff=DEFAULT_TOL_COEFF,
-    diag_coeff=DEFAULT_DIAG_COEFF,
-    harmonic_coeff=DEFAULT_HARMONIC_COEFF,
-    image_cap=2048,
-    global_sample=0,
-):
+def build_report(f, seed=0, global_sample=0):
     """Assemble the pinching report for a map.
 
     global_sample > 0 additionally evaluates the curvature extremizer
     over a fixed-seed quasi-uniform sample of the whole target (the
     localization comparator); it is diagnostic only.
     """
+    if global_sample < 0 or seed < 0:
+        raise UsageError("the seed and the global sample size must not be negative")
     dom, tgt = f.domain, f.target
     n = dom.n
     h = grid_h(dom)
-    tol = tol_coeff * h * h
-    harmonic_tol = harmonic_coeff * h * h
+    tol = TOL_COEFF * h * h
+    harmonic_tol = HARMONIC_COEFF * h * h
 
     data = compute_bochner(f)
     keep = ~dom.flagged_mask()
@@ -114,7 +110,7 @@ def build_report(
     e_max = S0 / 2.0
 
     rmin, rwit = ricci_min(dom)
-    img = _image_points(f, image_cap)
+    img = _image_points(f)
     sec_img, wit = sec_max_over_region(tgt, img)
     sec_global = None
     if global_sample:
@@ -173,7 +169,7 @@ def build_report(
         threshold_e=float(threshold_e),
         margin=float(margin),
         tol=float(tol),
-        tol_coeff=float(tol_coeff),
+        tol_coeff=TOL_COEFF,
         hypothesis_ok=hypothesis_ok,
         classification=classification,
         prediction=prediction,
@@ -209,7 +205,7 @@ class EqualityDiagnostics:
     ok: bool
 
 
-def equality_diagnostics(f, report, diag_coeff=DEFAULT_DIAG_COEFF):
+def equality_diagnostics(f, report):
     """Check the threshold-case predictions on an equality-classified map.
 
     The Hessian sup, singular-value spread and homothety factor are the
@@ -221,7 +217,7 @@ def equality_diagnostics(f, report, diag_coeff=DEFAULT_DIAG_COEFF):
         raise UsageError("equality diagnostics apply to nonconstant maps")
     dom = f.domain
     h = grid_h(dom)
-    tol = diag_coeff * h * h
+    tol = DIAG_COEFF * h * h
     _, S, _ = spectrum_fields(f)
     Svals = S[~dom.flagged_mask()]
     svar = float(np.max(np.abs(Svals - Svals.mean())))
@@ -257,14 +253,14 @@ class LocalizationGap:
     gap: float
 
 
-def localization_gap(f, seed=0, sample=4096, image_cap=2048):
+def localization_gap(f, seed=0, sample=4096):
     """Image-based extremizer vs the same extremizer over the whole target.
 
     A positive gap exhibits localization: curvature away from the image
     does not enter the pinching hypothesis.
     """
     tgt = f.target
-    sec_img, _ = sec_max_over_region(tgt, _image_points(f, image_cap))
+    sec_img, _ = sec_max_over_region(tgt, _image_points(f))
     rng = np.random.default_rng(seed)
     pts = tgt.sample_points(sample, rng)
     sec_glob, _ = sec_max_over_region(tgt, pts)
@@ -305,7 +301,7 @@ class ScanResult:
         return "\n".join(lines)
 
 
-def theorem_consistency_scan(entries, seed=0, **report_kwargs):
+def theorem_consistency_scan(entries, seed=0):
     """Falsification sweep over a set of numerically harmonic maps.
 
     For every harmonic nonconstant map the margin must not exceed the
@@ -316,7 +312,7 @@ def theorem_consistency_scan(entries, seed=0, **report_kwargs):
     rows = []
     ok = True
     for name, f in entries:
-        rep = build_report(f, seed=seed, **report_kwargs)
+        rep = build_report(f, seed=seed)
         row = ScanRow(
             name=name,
             classification=rep.classification,

@@ -30,6 +30,8 @@ from .errors import (
 )
 
 ON_TARGET_TOL = 1e-8
+PROJECTION_MAX_ITER = 50
+PROJECTION_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -230,10 +232,6 @@ class Ellipsoid:
         if min(self.a, self.b, self.c) <= 0:
             raise UsageError("ellipsoid semi-axes must be positive")
 
-    @property
-    def k(self):
-        return 2
-
     def descriptor(self):
         return f"ellipsoid:a={self.a:g},b={self.b:g},c={self.c:g}"
 
@@ -245,7 +243,7 @@ class Ellipsoid:
         q = np.asarray(q, dtype=float)
         return np.abs(np.sum(self._w * q * q, axis=-1) - 1.0)
 
-    def closest_point(self, x, max_iter=50, tol=1e-13):
+    def closest_point(self, x):
         """Euclidean closest point via Newton on the Lagrange multiplier.
 
         Stationarity gives x_i = p_i / (1 + mu w_i); mu solves
@@ -256,10 +254,10 @@ class Ellipsoid:
         w = self._w
         mu = np.zeros(p.shape[:-1])
         lo = -0.9 / w.max()
-        for _ in range(max_iter):
+        for _ in range(PROJECTION_MAX_ITER):
             d = 1.0 + mu[..., None] * w
             phi = np.sum(w * p * p / d**2, axis=-1) - 1.0
-            if np.all(np.abs(phi) < tol):
+            if np.all(np.abs(phi) < PROJECTION_TOL):
                 break
             dphi = -2.0 * np.sum(w**2 * p * p / d**3, axis=-1)
             mu = np.maximum(mu - phi / dphi, lo)
@@ -312,10 +310,6 @@ class ProductSpheres:
         if self.r1 <= 0 or self.r2 <= 0:
             raise UsageError("sphere radii must be positive")
 
-    @property
-    def k(self):
-        return 4
-
     def descriptor(self):
         return f"prodspheres:r1={self.r1:g},r2={self.r2:g}"
 
@@ -362,9 +356,6 @@ class ProductSpheres:
         return np.concatenate(
             [s1.sample_points(count, rng), s2.sample_points(count, rng)], axis=-1
         )
-
-
-TARGET_KINDS = (Euclidean, Sphere, FlatTorusEmb, Ellipsoid, ProductSpheres)
 
 
 # -- sectional curvature -----------------------------------------------------

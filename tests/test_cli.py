@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bochnerlab.catalog import parse_domain, parse_target
 from bochnerlab.cli import main
@@ -16,6 +18,14 @@ pytestmark = pytest.mark.usefixtures("tmp_path")
 
 def run_cli(*args):
     return main(list(args))
+
+
+def exit_code(argv):
+    """The process exit code: main's return value, or argparse's exit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestVerify:
@@ -194,3 +204,87 @@ class TestConfig:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"mop": "identity"}))
         assert run_cli("verify", "--config", str(cfg)) == 2
+
+
+FLOW = ["flow", "--domain", "torus:a=1,b=1", "--init", "cap:amplitude=0.3",
+        "--resolution", "8", "--steps", "3"]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--map", "identity", "--resolution", "8", "--global-sample", "-1"],
+            ["report", "--map", "holomorphic:k=2.5", "--resolution", "8"],
+            FLOW + ["--dt", "nan"],
+            FLOW + ["--tol", "nan"],
+            FLOW + ["--collapse-tol", "nan"],
+            FLOW + ["--trace", "{tmp}/trace.csv", "--trace-stride", "0"],
+        ],
+        ids=["global-sample", "fractional-degree", "dt", "tol", "collapse-tol",
+             "trace-stride"],
+    )
+    def test_bad_value_is_a_usage_error(self, tmp_path, argv):
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        assert exit_code(argv) == 2
+        assert not (tmp_path / "trace.csv").exists()
+
+    def test_config_value_passes_the_flag_check(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"steps": 2.5}))
+        argv = [a for a in FLOW if a not in ("--steps", "3")]
+        assert exit_code(argv + ["--config", str(cfg)]) == 2
+
+
+# flag values: signs, zero, non-finite, huge, tiny, fractional, non-numeric
+NUMBER = st.one_of(
+    st.sampled_from(["-1", "0", "1", "3", "nan", "inf", "-inf", "1e308", "1e-300",
+                     "2.5", "x", ""]),
+    st.floats().map(repr),
+)
+SMALL_INT = st.integers(-3, 3).map(str)
+BOUND = st.sampled_from(["nan", "inf", "-1", "0", "1", "x"])
+
+
+@st.composite
+def cli_argv(draw, work):
+    """One CLI call with drawn flag and descriptor values.
+
+    Grids, step budgets, refinement levels and sample sizes stay small,
+    so every call runs in milliseconds.
+    """
+    seed = draw(st.sampled_from(["0", "-1", "2", "x"]))
+    common = ["--resolution=8", f"--seed={seed}"]
+    cmd = draw(st.sampled_from(["flow", "report", "verify", "scan"]))
+    if cmd == "flow":
+        flags = {"dt": NUMBER, "tol": NUMBER, "collapse-tol": NUMBER,
+                 "steps": SMALL_INT, "trace-stride": st.one_of(SMALL_INT, NUMBER)}
+        return [
+            "flow", "--domain=torus:a=1,b=1",
+            f"--init=cap:amplitude={draw(NUMBER)}",
+            f"--trace={work}/trace.csv", f"--save={work}/final.map",
+            f"--json={work}/flow.json",
+        ] + [f"--{k}={draw(v)}" for k, v in flags.items()] + common
+    target = draw(st.sampled_from(
+        ["sphere:r={}", "ellipsoid:a=1,b=1,c={}", "prodspheres:r1=1,r2={}", "euclid:m=3"]
+    )).format(draw(NUMBER))
+    if cmd == "scan":
+        sweep = ":".join(draw(BOUND) for _ in range(3))
+        return ["scan", "--map=scaling", f"--target={target}", f"--param=r={sweep}"] + common
+    domain = draw(st.sampled_from(["sphere:r={}", "torus:a=1,b={}"])).format(draw(NUMBER))
+    name = draw(st.sampled_from(
+        ["holomorphic:k={}", "cap:amplitude={}", "scaling", "constant", "identity"]
+    )).format(draw(NUMBER))
+    argv = [cmd, f"--domain={domain}", f"--map={name}", f"--target={target}"] + common
+    if cmd == "verify":
+        return argv + [f"--refine={draw(st.integers(-1, 2))}"]
+    return argv + [f"--global-sample={draw(st.one_of(SMALL_INT, NUMBER))}"]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_exit_code_contract_fuzz(tmp_path_factory, data):
+    """Whatever the flag and descriptor values, the CLI exits 0-3."""
+    work = tmp_path_factory.getbasetemp()
+    argv = data.draw(cli_argv(work))
+    assert exit_code(argv) in (0, 1, 2, 3)

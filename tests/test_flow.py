@@ -76,6 +76,22 @@ class TestRun:
         assert summary.outcome == "max_steps"
         assert summary.steps == 3
 
+    def test_explicit_step_builds_two_projectors(self, monkeypatch):
+        # per step: the tension of the map and the energy of the
+        # candidate; plus the initial energy and the final tension
+        calls = []
+        original = Sphere.tangent_projector
+
+        def counted(self, q):
+            calls.append(q.shape)
+            return original(self, q)
+
+        monkeypatch.setattr(Sphere, "tangent_projector", counted)
+        n = 7
+        f, summary = run_flow(cap(), FlowParams(max_steps=n))
+        assert summary.steps == n and summary.outcome == "max_steps"
+        assert len(calls) == 2 * n + 2
+
     def test_trace_records_snapshots(self):
         f, summary = run_flow(
             cap(), FlowParams(max_steps=20, snapshot_stride=5)

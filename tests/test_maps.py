@@ -60,6 +60,13 @@ class TestCatalog:
         with pytest.raises(ValueError):
             f.values[0, 0, 0] = 7.0
 
+    def test_tension_and_energy_density_are_cached_read_only(self):
+        f = catalog_map("holomorphic:k=2", SPHERE, Sphere(k=2, r=1.0))
+        for field in (tension_field, energy_density_field):
+            assert field(f) is field(f)
+            with pytest.raises(ValueError):
+                field(f)[0, 0] = 7.0
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(UsageError):
             DiscreteMap(SPHERE, Sphere(k=2, r=1.0), np.zeros((3, 3, 3)))

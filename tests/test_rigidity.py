@@ -84,6 +84,25 @@ class TestReport:
         assert isinstance(d["resolution"], list)
 
 
+    def test_constant_map_sends_one_image_point(self, monkeypatch):
+        from bochnerlab import rigidity, targets
+
+        sizes = []
+        original = targets.curvature_operator
+
+        def recorded(target, q):
+            sizes.append(np.shape(q)[0])
+            return original(target, q)
+
+        monkeypatch.setattr(targets, "curvature_operator", recorded)
+        monkeypatch.setattr(rigidity, "curvature_operator", recorded)
+        dom = RoundSphere2(r=1.0, n1=48, n2=96)
+        rep = build_report(catalog_map("constant", dom, Ellipsoid(a=1, b=1, c=2)))
+        assert rep.is_constant
+        # sec_max_over_region and the curvature-sign certificate
+        assert sizes == [1, 1]
+
+
 class TestEqualityDiagnostics:
     def test_scaling_family_passes(self):
         for r in (0.5, 2.0):
