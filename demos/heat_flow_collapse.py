@@ -19,7 +19,7 @@ def main():
     # flow past the default collapse tolerance so the limit is constant
     # to within the report's diameter tolerance
     params = FlowParams(
-        max_steps=30000, snapshot_stride=200, collapse_tol=5e-9, tension_tol=1e-10
+        max_steps=30000, snapshot_stride=40, collapse_tol=5e-9, tension_tol=1e-10
     )
     f, summary = run_flow(f0, params)
 

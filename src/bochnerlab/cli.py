@@ -25,7 +25,7 @@ from .bochner import compute_bochner, integral_identity_residual, pinching_bound
 from .catalog import parse_descriptor, parse_domain, parse_target
 from .domains import ricci_min
 from .errors import ChartDomainError, NumericalError, UsageError
-from .flow import FlowParams, run_flow
+from .flow import IMPLICIT_DT, FlowParams, run_flow
 from .io_utils import dump_json, json_dumps, write_csv
 from .maps import catalog_map, load_map, save_map, total_energy
 from .rigidity import (
@@ -40,6 +40,7 @@ MIN_RESOLUTION = 8
 VERIFY_RES_COEFF = 100.0  # residual band C h^2, calibrated on the catalog
 PATH_AGREEMENT_TOL = 1e-8
 RATIO_BAND = (3.0, 5.0)
+MAX_SWEEP = 10_000  # values per scan; each builds one report
 
 CONSISTENCY_CATALOG = (
     ("constant", "sphere:r=1", "constant"),
@@ -112,7 +113,10 @@ def build_parser():
     _add_common(p)
     p.add_argument("--init", default=None, help="catalog map descriptor")
     p.add_argument("--load", default=None, help="saved-map path")
-    p.add_argument("--dt", type=_dt, default="auto", help="'auto' or a step size")
+    p.add_argument(
+        "--dt", type=_dt, default="auto",
+        help=f"implicit step size, or 'auto' for {IMPLICIT_DT:g}",
+    )
     p.add_argument("--steps", type=int, default=10000, help="step budget")
     p.add_argument("--tol", type=float, default=1e-6, help="tension stopping tolerance")
     p.add_argument(
@@ -349,6 +353,7 @@ def cmd_flow(ns):
         "init": ns.init or ns.load,
         "dt": summary.dt,
         "steps": summary.steps,
+        "rejected_steps": summary.rejected,
         "outcome": summary.outcome,
         "final_tension": summary.final_tension,
         "final_diameter": summary.final_diameter,
@@ -393,8 +398,10 @@ def _sweep_values(spec):
         raise UsageError(f"non-numeric sweep bound in {spec!r}") from exc
     if not (step > 0 and np.isfinite(stop - start) and stop >= start):
         raise UsageError("sweep needs finite bounds, step > 0 and stop >= start")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return key.strip(), [start + i * step for i in range(count)]
+    count = np.floor((stop - start) / step + 1e-9) + 1
+    if count > MAX_SWEEP:
+        raise UsageError(f"sweep of {count:g} values exceeds the limit of {MAX_SWEEP}")
+    return key.strip(), [start + i * step for i in range(int(count))]
 
 
 _SCAN_COLUMNS = (

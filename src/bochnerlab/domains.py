@@ -4,7 +4,8 @@ Two built-in compact surfaces: the flat 2-torus and the round 2-sphere.
 Each carries a closed-form metric, Christoffel symbols and Ricci tensor
 on a periodic (torus) or pole-staggered (sphere) node grid, plus the
 finite-difference curvature paths used as cross-checks against the
-closed forms.
+closed forms, and a fast direct solver for (I - dt L) that the heat
+flow's implicit step calls.
 
 Both charts are orthogonal warped products g = diag(E(u), G(u)), so the
 grid forms store only what can be nonzero: the metric and Ricci
@@ -36,6 +37,14 @@ def _wrap(F, axis, width):
     if axis == 0:
         return np.concatenate([F[-width:], F, F[:width]], axis=0)
     return np.concatenate([F[:, -width:], F, F[:, :width]], axis=1)
+
+
+def _mode_symbol(count, h):
+    """-eigenvalue of the periodic second difference for modes 0..count-1.
+
+    Mode k has eigenvalue -(2 sin(k h / 2) / h)^2 on a grid of spacing h.
+    """
+    return (2 * np.sin(np.arange(count) * h / 2) / h) ** 2
 
 
 def _as_point(p):
@@ -142,6 +151,20 @@ class FlatTorus2:
         d1 = (Fp[2:, 1:-1] - 2 * c + Fp[:-2, 1:-1]) / (self.a**2 * h1**2)
         d2 = (Fp[1:-1, 2:] - 2 * c + Fp[1:-1, :-2]) / (self.b**2 * h2**2)
         return d1 + d2
+
+    def resolvent(self, F, dt):
+        """X with (I - dt L) X = F, L the stencil of laplace_beltrami.
+
+        L is periodic with constant coefficients, so the discrete
+        Fourier modes diagonalize it.
+        """
+        h1, h2 = self.spacing
+        lam1 = _mode_symbol(self.n1, h1) / self.a**2
+        lam2 = _mode_symbol(self.n2 // 2 + 1, h2) / self.b**2
+        symbol = 1 + dt * (lam1[:, None] + lam2[None, :])
+        Fh = np.fft.rfft2(F, axes=(0, 1))
+        Fh /= symbol.reshape(symbol.shape + (1,) * (Fh.ndim - 2))
+        return np.fft.irfft2(Fh, s=(self.n1, self.n2), axes=(0, 1))
 
     def quad_weight_grid(self):
         h1, h2 = self.spacing
@@ -310,6 +333,39 @@ class RoundSphere2:
         d1 = flux / (self.r**2 * s * h1**2)
         d2 = (Fp[1:-1, 2:] - 2 * c + Fp[1:-1, :-2]) / (self.r**2 * s**2 * h2**2)
         return d1 + d2
+
+    def resolvent(self, F, dt):
+        """X with (I - dt L) X = F, L the stencil of laplace_beltrami.
+
+        L has constant coefficients in phi, so a real FFT in phi leaves
+        one tridiagonal system in theta per Fourier mode.  The pole interfaces carry sin(0) = 0 and sin(pi) ~ 1.2e-16, so
+        their ghost couplings are dropped and each system stays
+        tridiagonal.  (I - dt L) is then a strictly diagonally dominant
+        M-matrix, and one batched Thomas sweep solves it without pivoting.
+        """
+        h1, h2 = self.spacing
+        theta, _ = self.axes()
+        s = np.sin(theta)
+        s_up = np.sin(theta + h1 / 2)
+        s_dn = np.sin(theta - h1 / 2)
+        s_up[-1] = s_dn[0] = 0.0
+        w = dt / (self.r**2 * s * h1**2)
+        lower, upper = -w * s_dn, -w * s_up
+        mu = _mode_symbol(self.n2 // 2 + 1, h2)
+        diag = 1 + (w * (s_up + s_dn))[:, None] + dt * mu / (self.r * s)[:, None] ** 2
+        Fh = np.fft.rfft(F, axis=1)
+        diag = diag.reshape(diag.shape + (1,) * (Fh.ndim - 2))
+        ratio = np.empty_like(diag)
+        ratio[0] = upper[0] / diag[0]
+        Fh[0] /= diag[0]
+        for i in range(1, self.n1):
+            pivot = diag[i] - lower[i] * ratio[i - 1]
+            ratio[i] = upper[i] / pivot
+            Fh[i] -= lower[i] * Fh[i - 1]
+            Fh[i] /= pivot
+        for i in range(self.n1 - 2, -1, -1):
+            Fh[i] -= ratio[i] * Fh[i + 1]
+        return np.fft.irfft(Fh, n=self.n2, axis=1)
 
     def quad_weight_grid(self):
         h1, h2 = self.spacing

@@ -1,5 +1,14 @@
-"""Heat flow toward harmonic maps: explicit stepping along the tension
-field with closest-point reprojection and energy-monotone step control.
+"""Heat flow toward harmonic maps.
+
+run_flow takes linearly implicit projection steps (Alouges 1997): it
+solves (I - dt L) f* = f - dt (L f - tau(f)) with the domain's fast
+resolvent and reprojects f* onto the target with the closest-point map.
+L f - tau = N L f is the normal part of the componentwise Laplacian, so
+the step treats the diffusion implicitly and the constraint force
+explicitly, and reuses the map's cached tension.  flow_step is the
+explicit step f + dt tau.  Both run under one energy-monotone
+controller that halves dt whenever a candidate's energy rises or the
+map constructor rejects it.
 """
 
 from __future__ import annotations
@@ -14,16 +23,18 @@ from .maps import energy_density_field, tension_field, total_energy
 ENERGY_SLACK = 1e-10
 MAX_HALVINGS = 20
 DIAMETER_BLOCK = 256
+PAIRWISE_MIN = 8  # numpy sums this many terms or more pairwise
+IMPLICIT_DT = 0.05
 AUTO_DT_COEFF = 0.2
 CONCENTRATION_FACTOR = 10.0
 
 
 @dataclass(frozen=True)
 class FlowParams:
-    """Controls for the explicit flow driver.
+    """Controls for the flow driver.
 
-    dt=None selects the automatic step AUTO_DT_COEFF * h^2 / max(1, sup|df|^2)
-    from the initial map.
+    dt is the implicit step; dt=None selects IMPLICIT_DT.  The
+    controller halves it when a step would raise the energy.
     """
 
     dt: float | None = None
@@ -44,7 +55,8 @@ class FlowParams:
 
 @dataclass
 class FlowSummary:
-    steps: int = 0
+    steps: int = 0  # accepted steps
+    rejected: int = 0  # rejected candidates; each halved dt once
     energies: list = field(default_factory=list)
     final_tension: float = np.inf
     final_diameter: float = np.inf
@@ -64,11 +76,27 @@ def image_diameter(f_or_values, exact_limit=4096):
     """
     vals = getattr(f_or_values, "values", f_or_values)
     pts = np.asarray(vals, dtype=float).reshape(-1, vals.shape[-1])
-    if pts.shape[0] <= exact_limit:
+    n, m = pts.shape
+    if n <= exact_limit:
         d2 = 0.0
-        for lo in range(0, pts.shape[0], DIAMETER_BLOCK):
-            block = pts[lo : lo + DIAMETER_BLOCK, None, :]
-            d2 = max(d2, np.sum((block - pts[None, :, :]) ** 2, axis=-1).max())
+        if m >= PAIRWISE_MIN:
+            for lo in range(0, n, DIAMETER_BLOCK):
+                block = pts[lo : lo + DIAMETER_BLOCK, None, :]
+                d2 = max(d2, np.sum((block - pts[None, :, :]) ** 2, axis=-1).max())
+            return float(np.sqrt(d2))
+        # fewer than PAIRWISE_MIN terms: numpy's sum adds them left to
+        # right, so accumulating one coordinate at a time keeps its bits
+        cols = np.ascontiguousarray(pts.T)
+        acc = np.empty((min(n, DIAMETER_BLOCK), n))
+        sq = np.empty_like(acc)
+        for lo in range(0, n, DIAMETER_BLOCK):
+            rows = cols[:, lo : lo + DIAMETER_BLOCK, None]
+            a, t = acc[: rows.shape[1]], sq[: rows.shape[1]]
+            np.square(np.subtract(rows[0], cols[0], out=a), out=a)
+            for c in range(1, m):
+                np.square(np.subtract(rows[c], cols[c], out=t), out=t)
+                a += t
+            d2 = max(d2, a.max())
         return float(np.sqrt(d2))
     best = 0.0
     seed_pts = [pts.mean(axis=0)]
@@ -90,28 +118,53 @@ def image_radius(values):
     return float(np.max(np.linalg.norm(pts - center, axis=-1)))
 
 
-def flow_step(f, dt):
-    """One accepted explicit step, halving dt on energy increase.
+def _explicit_values(f, dt):
+    return f.values + dt * tension_field(f)
 
-    Returns (map, accepted_dt, energy_after).  Raises StabilityError
-    after MAX_HALVINGS consecutive rejections.
+
+def _implicit_values(f, dt):
+    normal = f.domain.laplace_beltrami(f.values) - tension_field(f)
+    return f.domain.resolvent(f.values - dt * normal, dt)
+
+
+def _controlled_step(f, dt, propose):
+    """Accept the candidate propose(f, dt) once its energy does not rise.
+
+    A rejected candidate, whether its energy rose or the map constructor
+    refused its values with NumericalError, halves dt.  Returns (map,
+    accepted_dt, energy_after, rejections); raises StabilityError after
+    MAX_HALVINGS consecutive rejections.
     """
     if not dt > 0:
         raise UsageError("time step must be positive")
     e0 = total_energy(f)
-    tau = tension_field(f)
-    for _ in range(MAX_HALVINGS + 1):
-        cand = f.with_values(f.values + dt * tau)
-        e1 = total_energy(cand)
-        if e1 <= e0 + ENERGY_SLACK:
-            return cand, dt, e1
+    e1 = np.nan
+    for rejected in range(MAX_HALVINGS + 1):
+        values = propose(f, dt)
+        try:
+            cand = f.with_values(values)
+        except NumericalError:
+            pass
+        else:
+            e1 = total_energy(cand)
+            if e1 <= e0 + ENERGY_SLACK:
+                return cand, dt, e1, rejected
         dt *= 0.5
     raise StabilityError(
         f"flow step rejected {MAX_HALVINGS} times (energy {e0:.6e} -> {e1:.6e})"
     )
 
 
+def flow_step(f, dt):
+    """One accepted explicit step f + dt tau, halving dt on rejection.
+
+    Returns (map, accepted_dt, energy_after).
+    """
+    return _controlled_step(f, dt, _explicit_values)[:3]
+
+
 def auto_dt(f):
+    """Stable explicit step AUTO_DT_COEFF * h^2 / max(1, sup|df|^2)."""
     h = min(f.domain.spacing)
     sup_df2 = float(np.max(2.0 * energy_density_field(f)))
     return AUTO_DT_COEFF * h * h / max(1.0, sup_df2)
@@ -127,7 +180,7 @@ def run_flow(f0, params=None):
     which is outside this solver's scope.
     """
     params = params or FlowParams()
-    dt = params.dt if params.dt is not None else auto_dt(f0)
+    dt = params.dt if params.dt is not None else IMPLICIT_DT
     f = f0
     summary = FlowSummary(dt=dt)
     keep = ~f0.domain.flagged_mask()
@@ -152,7 +205,8 @@ def run_flow(f0, params=None):
             raise NumericalError(
                 f"energy density concentrated ({e_max:.3e} vs initial {e_max0:.3e})"
             )
-        f, dt, energy = flow_step(f, dt)
+        f, dt, energy, rejected = _controlled_step(f, dt, _implicit_values)
+        summary.rejected += rejected
         summary.energies.append(energy)
         summary.steps = step + 1
     tau = tension_field(f)

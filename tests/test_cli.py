@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -107,6 +108,7 @@ class TestFlow:
         doc = json.loads(out.read_text())
         assert doc["outcome"] == "collapsed_to_constant"
         assert doc["energy_monotone"] is True
+        assert doc["rejected_steps"] == 0
         lines = trace.read_text().splitlines()
         assert lines[0] == "step,energy,sup_tension,image_diameter,e_max"
         energy = np.array([float(l.split(",")[1]) for l in lines[1:]])
@@ -171,6 +173,12 @@ class TestScan:
 
     def test_malformed_param(self):
         assert run_cli("scan", "--param", "r=1:2", "--map", "scaling") == 2
+
+    def test_oversized_sweep_is_a_usage_error(self):
+        # a million valid radii would build a million reports
+        t0 = time.perf_counter()
+        assert run_cli("scan", "--param", "r=1:2:1e-6", "--map", "scaling") == 2
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestConsistency:
@@ -243,7 +251,7 @@ NUMBER = st.one_of(
     st.floats().map(repr),
 )
 SMALL_INT = st.integers(-3, 3).map(str)
-BOUND = st.sampled_from(["nan", "inf", "-1", "0", "1", "x"])
+BOUND = st.sampled_from(["nan", "inf", "-1", "0", "1", "1e-9", "x"])
 
 
 @st.composite

@@ -49,6 +49,14 @@ class TestFlatTorus:
         assert e64 < 0.05
         assert e64 / e128 == pytest.approx(4.0, rel=0.05)
 
+    @pytest.mark.parametrize("dt", [1e-3, 0.05, 1.0, 10.0])
+    def test_resolvent_inverts_one_minus_dt_laplacian(self, dt):
+        dom = FlatTorus2(a=1.0, b=2.0, n1=32, n2=48)
+        F = np.random.default_rng(5).standard_normal((dom.n1, dom.n2, 3))
+        X = dom.resolvent(F, dt)
+        residual = X - dt * dom.laplace_beltrami(X) - F
+        assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(F))
+
     def test_check_point_rejects_bad_input(self):
         dom = FlatTorus2(a=1, b=1, n1=16, n2=16)
         with pytest.raises(ChartDomainError):
@@ -117,6 +125,21 @@ class TestRoundSphere:
         F = np.cos(TH)
         err = np.max(np.abs(dom.laplace_beltrami(F) + 2 * F))
         assert err < 2e-3
+
+    @pytest.mark.parametrize("n1", [64, 128])
+    @pytest.mark.parametrize("dt", [1e-3, 0.05, 1.0, 10.0])
+    def test_resolvent_inverts_one_minus_dt_laplacian(self, n1, dt):
+        dom = RoundSphere2(r=1.5, n1=n1, n2=2 * n1)
+        F = np.random.default_rng(6).standard_normal((dom.n1, dom.n2, 3))
+        X = dom.resolvent(F, dt)
+        residual = X - dt * dom.laplace_beltrami(X) - F
+        # the resolvent drops the south-pole ghost coupling, whose
+        # coefficient dt sin(pi) / (r^2 sin(theta) h^2) on the last row
+        # is zero only in exact arithmetic; it multiplies a difference
+        # of two values of X, each at most max|F| (maximum principle)
+        h1 = dom.spacing[0]
+        coupling = dt * abs(np.sin(np.pi)) / (dom.r**2 * np.sin(h1 / 2) * h1**2)
+        assert np.max(np.abs(residual)) <= (1e-12 + 2 * coupling) * np.max(np.abs(F))
 
     def test_pad_antipodal_wrap(self):
         # a rotationally symmetric smooth field stays smooth across the pole

@@ -7,15 +7,17 @@ import pytest
 
 from bochnerlab.domains import FlatTorus2, RoundSphere2
 from bochnerlab.errors import UsageError
+from bochnerlab import flow
 from bochnerlab.flow import (
+    IMPLICIT_DT,
     FlowParams,
     auto_dt,
     flow_step,
     image_diameter,
     run_flow,
 )
-from bochnerlab.maps import catalog_map, total_energy
-from bochnerlab.targets import Sphere
+from bochnerlab.maps import DiscreteMap, catalog_map, total_energy
+from bochnerlab.targets import Ellipsoid, Sphere
 
 
 def cap(n=32, amplitude=0.3):
@@ -34,7 +36,6 @@ class TestStep:
     def test_oversized_step_is_halved_not_fatal(self):
         # a rough map into flat space makes the oversized explicit step
         # unstable (no reprojection damping), forcing the controller to halve
-        from bochnerlab.maps import DiscreteMap
         from bochnerlab.targets import Euclidean
 
         dom = FlatTorus2(a=1, b=1, n1=32, n2=32)
@@ -92,6 +93,61 @@ class TestRun:
         assert summary.steps == n and summary.outcome == "max_steps"
         assert len(calls) == 2 * n + 2
 
+    def test_rejected_candidate_halves_dt_once(self, monkeypatch):
+        # calls: the initial energy, then per step the map's energy and
+        # the candidate's; the first candidate's energy reads as a rise
+        calls = []
+
+        def rises_once(f):
+            calls.append(None)
+            return total_energy(f) + (1.0 if len(calls) == 3 else 0.0)
+
+        monkeypatch.setattr(flow, "total_energy", rises_once)
+        f, summary = run_flow(cap(), FlowParams(max_steps=4))
+        assert summary.steps == 4
+        assert summary.rejected == 1
+        assert summary.dt == IMPLICIT_DT / 2
+
+    def test_non_finite_candidate_is_a_rejection(self, monkeypatch):
+        # DiscreteMap refuses NaN values with NumericalError; the
+        # controller halves dt instead of ending the flow
+        solves = []
+        original = FlatTorus2.resolvent
+
+        def nan_once(self, F, dt):
+            solves.append(dt)
+            X = original(self, F, dt)
+            return X * np.nan if len(solves) == 1 else X
+
+        monkeypatch.setattr(FlatTorus2, "resolvent", nan_once)
+        f, summary = run_flow(cap(), FlowParams(max_steps=2))
+        assert summary.steps == 2 and summary.rejected == 1
+        assert solves[:2] == [IMPLICIT_DT, IMPLICIT_DT / 2]
+
+    def test_sphere_domain_cap_collapses(self):
+        # a degree-0 map S^2 -> S^2 into a cap around the north pole;
+        # the explicit controller halves dt below 1e-6 on it (pole rows)
+        dom = RoundSphere2(r=1.0, n1=64, n2=128)
+        TH, PH = dom.chart_grid()
+        s = 0.3 * np.sin(TH)
+        vals = np.stack([s * np.cos(PH), s * np.sin(PH), 1.0 + 0 * PH], axis=-1)
+        f0 = DiscreteMap(dom, Sphere(k=2, r=1.0), vals)
+        f, summary = run_flow(f0, FlowParams(max_steps=200))
+        assert summary.outcome == "collapsed_to_constant"
+        assert summary.steps <= 200
+        assert np.all(np.diff(summary.energies) <= 1e-10)
+
+    def test_ellipsoid_target_cap_collapses(self):
+        dom = FlatTorus2(a=1, b=1, n1=32, n2=32)
+        U, V = dom.chart_grid()
+        s = 0.6 / np.sqrt(2.0)
+        vals = np.stack([s * np.sin(U), s * np.sin(V), 2.0 + 0 * U], axis=-1)
+        f0 = DiscreteMap(dom, Ellipsoid(a=1, b=1, c=2), vals)
+        f, summary = run_flow(f0, FlowParams(max_steps=1000))
+        assert summary.outcome == "collapsed_to_constant"
+        assert summary.final_diameter < 1e-3
+        assert np.all(np.diff(summary.energies) <= 1e-10)
+
     def test_trace_records_snapshots(self):
         f, summary = run_flow(
             cap(), FlowParams(max_steps=20, snapshot_stride=5)
@@ -141,6 +197,29 @@ class TestDiameter:
         assert peak < 128 * 2**20
         d2 = np.sum((pts[:512, None] - pts[None]) ** 2, axis=-1)
         assert diam >= np.sqrt(d2.max())
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 10])
+    @pytest.mark.parametrize("scale", [1e-7, 1.0, 1e3])
+    def test_matches_the_summed_scan_bit_for_bit(self, m, scale):
+        # numpy sums 8 or more terms pairwise, not left to right
+        pts = scale * np.random.default_rng(m).standard_normal((600, m))
+        d2 = max(
+            np.sum((pts[lo : lo + 256, None] - pts[None]) ** 2, axis=-1).max()
+            for lo in range(0, 600, 256)
+        )
+        assert np.array_equal(image_diameter(pts), float(np.sqrt(d2)))
+
+    def test_exact_scan_holds_two_row_blocks(self):
+        # two (256, 4096) float buffers are 16 MiB; a block of pairwise
+        # differences in R^6 alone would be 48 MiB
+        pts = np.random.default_rng(3).standard_normal((4096, 6))
+        tracemalloc.start()
+        try:
+            image_diameter(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
     def test_accepts_maps(self):
         f = cap()
