@@ -338,9 +338,9 @@ class RoundSphere2:
         """X with (I - dt L) X = F, L the stencil of laplace_beltrami.
 
         L has constant coefficients in phi, so a real FFT in phi leaves
-        one tridiagonal system in theta per Fourier mode.  The pole interfaces carry sin(0) = 0 and sin(pi) ~ 1.2e-16, so
-        their ghost couplings are dropped and each system stays
-        tridiagonal.  (I - dt L) is then a strictly diagonally dominant
+        one tridiagonal system in theta per Fourier mode.  The pole
+        interfaces carry sin(0) = 0 and sin(pi) ~ 1.2e-16, so their
+        ghost couplings are dropped and each system stays tridiagonal.  (I - dt L) is then a strictly diagonally dominant
         M-matrix, and one batched Thomas sweep solves it without pivoting.
         """
         h1, h2 = self.spacing

@@ -23,7 +23,6 @@ from .maps import energy_density_field, tension_field, total_energy
 ENERGY_SLACK = 1e-10
 MAX_HALVINGS = 20
 DIAMETER_BLOCK = 256
-PAIRWISE_MIN = 8  # numpy sums this many terms or more pairwise
 IMPLICIT_DT = 0.05
 AUTO_DT_COEFF = 0.2
 CONCENTRATION_FACTOR = 10.0
@@ -79,13 +78,6 @@ def image_diameter(f_or_values, exact_limit=4096):
     n, m = pts.shape
     if n <= exact_limit:
         d2 = 0.0
-        if m >= PAIRWISE_MIN:
-            for lo in range(0, n, DIAMETER_BLOCK):
-                block = pts[lo : lo + DIAMETER_BLOCK, None, :]
-                d2 = max(d2, np.sum((block - pts[None, :, :]) ** 2, axis=-1).max())
-            return float(np.sqrt(d2))
-        # fewer than PAIRWISE_MIN terms: numpy's sum adds them left to
-        # right, so accumulating one coordinate at a time keeps its bits
         cols = np.ascontiguousarray(pts.T)
         acc = np.empty((min(n, DIAMETER_BLOCK), n))
         sq = np.empty_like(acc)
@@ -118,17 +110,8 @@ def image_radius(values):
     return float(np.max(np.linalg.norm(pts - center, axis=-1)))
 
 
-def _explicit_values(f, dt):
-    return f.values + dt * tension_field(f)
-
-
-def _implicit_values(f, dt):
-    normal = f.domain.laplace_beltrami(f.values) - tension_field(f)
-    return f.domain.resolvent(f.values - dt * normal, dt)
-
-
 def _controlled_step(f, dt, propose):
-    """Accept the candidate propose(f, dt) once its energy does not rise.
+    """Accept the candidate propose(dt) once its energy does not rise.
 
     A rejected candidate, whether its energy rose or the map constructor
     refused its values with NumericalError, halves dt.  Returns (map,
@@ -140,7 +123,7 @@ def _controlled_step(f, dt, propose):
     e0 = total_energy(f)
     e1 = np.nan
     for rejected in range(MAX_HALVINGS + 1):
-        values = propose(f, dt)
+        values = propose(dt)
         try:
             cand = f.with_values(values)
         except NumericalError:
@@ -160,7 +143,20 @@ def flow_step(f, dt):
 
     Returns (map, accepted_dt, energy_after).
     """
-    return _controlled_step(f, dt, _explicit_values)[:3]
+    tau = tension_field(f)
+    return _controlled_step(f, dt, lambda dt: f.values + dt * tau)[:3]
+
+
+def _implicit_step(f, dt):
+    """One accepted linearly implicit step; returns _controlled_step's tuple.
+
+    The normal part L f - tau does not depend on dt, so a halving
+    repeats only the resolvent solve.
+    """
+    normal = f.domain.laplace_beltrami(f.values) - tension_field(f)
+    return _controlled_step(
+        f, dt, lambda dt: f.domain.resolvent(f.values - dt * normal, dt)
+    )
 
 
 def auto_dt(f):
@@ -205,7 +201,7 @@ def run_flow(f0, params=None):
             raise NumericalError(
                 f"energy density concentrated ({e_max:.3e} vs initial {e_max0:.3e})"
             )
-        f, dt, energy, rejected = _controlled_step(f, dt, _implicit_values)
+        f, dt, energy, rejected = _implicit_step(f, dt)
         summary.rejected += rejected
         summary.energies.append(energy)
         summary.steps = step + 1
