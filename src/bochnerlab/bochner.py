@@ -9,11 +9,26 @@ a frame-invariant contraction; the eigenframe evaluation (weights
 lam_i lam_j on the pullback singular directions) is kept as a second
 path and must agree with the contraction.  For a harmonic map the
 discrete residual (1/2) Lap |df|^2 - |H|^2 - Q decays at second order.
+
+`compute_bochner` computes nothing up front: each field of the
+BochnerData it returns is computed when first read.  The first-order
+fields come from one pass over the map: one Jacobian J, one pullback
+metric P = J^T J and one eigensolve of P against the domain metric.
+The spectrum (lam, S, e) comes from the eigenvalues; the Ricci term
+from P, the target term from J and the eigenframe term from J and the
+eigenvectors.  A pass started by a spectrum field stops there, so a
+report that reads only S and lam pays for no curvature contraction; a
+pass started by a contraction field computes all of them and the
+spectrum.  Only node-sized results are kept: J, P and the eigenvectors
+are dropped when the pass returns, so a contraction read after a
+spectrum-only pass runs the pass again.  Readers that need both read a
+contraction first (the residual reads Q before S).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,13 +37,22 @@ from .maps import (
     hessian_field,
     jacobian_field,
     pullback_field,
-    spectrum_fields,
+    spectrum,
     tension_field,
 )
-from .numerics import gen_eigh
+from .numerics import gen_eigh, read_only
 from .targets import sectional_batch
 
 DEGENERATE_PAIR_TOL = 1e-14
+
+
+def _ricci_term(f, P):
+    ginv = f.domain.inv_metric_diag_grid()
+    ric = f.domain.ricci_grid()
+    out = np.zeros(P.shape[:-2])
+    for i in range(2):
+        out += ginv[..., i] * ginv[..., i] * ric[..., i] * P[..., i, i]
+    return out
 
 
 def ricci_term_field(f, J=None):
@@ -37,15 +61,7 @@ def ricci_term_field(f, J=None):
     Metric and Ricci tensor are diagonal, so this is
     sum_i (g^ii)^2 Ric_ii P_ii.
     """
-    if J is None:
-        J = jacobian_field(f)
-    P = pullback_field(f, J)
-    ginv = f.domain.inv_metric_diag_grid()
-    ric = f.domain.ricci_grid()
-    out = np.zeros(P.shape[:-2])
-    for i in range(2):
-        out += ginv[..., i] * ginv[..., i] * ric[..., i] * P[..., i, i]
-    return out
+    return _ricci_term(f, pullback_field(f, J))
 
 
 def target_term_field(f, J=None):
@@ -79,16 +95,7 @@ def target_term_field(f, J=None):
     return t1 - t2
 
 
-def target_term_diagonal_field(f, J=None):
-    """Eigenframe evaluation: 2 sum_{a<b} Sec(u_a, u_b) lam_a lam_b.
-
-    Summands with lam_a lam_b below the degeneracy cutoff are dropped
-    (their weight vanishes).  Cross-check path for target_term_field.
-    """
-    if J is None:
-        J = jacobian_field(f)
-    P = pullback_field(f, J)
-    lam, vecs = gen_eigh(P, f.domain.metric_diag_grid())  # ascending, g-orthonormal
+def _frame_term(f, J, lam, vecs):
     n = lam.shape[-1]
     out = np.zeros(lam.shape[:-1])
     for a in range(n):
@@ -102,61 +109,109 @@ def target_term_diagonal_field(f, J=None):
     return out
 
 
-@dataclass(frozen=True)
-class BochnerData:
-    """Per-node Bochner bookkeeping for one map."""
+def target_term_diagonal_field(f, J=None):
+    """Eigenframe evaluation: 2 sum_{a<b} Sec(u_a, u_b) lam_a lam_b.
 
-    ricci: np.ndarray
-    target: np.ndarray
-    target_frame: np.ndarray
-    Q: np.ndarray
-    hess: np.ndarray  # |H|^2
-    lap: np.ndarray  # (1/2) Lap |df|^2
-    residual: np.ndarray
-    sup_residual: float
-    sup_tension: float
-    path_disagreement: float
-    S: np.ndarray
-    lam: np.ndarray
-    e: np.ndarray
+    Summands with lam_a lam_b below the degeneracy cutoff are dropped
+    (their weight vanishes).  Cross-check path for target_term_field.
+    """
+    if J is None:
+        J = jacobian_field(f)
+    P = pullback_field(f, J)
+    lam, vecs = gen_eigh(P, f.domain.metric_diag_grid())  # ascending, g-orthonormal
+    return _frame_term(f, J, lam, vecs)
+
+
+class _PassField:
+    """A BochnerData field that the first-order pass fills on first read."""
+
+    def __init__(self, contraction):
+        self.contraction = contraction
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, data, owner=None):
+        if data is None:
+            return self
+        # no __set__, so once the pass has stored the field in the
+        # instance dict, attribute lookup finds it there and skips this
+        data._first_order_pass(self.contraction)
+        return data.__dict__[self.name]
+
+
+@dataclass(frozen=True, eq=False)
+class BochnerData:
+    """Per-node Bochner bookkeeping for one map, each field computed on first read.
+
+    The fields are read-only node grids (lam holds the descending pair
+    per node) and, for the sup norms, floats over the unflagged nodes.
+    The residual is meaningful when sup_tension is small (numerically
+    harmonic map).
+    """
+
+    f: object
+
+    lam = _PassField(contraction=False)
+    S = _PassField(contraction=False)
+    e = _PassField(contraction=False)
+    ricci = _PassField(contraction=True)
+    target = _PassField(contraction=True)
+    target_frame = _PassField(contraction=True)
+
+    def _first_order_pass(self, contraction):
+        f = self.f
+        J = jacobian_field(f)
+        P = pullback_field(f, J)
+        lam, vecs = gen_eigh(P, f.domain.metric_diag_grid())  # ascending, g-orthonormal
+        fields = dict(zip(("lam", "S", "e"), spectrum(lam)))
+        if contraction:
+            fields.update(
+                ricci=_ricci_term(f, P),
+                target=target_term_field(f, J),
+                target_frame=_frame_term(f, J, lam, vecs),
+            )
+        for name, value in fields.items():
+            self.__dict__.setdefault(name, read_only(value))
+
+    @cached_property
+    def Q(self):
+        return read_only(self.ricci - self.target)
+
+    @cached_property
+    def hess(self):
+        """|H|^2."""
+        return read_only(hessian_field(self.f)[1])
+
+    @cached_property
+    def lap(self):
+        """(1/2) Lap |df|^2."""
+        return read_only(0.5 * self.f.domain.laplace_beltrami(self.S))
+
+    @cached_property
+    def residual(self):
+        Q = self.Q  # before lap, so that one pass fills S as well
+        return read_only(self.lap - self.hess - Q)
+
+    @cached_property
+    def sup_residual(self):
+        return self._sup(np.abs(self.residual))
+
+    @cached_property
+    def sup_tension(self):
+        return self._sup(np.linalg.norm(tension_field(self.f), axis=-1))
+
+    @cached_property
+    def path_disagreement(self):
+        return self._sup(np.abs(self.target - self.target_frame))
+
+    def _sup(self, field):
+        return float(np.max(field[~self.f.domain.flagged_mask()]))
 
 
 def compute_bochner(f):
-    """Evaluate every term of the identity on the grid.
-
-    Sup norms are taken over unflagged nodes.  The residual is
-    meaningful when sup_tension is small (numerically harmonic map).
-    """
-    dom = f.domain
-    J = jacobian_field(f)
-    lam, S, e = spectrum_fields(f, J)
-    ric = ricci_term_field(f, J)
-    tt = target_term_field(f, J)
-    ttf = target_term_diagonal_field(f, J)
-    Q = ric - tt
-    _, hess = hessian_field(f)
-    lap = 0.5 * dom.laplace_beltrami(S)
-    residual = lap - hess - Q
-    tau = tension_field(f)
-    keep = ~dom.flagged_mask()
-    sup_res = float(np.max(np.abs(residual[keep])))
-    sup_tau = float(np.max(np.linalg.norm(tau, axis=-1)[keep]))
-    disagreement = float(np.max(np.abs((tt - ttf))[keep]))
-    return BochnerData(
-        ricci=ric,
-        target=tt,
-        target_frame=ttf,
-        Q=Q,
-        hess=hess,
-        lap=lap,
-        residual=residual,
-        sup_residual=sup_res,
-        sup_tension=sup_tau,
-        path_disagreement=disagreement,
-        S=S,
-        lam=lam,
-        e=e,
-    )
+    """The terms of the identity on the grid, each computed when first read."""
+    return BochnerData(f)
 
 
 def bochner_residual(f):
@@ -258,9 +313,9 @@ def pointwise_pinching_check(f, node, ric_min, sec_max, require_hypothesis=True)
         )
     data = compute_bochner(f)
     n = f.domain.n
+    Q = float(data.Q[node])  # a contraction first: one pass fills S too
     S = float(data.S[node])
     e = S / 2.0
-    Q = float(data.Q[node])
     bound = S * (ric_min - (n - 1) / n * sec_max * S)
     bound_e = 2 * e * (ric_min - 2 * (n - 1) / n * sec_max * e)
     return PinchingCheck(

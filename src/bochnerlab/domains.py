@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ChartDomainError, UsageError
-from .numerics import fejer1_weights, gen_eigh
+from .numerics import fejer1_weights
 
 TWO_PI = 2.0 * np.pi
 
@@ -451,13 +451,14 @@ def ricci_fd_at(domain, p, h=None):
 def ricci_min(domain):
     """Minimum over the grid nodes of the least eigenvalue of g^{-1} Ric.
 
-    Returns (value, witness chart point).
+    Metric and Ricci tensor are diagonal, so the eigenvalues at a node
+    are (d_i Ric_ii) d_i with d = g_ii^{-1/2}, associated as `gen_eigh`
+    scales its matrix; no eigensolve is needed.  Returns (value,
+    witness chart point).
     """
     U, V = domain.chart_grid()
     pts = np.stack([U.ravel(), V.ravel()], axis=-1)
-    gd = domain.metric_diag_grid().reshape(-1, 2)
-    ric = np.zeros(gd.shape + (2,))
-    ric[:, (0, 1), (0, 1)] = domain.ricci_grid().reshape(-1, 2)
-    lam = gen_eigh(ric, gd)[0][..., 0]
+    d = 1.0 / np.sqrt(domain.metric_diag_grid())
+    lam = np.min(d * domain.ricci_grid() * d, axis=-1).ravel()
     k = int(np.argmin(lam))
     return float(lam[k]), pts[k]

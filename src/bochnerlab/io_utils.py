@@ -56,14 +56,55 @@ def dump_json(obj, path):
         fh.write(json_dumps(obj))
 
 
-def _cell(x):
-    if isinstance(x, (float, np.floating)):
-        return fmt17(x)
-    return str(x)
+CSV_BLOCK = 4096  # rows formatted and written at a time
+
+
+def _row_template(types):
+    """%-template of a CSV line whose cells have these types."""
+    cells = ("%.17g" if issubclass(t, (float, np.floating)) else "%s" for t in types)
+    return ",".join(cells) + "\n"
 
 
 def write_csv(path, header, rows):
+    """Header line, then one line per row.
+
+    A float cell is written with 17 significant digits, as `fmt17`
+    writes it (nan, inf, -inf, -0 included), and any other cell as its
+    str().  Each row is formatted by one %-template, made once per
+    sequence of cell types, and lines are written in blocks.
+    """
+    templates = {}
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
+        block = []
         for row in rows:
-            fh.write(",".join(_cell(x) for x in row) + "\n")
+            row = tuple(row)
+            types = tuple(map(type, row))
+            template = templates.get(types)
+            if template is None:
+                template = templates[types] = _row_template(types)
+            block.append(template % row)
+            if len(block) == CSV_BLOCK:
+                fh.write("".join(block))
+                block.clear()
+        fh.write("".join(block))
+
+
+class ColumnRows:
+    """The rows of a table held as equal-length 1-D array columns.
+
+    Iterating converts one block of rows at a time with .tolist(), so
+    the cells are Python ints and floats and only one block of them
+    exists at once.
+    """
+
+    def __init__(self, columns):
+        self.columns = [np.ravel(c) for c in columns]
+
+    def __len__(self):
+        return self.columns[0].size
+
+    def __iter__(self):
+        for start in range(0, len(self), CSV_BLOCK):
+            block = (c[start:start + CSV_BLOCK].tolist() for c in self.columns)
+            yield from zip(*block)

@@ -18,7 +18,7 @@ import numpy as np
 from .catalog import parse_descriptor, parse_domain, parse_target
 from .domains import FlatTorus2, RoundSphere2
 from .errors import NumericalError, UsageError
-from .numerics import fmt17, gen_eigh
+from .numerics import fmt17, gen_eigh, read_only
 
 
 @dataclass(frozen=True)
@@ -44,20 +44,20 @@ class DiscreteMap:
             )
         if not np.all(np.isfinite(v)):
             raise NumericalError("map values contain non-finite entries")
-        object.__setattr__(self, "values", _read_only(self.target.closest_point(v)))
+        object.__setattr__(self, "values", read_only(self.target.closest_point(v)))
 
     @cached_property
     def tension(self):
         lap = self.domain.laplace_beltrami(self.values)
         P = self.target.tangent_projector(self.values)
-        return _read_only(np.einsum("...ab,...b->...a", P, lap))
+        return read_only(np.einsum("...ab,...b->...a", P, lap))
 
     @cached_property
     def energy_density(self):
         J = jacobian_field(self)
         ginv = self.domain.inv_metric_diag_grid()
         S = sum(ginv[..., d] * np.sum(J[..., :, d] ** 2, axis=-1) for d in range(2))
-        return _read_only(S / 2.0)
+        return read_only(S / 2.0)
 
     def with_values(self, values):
         return DiscreteMap(self.domain, self.target, values)
@@ -160,11 +160,6 @@ def cap_map(domain, target, amplitude):
     return DiscreteMap(domain, target, vals)
 
 
-def _read_only(a):
-    a.flags.writeable = False
-    return a
-
-
 def _normalize(v):
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
@@ -257,13 +252,16 @@ def pullback_field(f, J=None):
 
 
 def spectrum_fields(f, J=None):
-    """(lam desc, S, e) fields from the pullback metric.
-
-    lam are the eigenvalues of g^{-1} f*gbar, clamped at zero; S is
-    their sum (= |df|^2) and e = S / 2.
-    """
+    """(lam desc, S, e) fields from the pullback metric."""
     P = pullback_field(f, J)
-    lam, _ = gen_eigh(P, f.domain.metric_diag_grid())
+    return spectrum(gen_eigh(P, f.domain.metric_diag_grid())[0])
+
+
+def spectrum(lam):
+    """(lam desc, S, e) from the ascending eigenvalues of g^{-1} f*gbar.
+
+    lam are clamped at zero; S is their sum (= |df|^2) and e = S / 2.
+    """
     lam = np.where(lam > -1e-12, np.maximum(lam, 0.0), lam)[..., ::-1]
     S = lam.sum(axis=-1)
     return lam, S, S / 2.0
@@ -295,16 +293,17 @@ def hessian_field(f, accuracy=2):
     """
     dom = f.domain
     v = f.values
-    fu = derivative(dom, v, 0, 1, accuracy)
-    fv = derivative(dom, v, 1, 1, accuracy)
-    fuu = derivative(dom, v, 0, 2, accuracy)
-    fvv = derivative(dom, v, 1, 2, accuracy)
-    fuv = derivative(dom, fv, 0, 1, accuracy)
     G = dom.christoffel_grid()  # (Gamma^u_vv, Gamma^v_uv)
+    # each derivative goes into H as soon as it is taken, so only a
+    # few of them are held at once
     H = np.empty(v.shape[:2] + (2, 2) + v.shape[-1:])
-    H[..., 0, 0, :] = fuu
+    H[..., 0, 0, :] = derivative(dom, v, 0, 2, accuracy)
+    fv = derivative(dom, v, 1, 1, accuracy)
+    fuv = derivative(dom, fv, 0, 1, accuracy)
     H[..., 0, 1, :] = H[..., 1, 0, :] = fuv - G[..., 1, None] * fv
-    H[..., 1, 1, :] = fvv - G[..., 0, None] * fu
+    del fv, fuv
+    fvv = derivative(dom, v, 1, 2, accuracy)
+    H[..., 1, 1, :] = fvv - G[..., 0, None] * derivative(dom, v, 0, 1, accuracy)
     P = f.target.tangent_projector(v)
     H = np.einsum("...ab,...ijb->...ija", P, H)
     ginv = dom.inv_metric_diag_grid()

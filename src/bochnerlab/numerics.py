@@ -1,7 +1,7 @@
 """Small shared numerical helpers: batched generalized eigensolves
 against a diagonal metric, Fejer quadrature weights, Gram-Schmidt for
-plane frames and 17-significant-digit float formatting for byte-stable
-output files.
+plane frames, 17-significant-digit float formatting for byte-stable
+output files and read-only cached arrays.
 """
 
 from __future__ import annotations
@@ -69,3 +69,9 @@ def orthonormal_pair(X, Y):
 def fmt17(x):
     """Format a float with 17 significant digits (round-trip stable)."""
     return format(float(x), ".17g")
+
+
+def read_only(a):
+    """Mark a cached array read-only and return it."""
+    a.flags.writeable = False
+    return a

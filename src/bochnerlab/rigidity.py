@@ -10,7 +10,7 @@ with a resolution-indexed equality band tol(h) = C h^2.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -18,8 +18,7 @@ from .bochner import compute_bochner
 from .domains import ricci_min
 from .errors import UsageError
 from .flow import image_diameter, image_radius
-from .maps import spectrum_fields
-from .targets import curvature_operator, sec_max_over_region
+from .targets import curvature_bounds, sec_max_over_region
 
 # Margin/diagnostic band coefficients for tol(h) = C h^2, calibrated on
 # the homothety family (see tests): discrete margins and Hessian sups of
@@ -31,6 +30,8 @@ HARMONIC_COEFF = 30.0
 CONSTANT_DIAMETER_TOL = 1e-8
 # Sec_max and the curvature certificate use at most this many image points
 IMAGE_CAP = 2048
+# least curvature-operator eigenvalue that still certifies Sec >= 0
+HYPOTHESIS_TOL = 1e-10
 
 
 def grid_h(domain):
@@ -67,9 +68,11 @@ class PinchingReport:
     homothety_factor: float
     totally_geodesic_residual: float
     seed: int
+    # the map's Bochner fields, for the equality diagnostics; not output
+    bochner: object = field(default=None, repr=False, compare=False)
 
     def to_dict(self):
-        d = asdict(self)
+        d = {k.name: getattr(self, k.name) for k in fields(self) if k.compare}
         d["ric_min_witness"] = list(self.ric_min_witness)
         d["sec_max_witness_point"] = list(self.sec_max_witness_point)
         d["resolution"] = list(self.resolution)
@@ -82,11 +85,6 @@ def _image_points(f):
     if pts.shape[0] > IMAGE_CAP:
         pts = pts[:: int(np.ceil(pts.shape[0] / IMAGE_CAP))]
     return pts[np.concatenate([[True], np.any(pts[1:] != pts[:-1], axis=1)])]
-
-
-def _hypothesis_ok(f, pts):
-    """Sec >= 0 on all planes at pts: the curvature operator is nonnegative."""
-    return bool(np.linalg.eigvalsh(curvature_operator(f.target, pts)[0]).min() >= -1e-10)
 
 
 def build_report(f, seed=0, global_sample=0):
@@ -110,8 +108,9 @@ def build_report(f, seed=0, global_sample=0):
     e_max = S0 / 2.0
 
     rmin, rwit = ricci_min(dom)
-    img = _image_points(f)
-    sec_img, wit = sec_max_over_region(tgt, img)
+    # Sec >= 0 on all planes at the image points (the hypothesis) when
+    # the least eigenvalue of the curvature operator is nonnegative
+    least, sec_img, wit = curvature_bounds(tgt, _image_points(f))
     sec_global = None
     if global_sample:
         rng = np.random.default_rng(seed)
@@ -137,7 +136,7 @@ def build_report(f, seed=0, global_sample=0):
     else:
         classification = "violated"
 
-    hypothesis_ok = _hypothesis_ok(f, img)
+    hypothesis_ok = bool(least >= -HYPOTHESIS_TOL)
     if is_constant:
         prediction = "constant"
     elif not hypothesis_ok or classification == "violated":
@@ -182,6 +181,7 @@ def build_report(f, seed=0, global_sample=0):
         homothety_factor=homothety,
         totally_geodesic_residual=hess_sup,
         seed=int(seed),
+        bochner=data,
     )
 
 
@@ -209,7 +209,8 @@ def equality_diagnostics(f, report):
     """Check the threshold-case predictions on an equality-classified map.
 
     The Hessian sup, singular-value spread and homothety factor are the
-    report's own; only the |df|^2 variation is computed here.
+    report's own; the |df|^2 variation is computed here from the S of
+    the report's Bochner pass.
     """
     if report.classification != "equality":
         raise UsageError("equality diagnostics apply only to equality-classified maps")
@@ -218,8 +219,7 @@ def equality_diagnostics(f, report):
     dom = f.domain
     h = grid_h(dom)
     tol = DIAG_COEFF * h * h
-    _, S, _ = spectrum_fields(f)
-    Svals = S[~dom.flagged_mask()]
+    Svals = report.bochner.S[~dom.flagged_mask()]
     svar = float(np.max(np.abs(Svals - Svals.mean())))
 
     affine = None

@@ -466,19 +466,22 @@ def curvature_operator(target, q):
     return G[..., a1, a2, b1, b2] - G[..., a1, b2, b1, a2], T
 
 
-def sec_max_over_region(target, points):
-    """Maximum sectional curvature over all 2-planes at the given points.
+def curvature_bounds(target, points):
+    """Least and greatest eigenvalue of the curvature operator over the points.
 
-    Returns (value, CurvatureSample witness).  The value is the largest
-    eigenvalue of the curvature operator over the points: an upper bound
-    on every sectional curvature there, attained for every target kind
-    in this module.  The witness is the first point that reaches it,
-    with the plane of the two leading singular vectors of its top
-    eigenvector read as a skew k x k matrix.
+    Returns (least, greatest, CurvatureSample witness of the greatest),
+    both from one eigendecomposition.  The greatest bounds every
+    sectional curvature at the points from above and is attained for
+    every target kind in this module; the least is nonnegative exactly
+    when every sectional curvature there is.  The witness is the first
+    point that reaches the greatest, with the plane of the two leading
+    singular vectors of its top eigenvector read as a skew k x k
+    matrix.  A target of constant curvature returns its constant for
+    both, with no eigensolve.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
-        raise UsageError("sec_max_over_region needs a nonempty point set")
+        raise UsageError("curvature bounds need a nonempty point set")
     if pts.shape[-1] != target.m:
         raise UsageError(
             f"points have ambient dimension {pts.shape[-1]}, expected {target.m}"
@@ -492,8 +495,8 @@ def sec_max_over_region(target, points):
     if target.constant_sec is not None:
         q = pts[0]
         T = tangent_basis(target, q)
-        sample = CurvatureSample(q, T[:, 0], T[:, 1], float(target.constant_sec))
-        return float(target.constant_sec), sample
+        value = float(target.constant_sec)
+        return value, value, CurvatureSample(q, T[:, 0], T[:, 1], value)
 
     R, T = curvature_operator(target, pts)
     lam, vec = np.linalg.eigh(R)
@@ -503,4 +506,13 @@ def sec_max_over_region(target, points):
     W[np.triu_indices(target.dim, 1)] = vec[b, :, -1]
     U = np.linalg.svd(W - W.T)[0]
     X, Y = (T[b] @ U[:, :2]).T
-    return value, CurvatureSample(pts[b], X, Y, value)
+    return float(lam[:, 0].min()), value, CurvatureSample(pts[b], X, Y, value)
+
+
+def sec_max_over_region(target, points):
+    """Maximum sectional curvature over all 2-planes at the given points.
+
+    Returns (value, CurvatureSample witness), the greatest eigenvalue
+    of the curvature operator and its witness from `curvature_bounds`.
+    """
+    return curvature_bounds(target, points)[1:]

@@ -159,3 +159,65 @@ class TestFlatDomainCatalog:
         f = catalog_map("cap:amplitude=0.3", dom, Sphere(k=2, r=1.0))
         data = compute_bochner(f)
         assert np.min(data.hess) > 0.0
+
+
+FIELDS = (
+    "ricci", "target", "target_frame", "Q", "hess", "lap", "residual",
+    "sup_residual", "sup_tension", "path_disagreement", "S", "lam", "e",
+)
+
+
+class TestLazyFields:
+    PASS = ("jacobian_field", "pullback_field", "gen_eigh")
+
+    def test_one_first_order_pass_for_every_field(self, count_calls):
+        from bochnerlab import bochner
+
+        counts = count_calls(bochner, self.PASS)
+        data = compute_bochner(sphere_map("holomorphic:k=2", n1=32))
+        assert counts == dict.fromkeys(self.PASS, 0)  # nothing up front
+        for name in FIELDS:
+            getattr(data, name)
+        assert counts == dict.fromkeys(self.PASS, 1)
+
+    def test_spectrum_read_skips_the_contractions(self, count_calls):
+        from bochnerlab import bochner
+
+        names = self.PASS + ("target_term_field", "sectional_batch")
+        counts = count_calls(bochner, names)
+        data = compute_bochner(sphere_map("holomorphic:k=2", n1=32))
+        data.S, data.lam, data.e
+        assert counts == {**dict.fromkeys(self.PASS, 1),
+                          "target_term_field": 0, "sectional_batch": 0}
+
+    def test_fields_equal_the_standalone_functions(self):
+        from bochnerlab.maps import hessian_field, spectrum_fields
+
+        f = sphere_map("holomorphic:k=3", n1=32)
+        data = compute_bochner(f)
+        lam, S, e = spectrum_fields(f)
+        for got, want in (
+            (data.ricci, ricci_term_field(f)),
+            (data.target, target_term_field(f)),
+            (data.target_frame, target_term_diagonal_field(f)),
+            (data.hess, hessian_field(f)[1]),
+            (data.lam, lam), (data.S, S), (data.e, e),
+        ):
+            np.testing.assert_array_equal(got, want)
+
+    def test_only_node_sized_arrays_are_kept(self):
+        f = sphere_map("holomorphic:k=2", n1=32)
+        data = compute_bochner(f)
+        for name in FIELDS:
+            getattr(data, name)
+        cap = f.domain.n1 * f.domain.n2 * 2
+        arrays = {k: v.size for k, v in vars(data).items() if isinstance(v, np.ndarray)}
+        assert set(arrays) >= {"lam", "S", "Q", "residual"}
+        assert max(arrays.values()) <= cap
+
+    def test_fields_are_read_only(self):
+        data = compute_bochner(sphere_map("identity", n1=16))
+        with pytest.raises(ValueError):
+            data.S[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            data.residual[0, 0] = 1.0

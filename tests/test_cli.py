@@ -1,20 +1,26 @@
 """CLI harness: commands, config merging, exit codes, reproducibility."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bochnerlab.bochner import compute_bochner, pinching_bound_fields
 from bochnerlab.catalog import parse_domain, parse_target
 from bochnerlab.cli import main
-from bochnerlab.maps import catalog_map, save_map
+from bochnerlab.domains import ricci_min
+from bochnerlab.maps import catalog_map, load_map, save_map
+from bochnerlab.targets import sec_max_over_region
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def run_cli(*args):
@@ -49,6 +55,50 @@ class TestVerify:
         ]
         rows = csv.read_text().splitlines()[1:]
         assert len(rows) == 64 * 128  # finest level
+
+    @pytest.mark.parametrize("source", ["circles", "holomorphic"])
+    def test_node_csv_round_trips_the_bochner_fields(self, tmp_path, source):
+        # circles: S^1 x S^1 into S^2(1) x S^2(2), whose curvature is not
+        # constant, so the eigenframe term runs through sectional_batch;
+        # holomorphic: S^2 -> S^2, where the Ricci, target and Q columns
+        # all differ
+        path, csv = tmp_path / "in.map", tmp_path / "nodes.csv"
+        if source == "circles":
+            spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+            workloads = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(workloads)
+            workloads.write_product_map(str(path), seed=4)
+        else:
+            dom = parse_domain("sphere:r=1", 16)
+            save_map(catalog_map("holomorphic:k=2", dom, parse_target("sphere:r=1")), path)
+        rc = run_cli("verify", "--load", str(path), "--csv", str(csv),
+                     "--json", str(tmp_path / "v.json"))
+        assert rc == 0
+        f = load_map(str(path))
+        data = compute_bochner(f)
+        n_nodes = f.domain.n1 * f.domain.n2
+        m = f.target.m
+        # the node CSV takes Sec_max over at most 2048 nodes, by a floor stride
+        pts = f.values.reshape(-1, m)[:: max(1, n_nodes // 2048)]
+        sec_max = max(sec_max_over_region(f.target, pts)[0], 0.0)
+        _, _, slack = pinching_bound_fields(f, ricci_min(f.domain)[0], sec_max, data)
+        lines = csv.read_text().splitlines()
+        assert lines[0].split(",")[2:] == [
+            "e", "lam1", "lam2", "ricci_term", "target_term",
+            "Q", "hess", "lap", "residual", "slack",
+        ]
+        cells = [line.split(",") for line in lines[1:]]
+        i, j = np.indices((f.domain.n1, f.domain.n2))
+        assert [int(c[0]) for c in cells] == i.ravel().tolist()
+        assert [int(c[1]) for c in cells] == j.ravel().tolist()
+        expected = [data.e, data.lam[..., 0], data.lam[..., 1], data.ricci,
+                    data.target, data.Q, data.hess, data.lap, data.residual, slack]
+        got = np.array([[float(x) for x in c[2:]] for c in cells])
+        for col, field in enumerate(expected):
+            np.testing.assert_array_equal(got[:, col], field.ravel())
+        # no two columns alike, except those that vanish on the circles map
+        distinct = {tuple(col) for col in got.T}
+        assert len(distinct) == (8 if source == "circles" else 10)
 
     def test_map_and_load_conflict(self, tmp_path):
         rc = run_cli("verify", "--map", "identity", "--load", "nope.txt")

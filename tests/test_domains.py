@@ -11,7 +11,7 @@ from bochnerlab.domains import (
     ricci_min,
 )
 from bochnerlab.errors import ChartDomainError, UsageError
-from bochnerlab.numerics import fejer1_weights
+from bochnerlab.numerics import fejer1_weights, gen_eigh
 
 
 def interior_points(domain, count, seed=0):
@@ -218,3 +218,34 @@ class TestFejerWeights:
         for d in range(n):
             exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
             assert np.sum(w * x**d) == pytest.approx(exact, abs=1e-14)
+
+
+RICCI_DOMAINS = [
+    RoundSphere2(r=r, n1=n, n2=2 * n)
+    for r in (1.0, 0.5, 2.0, 3.7, 0.123)
+    for n in (8, 33, 128)
+] + [FlatTorus2(a=a, b=b, n1=n, n2=n) for a, b in ((1, 1), (2, 0.3)) for n in (8, 33)]
+
+
+class TestRicciMin:
+    @pytest.mark.parametrize("domain", RICCI_DOMAINS, ids=lambda d: f"{d.descriptor()}-{d.n1}")
+    def test_matches_the_eigensolve_bit_for_bit(self, domain):
+        gd = domain.metric_diag_grid().reshape(-1, 2)
+        ric = np.zeros(gd.shape + (2,))
+        ric[:, (0, 1), (0, 1)] = domain.ricci_grid().reshape(-1, 2)
+        lam = gen_eigh(ric, gd)[0][..., 0]
+        k = int(np.argmin(lam))
+        U, V = domain.chart_grid()
+        value, witness = ricci_min(domain)
+        assert value == lam[k]
+        assert witness.tolist() == [U.ravel()[k], V.ravel()[k]]
+
+    def test_needs_no_eigensolve(self, monkeypatch):
+        from bochnerlab import domains, numerics
+
+        def refused(*args):
+            raise AssertionError("gen_eigh called")
+
+        monkeypatch.setattr(numerics, "gen_eigh", refused)
+        monkeypatch.setattr(domains, "gen_eigh", refused, raising=False)
+        assert ricci_min(RoundSphere2(r=2.0, n1=16, n2=32))[0] > 0.0

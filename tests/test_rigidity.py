@@ -85,7 +85,7 @@ class TestReport:
 
 
     def test_constant_map_sends_one_image_point(self, monkeypatch):
-        from bochnerlab import rigidity, targets
+        from bochnerlab import targets
 
         sizes = []
         original = targets.curvature_operator
@@ -95,12 +95,39 @@ class TestReport:
             return original(target, q)
 
         monkeypatch.setattr(targets, "curvature_operator", recorded)
-        monkeypatch.setattr(rigidity, "curvature_operator", recorded)
         dom = RoundSphere2(r=1.0, n1=48, n2=96)
         rep = build_report(catalog_map("constant", dom, Ellipsoid(a=1, b=1, c=2)))
         assert rep.is_constant
-        # sec_max_over_region and the curvature-sign certificate
-        assert sizes == [1, 1]
+        # Sec_max and the curvature-sign certificate share one operator
+        assert sizes == [1]
+
+
+class TestPassCounts:
+    def test_report_reads_the_spectrum_only(self, count_calls):
+        from bochnerlab import bochner
+
+        names = ("target_term_field", "target_term_diagonal_field", "gen_eigh",
+                 "pullback_field")
+        counts = count_calls(bochner, names)
+        rep = build_report(sphere_map("holomorphic:k=2"))
+        assert not rep.is_constant
+        assert counts == {"target_term_field": 0, "target_term_diagonal_field": 0,
+                          "gen_eigh": 1, "pullback_field": 1}
+
+    def test_equality_diagnostics_reuse_the_reports_pass(self, count_calls):
+        from bochnerlab import bochner, maps, numerics
+
+        f = sphere_map("scaling", r=2.0)
+        rep = build_report(f)
+        counts = [count_calls(module, ("gen_eigh",)) for module in (bochner, maps, numerics)]
+        assert equality_diagnostics(f, rep).ok
+        assert [c["gen_eigh"] for c in counts] == [0, 0, 0]
+
+    def test_report_bochner_data_is_not_output(self):
+        rep = build_report(sphere_map("identity"))
+        assert rep.bochner is not None
+        assert "bochner" not in rep.to_dict()
+        assert "bochner" not in repr(rep)
 
 
 class TestEqualityDiagnostics:
