@@ -227,8 +227,12 @@ RICCI_DOMAINS = [
 ] + [FlatTorus2(a=a, b=b, n1=n, n2=n) for a, b in ((1, 1), (2, 0.3)) for n in (8, 33)]
 
 
+def _ricci_id(domain):
+    return f"{domain.descriptor()}-{domain.n1}"
+
+
 class TestRicciMin:
-    @pytest.mark.parametrize("domain", RICCI_DOMAINS, ids=lambda d: f"{d.descriptor()}-{d.n1}")
+    @pytest.mark.parametrize("domain", RICCI_DOMAINS, ids=_ricci_id)
     def test_matches_the_eigensolve_bit_for_bit(self, domain):
         gd = domain.metric_diag_grid().reshape(-1, 2)
         ric = np.zeros(gd.shape + (2,))

@@ -119,7 +119,8 @@ class TestPassCounts:
 
         f = sphere_map("scaling", r=2.0)
         rep = build_report(f)
-        counts = [count_calls(module, ("gen_eigh",)) for module in (bochner, maps, numerics)]
+        modules = (bochner, maps, numerics)
+        counts = [count_calls(module, ("gen_eigh",)) for module in modules]
         assert equality_diagnostics(f, rep).ok
         assert [c["gen_eigh"] for c in counts] == [0, 0, 0]
 
