@@ -19,7 +19,7 @@ def main():
     # flow past the default collapse tolerance so the limit is constant
     # to within the report's diameter tolerance
     params = FlowParams(
-        max_steps=30000, snapshot_stride=40, collapse_tol=5e-9, tension_tol=1e-10
+        max_steps=30000, snapshot_stride=3, collapse_tol=5e-9, tension_tol=1e-10
     )
     f, summary = run_flow(f0, params)
 
@@ -28,7 +28,7 @@ def main():
     for step, energy, tau, diam, _ in summary.trace:
         print(f"{step:6d} {energy:12.4e} {tau:10.2e} {diam:10.2e}")
     print(f"outcome: {summary.outcome} after {summary.steps} steps "
-          f"(dt = {summary.dt:.2e})")
+          f"(last dt = {summary.dt:.2e})")
     print(f"final diameter {summary.final_diameter:.2e}, "
           f"final sup|tau| {summary.final_tension:.2e}")
 

@@ -25,13 +25,14 @@ from .bochner import compute_bochner, integral_identity_residual, pinching_bound
 from .catalog import parse_descriptor, parse_domain, parse_target
 from .domains import ricci_min
 from .errors import ChartDomainError, NumericalError, UsageError
-from .flow import IMPLICIT_DT, FlowParams, run_flow
+from .flow import DT_MAX, IMPLICIT_DT, FlowParams, run_flow
 from .io_utils import ColumnRows, dump_json, json_dumps, write_csv
 from .maps import catalog_map, load_map, save_map, total_energy
 from .rigidity import (
     build_report,
     equality_diagnostics,
     grid_h,
+    image_points,
     theorem_consistency_scan,
 )
 from .targets import sec_max_over_region
@@ -115,7 +116,10 @@ def build_parser():
     p.add_argument("--load", default=None, help="saved-map path")
     p.add_argument(
         "--dt", type=_dt, default="auto",
-        help=f"implicit step size, or 'auto' for {IMPLICIT_DT:g}",
+        help=(
+            f"first step, or 'auto' for {IMPLICIT_DT:g}; doubles after each clean "
+            f"step up to DT_MAX = {DT_MAX:g}, or to a larger first step"
+        ),
     )
     p.add_argument("--steps", type=int, default=10000, help="step budget")
     p.add_argument("--tol", type=float, default=1e-6, help="tension stopping tolerance")
@@ -298,9 +302,7 @@ def cmd_verify(ns):
 def _write_node_csv(ns, f, data):
     dom, tgt = f.domain, f.target
     rmin, _ = ricci_min(dom)
-    sec_max, _ = sec_max_over_region(
-        tgt, f.values.reshape(-1, tgt.m)[:: max(1, f.values.shape[0] * f.values.shape[1] // 2048)]
-    )
+    sec_max, _ = sec_max_over_region(tgt, image_points(f))
     sec_max = max(float(sec_max), 0.0)
     _, _, slack = pinching_bound_fields(f, rmin, sec_max, data)
     n = dom.n

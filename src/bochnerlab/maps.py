@@ -18,7 +18,7 @@ import numpy as np
 from .catalog import parse_descriptor, parse_domain, parse_target
 from .domains import FlatTorus2, RoundSphere2
 from .errors import NumericalError, UsageError
-from .numerics import fmt17, gen_eigh, read_only
+from .numerics import gen_eigh, read_only
 
 
 @dataclass(frozen=True)
@@ -324,9 +324,10 @@ def save_map(f, path):
         fh.write(f"domain {f.domain.descriptor()}\n")
         fh.write(f"target {f.target.descriptor()}\n")
         fh.write(f"grid {f.domain.n1} {f.domain.n2} {f.target.m}\n")
-        flat = f.values.reshape(-1, f.target.m)
-        for row in flat:
-            fh.write(" ".join(fmt17(x) for x in row) + "\n")
+        # fmt17 bytes: the values are finite, where %.17g and fmt17 agree
+        line = " ".join(["%.17g"] * f.target.m) + "\n"
+        rows = f.values.reshape(-1, f.target.m).tolist()
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def load_map(path):

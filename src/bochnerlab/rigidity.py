@@ -79,7 +79,7 @@ class PinchingReport:
         return d
 
 
-def _image_points(f):
+def image_points(f):
     """At most IMAGE_CAP node values, each run of equal ones cut to its first."""
     pts = f.values.reshape(-1, f.target.m)
     if pts.shape[0] > IMAGE_CAP:
@@ -110,7 +110,7 @@ def build_report(f, seed=0, global_sample=0):
     rmin, rwit = ricci_min(dom)
     # Sec >= 0 on all planes at the image points (the hypothesis) when
     # the least eigenvalue of the curvature operator is nonnegative
-    least, sec_img, wit = curvature_bounds(tgt, _image_points(f))
+    least, sec_img, wit = curvature_bounds(tgt, image_points(f))
     sec_global = None
     if global_sample:
         rng = np.random.default_rng(seed)
@@ -260,7 +260,7 @@ def localization_gap(f, seed=0, sample=4096):
     does not enter the pinching hypothesis.
     """
     tgt = f.target
-    sec_img, _ = sec_max_over_region(tgt, _image_points(f))
+    sec_img, _ = sec_max_over_region(tgt, image_points(f))
     rng = np.random.default_rng(seed)
     pts = tgt.sample_points(sample, rng)
     sec_glob, _ = sec_max_over_region(tgt, pts)

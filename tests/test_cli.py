@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 from bochnerlab.bochner import compute_bochner, pinching_bound_fields
 from bochnerlab.catalog import parse_domain, parse_target
 from bochnerlab.cli import main
-from bochnerlab.domains import ricci_min
-from bochnerlab.maps import catalog_map, load_map, save_map
-from bochnerlab.targets import sec_max_over_region
+from bochnerlab.domains import FlatTorus2, ricci_min
+from bochnerlab.maps import DiscreteMap, catalog_map, load_map, save_map
+from bochnerlab.rigidity import image_points
+from bochnerlab.targets import Ellipsoid, sec_max_over_region
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -76,11 +77,8 @@ class TestVerify:
         assert rc == 0
         f = load_map(str(path))
         data = compute_bochner(f)
-        n_nodes = f.domain.n1 * f.domain.n2
-        m = f.target.m
-        # the node CSV takes Sec_max over at most 2048 nodes, by a floor stride
-        pts = f.values.reshape(-1, m)[:: max(1, n_nodes // 2048)]
-        sec_max = max(sec_max_over_region(f.target, pts)[0], 0.0)
+        # the node CSV takes Sec_max over the report's image points
+        sec_max = max(sec_max_over_region(f.target, image_points(f))[0], 0.0)
         _, _, slack = pinching_bound_fields(f, ricci_min(f.domain)[0], sec_max, data)
         lines = csv.read_text().splitlines()
         assert lines[0].split(",")[2:] == [
@@ -99,6 +97,30 @@ class TestVerify:
         # no two columns alike, except those that vanish on the circles map
         distinct = {tuple(col) for col in got.T}
         assert len(distinct) == (8 if source == "circles" else 10)
+
+    def test_node_csv_slack_uses_the_reports_sec_max(self, tmp_path):
+        # a band map T^2 -> ellipsoid(1,1,2) whose highest image point
+        # sits in an odd column: the report's image points (every second
+        # node of 2304) miss it, so every node gives a larger Sec_max
+        dom = FlatTorus2(a=1, b=1, n1=48, n2=48)
+        U, V = dom.chart_grid()
+        z = 0.2 * np.sin(V + dom.spacing[1])
+        f = DiscreteMap(dom, Ellipsoid(a=1, b=1, c=2),
+                        np.stack([np.cos(U), np.sin(U), z], axis=-1))
+        path, csv, out = tmp_path / "in.map", tmp_path / "nodes.csv", tmp_path / "r.json"
+        save_map(f, path)
+        assert run_cli("verify", "--load", str(path), "--csv", str(csv),
+                       "--json", str(tmp_path / "v.json")) == 0
+        assert run_cli("report", "--load", str(path), "--json", str(out)) == 0
+        sec_max = json.loads(out.read_text())["report"]["sec_max_image"]
+        f = load_map(str(path))
+        every_node = sec_max_over_region(f.target, f.values.reshape(-1, 3))[0]
+        assert 0 < sec_max < every_node
+        _, _, slack = pinching_bound_fields(
+            f, ricci_min(f.domain)[0], sec_max, compute_bochner(f)
+        )
+        got = [float(line.rsplit(",", 1)[1]) for line in csv.read_text().splitlines()[1:]]
+        np.testing.assert_array_equal(got, slack.ravel())
 
     def test_map_and_load_conflict(self, tmp_path):
         rc = run_cli("verify", "--map", "identity", "--load", "nope.txt")

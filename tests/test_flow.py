@@ -9,6 +9,7 @@ from bochnerlab.domains import FlatTorus2, RoundSphere2
 from bochnerlab.errors import UsageError
 from bochnerlab import flow
 from bochnerlab.flow import (
+    DT_MAX,
     IMPLICIT_DT,
     FlowParams,
     auto_dt,
@@ -55,6 +56,18 @@ class TestStep:
         assert f1.max_constraint_residual() < 1e-12
 
 
+def record_solves(monkeypatch, domain_cls):
+    solves = []
+    original = domain_cls.resolvent
+
+    def recorded(self, F, dt):
+        solves.append(dt)
+        return original(self, F, dt)
+
+    monkeypatch.setattr(domain_cls, "resolvent", recorded)
+    return solves
+
+
 class TestRun:
     def test_cap_collapses_to_constant(self):
         f, summary = run_flow(cap(), FlowParams(max_steps=5000))
@@ -96,6 +109,7 @@ class TestRun:
     def test_rejected_candidate_halves_dt_once(self, monkeypatch):
         # calls: the initial energy, then per step the map's energy and
         # the candidate's; the first candidate's energy reads as a rise
+        solves = record_solves(monkeypatch, FlatTorus2)
         calls = []
 
         def rises_once(f):
@@ -106,7 +120,10 @@ class TestRun:
         f, summary = run_flow(cap(), FlowParams(max_steps=4))
         assert summary.steps == 4
         assert summary.rejected == 1
-        assert summary.dt == IMPLICIT_DT / 2
+        # the step after the halving is not grown; the next ones double
+        d = IMPLICIT_DT
+        assert solves == [d, d / 2, d / 2, d, 2 * d]
+        assert summary.dt == IMPLICIT_DT * 2
 
     def test_halving_repeats_only_the_solve(self, monkeypatch):
         # per step one Laplacian for the map's tension and one for the
@@ -158,7 +175,7 @@ class TestRun:
         f0 = DiscreteMap(dom, Sphere(k=2, r=1.0), vals)
         f, summary = run_flow(f0, FlowParams(max_steps=200))
         assert summary.outcome == "collapsed_to_constant"
-        assert summary.steps <= 200
+        assert summary.steps <= 20
         assert np.all(np.diff(summary.energies) <= 1e-10)
 
     def test_ellipsoid_target_cap_collapses(self):
@@ -176,9 +193,12 @@ class TestRun:
         f, summary = run_flow(
             cap(), FlowParams(max_steps=20, snapshot_stride=5)
         )
-        assert len(summary.trace) == 4
+        # the growing step collapses the cap at step 13
+        assert summary.outcome == "collapsed_to_constant"
+        assert summary.steps == 13
+        assert len(summary.trace) == 3
         steps = [row[0] for row in summary.trace]
-        assert steps == [0, 5, 10, 15]
+        assert steps == [0, 5, 10]
 
     def test_invalid_params_rejected(self):
         with pytest.raises(UsageError):
@@ -187,6 +207,39 @@ class TestRun:
             FlowParams(tension_tol=0.0)
         with pytest.raises(UsageError):
             FlowParams(max_steps=0)
+
+
+class TestStepSchedule:
+    def test_criterion_5_doubles_up_to_the_cap(self, monkeypatch):
+        solves = record_solves(monkeypatch, FlatTorus2)
+        f, summary = run_flow(cap(n=64), FlowParams(max_steps=50000))
+        assert summary.outcome == "collapsed_to_constant"
+        assert summary.steps <= 20 and summary.rejected == 0
+        growing = [IMPLICIT_DT * 2**k for k in range(5)]  # 0.05 .. 0.8
+        assert solves == growing + [DT_MAX] * (summary.steps - len(growing))
+        assert summary.dt == DT_MAX
+        assert np.all(np.diff(summary.energies) <= 1e-10)
+
+    def test_large_first_step_is_not_capped(self, monkeypatch):
+        solves = record_solves(monkeypatch, FlatTorus2)
+        f, summary = run_flow(cap(), FlowParams(dt=5.0, max_steps=3))
+        assert summary.rejected == 0
+        assert solves == [5.0] * summary.steps and summary.dt == 5.0
+
+    def test_cap_keeps_a_degree_one_map_from_collapsing(self, monkeypatch):
+        # a degree-1 map S^2 -> S^2 cannot flow to a constant; with the
+        # step uncapped the scheme still shrinks its image to a point
+        dom = RoundSphere2(r=1.0, n1=32, n2=64)
+        TH, PH = dom.chart_grid()
+        v = catalog_map("identity", dom, Sphere(k=2, r=1.0)).values.copy()
+        v[..., 0] += 0.3 * np.sin(TH) ** 2 * np.cos(2 * PH)
+        v[..., 2] += 0.2 * np.sin(TH)
+        f0 = DiscreteMap(dom, Sphere(k=2, r=1.0), v)
+        f, summary = run_flow(f0, FlowParams(max_steps=20))
+        assert summary.outcome == "max_steps" and summary.final_diameter > 1.9
+        monkeypatch.setattr(flow, "DT_MAX", np.inf)
+        f, summary = run_flow(f0, FlowParams(max_steps=20))
+        assert summary.outcome == "collapsed_to_constant"
 
 
 class TestDiameter:
@@ -236,6 +289,21 @@ class TestDiameter:
         else:
             # 8 or more terms numpy sums pairwise, so only the order differs
             assert image_diameter(pts) == pytest.approx(np.sqrt(d2), rel=1e-15)
+
+    @pytest.mark.parametrize("m,scale", [(2, 1.0), (3, 1e-7), (3, 1.0), (3, 1e3),
+                                         (6, 1.0), (8, 1e3)])
+    def test_triangular_scan_equals_the_full_scan(self, m, scale):
+        # each row block meets only the columns from its own start; the
+        # full scan below meets every column, summing the same terms in
+        # the same order, and both maxima agree bit for bit
+        pts = scale * np.random.default_rng(10 + m).standard_normal((4096, m))
+        d2 = 0.0
+        for lo in range(0, 4096, 256):
+            a = (pts[lo : lo + 256, None, 0] - pts[None, :, 0]) ** 2
+            for c in range(1, m):
+                a = a + (pts[lo : lo + 256, None, c] - pts[None, :, c]) ** 2
+            d2 = max(d2, a.max())
+        assert image_diameter(pts) == float(np.sqrt(d2))
 
     def test_exact_scan_holds_two_row_blocks(self):
         # two (256, 4096) float buffers are 16 MiB; a block of pairwise

@@ -23,7 +23,8 @@ from bochnerlab.maps import (
     tension_field,
     total_energy,
 )
-from bochnerlab.targets import Ellipsoid, Sphere
+from bochnerlab.numerics import fmt17
+from bochnerlab.targets import Ellipsoid, Euclidean, Sphere
 
 SPHERE = RoundSphere2(r=1.0, n1=64, n2=128)
 
@@ -229,6 +230,25 @@ class TestSerialization:
         save_map(f, path)
         g = load_map(path)
         np.testing.assert_array_equal(f.values, g.values)
+
+    def test_save_writes_fmt17_bytes(self, tmp_path):
+        # every value as fmt17 writes it, -0.0 and subnormals included
+        dom = FlatTorus2(a=1, b=1, n1=8, n2=8)
+        vals = np.random.default_rng(0).standard_normal((8, 8, 3))
+        vals[0, 0] = [-0.0, 0.0, 5e-324]
+        vals[0, 1] = [1e300, -1.7976931348623157e308, 0.1]
+        f = DiscreteMap(dom, Euclidean(m=3), vals)
+        path = tmp_path / "map.txt"
+        save_map(f, path)
+        reference = "bochnerlab-map 1\n" + "".join(
+            f"{key} {text}\n"
+            for key, text in [("domain", dom.descriptor()),
+                              ("target", f.target.descriptor()),
+                              ("grid", "8 8 3")]
+        ) + "".join(" ".join(fmt17(x) for x in row) + "\n"
+                    for row in f.values.reshape(-1, 3))
+        assert path.read_text() == reference
+        assert path.read_text().splitlines()[4].startswith("-0 0 4.9406564584124654e-324")
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.txt"
