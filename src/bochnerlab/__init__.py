@@ -11,7 +11,6 @@ strict (constancy) and threshold (homothety) predictions.
 """
 
 from .bochner import (
-    bochner_residual,
     compute_bochner,
     integral_identity_residual,
     lambda_chain_check,
@@ -28,7 +27,7 @@ from .errors import (
     StabilityError,
     UsageError,
 )
-from .flow import FlowParams, FlowSummary, flow_step, image_diameter, run_flow
+from .flow import FlowParams, FlowSummary, image_diameter, run_flow
 from .maps import (
     DiscreteMap,
     catalog_map,

@@ -214,12 +214,6 @@ def compute_bochner(f):
     return BochnerData(f)
 
 
-def bochner_residual(f):
-    """(residual field, sup over unflagged nodes, sup tension)."""
-    data = compute_bochner(f)
-    return data.residual, data.sup_residual, data.sup_tension
-
-
 def integral_identity_residual(f):
     """Quadrature of |H|^2 + Q over the domain.
 

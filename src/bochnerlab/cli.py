@@ -68,7 +68,7 @@ def _resolution(text):
 
 def _dt(text):
     if text == "auto":
-        return "auto"
+        return IMPLICIT_DT
     try:
         v = float(text)
     except ValueError:
@@ -117,8 +117,8 @@ def build_parser():
     p.add_argument(
         "--dt", type=_dt, default="auto",
         help=(
-            f"first step, or 'auto' for {IMPLICIT_DT:g}; doubles after each clean "
-            f"step up to DT_MAX = {DT_MAX:g}, or to a larger first step"
+            f"first implicit step, or 'auto' for {IMPLICIT_DT:g}; doubles after each "
+            f"clean step up to DT_MAX = {DT_MAX:g}, or to a larger first step"
         ),
     )
     p.add_argument("--steps", type=int, default=10000, help="step budget")
@@ -180,8 +180,8 @@ def parse_config(argv):
         unknown = set(cfg) - known
         if unknown:
             raise UsageError(f"unknown config keys {sorted(unknown)}")
-        # as strings, file values pass each flag's type check like typed ones
-        sub.set_defaults(**{k: v if v is None else str(v) for k, v in cfg.items()})
+        # as strings, file values pass each flag's type check; null keeps the default
+        sub.set_defaults(**{k: str(v) for k, v in cfg.items() if v is not None})
         ns = parser.parse_args(argv)  # explicit flags override file values
     return ns
 
@@ -325,7 +325,7 @@ def cmd_flow(ns):
         raise UsageError("--trace-stride must be at least 1")
     f0 = _build_map(ns, attr="init")
     params = FlowParams(
-        dt=None if ns.dt == "auto" else ns.dt,
+        dt=ns.dt,
         max_steps=ns.steps,
         tension_tol=ns.tol,
         collapse_tol=ns.collapse_tol,
@@ -492,8 +492,8 @@ def main(argv=None):
     except UsageError as exc:
         sys.stderr.write(json_dumps({"error": "usage", "message": str(exc)}))
         return 2
-    # reached from the CLI, off-target points and float overflow are numerical
-    except (NumericalError, ChartDomainError, ArithmeticError) as exc:
+    # from the CLI, off-target points, overflow and exhausted memory are numerical
+    except (NumericalError, ChartDomainError, ArithmeticError, MemoryError) as exc:
         sys.stderr.write(
             json_dumps({"error": type(exc).__name__, "message": str(exc)})
         )

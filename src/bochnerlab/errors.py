@@ -26,7 +26,7 @@ class DegeneratePlaneError(NumericalError):
 
 
 class StabilityError(NumericalError):
-    """Explicit flow step rejected too many times."""
+    """Flow step rejected too many times in a row."""
 
 
 class HypothesisViolationError(UsageError):

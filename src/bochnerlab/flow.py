@@ -5,10 +5,9 @@ solves (I - dt L) f* = f - dt (L f - tau(f)) with the domain's fast
 resolvent and reprojects f* onto the target with the closest-point map.
 L f - tau = N L f is the normal part of the componentwise Laplacian, so
 the step treats the diffusion implicitly and the constraint force
-explicitly, and reuses the map's cached tension.  flow_step is the
-explicit step f + dt tau.  Both run under one energy-monotone
-controller that halves dt whenever a candidate's energy rises or the
-map constructor rejects it.
+explicitly, and reuses the map's cached tension.  An energy-monotone
+controller halves dt whenever a candidate's energy rises or the map
+constructor rejects it.
 
 run_flow doubles dt (DT_GROWTH) after each step accepted at its first
 try, up to DT_MAX or the given first step if that is larger; a step
@@ -34,7 +33,6 @@ DIAMETER_BLOCK = 256
 IMPLICIT_DT = 0.05
 DT_GROWTH = 2.0
 DT_MAX = 1.0
-AUTO_DT_COEFF = 0.2
 CONCENTRATION_FACTOR = 10.0
 
 
@@ -42,13 +40,12 @@ CONCENTRATION_FACTOR = 10.0
 class FlowParams:
     """Controls for the flow driver.
 
-    dt is the first implicit step; dt=None selects IMPLICIT_DT.  The
-    controller halves it when a step would raise the energy, and
-    run_flow doubles it after each step accepted at its first try, up
-    to max(DT_MAX, dt).
+    dt is the first implicit step.  The controller halves it when a
+    step would raise the energy, and run_flow doubles it after each
+    step accepted at its first try, up to max(DT_MAX, dt).
     """
 
-    dt: float | None = None
+    dt: float = IMPLICIT_DT
     max_steps: int = 10000
     tension_tol: float = 1e-6
     collapse_tol: float = 1e-3
@@ -56,7 +53,7 @@ class FlowParams:
 
     def __post_init__(self):
         # written as not (x > 0) so that NaN is rejected too
-        if self.dt is not None and not self.dt > 0:
+        if not self.dt > 0:
             raise UsageError("time step must be positive")
         if not (self.tension_tol > 0 and self.collapse_tol > 0):
             raise UsageError("tolerances must be positive")
@@ -127,20 +124,22 @@ def image_radius(values):
     return float(np.max(np.linalg.norm(pts - center, axis=-1)))
 
 
-def _controlled_step(f, dt, propose):
-    """Accept the candidate propose(dt) once its energy does not rise.
+def _implicit_step(f, dt):
+    """One accepted linearly implicit step, halving dt on each rejection.
 
-    A rejected candidate, whether its energy rose or the map constructor
-    refused its values with NumericalError, halves dt.  Returns (map,
-    accepted_dt, energy_after, rejections); raises StabilityError after
-    MAX_HALVINGS consecutive rejections.
+    A candidate is rejected when its energy rises or the map constructor
+    refuses its values with NumericalError.  The normal part L f - tau
+    does not depend on dt, so a halving repeats only the resolvent
+    solve.  Returns (map, accepted_dt, energy_after, rejections); raises
+    StabilityError after MAX_HALVINGS + 1 rejections in a row.
     """
-    if not dt > 0:
-        raise UsageError("time step must be positive")
+    normal = f.domain.laplace_beltrami(f.values) - tension_field(f)
     e0 = total_energy(f)
     e1 = np.nan
     for rejected in range(MAX_HALVINGS + 1):
-        values = propose(dt)
+        # an overflow from a huge dt leaves values the map refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = f.domain.resolvent(f.values - dt * normal, dt)
         try:
             cand = f.with_values(values)
         except NumericalError:
@@ -151,36 +150,8 @@ def _controlled_step(f, dt, propose):
                 return cand, dt, e1, rejected
         dt *= 0.5
     raise StabilityError(
-        f"flow step rejected {MAX_HALVINGS} times (energy {e0:.6e} -> {e1:.6e})"
+        f"flow step rejected {MAX_HALVINGS + 1} times (energy {e0:.6e} -> {e1:.6e})"
     )
-
-
-def flow_step(f, dt):
-    """One accepted explicit step f + dt tau, halving dt on rejection.
-
-    Returns (map, accepted_dt, energy_after).
-    """
-    tau = tension_field(f)
-    return _controlled_step(f, dt, lambda dt: f.values + dt * tau)[:3]
-
-
-def _implicit_step(f, dt):
-    """One accepted linearly implicit step; returns _controlled_step's tuple.
-
-    The normal part L f - tau does not depend on dt, so a halving
-    repeats only the resolvent solve.
-    """
-    normal = f.domain.laplace_beltrami(f.values) - tension_field(f)
-    return _controlled_step(
-        f, dt, lambda dt: f.domain.resolvent(f.values - dt * normal, dt)
-    )
-
-
-def auto_dt(f):
-    """Stable explicit step AUTO_DT_COEFF * h^2 / max(1, sup|df|^2)."""
-    h = min(f.domain.spacing)
-    sup_df2 = float(np.max(2.0 * energy_density_field(f)))
-    return AUTO_DT_COEFF * h * h / max(1.0, sup_df2)
 
 
 def run_flow(f0, params=None):
@@ -193,7 +164,7 @@ def run_flow(f0, params=None):
     which is outside this solver's scope.
     """
     params = params or FlowParams()
-    dt = params.dt if params.dt is not None else IMPLICIT_DT
+    dt = params.dt
     dt_cap = max(DT_MAX, dt)
     f = f0
     summary = FlowSummary(dt=dt)

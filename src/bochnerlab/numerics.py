@@ -1,7 +1,7 @@
 """Small shared numerical helpers: batched generalized eigensolves
-against a diagonal metric, Fejer quadrature weights, Gram-Schmidt for
-plane frames, 17-significant-digit float formatting for byte-stable
-output files and read-only cached arrays.
+against a diagonal metric, Fejer quadrature weights, 17-significant-digit
+float formatting for byte-stable output files and read-only cached
+arrays.
 """
 
 from __future__ import annotations
@@ -9,8 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalError
-
-DEGENERATE_NORM = 1e-12
 
 
 def gen_eigh(P, gd):
@@ -46,24 +44,6 @@ def fejer1_weights(n):
     j = np.arange(1, n // 2 + 1)
     series = np.cos(2.0 * np.outer(theta, j)) / (4.0 * j * j - 1.0)
     return 2.0 / n * (1.0 - 2.0 * series.sum(axis=1))
-
-
-def orthonormal_pair(X, Y):
-    """Gram-Schmidt a batch of vector pairs (..., m).
-
-    Returns (Xh, Yh, ok) where ok marks pairs that span a genuine
-    2-plane.  Degenerate pairs come back unchanged with ok False.
-    """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    nx = np.linalg.norm(X, axis=-1, keepdims=True)
-    ok = nx[..., 0] > DEGENERATE_NORM
-    Xh = np.divide(X, np.where(nx > DEGENERATE_NORM, nx, 1.0))
-    Yp = Y - np.sum(Xh * Y, axis=-1, keepdims=True) * Xh
-    ny = np.linalg.norm(Yp, axis=-1, keepdims=True)
-    ok = ok & (ny[..., 0] > DEGENERATE_NORM)
-    Yh = np.divide(Yp, np.where(ny > DEGENERATE_NORM, ny, 1.0))
-    return Xh, Yh, ok
 
 
 def fmt17(x):

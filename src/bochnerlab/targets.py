@@ -34,6 +34,16 @@ PROJECTION_MAX_ITER = 50
 PROJECTION_TOL = 1e-13
 
 
+def _finite_norm(x):
+    """Norm over the last axis, kept; NumericalError where it is not finite,
+    as for a point beyond about 1e154, whose squares overflow."""
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(x, axis=-1, keepdims=True)
+    if not np.all(np.isfinite(nrm)):
+        raise NumericalError("closest-point map overflows on a huge point")
+    return nrm
+
+
 @dataclass(frozen=True)
 class CurvatureSample:
     """A sectional-curvature evaluation: base point, orthonormal plane, value."""
@@ -119,7 +129,7 @@ class Sphere:
 
     def closest_point(self, x):
         x = np.asarray(x, dtype=float)
-        nrm = np.linalg.norm(x, axis=-1, keepdims=True)
+        nrm = _finite_norm(x)
         if np.any(nrm < 1e-14):
             raise NumericalError("closest-point map undefined at the origin")
         return self.r * x / nrm
@@ -181,7 +191,7 @@ class FlatTorusEmb:
     def closest_point(self, x):
         x = np.asarray(x, dtype=float)
         p = self._pairs(x)
-        nrm = np.linalg.norm(p, axis=-1, keepdims=True)
+        nrm = _finite_norm(p)
         if np.any(nrm < 1e-14):
             raise NumericalError("closest-point map undefined at a circle axis")
         p = p * (np.asarray(self.radii)[:, None] / nrm)
@@ -254,6 +264,7 @@ class Ellipsoid:
         w = self._w
         mu = np.zeros(p.shape[:-1])
         lo = -0.9 / w.max()
+        _finite_norm(p)  # a huge point would overflow p * p below
         for _ in range(PROJECTION_MAX_ITER):
             d = 1.0 + mu[..., None] * w
             phi = np.sum(w * p * p / d**2, axis=-1) - 1.0
@@ -264,7 +275,7 @@ class Ellipsoid:
         else:
             d = 1.0 + mu[..., None] * w
             phi = np.sum(w * p * p / d**2, axis=-1) - 1.0
-            if np.any(np.abs(phi) > 1e-10):
+            if not np.all(np.abs(phi) <= 1e-10):
                 raise NumericalError("ellipsoid projection did not converge")
         return p / (1.0 + mu[..., None] * w)
 

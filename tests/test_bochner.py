@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from bochnerlab.bochner import (
-    bochner_residual,
     compute_bochner,
     integral_identity_residual,
     lambda_chain_check,
@@ -72,8 +71,7 @@ class TestResidual:
     def test_residual_second_order(self, name):
         sups = []
         for n1 in (32, 64):
-            _, sup, _ = bochner_residual(sphere_map(name, n1=n1))
-            sups.append(sup)
+            sups.append(compute_bochner(sphere_map(name, n1=n1)).sup_residual)
         assert 3.0 < sups[0] / sups[1] < 5.0
 
     def test_integral_identity_refines_with_order_above_1_5(self):

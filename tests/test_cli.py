@@ -285,6 +285,18 @@ class TestConfig:
         cfg.write_text(json.dumps({"mop": "identity"}))
         assert run_cli("verify", "--config", str(cfg)) == 2
 
+    @pytest.mark.parametrize("dt", [None, "auto", 0.05])
+    def test_config_dt_matches_the_default_step(self, tmp_path, dt):
+        # a null keeps the flag's default; 'auto' is the default first step
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dt": dt}))
+        docs = []
+        for extra in ([], ["--config", str(cfg)]):
+            out = tmp_path / "flow.json"
+            assert run_cli(*FLOW, "--json", str(out), *extra) == 1
+            docs.append(json.loads(out.read_text()))
+        assert docs[0] == docs[1] and docs[0]["dt"] == 0.2
+
 
 FLOW = ["flow", "--domain", "torus:a=1,b=1", "--init", "cap:amplitude=0.3",
         "--resolution", "8", "--steps", "3"]
@@ -314,6 +326,35 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"steps": 2.5}))
         argv = [a for a in FLOW if a not in ("--steps", "3")]
         assert exit_code(argv + ["--config", str(cfg)]) == 2
+
+    def test_memory_error_is_a_numerical_error(self, monkeypatch, capsys):
+        # numpy raises a MemoryError subclass for an allocation beyond the
+        # memory; raised here directly, the test allocates nothing
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("cannot allocate 14.6 TiB")
+
+        monkeypatch.setattr("bochnerlab.cli.build_report", out_of_memory)
+        assert exit_code(["report", "--map", "identity", "--resolution", "8"]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "MemoryError", "message": "cannot allocate 14.6 TiB"}
+
+    def test_stability_error_is_a_numerical_error(self, tmp_path, monkeypatch, capsys):
+        # every candidate is NaN, so the flow's first step is rejected
+        # until the controller gives up
+        monkeypatch.setattr(FlatTorus2, "resolvent", lambda self, F, dt: F * np.nan)
+        out = tmp_path / "flow.json"
+        assert exit_code(FLOW + ["--json", str(out)]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "StabilityError"
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_dt_is_rejected_not_passed(self, tmp_path, capsys):
+        # the solve overflows or its mean lies beyond the closest-point
+        # map's range; each halving of 1e308 is still far too large
+        out = tmp_path / "flow.json"
+        assert exit_code(FLOW + ["--dt", "1e308", "--json", str(out)]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "StabilityError"
+        assert not out.exists()
 
 
 # flag values: signs, zero, non-finite, huge, tiny, fractional, non-numeric

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from bochnerlab.domains import FlatTorus2, RoundSphere2
-from bochnerlab.errors import UsageError
+from bochnerlab.errors import StabilityError, UsageError
 from bochnerlab import flow
 from bochnerlab.flow import (
     DT_MAX,
     IMPLICIT_DT,
+    MAX_HALVINGS,
     FlowParams,
-    auto_dt,
-    flow_step,
     image_diameter,
     run_flow,
 )
@@ -24,36 +23,6 @@ from bochnerlab.targets import Ellipsoid, Sphere
 def cap(n=32, amplitude=0.3):
     dom = FlatTorus2(a=1, b=1, n1=n, n2=n)
     return catalog_map(f"cap:amplitude={amplitude}", dom, Sphere(k=2, r=1.0))
-
-
-class TestStep:
-    def test_energy_decreases_on_first_step(self):
-        f = cap()
-        e0 = total_energy(f)
-        f1, dt, e1 = flow_step(f, auto_dt(f))
-        assert e1 < e0
-        assert dt > 0
-
-    def test_oversized_step_is_halved_not_fatal(self):
-        # a rough map into flat space makes the oversized explicit step
-        # unstable (no reprojection damping), forcing the controller to halve
-        from bochnerlab.targets import Euclidean
-
-        dom = FlatTorus2(a=1, b=1, n1=32, n2=32)
-        rng = np.random.default_rng(0)
-        f = DiscreteMap(dom, Euclidean(m=3), rng.standard_normal((32, 32, 3)))
-        dt_big = 1.0  # far beyond the explicit stability limit ~ h^2/4
-        _, dt_acc, e1 = flow_step(f, dt_big)
-        assert dt_acc < dt_big
-        assert e1 <= total_energy(f) + 1e-10
-
-    def test_nonpositive_dt_rejected(self):
-        with pytest.raises(UsageError):
-            flow_step(cap(), 0.0)
-
-    def test_step_stays_on_target(self):
-        f1, _, _ = flow_step(cap(), auto_dt(cap()))
-        assert f1.max_constraint_residual() < 1e-12
 
 
 def record_solves(monkeypatch, domain_cls):
@@ -69,6 +38,13 @@ def record_solves(monkeypatch, domain_cls):
 
 
 class TestRun:
+    def test_first_step_lowers_energy_and_stays_on_target(self):
+        f0 = cap()
+        f, summary = run_flow(f0, FlowParams(max_steps=1))
+        assert summary.steps == 1 and summary.rejected == 0
+        assert summary.energies[1] < summary.energies[0] == total_energy(f0)
+        assert f.max_constraint_residual() < 1e-12
+
     def test_cap_collapses_to_constant(self):
         f, summary = run_flow(cap(), FlowParams(max_steps=5000))
         assert summary.outcome == "collapsed_to_constant"
@@ -90,7 +66,7 @@ class TestRun:
         assert summary.outcome == "max_steps"
         assert summary.steps == 3
 
-    def test_explicit_step_builds_two_projectors(self, monkeypatch):
+    def test_step_builds_two_projectors(self, monkeypatch):
         # per step: the tension of the map and the energy of the
         # candidate; plus the initial energy and the final tension
         calls = []
@@ -166,8 +142,8 @@ class TestRun:
         assert solves[:2] == [IMPLICIT_DT, IMPLICIT_DT / 2]
 
     def test_sphere_domain_cap_collapses(self):
-        # a degree-0 map S^2 -> S^2 into a cap around the north pole;
-        # the explicit controller halves dt below 1e-6 on it (pole rows)
+        # a degree-0 map S^2 -> S^2 into a cap around the north pole; the
+        # short pole rows would hold an explicit step below dt = 1e-6
         dom = RoundSphere2(r=1.0, n1=64, n2=128)
         TH, PH = dom.chart_grid()
         s = 0.3 * np.sin(TH)
@@ -200,9 +176,23 @@ class TestRun:
         steps = [row[0] for row in summary.trace]
         assert steps == [0, 5, 10]
 
+    def test_every_candidate_rejected_raises_stability_error(self, monkeypatch):
+        # DiscreteMap refuses NaN values, so every candidate is rejected
+        solves = []
+
+        def nan_always(self, F, dt):
+            solves.append(dt)
+            return F * np.nan
+
+        monkeypatch.setattr(FlatTorus2, "resolvent", nan_always)
+        with pytest.raises(StabilityError, match=f"{MAX_HALVINGS + 1} times"):
+            run_flow(cap(), FlowParams(max_steps=5))
+        assert solves == [IMPLICIT_DT / 2**k for k in range(MAX_HALVINGS + 1)]
+
     def test_invalid_params_rejected(self):
-        with pytest.raises(UsageError):
-            FlowParams(dt=-1.0)
+        for dt in (-1.0, 0.0, np.nan):
+            with pytest.raises(UsageError):
+                FlowParams(dt=dt)
         with pytest.raises(UsageError):
             FlowParams(tension_tol=0.0)
         with pytest.raises(UsageError):

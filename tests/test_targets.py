@@ -5,8 +5,12 @@ region extremizer built on it."""
 import numpy as np
 import pytest
 
-from bochnerlab.errors import ChartDomainError, DegeneratePlaneError, UsageError
-from bochnerlab.numerics import orthonormal_pair
+from bochnerlab.errors import (
+    ChartDomainError,
+    DegeneratePlaneError,
+    NumericalError,
+    UsageError,
+)
 from bochnerlab.targets import (
     CurvatureSample,
     Ellipsoid,
@@ -34,6 +38,19 @@ ALL_TARGETS = [
 def on_target_points(target, count=16, seed=0):
     rng = np.random.default_rng(seed)
     return target.sample_points(count, rng)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "target", [t for t in ALL_TARGETS if t.kind != "euclid"], ids=lambda t: t.kind
+)
+def test_closest_point_refuses_a_huge_point(target):
+    # the squared norm of a 1e300 point overflows; projecting it would
+    # divide by inf (the origin) or run Newton on NaN
+    x = on_target_points(target, 4)
+    x[2] = 1e300
+    with pytest.raises(NumericalError):
+        target.closest_point(x)
 
 
 @pytest.mark.parametrize("target", ALL_TARGETS, ids=lambda t: t.kind)
@@ -239,13 +256,18 @@ class TestCurvatureOperator:
         P = tgt.tangent_projector(q)
         rng = np.random.default_rng(15)
         for _ in range(50):
-            X, Y, ok = orthonormal_pair(
-                np.einsum("bij,bj->bi", P, rng.standard_normal(q.shape)),
-                np.einsum("bij,bj->bi", P, rng.standard_normal(q.shape)),
-            )
-            sec = sectional_batch(tgt, q, X, Y)[ok]
-            assert np.all(sec <= lam[ok, -1] + 1e-12)
-            assert np.all(sec >= lam[ok, 0] - 1e-12)
+            X = np.einsum("bij,bj->bi", P, rng.standard_normal(q.shape))
+            Y = np.einsum("bij,bj->bi", P, rng.standard_normal(q.shape))
+            # sectional_batch takes non-orthonormal pairs; a degenerate one
+            # reads as a non-finite value.  Its Gauss numerator cancels to
+            # the Gram determinant, so rounding grows as 1 / sin^2 of the
+            # angle between X and Y
+            sec = sectional_batch(tgt, q, X, Y)
+            ok = np.isfinite(sec)
+            xx, yy, xy = (np.sum(U * V, axis=-1) for U, V in ((X, X), (Y, Y), (X, Y)))
+            tol = 1e-12 * (xx * yy / (xx * yy - xy**2))[ok]
+            assert np.all(sec[ok] <= lam[ok, -1] + tol)
+            assert np.all(sec[ok] >= lam[ok, 0] - tol)
 
     @pytest.mark.parametrize("r2", [2.0, 1.0])
     def test_witness_plane_attains_product_maximum(self, r2):
