@@ -37,14 +37,26 @@ def record_solves(monkeypatch, domain_cls):
     return solves
 
 
-class TestRun:
-    def test_first_step_lowers_energy_and_stays_on_target(self):
+class TestStep:
+    """One implicit step, taken through run_flow(max_steps=1)."""
+
+    def test_energy_decreases_on_first_step(self):
         f0 = cap()
-        f, summary = run_flow(f0, FlowParams(max_steps=1))
+        _, summary = run_flow(f0, FlowParams(max_steps=1))
         assert summary.steps == 1 and summary.rejected == 0
         assert summary.energies[1] < summary.energies[0] == total_energy(f0)
+
+    def test_nonpositive_dt_rejected(self):
+        for dt in (0.0, -IMPLICIT_DT):
+            with pytest.raises(UsageError):
+                run_flow(cap(), FlowParams(dt=dt, max_steps=1))
+
+    def test_step_stays_on_target(self):
+        f, _ = run_flow(cap(), FlowParams(max_steps=1))
         assert f.max_constraint_residual() < 1e-12
 
+
+class TestRun:
     def test_cap_collapses_to_constant(self):
         f, summary = run_flow(cap(), FlowParams(max_steps=5000))
         assert summary.outcome == "collapsed_to_constant"
