@@ -25,7 +25,7 @@ def main():
         diag = equality_diagnostics(f, rep)
         print(f"{r:5.2f} {rep.margin:11.3e} {rep.tol:10.3e} "
               f"{rep.classification:>9s} {rep.homothety_factor:8.4f} "
-              f"{diag.lambda_spread:10.2e} {diag.hess_sup:10.2e} "
+              f"{rep.lambda_spread:10.2e} {rep.hess_sup:10.2e} "
               f"{'ok' if diag.ok else 'FAIL':>5s}")
     print("homothety factor tracks r^2; spread and |H| sit at grid level")
 

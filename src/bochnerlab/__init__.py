@@ -43,7 +43,6 @@ from .rigidity import (
     PinchingReport,
     build_report,
     equality_diagnostics,
-    localization_gap,
     theorem_consistency_scan,
 )
 from .targets import (

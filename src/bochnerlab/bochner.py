@@ -14,15 +14,17 @@ discrete residual (1/2) Lap |df|^2 - |H|^2 - Q decays at second order.
 BochnerData it returns is computed when first read.  The first-order
 fields come from one pass over the map: one Jacobian J, one pullback
 metric P = J^T J and one eigensolve of P against the domain metric.
-The spectrum (lam, S, e) comes from the eigenvalues; the Ricci term
-from P, the target term from J and the eigenframe term from J and the
-eigenvectors.  A pass started by a spectrum field stops there, so a
-report that reads only S and lam pays for no curvature contraction; a
-pass started by a contraction field computes all of them and the
-spectrum.  Only node-sized results are kept: J, P and the eigenvectors
-are dropped when the pass returns, so a contraction read after a
-spectrum-only pass runs the pass again.  Readers that need both read a
-contraction first (the residual reads Q before S).
+The spectrum (lam, S, e) comes from the eigenvalues; the kernels
+ricci_term_field, target_term_field and target_term_diagonal_field
+contract P, J, and J with the eigenvectors (integral_identity_residual
+applies the first two to its own accuracy-6 Jacobian).  A pass started
+by a spectrum field stops there, so a report that reads only S and lam
+pays for no curvature contraction; a pass started by a contraction
+field computes all of them and the spectrum.  Only node-sized results
+are kept: J, P and the eigenvectors are dropped when the pass returns,
+so a contraction read after a spectrum-only pass runs the pass again.
+Readers that need both read a contraction first (the residual reads Q
+before S).
 """
 
 from __future__ import annotations
@@ -46,7 +48,12 @@ from .targets import sectional_batch
 DEGENERATE_PAIR_TOL = 1e-14
 
 
-def _ricci_term(f, P):
+def ricci_term_field(f, P):
+    """Ric^{ij} (f*gbar)_{ij} at every node, from the pullback metric P.
+
+    Metric and Ricci tensor are diagonal, so this is
+    sum_i (g^ii)^2 Ric_ii P_ii.
+    """
     ginv = f.domain.inv_metric_diag_grid()
     ric = f.domain.ricci_grid()
     out = np.zeros(P.shape[:-2])
@@ -55,23 +62,13 @@ def _ricci_term(f, P):
     return out
 
 
-def ricci_term_field(f, J=None):
-    """Ric^{ij} (f*gbar)_{ij} at every node.
-
-    Metric and Ricci tensor are diagonal, so this is
-    sum_i (g^ii)^2 Ric_ii P_ii.
-    """
-    return _ricci_term(f, pullback_field(f, J))
-
-
-def target_term_field(f, J=None):
+def target_term_field(f, J):
     """Invariant contraction of the target curvature term (Gauss equation).
 
     With a diagonal metric it is
-    sum_{i,j} g^ii g^jj (<A_ii, A_jj> - <A_ij, A_ji>).
+    sum_{i,j} g^ii g^jj (<A_ii, A_jj> - <A_ij, A_ji>),
+    A_ij the second fundamental form of the target on the columns of J.
     """
-    if J is None:
-        J = jacobian_field(f)
     q = f.values
     tgt = f.target
     A = [
@@ -95,7 +92,14 @@ def target_term_field(f, J=None):
     return t1 - t2
 
 
-def _frame_term(f, J, lam, vecs):
+def target_term_diagonal_field(f, J, lam, vecs):
+    """Eigenframe evaluation: 2 sum_{a<b} Sec(u_a, u_b) lam_a lam_b.
+
+    lam and vecs are the ascending eigenvalues and g-orthonormal
+    eigenvectors of the pullback metric, u_a = J vecs_a.  Summands with
+    lam_a lam_b below the degeneracy cutoff are dropped (their weight
+    vanishes).  Cross-check path for target_term_field.
+    """
     n = lam.shape[-1]
     out = np.zeros(lam.shape[:-1])
     for a in range(n):
@@ -107,19 +111,6 @@ def _frame_term(f, J, lam, vecs):
             sec = np.nan_to_num(sec, nan=0.0, posinf=0.0, neginf=0.0)
             out += np.where(w > DEGENERATE_PAIR_TOL, 2.0 * sec * w, 0.0)
     return out
-
-
-def target_term_diagonal_field(f, J=None):
-    """Eigenframe evaluation: 2 sum_{a<b} Sec(u_a, u_b) lam_a lam_b.
-
-    Summands with lam_a lam_b below the degeneracy cutoff are dropped
-    (their weight vanishes).  Cross-check path for target_term_field.
-    """
-    if J is None:
-        J = jacobian_field(f)
-    P = pullback_field(f, J)
-    lam, vecs = gen_eigh(P, f.domain.metric_diag_grid())  # ascending, g-orthonormal
-    return _frame_term(f, J, lam, vecs)
 
 
 class _PassField:
@@ -162,14 +153,14 @@ class BochnerData:
     def _first_order_pass(self, contraction):
         f = self.f
         J = jacobian_field(f)
-        P = pullback_field(f, J)
+        P = pullback_field(J)
         lam, vecs = gen_eigh(P, f.domain.metric_diag_grid())  # ascending, g-orthonormal
         fields = dict(zip(("lam", "S", "e"), spectrum(lam)))
         if contraction:
             fields.update(
-                ricci=_ricci_term(f, P),
+                ricci=ricci_term_field(f, P),
                 target=target_term_field(f, J),
-                target_frame=_frame_term(f, J, lam, vecs),
+                target_frame=target_term_diagonal_field(f, J, lam, vecs),
             )
         for name, value in fields.items():
             self.__dict__.setdefault(name, read_only(value))
@@ -228,7 +219,7 @@ def integral_identity_residual(f):
     """
     J = jacobian_field(f, accuracy=6)
     _, hess = hessian_field(f, accuracy=6)
-    Q = ricci_term_field(f, J) - target_term_field(f, J)
+    Q = ricci_term_field(f, pullback_field(J)) - target_term_field(f, J)
     w = f.domain.high_order_weight_grid()
     return float(np.sum((hess + Q) * w))
 

@@ -46,17 +46,20 @@ def _done(kind, params):
 
 
 def parse_domain(text, n1=64, n2=None):
-    """Build a domain manifold from a descriptor, at the given resolution."""
+    """Build a domain manifold from a descriptor, at the given resolution.
+
+    Without n2 the domain's own rule (ChartGrid.N2_PER_N1) sets it.
+    """
     kind, params = parse_descriptor(text)
     if kind == "torus":
         a = _take(params, "a", 1.0)
         b = _take(params, "b", 1.0)
         _done(kind, params)
-        return FlatTorus2(a=a, b=b, n1=n1, n2=n2 if n2 is not None else n1)
+        return FlatTorus2(a=a, b=b, n1=n1, n2=n2)
     if kind == "sphere":
         r = _take(params, "r", 1.0)
         _done(kind, params)
-        return RoundSphere2(r=r, n1=n1, n2=n2 if n2 is not None else 2 * n1)
+        return RoundSphere2(r=r, n1=n1, n2=n2)
     raise UsageError(f"unknown domain kind {kind!r}")
 
 

@@ -99,18 +99,15 @@ def build_parser():
         prog="bochnerlab", description=__doc__.splitlines()[0]
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    registry = {}
 
-    p = registry["verify"] = subs.add_parser(
-        "verify", help="check the Bochner identity on a map"
-    )
+    p = subs.add_parser("verify", help="check the Bochner identity on a map")
     _add_common(p)
     p.add_argument("--map", default=None, help="catalog map descriptor")
     p.add_argument("--load", default=None, help="saved-map path")
     p.add_argument("--refine", type=int, default=1, help="number of doubling levels")
     p.add_argument("--csv", default=None, help="write the per-node CSV here")
 
-    p = registry["flow"] = subs.add_parser("flow", help="run the heat flow")
+    p = subs.add_parser("flow", help="run the heat flow")
     _add_common(p)
     p.add_argument("--init", default=None, help="catalog map descriptor")
     p.add_argument("--load", default=None, help="saved-map path")
@@ -132,7 +129,7 @@ def build_parser():
         "--trace-stride", type=int, default=1, help="record every k-th step"
     )
 
-    p = registry["report"] = subs.add_parser("report", help="build a pinching report")
+    p = subs.add_parser("report", help="build a pinching report")
     _add_common(p)
     p.add_argument("--map", default=None, help="catalog map descriptor")
     p.add_argument("--load", default=None, help="saved-map path")
@@ -143,9 +140,7 @@ def build_parser():
         help="also extremize curvature over this many whole-target samples",
     )
 
-    p = registry["scan"] = subs.add_parser(
-        "scan", help="sweep a target parameter, one report per row"
-    )
+    p = subs.add_parser("scan", help="sweep a target parameter, one report per row")
     _add_common(p)
     p.add_argument("--map", default=None, help="catalog map descriptor")
     p.add_argument(
@@ -155,17 +150,17 @@ def build_parser():
     )
     p.add_argument("--csv", default=None, help="write the sweep table here")
 
-    p = registry["consistency"] = subs.add_parser(
+    p = subs.add_parser(
         "consistency", help="falsification scan over the harmonic catalog"
     )
     _add_common(p)
 
-    return parser, registry
+    return parser, subs
 
 
 def parse_config(argv):
     """Parse flags, merging in a JSON config file if one is named."""
-    parser, registry = build_parser()
+    parser, subs = build_parser()
     ns = parser.parse_args(argv)
     if ns.config:
         try:
@@ -175,7 +170,7 @@ def parse_config(argv):
             raise UsageError(f"cannot read config {ns.config}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise UsageError("config file must hold a JSON object")
-        sub = registry[ns.command]
+        sub = subs.choices[ns.command]
         known = {a.dest for a in sub._actions} - {"help", "config"}
         unknown = set(cfg) - known
         if unknown:
@@ -368,10 +363,10 @@ def cmd_report(ns):
     if rep.classification == "equality" and not rep.is_constant:
         diag = equality_diagnostics(f, rep)
         payload["equality_diagnostics"] = {
-            "hess_sup": diag.hess_sup,
-            "lambda_spread": diag.lambda_spread,
+            "hess_sup": rep.hess_sup,
+            "lambda_spread": rep.lambda_spread,
             "energy_density_variation": diag.energy_density_variation,
-            "homothety_factor": diag.homothety_factor,
+            "homothety_factor": rep.homothety_factor,
             "affine_fit_residual": diag.affine_fit_residual,
             "tol": diag.tol,
             "ok": diag.ok,

@@ -54,19 +54,53 @@ def _as_point(p):
     return p
 
 
+class ChartGrid:
+    """Grid code shared by the chart domains (frozen dataclasses below).
+
+    A domain built without n2 takes N2_PER_N1 * n1 longitude nodes.
+    """
+
+    n = 2  # intrinsic dimension
+    N2_PER_N1 = 1
+
+    def __post_init__(self):
+        if self.n2 is None:
+            object.__setattr__(self, "n2", self.N2_PER_N1 * self.n1)
+
+    def chart_grid(self):
+        return np.meshgrid(*self.axes(), indexing="ij")
+
+    def with_resolution(self, n1, n2=None):
+        return replace(self, n1=n1, n2=n2)
+
+    def inv_metric_diag_grid(self):
+        return 1.0 / self.metric_diag_grid()
+
+    def pad(self, F):
+        """One ghost layer on each side of both axes, as `extend` continues F."""
+        return self.extend(self.extend(F, 0, 1), 1, 1)
+
+    def quad_weight_grid(self):
+        h1, h2 = self.spacing
+        return self.sqrt_det_grid() * h1 * h2
+
+    def volume(self):
+        return float(self.quad_weight_grid().sum())
+
+
 @dataclass(frozen=True)
-class FlatTorus2:
+class FlatTorus2(ChartGrid):
     """Flat torus with chart (u, v) in [0, 2pi)^2 and metric diag(a^2, b^2)."""
 
     a: float = 1.0
     b: float = 1.0
     n1: int = 64
-    n2: int = 64
+    n2: int | None = None
 
     kind = "torus"
-    n = 2  # intrinsic dimension
 
     def __post_init__(self):
+        super().__post_init__()
         if self.a <= 0 or self.b <= 0:
             raise UsageError("torus periods must be positive")
         if self.n1 < 4 or self.n2 < 4:
@@ -82,18 +116,11 @@ class FlatTorus2:
         h1, h2 = self.spacing
         return np.arange(self.n1) * h1, np.arange(self.n2) * h2
 
-    def chart_grid(self):
-        u, v = self.axes()
-        return np.meshgrid(u, v, indexing="ij")
-
     def check_point(self, p):
         p = _as_point(p)
         if not (0.0 <= p[0] <= TWO_PI and 0.0 <= p[1] <= TWO_PI):
             raise ChartDomainError(f"point {p} outside torus chart [0, 2pi]^2")
         return p
-
-    def with_resolution(self, n1, n2=None):
-        return replace(self, n1=n1, n2=n2 if n2 is not None else n1)
 
     def descriptor(self):
         return f"torus:a={self.a:g},b={self.b:g}"
@@ -109,9 +136,6 @@ class FlatTorus2:
         g[..., 0] = self.a**2
         g[..., 1] = self.b**2
         return g
-
-    def inv_metric_diag_grid(self):
-        return 1.0 / self.metric_diag_grid()
 
     def sqrt_det_grid(self):
         return np.full((self.n1, self.n2), self.a * self.b)
@@ -138,10 +162,6 @@ class FlatTorus2:
         """`width` ghost layers on each side of `axis`, periodic."""
         return _wrap(np.asarray(F), axis, width)
 
-    def pad(self, F):
-        """One ghost layer on each side, periodic in both directions."""
-        return self.extend(self.extend(F, 0, 1), 1, 1)
-
     def laplace_beltrami(self, F):
         """Conservative discrete Laplace-Beltrami of a node field."""
         F = np.asarray(F, dtype=float)
@@ -166,13 +186,6 @@ class FlatTorus2:
         Fh /= symbol.reshape(symbol.shape + (1,) * (Fh.ndim - 2))
         return np.fft.irfft2(Fh, s=(self.n1, self.n2), axes=(0, 1))
 
-    def quad_weight_grid(self):
-        h1, h2 = self.spacing
-        return self.sqrt_det_grid() * h1 * h2
-
-    def volume(self):
-        return float(self.quad_weight_grid().sum())
-
     def high_order_weight_grid(self):
         """Trapezoid weights, spectrally accurate for periodic fields."""
         return self.quad_weight_grid()
@@ -182,7 +195,7 @@ class FlatTorus2:
 
 
 @dataclass(frozen=True)
-class RoundSphere2:
+class RoundSphere2(ChartGrid):
     """Round sphere of radius r, chart (theta, phi).
 
     Latitude nodes are staggered: theta_i = (i + 1/2) pi / n1, so the
@@ -193,10 +206,10 @@ class RoundSphere2:
 
     r: float = 1.0
     n1: int = 64
-    n2: int = 128
+    n2: int | None = None
 
     kind = "sphere"
-    n = 2
+    N2_PER_N1 = 2
     # chart-artifact collar: nodes with theta closer than this to a pole
     # are flagged; the 1/sin(theta) factors of the chart amplify O(h^2)
     # stencil errors to O(h) on any fixed number of rows, so the flag
@@ -204,6 +217,7 @@ class RoundSphere2:
     pole_collar = np.pi / 16
 
     def __post_init__(self):
+        super().__post_init__()
         if self.r <= 0:
             raise UsageError("sphere radius must be positive")
         if self.n1 < 4 or self.n2 < 4:
@@ -223,10 +237,6 @@ class RoundSphere2:
         phi = np.arange(self.n2) * h2
         return theta, phi
 
-    def chart_grid(self):
-        theta, phi = self.axes()
-        return np.meshgrid(theta, phi, indexing="ij")
-
     def check_point(self, p):
         p = _as_point(p)
         if not (0.0 < p[0] < np.pi):
@@ -234,9 +244,6 @@ class RoundSphere2:
         if not (0.0 <= p[1] <= TWO_PI):
             raise ChartDomainError(f"phi={p[1]} outside [0, 2pi]")
         return p
-
-    def with_resolution(self, n1, n2=None):
-        return replace(self, n1=n1, n2=n2 if n2 is not None else 2 * n1)
 
     def descriptor(self):
         return f"sphere:r={self.r:g}"
@@ -253,9 +260,6 @@ class RoundSphere2:
         g[..., 0] = self.r**2
         g[..., 1] = (self.r * np.sin(theta))[:, None] ** 2
         return g
-
-    def inv_metric_diag_grid(self):
-        return 1.0 / self.metric_diag_grid()
 
     def sqrt_det_grid(self):
         theta, _ = self.axes()
@@ -308,10 +312,6 @@ class RoundSphere2:
         top = np.roll(F[width - 1::-1], half, axis=1)
         bot = np.roll(F[:-width - 1:-1], half, axis=1)
         return np.concatenate([top, F, bot], axis=0)
-
-    def pad(self, F):
-        """Ghost layer: periodic in phi, antipodal continuation in theta."""
-        return self.extend(self.extend(F, 0, 1), 1, 1)
 
     def laplace_beltrami(self, F):
         """Conservative (flux-form) discrete Laplace-Beltrami.
@@ -366,13 +366,6 @@ class RoundSphere2:
         for i in range(self.n1 - 2, -1, -1):
             Fh[i] -= ratio[i] * Fh[i + 1]
         return np.fft.irfft(Fh, n=self.n2, axis=1)
-
-    def quad_weight_grid(self):
-        h1, h2 = self.spacing
-        return self.sqrt_det_grid() * h1 * h2
-
-    def volume(self):
-        return float(self.quad_weight_grid().sum())
 
     def high_order_weight_grid(self):
         """r^2 w_i h2 with Fejer's first-rule weights w_i in theta.

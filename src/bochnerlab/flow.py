@@ -30,6 +30,7 @@ from .maps import energy_density_field, tension_field, total_energy
 ENERGY_SLACK = 1e-10
 MAX_HALVINGS = 20
 DIAMETER_BLOCK = 256
+EXACT_DIAMETER_LIMIT = 4096
 IMPLICIT_DT = 0.05
 DT_GROWTH = 2.0
 DT_MAX = 1.0
@@ -73,10 +74,10 @@ class FlowSummary:
     trace: list = field(default_factory=list)  # (step, E, sup_tau, diam, e_max)
 
 
-def image_diameter(f_or_values, exact_limit=4096):
+def image_diameter(f_or_values):
     """Maximum pairwise ambient distance between node values.
 
-    Exact pairwise scan up to exact_limit points, in blocks of
+    Exact pairwise scan up to EXACT_DIAMETER_LIMIT points, in blocks of
     DIAMETER_BLOCK rows so memory stays linear in the point count;
     larger sets use iterated farthest-point sweeps from the
     bounding-sphere center, which attain the true diameter on the round
@@ -85,7 +86,7 @@ def image_diameter(f_or_values, exact_limit=4096):
     vals = getattr(f_or_values, "values", f_or_values)
     pts = np.asarray(vals, dtype=float).reshape(-1, vals.shape[-1])
     n, m = pts.shape
-    if n <= exact_limit:
+    if n <= EXACT_DIAMETER_LIMIT:
         # a block of rows meets only the columns from its own start on:
         # (x_i - x_j)^2 = (x_j - x_i)^2 exactly, so the pairs left of
         # the block were met by an earlier block, term for term
@@ -157,11 +158,13 @@ def _implicit_step(f, dt):
 def run_flow(f0, params=None):
     """Iterate the flow until harmonicity, collapse, or the step budget.
 
-    Outcomes: 'converged' (sup|tau| below tolerance), and
-    'collapsed_to_constant' (image diameter below tolerance),
-    'max_steps'.  Aborts with NumericalError if sup e exceeds
-    CONCENTRATION_FACTOR times its initial value (possible bubbling),
-    which is outside this solver's scope.
+    Every map, the last one included, is tested for
+    'collapsed_to_constant' (twice its bounding radius, an upper bound
+    on the image diameter, below collapse_tol) and then for 'converged'
+    (sup|tau| below tension_tol); a flow that passes neither within the
+    step budget ends with 'max_steps'.  Aborts with NumericalError if
+    sup e exceeds CONCENTRATION_FACTOR times its initial value (possible
+    bubbling), which is outside this solver's scope.
     """
     params = params or FlowParams()
     dt = params.dt
@@ -172,7 +175,8 @@ def run_flow(f0, params=None):
     e_max0 = float(np.max(energy_density_field(f0)))
     summary.energies.append(total_energy(f))
 
-    for step in range(params.max_steps):
+    # one more pass than the budget of steps tests the final map as well
+    for step in range(params.max_steps + 1):
         tau = tension_field(f)
         sup_tau = float(np.max(np.linalg.norm(tau, axis=-1)[keep]))
         e_max = float(np.max(energy_density_field(f)))
@@ -180,11 +184,12 @@ def run_flow(f0, params=None):
         diam = 2 * image_radius(f.values)
         if params.snapshot_stride and step % params.snapshot_stride == 0:
             summary.trace.append((step, summary.energies[-1], sup_tau, diam, e_max))
-        if sup_tau < params.tension_tol:
-            summary.outcome = "converged"
-            break
+        # a constant map has no tension either, so collapse is tested first
         if diam < params.collapse_tol:
             summary.outcome = "collapsed_to_constant"
+        elif sup_tau < params.tension_tol:
+            summary.outcome = "converged"
+        if summary.outcome != "max_steps" or step == params.max_steps:
             break
         if e_max0 > 1e-12 and e_max > CONCENTRATION_FACTOR * e_max0:
             raise NumericalError(
@@ -198,9 +203,6 @@ def run_flow(f0, params=None):
         if not rejected:
             # compared before multiplying, so a huge dt cannot overflow
             dt = dt_cap if dt >= dt_cap / DT_GROWTH else DT_GROWTH * dt
-    tau = tension_field(f)
-    summary.final_tension = float(np.max(np.linalg.norm(tau, axis=-1)[keep]))
+    summary.final_tension = sup_tau
     summary.final_diameter = image_diameter(f)
-    if summary.outcome == "max_steps" and summary.final_tension < params.tension_tol:
-        summary.outcome = "converged"
     return f, summary

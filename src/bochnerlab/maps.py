@@ -18,7 +18,7 @@ import numpy as np
 from .catalog import parse_descriptor, parse_domain, parse_target
 from .domains import FlatTorus2, RoundSphere2
 from .errors import NumericalError, UsageError
-from .numerics import gen_eigh, read_only
+from .numerics import read_only
 
 
 @dataclass(frozen=True)
@@ -245,16 +245,9 @@ def jacobian_field(f, accuracy=2):
     return P @ J
 
 
-def pullback_field(f, J=None):
-    if J is None:
-        J = jacobian_field(f)
+def pullback_field(J):
+    """Chart components J^T J of the pullback metric f*gbar."""
     return np.swapaxes(J, -1, -2) @ J
-
-
-def spectrum_fields(f, J=None):
-    """(lam desc, S, e) fields from the pullback metric."""
-    P = pullback_field(f, J)
-    return spectrum(gen_eigh(P, f.domain.metric_diag_grid())[0])
 
 
 def spectrum(lam):

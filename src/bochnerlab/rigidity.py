@@ -91,8 +91,10 @@ def build_report(f, seed=0, global_sample=0):
     """Assemble the pinching report for a map.
 
     global_sample > 0 additionally evaluates the curvature extremizer
-    over a fixed-seed quasi-uniform sample of the whole target (the
-    localization comparator); it is diagnostic only.
+    over a fixed-seed quasi-uniform sample of the whole target; it is
+    diagnostic only.  Its excess over sec_max_image exhibits
+    localization: curvature away from the image does not enter the
+    pinching hypothesis.
     """
     if global_sample < 0 or seed < 0:
         raise UsageError("the seed and the global sample size must not be negative")
@@ -187,19 +189,15 @@ def build_report(f, seed=0, global_sample=0):
 
 @dataclass(frozen=True)
 class EqualityDiagnostics:
-    """Threshold-case saturation measurements.
+    """Threshold-case saturation measurements beyond the report's own.
 
-    At equality the differential must be parallel: the Hessian sup and
-    the singular-value spread both sit at discretization level, |df|^2
-    is constant, and the common squared singular value is the
+    At equality the differential must be parallel: the report's Hessian
+    sup and singular-value spread sit at discretization level, |df|^2
+    is constant, and the common squared singular value is the report's
     homothety factor.
     """
 
-    hess_sup: float
-    lambda_spread: float
     energy_density_variation: float
-    homothety_factor: float
-    totally_geodesic_residual: float
     affine_fit_residual: float | None
     tol: float
     ok: bool
@@ -208,8 +206,8 @@ class EqualityDiagnostics:
 def equality_diagnostics(f, report):
     """Check the threshold-case predictions on an equality-classified map.
 
-    The Hessian sup, singular-value spread and homothety factor are the
-    report's own; the |df|^2 variation is computed here from the S of
+    The Hessian sup, singular-value spread and homothety factor are read
+    from the report; the |df|^2 variation is computed here from the S of
     the report's Bochner pass.
     """
     if report.classification != "equality":
@@ -235,39 +233,7 @@ def equality_diagnostics(f, report):
     if affine is not None:
         ok = ok and affine <= tol
     return EqualityDiagnostics(
-        hess_sup=report.hess_sup,
-        lambda_spread=report.lambda_spread,
-        energy_density_variation=svar,
-        homothety_factor=report.homothety_factor,
-        totally_geodesic_residual=report.totally_geodesic_residual,
-        affine_fit_residual=affine,
-        tol=tol,
-        ok=ok,
-    )
-
-
-@dataclass(frozen=True)
-class LocalizationGap:
-    sec_max_image: float
-    sec_max_global_sample: float
-    gap: float
-
-
-def localization_gap(f, seed=0, sample=4096):
-    """Image-based extremizer vs the same extremizer over the whole target.
-
-    A positive gap exhibits localization: curvature away from the image
-    does not enter the pinching hypothesis.
-    """
-    tgt = f.target
-    sec_img, _ = sec_max_over_region(tgt, image_points(f))
-    rng = np.random.default_rng(seed)
-    pts = tgt.sample_points(sample, rng)
-    sec_glob, _ = sec_max_over_region(tgt, pts)
-    return LocalizationGap(
-        sec_max_image=float(sec_img),
-        sec_max_global_sample=float(sec_glob),
-        gap=float(sec_glob - sec_img),
+        energy_density_variation=svar, affine_fit_residual=affine, tol=tol, ok=ok
     )
 
 
@@ -337,8 +303,8 @@ def theorem_consistency_scan(entries, seed=0):
             if not diag.ok:
                 row.status = "fail"
                 row.detail = (
-                    f"threshold diagnostics failed (hess_sup={diag.hess_sup:.3e}, "
-                    f"spread={diag.lambda_spread:.3e}, tol={diag.tol:.3e})"
+                    f"threshold diagnostics failed (hess_sup={rep.hess_sup:.3e}, "
+                    f"spread={rep.lambda_spread:.3e}, tol={diag.tol:.3e})"
                 )
                 ok = False
         rows.append(row)

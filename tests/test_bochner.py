@@ -15,7 +15,15 @@ from bochnerlab.bochner import (
 )
 from bochnerlab.domains import FlatTorus2, RoundSphere2
 from bochnerlab.errors import HypothesisViolationError, UsageError
-from bochnerlab.maps import catalog_map, constant_map
+from bochnerlab.maps import (
+    catalog_map,
+    constant_map,
+    hessian_field,
+    jacobian_field,
+    pullback_field,
+    spectrum,
+)
+from bochnerlab.numerics import gen_eigh
 from bochnerlab.targets import Euclidean, FlatTorusEmb, Sphere
 
 
@@ -43,19 +51,18 @@ class TestCurvatureTerms:
                 f = DiscreteMap(dom, tgt, vals)
             else:
                 continue
-            assert np.max(np.abs(target_term_field(f))) < 1e-12
+            J = jacobian_field(f)
+            assert np.max(np.abs(target_term_field(f, J))) < 1e-12
             np.testing.assert_allclose(
-                compute_bochner(f).Q, ricci_term_field(f), atol=1e-12
+                compute_bochner(f).Q, ricci_term_field(f, pullback_field(J)), atol=1e-12
             )
 
     def test_path_agreement_on_analytic_maps(self):
         # invariant contraction vs eigenframe sum over kept nodes
         for name in ("identity", "holomorphic:k=2"):
-            f = sphere_map(name)
-            keep = ~f.domain.flagged_mask()
-            tt = target_term_field(f)
-            ttf = target_term_diagonal_field(f)
-            assert np.max(np.abs(tt - ttf)[keep]) < 1e-8
+            data = compute_bochner(sphere_map(name))
+            keep = ~data.f.domain.flagged_mask()
+            assert np.max(np.abs(data.target - data.target_frame)[keep]) < 1e-8
 
     def test_identity_map_Q_vanishes_to_grid_accuracy(self):
         # Ric term = target term for the identity (both equal 2/r^2 - ish)
@@ -181,27 +188,40 @@ class TestLazyFields:
     def test_spectrum_read_skips_the_contractions(self, count_calls):
         from bochnerlab import bochner
 
-        names = self.PASS + ("target_term_field", "sectional_batch")
-        counts = count_calls(bochner, names)
+        kernels = ("ricci_term_field", "target_term_field",
+                   "target_term_diagonal_field", "sectional_batch")
+        counts = count_calls(bochner, self.PASS + kernels)
         data = compute_bochner(sphere_map("holomorphic:k=2", n1=32))
         data.S, data.lam, data.e
-        assert counts == {**dict.fromkeys(self.PASS, 1),
-                          "target_term_field": 0, "sectional_batch": 0}
+        assert counts == {**dict.fromkeys(self.PASS, 1), **dict.fromkeys(kernels, 0)}
 
-    def test_fields_equal_the_standalone_functions(self):
-        from bochnerlab.maps import hessian_field, spectrum_fields
-
+    def test_fields_equal_the_kernels_on_one_pass(self):
         f = sphere_map("holomorphic:k=3", n1=32)
         data = compute_bochner(f)
-        lam, S, e = spectrum_fields(f)
+        J = jacobian_field(f)
+        P = pullback_field(J)
+        lam, vecs = gen_eigh(P, f.domain.metric_diag_grid())
+        lam_desc, S, e = spectrum(lam)
         for got, want in (
-            (data.ricci, ricci_term_field(f)),
-            (data.target, target_term_field(f)),
-            (data.target_frame, target_term_diagonal_field(f)),
+            (data.ricci, ricci_term_field(f, P)),
+            (data.target, target_term_field(f, J)),
+            (data.target_frame, target_term_diagonal_field(f, J, lam, vecs)),
             (data.hess, hessian_field(f)[1]),
-            (data.lam, lam), (data.S, S), (data.e, e),
+            (data.lam, lam_desc), (data.S, S), (data.e, e),
         ):
             np.testing.assert_array_equal(got, want)
+
+    def test_fields_do_not_depend_on_read_order(self):
+        f = sphere_map("holomorphic:k=2", n1=32)
+        spectrum_first, contraction_first = compute_bochner(f), compute_bochner(f)
+        for name in ("S", "lam", "e", "ricci", "target", "target_frame"):
+            getattr(spectrum_first, name)
+        for name in ("ricci", "target", "target_frame", "S", "lam", "e"):
+            getattr(contraction_first, name)
+        for name in FIELDS:
+            np.testing.assert_array_equal(
+                getattr(spectrum_first, name), getattr(contraction_first, name)
+            )
 
     def test_only_node_sized_arrays_are_kept(self):
         f = sphere_map("holomorphic:k=2", n1=32)

@@ -191,6 +191,17 @@ class TestFlow:
         )
         assert rc == 0
 
+    def test_budget_ending_in_collapse_passes(self, tmp_path):
+        # the 64^2 cap collapses at step 13, the last step of the budget
+        out = tmp_path / "flow.json"
+        rc = run_cli(
+            "flow", "--domain", "torus:a=1,b=1", "--init", "cap:amplitude=0.3",
+            "--resolution", "64", "--steps", "13", "--json", str(out),
+        )
+        doc = json.loads(out.read_text())
+        assert (rc, doc["outcome"], doc["steps"]) == (0, "collapsed_to_constant", 13)
+        assert doc["final_diameter"] < 1e-3
+
 
 class TestReport:
     def test_equality_report_includes_diagnostics(self, tmp_path):

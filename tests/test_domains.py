@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bochnerlab.catalog import parse_domain
 from bochnerlab.domains import (
     FlatTorus2,
     RoundSphere2,
@@ -203,6 +204,18 @@ def test_grid_forms_match_point_forms(dom):
         assert np.all(G[~stored] == 0.0)
         assert np.array_equal(dom.ricci_at(p), np.diag(ric_grid[idx]))
         assert np.array_equal(dom.metric_at(p), np.diag(g_grid[idx]))
+
+
+@pytest.mark.parametrize(
+    "text, per_n1", [("torus:a=1,b=1", 1), ("sphere:r=1", 2)], ids=["torus", "sphere"]
+)
+def test_n2_follows_the_domains_rule(text, per_n1):
+    # parse_domain, with_resolution and the constructor share one rule
+    dom = parse_domain(text, 12)
+    assert (dom.n1, dom.n2) == (12, per_n1 * 12)
+    assert dom.with_resolution(24).n2 == per_n1 * 24
+    assert dom.with_resolution(24, 30).n2 == 30
+    assert type(dom)(n1=16).n2 == per_n1 * 16
 
 
 class TestFejerWeights:

@@ -78,6 +78,22 @@ class TestRun:
         assert summary.outcome == "max_steps"
         assert summary.steps == 3
 
+    def test_budget_ending_on_a_collapsed_map_reports_collapse(self):
+        # the criterion-5 flow collapses at step 13; a budget of exactly
+        # 13 steps still tests the map the last step produced
+        f, summary = run_flow(cap(n=64), FlowParams(max_steps=13))
+        assert summary.steps == 13
+        assert summary.outcome == "collapsed_to_constant"
+        assert summary.final_diameter < 1e-3
+
+    def test_collapse_is_tested_before_convergence(self):
+        # a huge first step takes the cap to a point, whose tension is
+        # zero as well: the outcome is the collapse
+        f, summary = run_flow(cap(n=16), FlowParams(dt=1e20, max_steps=5))
+        assert summary.steps == 1
+        assert summary.final_tension < 1e-6
+        assert summary.outcome == "collapsed_to_constant"
+
     def test_step_builds_two_projectors(self, monkeypatch):
         # per step: the tension of the map and the energy of the
         # candidate; plus the initial energy and the final tension
@@ -188,6 +204,12 @@ class TestRun:
         steps = [row[0] for row in summary.trace]
         assert steps == [0, 5, 10]
 
+    def test_trace_ends_with_the_final_map_of_a_spent_budget(self):
+        f, summary = run_flow(cap(), FlowParams(max_steps=4, snapshot_stride=2))
+        assert summary.outcome == "max_steps"
+        assert [row[0] for row in summary.trace] == [0, 2, 4]
+        assert summary.trace[-1][1] == summary.energies[-1]
+
     def test_every_candidate_rejected_raises_stability_error(self, monkeypatch):
         # DiscreteMap refuses NaN values, so every candidate is rejected
         solves = []
@@ -251,14 +273,15 @@ class TestDiameter:
         d2 = np.sum((pts[:, None] - pts[None]) ** 2, axis=-1)
         assert image_diameter(pts) == pytest.approx(np.sqrt(d2.max()))
 
-    def test_sweep_matches_exact_on_sphere_samples(self):
+    def test_sweep_matches_exact_on_sphere_samples(self, monkeypatch):
         # the sweep path (large inputs) agrees with the exact pairwise
         # scan on a round set
         rng = np.random.default_rng(1)
         pts = rng.standard_normal((6000, 3))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        exact = image_diameter(pts, exact_limit=10000)  # exact pairwise
         swept = image_diameter(pts)  # sweep path (default limit 4096)
+        monkeypatch.setattr(flow, "EXACT_DIAMETER_LIMIT", 10000)
+        exact = image_diameter(pts)  # exact pairwise
         assert swept <= exact + 1e-12  # sweeps never overshoot
         assert swept == pytest.approx(exact, abs=1e-3)
 
