@@ -3,10 +3,13 @@
 Grammar: ``kind`` or ``kind:key=val,key=val`` with numeric values, e.g.
 ``torus:a=1,b=1``, ``sphere:r=2``, ``ellipsoid:a=1,b=1,c=2``,
 ``prodspheres:r1=1,r2=2``, ``euclid:m=3``, ``cap:amplitude=0.3``.
-Unknown kinds and unknown keys are rejected.
+Unknown kinds, unknown keys, non-finite values and non-integer
+dimensions are rejected.
 """
 
 from __future__ import annotations
+
+import math
 
 from .domains import FlatTorus2, RoundSphere2
 from .errors import UsageError
@@ -26,9 +29,12 @@ def parse_descriptor(text):
             if not sep:
                 raise UsageError(f"malformed descriptor item {item!r} in {text!r}")
             try:
-                params[key.strip()] = float(val)
+                value = float(val)
             except ValueError as exc:
                 raise UsageError(f"non-numeric value in {item!r}") from exc
+            if not math.isfinite(value):
+                raise UsageError(f"non-finite value in {item!r}")
+            params[key.strip()] = value
     return kind.strip().lower(), params
 
 
@@ -38,6 +44,13 @@ def _take(params, key, default=None):
     if default is None:
         raise UsageError(f"missing required key {key!r}")
     return default
+
+
+def _take_int(params, key, default):
+    value = _take(params, key, default)
+    if value != int(value):
+        raise UsageError(f"{key!r} must be an integer, got {value:g}")
+    return int(value)
 
 
 def _done(kind, params):
@@ -67,12 +80,12 @@ def parse_target(text):
     """Build a target manifold from a descriptor."""
     kind, params = parse_descriptor(text)
     if kind == "euclid":
-        m = int(_take(params, "m", 3.0))
+        m = _take_int(params, "m", 3.0)
         _done(kind, params)
         return Euclidean(m=m)
     if kind == "sphere":
         r = _take(params, "r", 1.0)
-        k = int(_take(params, "k", 2.0))
+        k = _take_int(params, "k", 2.0)
         _done(kind, params)
         return Sphere(k=k, r=r)
     if kind == "torusemb":

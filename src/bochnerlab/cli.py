@@ -32,7 +32,6 @@ from .rigidity import (
     build_report,
     equality_diagnostics,
     grid_h,
-    image_points,
     theorem_consistency_scan,
 )
 from .targets import sec_max_over_region
@@ -297,7 +296,7 @@ def cmd_verify(ns):
 def _write_node_csv(ns, f, data):
     dom, tgt = f.domain, f.target
     rmin, _ = ricci_min(dom)
-    sec_max, _ = sec_max_over_region(tgt, image_points(f))
+    sec_max, _ = sec_max_over_region(tgt, f.values.reshape(-1, tgt.m))
     sec_max = max(float(sec_max), 0.0)
     _, _, slack = pinching_bound_fields(f, rmin, sec_max, data)
     n = dom.n

@@ -7,13 +7,13 @@ equation
 
     <R(X, Y) Y, X> = <A(X, X), A(Y, Y)> - |A(X, Y)|^2,
 
-with closed-form overrides for the constant-curvature kinds.  The same
-equation gives the curvature operator on the 2-vectors of T_q.  Its
-largest eigenvalue bounds every sectional curvature at q from above,
-and equals their maximum when its eigenvector is decomposable: always
-in dimension <= 3, and for the product of spheres.  The region
-extremizer takes that eigenvalue's maximum over a point set, so it is
-deterministic and monotone under set inclusion.
+with closed-form overrides for the constant-curvature kinds.  Each
+target also gives in closed form the least and greatest eigenvalue of
+its curvature operator on the 2-vectors of T_q (`sec_range`); every
+eigenvector is decomposable for these kinds, so the two are the least
+and greatest sectional curvature at q.  The region extremizer takes
+their extremes over a point set, so it is deterministic and monotone
+under set inclusion.
 """
 
 from __future__ import annotations
@@ -44,18 +44,17 @@ def _finite_norm(x):
     return nrm
 
 
+class _ConstantCurvature:
+    """A target whose curvature operator is constant_sec times the identity."""
+
+    def sec_range(self, q):
+        """Least and greatest curvature-operator eigenvalue at each point."""
+        sec = np.full(np.shape(q)[:-1], self.constant_sec)
+        return sec, sec
+
+
 @dataclass(frozen=True)
-class CurvatureSample:
-    """A sectional-curvature evaluation: base point, orthonormal plane, value."""
-
-    point: np.ndarray
-    X: np.ndarray
-    Y: np.ndarray
-    value: float
-
-
-@dataclass(frozen=True)
-class Euclidean:
+class Euclidean(_ConstantCurvature):
     """Flat R^m."""
 
     m: int = 3
@@ -94,7 +93,7 @@ class Euclidean:
 
 
 @dataclass(frozen=True)
-class Sphere:
+class Sphere(_ConstantCurvature):
     """Round k-sphere of radius r embedded in R^{k+1}."""
 
     k: int = 2
@@ -150,7 +149,7 @@ class Sphere:
 
 
 @dataclass(frozen=True)
-class FlatTorusEmb:
+class FlatTorusEmb(_ConstantCurvature):
     """Product of k circles of radii rho_i, embedded in R^{2k}.  Flat."""
 
     radii: tuple = (1.0, 1.0)
@@ -299,6 +298,13 @@ class Ellipsoid:
         coef = -np.sum(w * X * Y, axis=-1) / grad_norm
         return coef[..., None] * n
 
+    def sec_range(self, q):
+        # Gauss curvature 1/(a^2 b^2 c^2 h^4), h^2 = x^2/a^4 + y^2/b^4 + z^2/c^4
+        q = np.asarray(q, dtype=float)
+        h2 = np.sum(self._w**2 * q * q, axis=-1)
+        K = 1.0 / ((self.a * self.b * self.c) ** 2 * h2**2)
+        return K, K
+
     def sample_points(self, count, rng):
         u = rng.standard_normal((count, 3))
         u /= np.linalg.norm(u, axis=-1, keepdims=True)
@@ -362,6 +368,11 @@ class ProductSpheres:
             axis=-1,
         )
 
+    def sec_range(self, q):
+        # the 2-vectors of one factor carry 1/r^2; the mixed ones are flat
+        shape = np.shape(q)[:-1]
+        return np.zeros(shape), np.full(shape, 1.0 / min(self.r1, self.r2) ** 2)
+
     def sample_points(self, count, rng):
         s1, s2 = self._factors()
         return np.concatenate(
@@ -405,7 +416,7 @@ def sectional_curvature(target, q, X, Y):
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     res = float(target.constraint_residual(q))
-    if res > ON_TARGET_TOL:
+    if not np.all(res <= ON_TARGET_TOL):
         raise ChartDomainError(f"base point off target (residual {res:.3e})")
     gram = float(
         np.dot(X, X) * np.dot(Y, Y) - np.dot(X, Y) ** 2
@@ -417,78 +428,13 @@ def sectional_curvature(target, q, X, Y):
     return float(_gauss_numerator(target, q, X, Y) / gram)
 
 
-def gauss_sectional_fd(target, q, X, Y, eps=1e-5):
-    """Gauss-equation sectional value with A from finite differences of P.
-
-    A(X, Y) = (I - P) (D_X P) Y, with D_X P differenced along the
-    projected curve through q.  Independent of the analytic A; used as
-    a cross-check.
-    """
-    q = np.asarray(q, dtype=float)
-    P = target.tangent_projector(q)
-    N = np.eye(target.m) - P
-
-    def A(U, V):
-        dP = (
-            target.tangent_projector(target.closest_point(q + eps * U))
-            - target.tangent_projector(target.closest_point(q - eps * U))
-        ) / (2 * eps)
-        return N @ (dP @ V)
-
-    num = float(A(X, X) @ A(Y, Y) - A(X, Y) @ A(X, Y))
-    gram = float(np.dot(X, X) * np.dot(Y, Y) - np.dot(X, Y) ** 2)
-    if gram < 1e-14:
-        raise DegeneratePlaneError("vectors do not span a 2-plane")
-    return num / gram
-
-
-def tangent_basis(target, q):
-    """Orthonormal basis of T_q as columns of an (..., m, k) array."""
-    P = target.tangent_projector(q)
-    evals, evecs = np.linalg.eigh(P)
-    # projector eigenvalues are 0/1; tangent directions are the top k
-    return evecs[..., -target.dim:]
-
-
-# -- curvature operator and region extremizer -------------------------------
-
-
-def curvature_operator(target, q):
-    """Curvature operator on the 2-vectors of T_q, batched over points (..., m).
-
-    Returns (R, T).  T is the orthonormal frame of `tangent_basis`, and R
-    (..., p, p) with p = k(k-1)/2 holds, over the index pairs a < b in
-    `np.triu_indices(k, 1)` order,
-
-        <R(e_a ^ e_b), e_c ^ e_d> = <A(e_b, e_d), A(e_a, e_c)>
-                                    - <A(e_a, e_d), A(e_b, e_c)>.
-
-    Its diagonal holds the sectional curvatures of the coordinate planes.
-    """
-    q = np.asarray(q, dtype=float)
-    T = tangent_basis(target, q)
-    E = np.swapaxes(T, -1, -2)  # frame vectors e_a along axis -2
-    A = target.second_fundamental(
-        q[..., None, None, :], E[..., :, None, :], E[..., None, :, :]
-    )
-    G = np.einsum("...abm,...cdm->...abcd", A, A)  # <A_ab, A_cd>
-    a, b = np.triu_indices(target.dim, 1)
-    a1, a2, b1, b2 = a[:, None], a[None, :], b[:, None], b[None, :]
-    return G[..., a1, a2, b1, b2] - G[..., a1, b2, b1, a2], T
-
-
 def curvature_bounds(target, points):
-    """Least and greatest eigenvalue of the curvature operator over the points.
+    """Least and greatest curvature-operator eigenvalue over the points.
 
-    Returns (least, greatest, CurvatureSample witness of the greatest),
-    both from one eigendecomposition.  The greatest bounds every
-    sectional curvature at the points from above and is attained for
-    every target kind in this module; the least is nonnegative exactly
-    when every sectional curvature there is.  The witness is the first
-    point that reaches the greatest, with the plane of the two leading
-    singular vectors of its top eigenvector read as a skew k x k
-    matrix.  A target of constant curvature returns its constant for
-    both, with no eigensolve.
+    Returns (least, greatest, the first point that reaches the
+    greatest), from the target's closed-form `sec_range`.  The greatest
+    is the largest sectional curvature at the points; the least is
+    nonnegative exactly when every sectional curvature there is.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.size == 0:
@@ -498,32 +444,18 @@ def curvature_bounds(target, points):
             f"points have ambient dimension {pts.shape[-1]}, expected {target.m}"
         )
     res = target.constraint_residual(pts)
-    if np.max(res) > ON_TARGET_TOL:
+    if not np.all(res <= ON_TARGET_TOL):
         raise ChartDomainError(
             f"point set contains off-target points (max residual {np.max(res):.3e})"
         )
-
-    if target.constant_sec is not None:
-        q = pts[0]
-        T = tangent_basis(target, q)
-        value = float(target.constant_sec)
-        return value, value, CurvatureSample(q, T[:, 0], T[:, 1], value)
-
-    R, T = curvature_operator(target, pts)
-    lam, vec = np.linalg.eigh(R)
-    b = int(np.argmax(lam[:, -1]))
-    value = float(lam[b, -1])
-    W = np.zeros((target.dim, target.dim))
-    W[np.triu_indices(target.dim, 1)] = vec[b, :, -1]
-    U = np.linalg.svd(W - W.T)[0]
-    X, Y = (T[b] @ U[:, :2]).T
-    return float(lam[:, 0].min()), value, CurvatureSample(pts[b], X, Y, value)
+    least, greatest = target.sec_range(pts)
+    b = int(np.argmax(greatest))
+    return float(np.min(least)), float(greatest[b]), pts[b]
 
 
 def sec_max_over_region(target, points):
     """Maximum sectional curvature over all 2-planes at the given points.
 
-    Returns (value, CurvatureSample witness), the greatest eigenvalue
-    of the curvature operator and its witness from `curvature_bounds`.
+    Returns (value, witness point) from `curvature_bounds`.
     """
     return curvature_bounds(target, points)[1:]

@@ -17,7 +17,6 @@ from bochnerlab.catalog import parse_domain, parse_target
 from bochnerlab.cli import main
 from bochnerlab.domains import FlatTorus2, ricci_min
 from bochnerlab.maps import DiscreteMap, catalog_map, load_map, save_map
-from bochnerlab.rigidity import image_points
 from bochnerlab.targets import Ellipsoid, sec_max_over_region
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
@@ -77,8 +76,9 @@ class TestVerify:
         assert rc == 0
         f = load_map(str(path))
         data = compute_bochner(f)
-        # the node CSV takes Sec_max over the report's image points
-        sec_max = max(sec_max_over_region(f.target, image_points(f))[0], 0.0)
+        # the node CSV takes Sec_max over every image node, as the report does
+        nodes = f.values.reshape(-1, f.target.m)
+        sec_max = max(sec_max_over_region(f.target, nodes)[0], 0.0)
         _, _, slack = pinching_bound_fields(f, ricci_min(f.domain)[0], sec_max, data)
         lines = csv.read_text().splitlines()
         assert lines[0].split(",")[2:] == [
@@ -100,8 +100,8 @@ class TestVerify:
 
     def test_node_csv_slack_uses_the_reports_sec_max(self, tmp_path):
         # a band map T^2 -> ellipsoid(1,1,2) whose highest image point
-        # sits in an odd column: the report's image points (every second
-        # node of 2304) miss it, so every node gives a larger Sec_max
+        # sits in an odd column: the report reads every node, so its
+        # Sec_max is the one every node gives
         dom = FlatTorus2(a=1, b=1, n1=48, n2=48)
         U, V = dom.chart_grid()
         z = 0.2 * np.sin(V + dom.spacing[1])
@@ -115,7 +115,7 @@ class TestVerify:
         sec_max = json.loads(out.read_text())["report"]["sec_max_image"]
         f = load_map(str(path))
         every_node = sec_max_over_region(f.target, f.values.reshape(-1, 3))[0]
-        assert 0 < sec_max < every_node
+        assert 0 < sec_max == every_node
         _, _, slack = pinching_bound_fields(
             f, ricci_min(f.domain)[0], sec_max, compute_bochner(f)
         )
@@ -331,6 +331,20 @@ class TestExitCodes:
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         assert exit_code(argv) == 2
         assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            ["--target", "sphere:r=nan"],
+            ["--domain", "torus:a=inf,b=1"],
+            ["--target", "euclid:m=inf"],
+            ["--target", "euclid:m=2.5"],
+        ],
+        ids=["nan-radius", "inf-side", "inf-dimension", "fractional-dimension"],
+    )
+    def test_bad_descriptor_value_is_a_usage_error(self, descriptor):
+        argv = ["report", "--map", "constant", "--resolution", "8"] + descriptor
+        assert exit_code(argv) == 2
 
     def test_config_value_passes_the_flag_check(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -46,7 +46,7 @@ def test_curvature_extremizers():
     assert "S^2(2): sec = 0.250000" in out
     assert "ellipsoid(1,1,2) at pole: K = 4.000000" in out
     assert "ellipsoid(1,1,2) at equator: K = 0.250000" in out
-    assert "S^2(1) x S^2(2) curvature-operator maximum: 1.00000000" in out
+    assert "S^2(1) x S^2(2) sample Sec_max: 1.00000000" in out
 
 
 def test_equality_family():

@@ -83,24 +83,6 @@ class TestReport:
         assert isinstance(d["resolution"], list)
 
 
-    def test_constant_map_sends_one_image_point(self, monkeypatch):
-        from bochnerlab import targets
-
-        sizes = []
-        original = targets.curvature_operator
-
-        def recorded(target, q):
-            sizes.append(np.shape(q)[0])
-            return original(target, q)
-
-        monkeypatch.setattr(targets, "curvature_operator", recorded)
-        dom = RoundSphere2(r=1.0, n1=48, n2=96)
-        rep = build_report(catalog_map("constant", dom, Ellipsoid(a=1, b=1, c=2)))
-        assert rep.is_constant
-        # Sec_max and the curvature-sign certificate share one operator
-        assert sizes == [1]
-
-
 class TestPassCounts:
     def test_report_reads_the_spectrum_only(self, count_calls):
         from bochnerlab import bochner

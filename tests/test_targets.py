@@ -1,9 +1,10 @@
 """Embedded targets: projection, second fundamental form, sectional
-curvature (with independent oracles), the curvature operator and the
-region extremizer built on it."""
+curvature (with independent oracles), the closed-form curvature range
+against the curvature operator, and the region extremizer."""
 
 import numpy as np
 import pytest
+from curvature_oracle import curvature_operator, gauss_sectional_fd, tangent_basis
 
 from bochnerlab.errors import (
     ChartDomainError,
@@ -12,18 +13,14 @@ from bochnerlab.errors import (
     UsageError,
 )
 from bochnerlab.targets import (
-    CurvatureSample,
     Ellipsoid,
     Euclidean,
     FlatTorusEmb,
     ProductSpheres,
     Sphere,
-    curvature_operator,
-    gauss_sectional_fd,
     sec_max_over_region,
     sectional_batch,
     sectional_curvature,
-    tangent_basis,
 )
 
 ALL_TARGETS = [
@@ -188,14 +185,23 @@ class TestSectionalOracles:
                 tgt, q, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
             )
 
+    @pytest.mark.parametrize("tgt", [Sphere(), Ellipsoid()], ids=lambda t: t.kind)
+    def test_nan_point_rejected(self, tgt):
+        # a NaN residual compares False against the tolerance either way
+        q = np.array([np.nan, 0.0, 2.0])
+        with pytest.raises(ChartDomainError):
+            sectional_curvature(
+                tgt, q, np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+            )
+
 
 class TestSecMaxExtremizer:
     def test_sphere_constant(self):
         tgt = Sphere(k=2, r=2.0)
         pts = on_target_points(tgt, 32)
-        val, sample = sec_max_over_region(tgt, pts)
+        val, point = sec_max_over_region(tgt, pts)
         assert val == pytest.approx(0.25, abs=1e-12)
-        assert isinstance(sample, CurvatureSample)
+        np.testing.assert_array_equal(point, pts[0])
 
     def test_ellipsoid_pole_vs_equator(self):
         tgt = Ellipsoid(a=1, b=1, c=2)
@@ -217,15 +223,22 @@ class TestSecMaxExtremizer:
     def test_deterministic(self):
         tgt = ProductSpheres(r1=1.0, r2=2.0)
         pts = on_target_points(tgt, 32, seed=9)
-        v1, s1 = sec_max_over_region(tgt, pts)
-        v2, s2 = sec_max_over_region(tgt, pts)
+        v1, p1 = sec_max_over_region(tgt, pts)
+        v2, p2 = sec_max_over_region(tgt, pts)
         assert v1 == v2
-        np.testing.assert_array_equal(s1.X, s2.X)
+        np.testing.assert_array_equal(p1, p2)
 
     def test_empty_region_rejected(self):
         tgt = Sphere(k=2, r=1.0)
         with pytest.raises(UsageError):
             sec_max_over_region(tgt, np.empty((0, 3)))
+
+    def test_nan_point_rejected(self):
+        tgt = Ellipsoid(a=1, b=1, c=2)
+        pts = on_target_points(tgt, 8)
+        pts[3, 0] = np.nan
+        with pytest.raises(ChartDomainError):
+            sec_max_over_region(tgt, pts)
 
 
 class TestCurvatureOperator:
@@ -269,25 +282,27 @@ class TestCurvatureOperator:
             assert np.all(sec[ok] <= lam[ok, -1] + tol)
             assert np.all(sec[ok] >= lam[ok, 0] - tol)
 
-    @pytest.mark.parametrize("r2", [2.0, 1.0])
-    def test_witness_plane_attains_product_maximum(self, r2):
-        # pure first-factor planes carry 1; with r2 = 1 the top
-        # eigenvalue is double and its eigenvector may mix both factors
-        tgt = ProductSpheres(r1=1.0, r2=r2)
-        for q in on_target_points(tgt, 32, seed=16):
-            val, w = sec_max_over_region(tgt, q[None])
-            assert val == pytest.approx(1.0, abs=1e-12)
-            assert sectional_curvature(tgt, w.point, w.X, w.Y) == pytest.approx(
-                val, abs=1e-12
-            )
-            np.testing.assert_allclose(
-                [w.X @ w.X, w.Y @ w.Y, w.X @ w.Y], [1.0, 1.0, 0.0], atol=1e-12
-            )
-
     def test_nonnegative_on_every_target(self):
         for tgt in ALL_TARGETS:
             R = curvature_operator(tgt, on_target_points(tgt, 8, seed=17))[0]
             assert np.linalg.eigvalsh(R).min() >= -1e-10
+
+
+@pytest.mark.parametrize(
+    "tgt",
+    ALL_TARGETS
+    + [Ellipsoid(a=1, b=2, c=3), ProductSpheres(r1=1.0, r2=1.0)],
+    ids=lambda t: t.descriptor(),
+)
+def test_sec_range_matches_the_curvature_operator(tgt):
+    q = on_target_points(tgt, 16, seed=18)
+    if tgt.kind == "ellipsoid":
+        axes = np.diag([tgt.a, tgt.b, tgt.c])  # its poles and equator points
+        q = np.concatenate([q, axes, -axes])
+    lam = np.linalg.eigvalsh(curvature_operator(tgt, q)[0])
+    least, greatest = tgt.sec_range(q)
+    np.testing.assert_allclose(least, lam[:, 0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(greatest, lam[:, -1], rtol=0, atol=1e-12)
 
 
 class TestConstruction:
