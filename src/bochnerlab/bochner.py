@@ -79,10 +79,9 @@ def target_term_field(f, J):
     t1 = np.zeros(q.shape[:2])
     t2 = np.zeros(q.shape[:2])
     # accumulate one term at a time over i, then j, then the ambient
-    # index m: np.einsum's order for the dense contraction
-    # g^ia g^jb A_iam A_jbm, so the sums match it bit for bit and the
-    # output files stay byte-stable (summing over m first with np.sum
-    # changes the last bits)
+    # index m: the order of the dense contraction g^ia g^jb A_iam A_jbm
+    # that the output files were first written with (summing over m
+    # first with np.sum changes the last bits)
     for i in range(2):
         for j in range(2):
             w = ginv[..., i] * ginv[..., j]
@@ -93,24 +92,19 @@ def target_term_field(f, J):
 
 
 def target_term_diagonal_field(f, J, lam, vecs):
-    """Eigenframe evaluation: 2 sum_{a<b} Sec(u_a, u_b) lam_a lam_b.
+    """Eigenframe evaluation: 2 Sec(u_1, u_2) lam_1 lam_2.
 
-    lam and vecs are the ascending eigenvalues and g-orthonormal
-    eigenvectors of the pullback metric, u_a = J vecs_a.  Summands with
-    lam_a lam_b below the degeneracy cutoff are dropped (their weight
-    vanishes).  Cross-check path for target_term_field.
+    lam and vecs are the ascending eigenvalue pair and g-orthonormal
+    eigenvectors of the pullback metric, u_a = J vecs_a.  Where
+    lam_1 lam_2 is below the degeneracy cutoff the term is 0 (its
+    weight vanishes).  Cross-check path for target_term_field.
     """
-    n = lam.shape[-1]
-    out = np.zeros(lam.shape[:-1])
-    for a in range(n):
-        for b in range(a + 1, n):
-            w = lam[..., a] * lam[..., b]
-            ua = np.einsum("...mi,...i->...m", J, vecs[..., :, a])
-            ub = np.einsum("...mi,...i->...m", J, vecs[..., :, b])
-            sec = sectional_batch(f.target, f.values, ua, ub)
-            sec = np.nan_to_num(sec, nan=0.0, posinf=0.0, neginf=0.0)
-            out += np.where(w > DEGENERATE_PAIR_TOL, 2.0 * sec * w, 0.0)
-    return out
+    w = lam[..., 0] * lam[..., 1]
+    ua, ub = (J[..., 0] * vecs[..., 0, a, None] + J[..., 1] * vecs[..., 1, a, None]
+              for a in range(2))
+    sec = sectional_batch(f.target, f.values, ua, ub)
+    sec = np.nan_to_num(sec, nan=0.0, posinf=0.0, neginf=0.0)
+    return np.where(w > DEGENERATE_PAIR_TOL, 2.0 * sec * w, 0.0)
 
 
 class _PassField:
@@ -172,7 +166,7 @@ class BochnerData:
     @cached_property
     def hess(self):
         """|H|^2."""
-        return read_only(hessian_field(self.f)[1])
+        return read_only(hessian_field(self.f))
 
     @cached_property
     def lap(self):
@@ -218,7 +212,7 @@ def integral_identity_residual(f):
     carrying the O(h^2) bias of the pointwise fields.
     """
     J = jacobian_field(f, accuracy=6)
-    _, hess = hessian_field(f, accuracy=6)
+    hess = hessian_field(f, accuracy=6)
     Q = ricci_term_field(f, pullback_field(J)) - target_term_field(f, J)
     w = f.domain.high_order_weight_grid()
     return float(np.sum((hess + Q) * w))

@@ -3,8 +3,9 @@
 Grammar: ``kind`` or ``kind:key=val,key=val`` with numeric values, e.g.
 ``torus:a=1,b=1``, ``sphere:r=2``, ``ellipsoid:a=1,b=1,c=2``,
 ``prodspheres:r1=1,r2=2``, ``euclid:m=3``, ``cap:amplitude=0.3``.
-Unknown kinds, unknown keys, non-finite values and non-integer
-dimensions are rejected.
+Unknown kinds, unknown keys, non-finite values, non-integer
+dimensions and targets in more than MAX_AMBIENT_DIM ambient dimensions
+are rejected.
 """
 
 from __future__ import annotations
@@ -14,6 +15,10 @@ import math
 from .domains import FlatTorus2, RoundSphere2
 from .errors import UsageError
 from .targets import Ellipsoid, Euclidean, FlatTorusEmb, ProductSpheres, Sphere
+
+# every node field of a map holds m floats per node, so a larger ambient
+# dimension only exhausts memory (the catalog's targets need at most 6)
+MAX_AMBIENT_DIM = 64
 
 
 def parse_descriptor(text):
@@ -78,7 +83,15 @@ def parse_domain(text, n1=64, n2=None):
 
 def parse_target(text):
     """Build a target manifold from a descriptor."""
-    kind, params = parse_descriptor(text)
+    target = _target(*parse_descriptor(text))
+    if target.m > MAX_AMBIENT_DIM:
+        raise UsageError(
+            f"{text!r} has an ambient dimension above MAX_AMBIENT_DIM = {MAX_AMBIENT_DIM}"
+        )
+    return target
+
+
+def _target(kind, params):
     if kind == "euclid":
         m = _take_int(params, "m", 3.0)
         _done(kind, params)

@@ -1,11 +1,14 @@
 """Discrete maps between a domain grid and an embedded target.
 
 A map is its grid of ambient target values.  First- and second-order
-data (Jacobian, pullback spectrum, tension, second fundamental form of
-the map) come from central differences on the chart grid followed by
-tangent projection at the image point.  The pointwise calculus uses
-second-order stencils; `accuracy=6` selects 7-point ones where a
-quadrature needs a smaller truncation error.
+data (Jacobian, pullback metric, tension, |H|^2 of the second
+fundamental form of the map) come from central differences on the
+chart grid followed by the target's matrix-free `tangent_part` at the
+image point; no m x m projector is formed.  The chart metric is
+diagonal, so every contraction over the two chart directions is a sum
+of elementwise products.  The pointwise calculus uses second-order
+stencils; `accuracy=6` selects 7-point ones where a quadrature needs a
+smaller truncation error.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 from .catalog import parse_descriptor, parse_domain, parse_target
 from .domains import FlatTorus2, RoundSphere2
 from .errors import NumericalError, UsageError
-from .numerics import read_only
+from .numerics import dot, read_only
 
 
 @dataclass(frozen=True)
@@ -28,7 +31,7 @@ class DiscreteMap:
     values has shape (n1, n2, m) and always lies on the target: the
     constructor reprojects through the closest-point map.  The values
     are read-only, so the tension and energy density are cached; the
-    Jacobian and projector are not (16 MB per map at 256x512).
+    Jacobian is not (6 MB per map at 256x512 into R^3).
     """
 
     domain: object
@@ -49,14 +52,13 @@ class DiscreteMap:
     @cached_property
     def tension(self):
         lap = self.domain.laplace_beltrami(self.values)
-        P = self.target.tangent_projector(self.values)
-        return read_only(np.einsum("...ab,...b->...a", P, lap))
+        return read_only(self.target.tangent_part(self.values, lap))
 
     @cached_property
     def energy_density(self):
         J = jacobian_field(self)
         ginv = self.domain.inv_metric_diag_grid()
-        S = sum(ginv[..., d] * np.sum(J[..., :, d] ** 2, axis=-1) for d in range(2))
+        S = sum(ginv[..., d] * dot(J[..., d], J[..., d]) for d in range(2))
         return read_only(S / 2.0)
 
     def with_values(self, values):
@@ -237,17 +239,25 @@ def derivative(domain, F, axis, order=1, accuracy=2):
 
 
 def jacobian_field(f, accuracy=2):
-    """Tangent-projected chart Jacobian, shape (n1, n2, m, 2)."""
+    """Tangent-projected chart Jacobian, shape (n1, n2, m, 2).
+
+    Both chart derivatives go through one `tangent_part` call; the
+    result is a view whose columns J[..., i] are contiguous.
+    """
     du = derivative(f.domain, f.values, 0, accuracy=accuracy)
     dv = derivative(f.domain, f.values, 1, accuracy=accuracy)
-    J = np.stack([du, dv], axis=-1)
-    P = f.target.tangent_projector(f.values)
-    return P @ J
+    rows = f.target.tangent_part(f.values[..., None, :], np.stack([du, dv], axis=-2))
+    return np.swapaxes(rows, -1, -2)
 
 
 def pullback_field(J):
-    """Chart components J^T J of the pullback metric f*gbar."""
-    return np.swapaxes(J, -1, -2) @ J
+    """Chart components of the pullback metric f*gbar, shape (..., 2, 2).
+
+    E, F and G are the dot products of the two Jacobian columns.
+    """
+    Ju, Jv = J[..., 0], J[..., 1]
+    E, F, G = dot(Ju, Ju), dot(Ju, Jv), dot(Jv, Jv)
+    return np.stack([np.stack([E, F], axis=-1), np.stack([F, G], axis=-1)], axis=-2)
 
 
 def spectrum(lam):
@@ -276,35 +286,34 @@ def tension_field(f):
 
 
 def hessian_field(f, accuracy=2):
-    """Second fundamental form of the map and its squared norm.
+    """Squared norm |H|^2 of the second fundamental form of the map.
 
-    Returns (H, norm2) with H of shape (n1, n2, 2, 2, m):
     H_ij = P(f) (d_i d_j f - Gamma^k_ij d_k f), the chart derivatives
     taken with stencils of the given accuracy.  The chart is a warped
     product, so H_uu = f_uu, H_uv = H_vu = f_uv - Gamma^v_uv f_v and
-    H_vv = f_vv - Gamma^u_vv f_u before the projection.
+    H_vv = f_vv - Gamma^u_vv f_u before the projection, and the metric
+    is diagonal, so |H|^2 = sum_ij g^ii g^jj |H_ij|^2.  Each component
+    is projected and added in as soon as it is taken, so only a few
+    node fields are held at once and H itself is never formed.
     """
     dom = f.domain
     v = f.values
     G = dom.christoffel_grid()  # (Gamma^u_vv, Gamma^v_uv)
-    # each derivative goes into H as soon as it is taken, so only a
-    # few of them are held at once
-    H = np.empty(v.shape[:2] + (2, 2) + v.shape[-1:])
-    H[..., 0, 0, :] = derivative(dom, v, 0, 2, accuracy)
+    ginv = dom.inv_metric_diag_grid()
+
+    def sq(Hij):
+        Hij = f.target.tangent_part(v, Hij)
+        return dot(Hij, Hij)
+
+    norm2 = ginv[..., 0] * ginv[..., 0] * sq(derivative(dom, v, 0, 2, accuracy))
     fv = derivative(dom, v, 1, 1, accuracy)
     fuv = derivative(dom, fv, 0, 1, accuracy)
-    H[..., 0, 1, :] = H[..., 1, 0, :] = fuv - G[..., 1, None] * fv
+    norm2 += 2.0 * ginv[..., 0] * ginv[..., 1] * sq(fuv - G[..., 1, None] * fv)
     del fv, fuv
     fvv = derivative(dom, v, 1, 2, accuracy)
-    H[..., 1, 1, :] = fvv - G[..., 0, None] * derivative(dom, v, 0, 1, accuracy)
-    P = f.target.tangent_projector(v)
-    H = np.einsum("...ab,...ijb->...ija", P, H)
-    ginv = dom.inv_metric_diag_grid()
-    norm2 = np.zeros(v.shape[:2])
-    for i in range(2):
-        for j in range(2):
-            norm2 += ginv[..., i] * ginv[..., j] * np.sum(H[..., i, j, :] ** 2, axis=-1)
-    return H, norm2
+    fu = derivative(dom, v, 0, 1, accuracy)
+    norm2 += ginv[..., 1] * ginv[..., 1] * sq(fvv - G[..., 0, None] * fu)
+    return norm2
 
 
 # -- serialization -----------------------------------------------------------

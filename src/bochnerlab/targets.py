@@ -1,7 +1,9 @@
 """Target manifolds as isometrically embedded submanifolds of R^m.
 
-Every target exposes a tangent projector P(q), a closest-point map onto
-the submanifold, and an analytic second fundamental form A(X, Y).
+Every target exposes the tangent part P(q) V of ambient vectors V
+(`tangent_part`, matrix-free: V less its components along the unit
+normals at q), a closest-point map onto the submanifold, and an
+analytic second fundamental form A(X, Y).
 Ambient space is flat, so sectional curvature comes from the Gauss
 equation
 
@@ -28,6 +30,7 @@ from .errors import (
     NumericalError,
     UsageError,
 )
+from .numerics import dot
 
 ON_TARGET_TOL = 1e-8
 PROJECTION_MAX_ITER = 50
@@ -44,7 +47,25 @@ def _finite_norm(x):
     return nrm
 
 
-class _ConstantCurvature:
+def _drop_normal(n, V):
+    """V less its component along the unit vector n, over the last axis."""
+    return V - n * dot(n, V)[..., None]
+
+
+class _Target:
+    """What every target derives from its own `tangent_part(q, V)`, which
+    returns P(q) V along V's last axis, q broadcast against V."""
+
+    def tangent_projector(self, q):
+        """Dense projector P(q), shape q.shape[:-1] + (m, m).
+
+        For tests and tools; the library projects with `tangent_part`.
+        """
+        q = np.asarray(q, dtype=float)
+        return self.tangent_part(q[..., None, :], np.eye(self.m))
+
+
+class _ConstantCurvature(_Target):
     """A target whose curvature operator is constant_sec times the identity."""
 
     def sec_range(self, q):
@@ -80,9 +101,8 @@ class Euclidean(_ConstantCurvature):
     def closest_point(self, x):
         return np.asarray(x, dtype=float).copy()
 
-    def tangent_projector(self, q):
-        q = np.asarray(q, dtype=float)
-        return np.broadcast_to(np.eye(self.m), q.shape[:-1] + (self.m, self.m)).copy()
+    def tangent_part(self, q, V):
+        return np.broadcast_to(V, np.broadcast_shapes(np.shape(q), np.shape(V)))
 
     def second_fundamental(self, q, X, Y):
         X = np.asarray(X, dtype=float)
@@ -133,10 +153,8 @@ class Sphere(_ConstantCurvature):
             raise NumericalError("closest-point map undefined at the origin")
         return self.r * x / nrm
 
-    def tangent_projector(self, q):
-        q = np.asarray(q, dtype=float)
-        eye = np.eye(self.m)
-        return eye - q[..., :, None] * q[..., None, :] / self.r**2
+    def tangent_part(self, q, V):
+        return _drop_normal(np.asarray(q, dtype=float) / self.r, V)
 
     def second_fundamental(self, q, X, Y):
         q = np.asarray(q, dtype=float)
@@ -196,16 +214,13 @@ class FlatTorusEmb(_ConstantCurvature):
         p = p * (np.asarray(self.radii)[:, None] / nrm)
         return p.reshape(x.shape)
 
-    def tangent_projector(self, q):
+    def tangent_part(self, q, V):
+        # one unit normal per circle pair
         q = np.asarray(q, dtype=float)
-        p = self._pairs(q)
-        rho2 = np.square(self.radii)
-        P = np.zeros(q.shape[:-1] + (self.m, self.m))
-        for i in range(self.k):
-            s = slice(2 * i, 2 * i + 2)
-            blk = np.eye(2) - p[..., i, :, None] * p[..., i, None, :] / rho2[i]
-            P[..., s, s] = blk
-        return P
+        V = np.asarray(V, dtype=float)
+        n = self._pairs(q) / np.asarray(self.radii)[:, None]
+        out = _drop_normal(n, self._pairs(V))
+        return out.reshape(out.shape[:-2] + (self.m,))
 
     def second_fundamental(self, q, X, Y):
         q = np.asarray(q, dtype=float)
@@ -225,7 +240,7 @@ class FlatTorusEmb(_ConstantCurvature):
 
 
 @dataclass(frozen=True)
-class Ellipsoid:
+class Ellipsoid(_Target):
     """Surface x^2/a^2 + y^2/b^2 + z^2/c^2 = 1 in R^3."""
 
     a: float = 1.0
@@ -278,25 +293,20 @@ class Ellipsoid:
                 raise NumericalError("ellipsoid projection did not converge")
         return p / (1.0 + mu[..., None] * w)
 
-    def _unit_normal(self, q):
-        q = np.asarray(q, dtype=float)
-        grad = self._w * q
-        return grad / np.linalg.norm(grad, axis=-1, keepdims=True)
-
-    def tangent_projector(self, q):
-        n = self._unit_normal(q)
-        return np.eye(3) - n[..., :, None] * n[..., None, :]
+    def tangent_part(self, q, V):
+        # the unit normal is W q / |W q|, W = diag(a, b, c)^-2
+        grad = self._w * np.asarray(q, dtype=float)
+        return _drop_normal(grad / np.linalg.norm(grad, axis=-1, keepdims=True), V)
 
     def second_fundamental(self, q, X, Y):
-        # A(X, Y) = -n <W X, Y> / |W q| for tangent X, Y
+        # A(X, Y) = -n <W X, Y> / |W q| for tangent X, Y, n = W q / |W q|
         q = np.asarray(q, dtype=float)
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
         w = self._w
-        grad_norm = np.linalg.norm(w * q, axis=-1)
-        n = self._unit_normal(q)
-        coef = -np.sum(w * X * Y, axis=-1) / grad_norm
-        return coef[..., None] * n
+        grad_norm = np.linalg.norm(w * q, axis=-1, keepdims=True)
+        coef = -np.sum(w * X * Y, axis=-1, keepdims=True) / grad_norm
+        return coef * (w * q / grad_norm)
 
     def sec_range(self, q):
         # Gauss curvature 1/(a^2 b^2 c^2 h^4), h^2 = x^2/a^4 + y^2/b^4 + z^2/c^4
@@ -312,7 +322,7 @@ class Ellipsoid:
 
 
 @dataclass(frozen=True)
-class ProductSpheres:
+class ProductSpheres(_Target):
     """S^2(r1) x S^2(r2) embedded in R^6 with the product metric."""
 
     r1: float = 1.0
@@ -347,13 +357,17 @@ class ProductSpheres:
             [s1.closest_point(x[..., :3]), s2.closest_point(x[..., 3:])], axis=-1
         )
 
-    def tangent_projector(self, q):
+    def tangent_part(self, q, V):
         q = np.asarray(q, dtype=float)
+        V = np.asarray(V, dtype=float)
         s1, s2 = self._factors()
-        P = np.zeros(q.shape[:-1] + (6, 6))
-        P[..., :3, :3] = s1.tangent_projector(q[..., :3])
-        P[..., 3:, 3:] = s2.tangent_projector(q[..., 3:])
-        return P
+        return np.concatenate(
+            [
+                s1.tangent_part(q[..., :3], V[..., :3]),
+                s2.tangent_part(q[..., 3:], V[..., 3:]),
+            ],
+            axis=-1,
+        )
 
     def second_fundamental(self, q, X, Y):
         q = np.asarray(q, dtype=float)

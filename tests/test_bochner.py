@@ -15,6 +15,7 @@ from bochnerlab.bochner import (
 )
 from bochnerlab.domains import FlatTorus2, RoundSphere2
 from bochnerlab.errors import HypothesisViolationError, UsageError
+from bochnerlab.flow import FlowParams, run_flow
 from bochnerlab.maps import (
     catalog_map,
     constant_map,
@@ -24,7 +25,14 @@ from bochnerlab.maps import (
     spectrum,
 )
 from bochnerlab.numerics import gen_eigh
-from bochnerlab.targets import Euclidean, FlatTorusEmb, Sphere
+from bochnerlab.rigidity import build_report
+from bochnerlab.targets import (
+    Ellipsoid,
+    Euclidean,
+    FlatTorusEmb,
+    ProductSpheres,
+    Sphere,
+)
 
 
 def sphere_map(name, n1=64, r=1.0):
@@ -206,7 +214,7 @@ class TestLazyFields:
             (data.ricci, ricci_term_field(f, P)),
             (data.target, target_term_field(f, J)),
             (data.target_frame, target_term_diagonal_field(f, J, lam, vecs)),
-            (data.hess, hessian_field(f)[1]),
+            (data.hess, hessian_field(f)),
             (data.lam, lam_desc), (data.S, S), (data.e, e),
         ):
             np.testing.assert_array_equal(got, want)
@@ -239,3 +247,24 @@ class TestLazyFields:
             data.S[0, 0] = 1.0
         with pytest.raises(ValueError):
             data.residual[0, 0] = 1.0
+
+
+def test_no_dense_projector_is_built(count_calls):
+    # the library projects with tangent_part; tangent_projector is
+    # for tests and tools
+    classes = (Euclidean, Sphere, FlatTorusEmb, Ellipsoid, ProductSpheres)
+    counts = [count_calls(cls, ("tangent_projector",)) for cls in classes]
+    f = sphere_map("holomorphic:k=2", n1=16)
+    data = compute_bochner(f)
+    for name in FIELDS:
+        getattr(data, name)
+    build_report(sphere_map("scaling", n1=16, r=2.0))
+    for tgt in (Euclidean(m=4), FlatTorusEmb(radii=(1.0, 0.7)),
+                Ellipsoid(a=1.0, b=2.0, c=3.0), ProductSpheres(r1=1.0, r2=2.0)):
+        build_report(constant_map(f.domain, tgt))
+    integral_identity_residual(f)
+    torus = FlatTorus2(a=1.0, b=1.0, n1=16, n2=16)
+    run_flow(catalog_map("cap:amplitude=0.3", torus, Sphere()), FlowParams(max_steps=3))
+    assert [c["tangent_projector"] for c in counts] == [0] * len(classes)
+    f.target.tangent_projector(f.values)  # the counter does count
+    assert counts[1]["tangent_projector"] == 1

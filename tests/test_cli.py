@@ -16,6 +16,7 @@ from bochnerlab.bochner import compute_bochner, pinching_bound_fields
 from bochnerlab.catalog import parse_domain, parse_target
 from bochnerlab.cli import main
 from bochnerlab.domains import FlatTorus2, ricci_min
+from bochnerlab.errors import UsageError
 from bochnerlab.maps import DiscreteMap, catalog_map, load_map, save_map
 from bochnerlab.targets import Ellipsoid, sec_max_over_region
 
@@ -344,6 +345,22 @@ class TestExitCodes:
     )
     def test_bad_descriptor_value_is_a_usage_error(self, descriptor):
         argv = ["report", "--map", "constant", "--resolution", "8"] + descriptor
+        assert exit_code(argv) == 2
+
+    @pytest.mark.parametrize("m", ["1e300", "1e6"])
+    def test_oversized_ambient_dimension_fails_at_parse_time(self, monkeypatch, m):
+        # refused before any map is built: numpy cannot allocate 1e300
+        # columns, and 1e6 would allocate until the process is killed
+        def refused(*args):
+            raise AssertionError("a map was built")
+
+        monkeypatch.setattr("bochnerlab.cli.catalog_map", refused)
+        with pytest.raises(UsageError):
+            parse_target(f"euclid:m={m}")
+        with pytest.raises(UsageError):
+            parse_target(f"sphere:k={m}")
+        argv = ["report", "--map", "constant", "--target", f"euclid:m={m}",
+                "--resolution", "16"]
         assert exit_code(argv) == 2
 
     def test_config_value_passes_the_flag_check(self, tmp_path):

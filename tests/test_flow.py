@@ -95,16 +95,17 @@ class TestRun:
         assert summary.outcome == "collapsed_to_constant"
 
     def test_step_builds_two_projectors(self, monkeypatch):
-        # per step: the tension of the map and the energy of the
-        # candidate; plus the initial energy and the final tension
+        # two tangent projections per step: the tension of the map and
+        # the energy of the candidate; plus the initial energy and the
+        # final tension
         calls = []
-        original = Sphere.tangent_projector
+        original = Sphere.tangent_part
 
-        def counted(self, q):
+        def counted(self, q, V):
             calls.append(q.shape)
-            return original(self, q)
+            return original(self, q, V)
 
-        monkeypatch.setattr(Sphere, "tangent_projector", counted)
+        monkeypatch.setattr(Sphere, "tangent_part", counted)
         n = 7
         f, summary = run_flow(cap(), FlowParams(max_steps=n))
         assert summary.steps == n and summary.outcome == "max_steps"

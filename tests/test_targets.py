@@ -87,6 +87,61 @@ class TestEmbeddingBasics:
         assert np.max(np.abs(tangential)) < 1e-9
 
 
+def unit_normals(target, q):
+    """Orthonormal normal fields of the target at q, one (B, m) array each,
+    written out per kind independently of the library."""
+    zero = np.zeros_like(q)
+    if target.kind == "euclid":
+        return []
+    if target.kind == "sphere":
+        return [q / target.r]
+    if target.kind == "ellipsoid":
+        grad = q / np.array([target.a, target.b, target.c]) ** 2
+        return [grad / np.linalg.norm(grad, axis=-1, keepdims=True)]
+    if target.kind == "torusemb":
+        normals = []
+        for i, rho in enumerate(target.radii):
+            n = zero.copy()
+            n[:, 2 * i:2 * i + 2] = q[:, 2 * i:2 * i + 2] / rho
+            normals.append(n)
+        return normals
+    n1, n2 = zero.copy(), zero.copy()
+    n1[:, :3] = q[:, :3] / target.r1
+    n2[:, 3:] = q[:, 3:] / target.r2
+    return [n1, n2]
+
+
+PROJECTION_TARGETS = ALL_TARGETS + [
+    Ellipsoid(a=1.0, b=2.0, c=3.0),
+    ProductSpheres(r1=1.0, r2=1.0),
+]
+
+
+@pytest.mark.parametrize("target", PROJECTION_TARGETS, ids=lambda t: t.descriptor())
+class TestTangentPart:
+    def test_matches_the_dense_projector(self, target):
+        q = on_target_points(target, seed=4)
+        P = np.broadcast_to(np.eye(target.m), (len(q), target.m, target.m))
+        for n in unit_normals(target, q):
+            P = P - n[:, :, None] * n[:, None, :]
+        V = np.random.default_rng(5).standard_normal((q.shape[0], 3, target.m))
+        want = np.einsum("bij,bkj->bki", P, V)
+        got = target.tangent_part(q[:, None, :], V)
+        np.testing.assert_allclose(got, want, atol=1e-14)
+        np.testing.assert_allclose(target.tangent_projector(q), P, atol=1e-14)
+
+    def test_is_idempotent(self, target):
+        q = on_target_points(target, seed=6)
+        V = np.random.default_rng(7).standard_normal(q.shape)
+        PV = target.tangent_part(q, V)
+        np.testing.assert_allclose(target.tangent_part(q, PV), PV, atol=1e-14)
+
+    def test_annihilates_the_normals(self, target):
+        q = on_target_points(target, seed=8)
+        for n in unit_normals(target, q):
+            np.testing.assert_allclose(target.tangent_part(q, n), 0.0, atol=1e-14)
+
+
 class TestSectionalOracles:
     def test_sphere_matches_constant_curvature(self):
         # Gauss-equation path against the closed form 1/r^2
