@@ -332,7 +332,7 @@ def cmd_flow(ns):
         write_csv(
             ns.trace,
             ["step", "energy", "sup_tension", "image_diameter", "e_max"],
-            summary.trace,
+            ColumnRows(zip(*summary.trace)),
         )
     energies = np.asarray(summary.energies)
     monotone = bool(np.all(np.diff(energies) <= 1e-10))

@@ -2,9 +2,23 @@
 
 All floating-point values are serialized with 17 significant digits so
 identical runs produce identical bytes and values round-trip exactly.
+
+Numeric tables (the node CSV, the flow trace, map dumps) are held as
+`ColumnRows` and rendered a block of rows at a time by `fmt17_fields`,
+which writes whole arrays in numpy with the bytes `fmt17` gives each
+cell.  It scales |x| to a 17-digit integer in double-double arithmetic
+(Veltkamp split and Dekker product, Numer. Math. 18, 1971) with a
+correctly rounded two-double power of ten, rounds it half to even,
+and reads the digits from a 10^4-entry table.  A cell that is NaN,
+infinite, subnormal or outside [1e-270, 1e270] (zero excepted), or
+whose inexactly scaled value lies within `TIE_MARGIN` of a rounding
+tie, is formatted by `fmt17` on its own.  Tables of other cell types
+(the scan CSV) go through one %-template per row.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -56,6 +70,161 @@ def dump_json(obj, path):
         fh.write(json_dumps(obj))
 
 
+# -- the vectorised %.17g kernel ---------------------------------------------
+
+# A cell's field is FIELD bytes, four little-endian uint64 words: the
+# sign and the "0.000" of 1e-4 <= |x| < 1 in word 0, then 17 digits with
+# one slot for the point (bytes 8..25), "e+dd" or "e-ddd" (26..30) and
+# a byte left for a separator.  Unused bytes are NUL.
+FIELD = 32
+_TAIL = 26
+_LOW, _HIGH = 1e-270, 1e270  # the Veltkamp split stays finite in between
+_K = 280  # tables cover the decades -_K.._K
+# The scaled value is exact when 10**(16 - k) is (-6 <= k <= 16), and
+# otherwise exact to about 2^-47 absolute (relative error 2^-106 of a
+# value below 1e17, plus the rounding of a low part below 2^5), so an
+# inexact fraction this close to 1/2 may round either way.  A true tie
+# needs an exact power of ten: x * 10**p with p < 0 or p > 22 is never
+# a half-integer.
+TIE_MARGIN = 2.0**-40
+_SPLIT = 2.0**27 + 1.0
+
+
+def _pow10(p):
+    """10**p as a double pair hi + lo, each correctly rounded."""
+    if p >= 0:
+        n = 10**p
+        hi = float(n)
+        return hi, float(n - int(hi))
+    d = 10**-p
+    hi = 1 / d  # int / int is correctly rounded
+    num, den = hi.as_integer_ratio()
+    return hi, (den - num * d) / (den * d)
+
+
+def _split(a):
+    """Veltkamp: a = a1 + a2 exactly, each with at most 26 significant bits."""
+    c = _SPLIT * a
+    a1 = c - (c - a)
+    return a1, a - a1
+
+
+@functools.cache
+def _tables():
+    """Constants built on first use.
+
+    pow10: 10**(16 - k) as hi, lo and the split of hi, one array each,
+    indexed by k + _K.  frame: each decade's field words with its "0."
+    prefix or exponent; point and frac: the point's slot among the 18
+    and the number of digits after it.  masks[:, 18 * point + keep]:
+    the three body words that take the digit at their slot (A), the
+    three that take the digit before it (B) and the three holding the
+    point, when `keep` digits are shown.  quad: 4-digit ASCII groups as
+    integers, tz: their trailing zeros.
+    """
+    ks = range(-_K, _K + 1)
+    hi, lo = np.array([_pow10(16 - k) for k in ks]).T
+    pow10 = (hi, lo) + _split(hi)
+    frame = np.zeros((len(ks), FIELD), np.uint8)
+    point = np.empty(len(ks), np.int64)
+    frac = np.empty(len(ks), np.int64)
+    for i, k in enumerate(ks):
+        if -4 <= k < 0:
+            text = b"0." + b"0" * (-k - 1)
+            frame[i, 1:1 + len(text)] = np.frombuffer(text, np.uint8)
+            point[i], frac[i] = 17, 17
+        elif 0 <= k < 17:
+            point[i], frac[i] = k + 1, 16 - k
+        else:
+            text = b"e%+03d" % k
+            frame[i, _TAIL:_TAIL + len(text)] = np.frombuffer(text, np.uint8)
+            point[i], frac[i] = 1, 16
+    j, keep, slot = np.ogrid[:18, :18, :24]
+    masks = np.stack([
+        255 * ((slot < j) & (slot < keep)),
+        255 * ((slot > j) & (slot <= keep)),
+        46 * ((slot == j) & (j < keep)),
+    ], axis=2).astype(np.uint8).view("<u8").reshape(18 * 18, 9).T.copy()
+    n = np.arange(10000)
+    groups = 48 + np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
+    quad = groups.astype(np.uint8).view("<u4").ravel().astype(np.uint64)
+    tz = np.sum(np.cumprod(groups[:, ::-1] == 48, axis=1), axis=1)
+    return pow10, frame.view("<u8"), point, frac, masks, quad, tz
+
+
+def _scaled(a, i, pow10):
+    """a * 10**(16 - k) as p + e, p the rounded product and e its error."""
+    h, lo, h1, h2 = (np.take(t, i) for t in pow10)
+    p = a * h
+    a1, a2 = _split(a)
+    e = ((a1 * h1 - p) + a1 * h2 + a2 * h1) + a2 * h2  # Dekker: a*h - p
+    return p, e + a * lo
+
+
+def fmt17_fields(x):
+    """%.17g of each value of a float array, as (n, FIELD) NUL-padded bytes.
+
+    Deleting the NUL bytes of row i gives fmt17(x[i]); the last byte of
+    each row is NUL.  Zeros and normal values in [1e-270, 1e270] are
+    rendered in numpy; the rest, and values whose inexactly scaled
+    17-digit rounding lies within TIE_MARGIN of a tie, call fmt17.
+    """
+    x = np.ravel(np.asarray(x, dtype=float))
+    pow10, frame, point, frac, masks, quad, tz = _tables()
+    a = np.abs(x)
+    zero = a == 0.0
+    fast = (a >= _LOW) & (a <= _HIGH)
+    a = np.where(fast, a, 1.0)  # 0 is written as 1, then its digit fixed
+    i = np.floor(np.log10(a)).astype(np.int64) + _K  # decade k, offset
+    p, e = _scaled(a, i, pow10)
+    # log10 may miss the decade by one; decide it from the unrounded product
+    low = (p - 1e16) + e < 0.0
+    high = (p - 1e17) + e >= 0.0
+    moved = np.flatnonzero(low | high)
+    if moved.size:
+        i[moved] += high[moved].astype(np.int64) - low[moved]
+        p[moved], e[moved] = _scaled(a[moved], i[moved], pow10)
+    # p >= 2**53 is an even integer, so e carries the fraction of the
+    # product, and rint(e) rounds an exact tie to even
+    near = (np.abs(e - np.floor(e) - 0.5) < TIE_MARGIN) & (np.take(pow10[1], i) != 0.0)
+    slow = ~(fast | zero) | near
+    D = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    carry = D == 10**17  # rounded up into the next decade
+    D[carry] = 10**16
+    i += carry
+    g = []  # the four 4-digit groups below the leading digit, last first
+    for _ in range(4):
+        q = D // 10000
+        g.append(D - 10000 * q)
+        D = q
+    z4 = g[0] == 0
+    z3 = z4 & (g[1] == 0)
+    z2 = z3 & (g[2] == 0)
+    t4, t3, t2, t1 = (np.take(tz, k) for k in g)
+    trailing = t4 + z4 * t3 + z3 * t2 + z2 * t1
+    keep = 17 - np.minimum(trailing, np.take(frac, i))  # digits shown
+    c = 18 * np.take(point, i) + keep
+    m = [np.take(mask, c) for mask in masks]
+    # A: the 17 digits from slot 0 of the body; B: the same from slot 1
+    q4, q3, q2, q1 = (np.take(quad, k) for k in g)
+    a1 = np.where(zero, 48, 48 + D).astype(np.uint64) | q1 << 8 | q2 << 40
+    a2 = q2 >> 24 | q3 << 8 | q4 << 40
+    a3 = q4 >> 24
+    b = (a1 << 8, a2 << 8 | a1 >> 56, a3 << 8 | a2 >> 56)
+    out = np.take(frame, i, axis=0)
+    out[:, 0] |= np.signbit(x) * np.uint64(45)
+    for w, (aw, bw) in enumerate(zip((a1, a2, a3), b)):
+        out[:, w + 1] |= aw & m[w] | bw & m[w + 3] | m[w + 6]
+    out = out.view(np.uint8)
+    for n in np.flatnonzero(slow):
+        text = fmt17(x[n]).encode()
+        out[n] = 0
+        out[n, :len(text)] = np.frombuffer(text, np.uint8)
+    return out
+
+
+# -- CSV ---------------------------------------------------------------------
+
 CSV_BLOCK = 4096  # rows formatted and written at a time
 
 
@@ -70,12 +239,16 @@ def write_csv(path, header, rows):
 
     A float cell is written with 17 significant digits, as `fmt17`
     writes it (nan, inf, -inf, -0 included), and any other cell as its
-    str().  Each row is formatted by one %-template, made once per
-    sequence of cell types, and lines are written in blocks.
+    str().  A `ColumnRows` table is rendered by `ColumnRows.encode`;
+    any other sequence of rows is formatted one %-template per row, made
+    once per sequence of cell types.  Lines are written in blocks.
     """
-    templates = {}
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        if isinstance(rows, ColumnRows):
+            fh.writelines(rows.encode(","))
+            return
+        templates = {}
         block = []
         for row in rows:
             row = tuple(row)
@@ -85,26 +258,35 @@ def write_csv(path, header, rows):
                 template = templates[types] = _row_template(types)
             block.append(template % row)
             if len(block) == CSV_BLOCK:
-                fh.write("".join(block))
+                fh.write("".join(block).encode())
                 block.clear()
-        fh.write("".join(block))
+        fh.write("".join(block).encode())
 
 
 class ColumnRows:
-    """The rows of a table held as equal-length 1-D array columns.
+    """The rows of a numeric table held as equal-length 1-D array columns.
 
-    Iterating converts one block of rows at a time with .tolist(), so
-    the cells are Python ints and floats and only one block of them
-    exists at once.
+    A column holds floats or integers below 2**53 in magnitude, which
+    convert to float exactly and print as str() prints them.
     """
 
     def __init__(self, columns):
         self.columns = [np.ravel(c) for c in columns]
+        for c in self.columns:
+            if c.dtype.kind not in "iuf":
+                raise TypeError(f"ColumnRows holds numbers, not {c.dtype}")
+            if c.dtype.kind in "iu" and c.size and np.max(np.abs(c.astype(float))) >= 2.0**53:
+                raise ValueError("integer cells must lie below 2**53 in magnitude")
 
     def __len__(self):
         return self.columns[0].size
 
-    def __iter__(self):
+    def encode(self, sep):
+        """The lines, cells joined by `sep`, as bytes of CSV_BLOCK rows each."""
+        ends = np.full(len(self.columns), ord(sep), np.uint8)
+        ends[-1] = ord("\n")
         for start in range(0, len(self), CSV_BLOCK):
-            block = (c[start:start + CSV_BLOCK].tolist() for c in self.columns)
-            yield from zip(*block)
+            block = np.stack([c[start:start + CSV_BLOCK] for c in self.columns], axis=1)
+            cells = fmt17_fields(block).reshape(block.shape + (FIELD,))
+            cells[..., -1] = ends
+            yield cells.tobytes().translate(None, b"\0")

@@ -21,6 +21,7 @@ import numpy as np
 from .catalog import parse_descriptor, parse_domain, parse_target
 from .domains import FlatTorus2, RoundSphere2
 from .errors import NumericalError, UsageError
+from .io_utils import ColumnRows
 from .numerics import dot, read_only
 
 
@@ -226,10 +227,14 @@ def derivative(domain, F, axis, order=1, accuracy=2):
     accuracy + 1 points and acts on the domain's periodic (torus) or
     antipodal (sphere) continuation of F.
     """
+    return _stencil(domain, domain.extend(F, axis, accuracy // 2), axis, order, accuracy)
+
+
+def _stencil(domain, Fp, axis, order, accuracy):
+    """`derivative` of the field that Fp continues by accuracy // 2 nodes along axis."""
     weights, den = _STENCILS[order, accuracy]
     p = accuracy // 2
-    Fp = domain.extend(F, axis, p)
-    n = F.shape[axis]
+    n = Fp.shape[axis] - 2 * p
     out = None
     for k, c in zip(range(2 * p, -1, -1), weights):
         if c:
@@ -305,13 +310,17 @@ def hessian_field(f, accuracy=2):
         Hij = f.target.tangent_part(v, Hij)
         return dot(Hij, Hij)
 
-    norm2 = ginv[..., 0] * ginv[..., 0] * sq(derivative(dom, v, 0, 2, accuracy))
-    fv = derivative(dom, v, 1, 1, accuracy)
+    # the values continued across both axes once, for their four derivatives
+    p = accuracy // 2
+    vp = dom.extend(dom.extend(v, 0, p), 1, p)
+    along_u, along_v = vp[:, p:-p], vp[p:-p]
+    norm2 = ginv[..., 0] * ginv[..., 0] * sq(_stencil(dom, along_u, 0, 2, accuracy))
+    fv = _stencil(dom, along_v, 1, 1, accuracy)
     fuv = derivative(dom, fv, 0, 1, accuracy)
     norm2 += 2.0 * ginv[..., 0] * ginv[..., 1] * sq(fuv - G[..., 1, None] * fv)
     del fv, fuv
-    fvv = derivative(dom, v, 1, 2, accuracy)
-    fu = derivative(dom, v, 0, 1, accuracy)
+    fvv = _stencil(dom, along_v, 1, 2, accuracy)
+    fu = _stencil(dom, along_u, 0, 1, accuracy)
     norm2 += ginv[..., 1] * ginv[..., 1] * sq(fvv - G[..., 0, None] * fu)
     return norm2
 
@@ -320,16 +329,17 @@ def hessian_field(f, accuracy=2):
 
 
 def save_map(f, path):
-    """Plain-text grid dump: descriptor header plus row-major node values."""
-    with open(path, "w") as fh:
-        fh.write("bochnerlab-map 1\n")
-        fh.write(f"domain {f.domain.descriptor()}\n")
-        fh.write(f"target {f.target.descriptor()}\n")
-        fh.write(f"grid {f.domain.n1} {f.domain.n2} {f.target.m}\n")
-        # fmt17 bytes: the values are finite, where %.17g and fmt17 agree
-        line = " ".join(["%.17g"] * f.target.m) + "\n"
-        rows = f.values.reshape(-1, f.target.m).tolist()
-        fh.writelines(line % tuple(row) for row in rows)
+    """Plain-text grid dump: descriptor header, then one line per node of
+    its values as `fmt17` writes them, separated by spaces."""
+    header = (
+        "bochnerlab-map 1\n"
+        f"domain {f.domain.descriptor()}\n"
+        f"target {f.target.descriptor()}\n"
+        f"grid {f.domain.n1} {f.domain.n2} {f.target.m}\n"
+    )
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        fh.writelines(ColumnRows(f.values.reshape(-1, f.target.m).T).encode(" "))
 
 
 def load_map(path):

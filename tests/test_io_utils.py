@@ -1,9 +1,13 @@
-"""Byte-stable writers: the CSV row templates against a per-cell reference."""
+"""Byte-stable writers: the %.17g kernel and the CSV writer against a per-cell reference."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bochnerlab.io_utils import CSV_BLOCK, ColumnRows, write_csv
+from bochnerlab import cli, io_utils
+from bochnerlab.io_utils import CSV_BLOCK, ColumnRows, fmt17_fields, write_csv
+from bochnerlab.maps import load_map, save_map
 from bochnerlab.numerics import fmt17
 
 EDGE_FLOATS = [
@@ -86,6 +90,8 @@ def test_column_rows_match_element_reads(tmp_path, count):
     ints = np.arange(count)
     floats = rng.standard_normal(count)
     floats[::7] = -0.0
+    floats[3::11] = np.inf
+    floats[5::13] = -np.inf
     if count:
         floats[0] = np.nan
     rows = ColumnRows([ints, floats, 2.0 * floats])
@@ -93,3 +99,116 @@ def test_column_rows_match_element_reads(tmp_path, count):
     expected = [[ints[k], floats[k], 2.0 * floats[k]] for k in range(count)]
     header = ["i", "x", "y"]
     assert written(tmp_path, header, rows) == reference(header, expected)
+
+
+def test_column_rows_hold_numbers_only():
+    with pytest.raises(TypeError):
+        ColumnRows([np.array(["a", "b"])])
+    with pytest.raises(ValueError):
+        ColumnRows([np.array([2**53])])
+
+
+# -- the %.17g kernel, cell by cell ----------------------------------------
+
+
+def kernel(x):
+    """fmt17_fields of x, one string per cell."""
+    return [row.tobytes().replace(b"\0", b"").decode() for row in fmt17_fields(x)]
+
+
+def assert_cells_match(x):
+    x = np.asarray(x, dtype=float)
+    got = kernel(x)
+    bad = [(v, g) for v, g in zip(x.tolist(), got) if g != fmt17(v)]
+    assert not bad, bad[:5]
+
+
+def test_random_bit_patterns():
+    bits = np.random.default_rng(13).integers(0, 2**64, 10**5, dtype=np.uint64)
+    assert_cells_match(bits.view(np.float64))
+
+
+def test_powers_of_ten_and_their_neighbours():
+    powers = np.array([float(f"1e{p}") for p in range(-300, 301)])
+    assert_cells_match(np.concatenate([
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf), -powers,
+    ]))
+
+
+def test_dyadic_ties():
+    # most odd multiples of 1/4 and 1/8 between 2**48 and 2**51 have
+    # exactly 18 significant digits, the last a 5: a tie that %.17g
+    # rounds half to even (about 4700 of these 6002 values)
+    odd = np.random.default_rng(2).integers(2**51, 2**53, 3000) | 1
+    x = np.concatenate([odd / 4.0, odd / 8.0, np.array([1e15 + 0.25, 1e15 + 0.75])])
+    assert_cells_match(np.concatenate([x, -x]))
+
+
+@pytest.mark.parametrize("x", [
+    99999999999999999.0, 9.9999999999999999e5, 9.9999999999999999e-5,
+    9.9999999999999999e16, 9.9999999999999999e-300, 0.99999999999999999,
+    np.nextafter(1e-269, 0), np.nextafter(1e270, np.inf),
+])
+def test_carries_into_the_next_decade(x):
+    assert_cells_match([x, -x])
+
+
+def test_three_digit_exponents():
+    assert_cells_match([1e100, 1.5e-100, 2.5e123, -3e-250, 1e200, 7.0e-101, 1.7976931348623157e308])
+
+
+def test_fixed_and_exponent_boundaries():
+    # %.17g writes 1e-5 <= |x| < 1e17 without an exponent
+    assert_cells_match([1e-5, 1.25e-5, 1e-4, 0.0001234, 1e16, 1.5e16, 1e17, 123456.0, 0.5, 7.0])
+
+
+def test_edge_floats():
+    assert_cells_match(EDGE_FLOATS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=50))
+def test_any_float(xs):
+    assert_cells_match(xs)
+
+
+def test_ordinary_values_take_the_vectorised_path(monkeypatch):
+    calls = []
+    monkeypatch.setattr(io_utils, "fmt17", lambda v: calls.append(v) or fmt17(v))
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal(20000) * 10.0 ** rng.integers(-200, 200, 20000)
+    x[:100] = np.arange(100)  # zeros and small integers as well
+    assert kernel(x) == [fmt17(v) for v in x.tolist()]
+    assert calls == []
+    # the cells it cannot render are the ones that fall back
+    kernel([np.nan, np.inf, 5e-324, 1e300])
+    assert len(calls) == 4
+
+
+# -- whole files through the command line ------------------------------------
+
+
+def test_node_csv_equals_the_per_cell_reference(tmp_path, monkeypatch):
+    tables = []
+    monkeypatch.setattr(cli, "write_csv", lambda *a: tables.append(a) or write_csv(*a))
+    path = tmp_path / "nodes.csv"
+    assert cli.main(["verify", "--map", "holomorphic:k=2", "--resolution", "32",
+                     "--refine", "2", "--csv", str(path)]) == 0
+    (_, header, rows), = tables
+    assert isinstance(rows, ColumnRows) and len(rows) == 64 * 128
+    cells = [c.tolist() for c in rows.columns]
+    assert path.read_text() == reference(header, zip(*cells))
+
+
+def test_flow_dump_round_trips_bit_for_bit(tmp_path, monkeypatch):
+    saved = []
+    monkeypatch.setattr(cli, "save_map", lambda f, p: saved.append(f) or save_map(f, p))
+    path = tmp_path / "final.map"
+    assert cli.main(["flow", "--domain", "torus:a=1,b=1", "--init", "cap:amplitude=0.3",
+                     "--resolution", "16", "--steps", "4", "--save", str(path)]) in (0, 1)
+    f, = saved
+    lines = path.read_text().splitlines()[4:]
+    dumped = np.array([[float(s) for s in line.split(" ")] for line in lines])
+    assert dumped.reshape(f.values.shape).tobytes() == f.values.tobytes()
+    # load_map reprojects, as the map's own constructor did
+    assert load_map(path).values.tobytes() == f.with_values(f.values).values.tobytes()
