@@ -77,42 +77,76 @@ class FlowSummary:
 def image_diameter(f_or_values):
     """Maximum pairwise ambient distance between node values.
 
-    Exact pairwise scan up to EXACT_DIAMETER_LIMIT points, in blocks of
-    DIAMETER_BLOCK rows so memory stays linear in the point count;
-    larger sets use iterated farthest-point sweeps from the
-    bounding-sphere center, which attain the true diameter on the round
-    image sets handled here and are never above it.
+    Farthest-point sweeps from the centroid c meet a pair of length L,
+    a lower bound on the diameter D.  Any diameter pair (p, q) has
+    D <= |p - c| + |q - c| <= r_p + R with R = max_i |x_i - c|, so
+    r_p >= D - R >= L - R: both ends of every diameter pair keep
+    r_i >= L - R, and the exact pairwise scan needs only those
+    candidates.  The inequality holds for c as computed, so the slack
+    covers only the rounding of r, R, L and the scanned maximum, and is
+    scaled to the coordinate magnitude.  Pairs are summed as in the
+    unfiltered scan, so the result is bit-identical to it.
+
+    Up to EXACT_DIAMETER_LIMIT candidates the result is exact, and
+    memory stays O(n) plus DIAMETER_BLOCK rows of the k candidates,
+    2 * DIAMETER_BLOCK * k floats.  Beyond that it is L, which is never
+    above the diameter.  Raises NumericalError on a non-finite value;
+    an empty set has diameter 0.
     """
     vals = getattr(f_or_values, "values", f_or_values)
     pts = np.asarray(vals, dtype=float).reshape(-1, vals.shape[-1])
     n, m = pts.shape
-    if n <= EXACT_DIAMETER_LIMIT:
-        # a block of rows meets only the columns from its own start on:
-        # (x_i - x_j)^2 = (x_j - x_i)^2 exactly, so the pairs left of
-        # the block were met by an earlier block, term for term
-        d2 = 0.0
-        cols = np.ascontiguousarray(pts.T)
-        acc = np.empty(min(n, DIAMETER_BLOCK) * n)
-        sq = np.empty_like(acc)
-        for lo in range(0, n, DIAMETER_BLOCK):
-            rows = cols[:, lo : lo + DIAMETER_BLOCK, None]
-            shape = (rows.shape[1], n - lo)
-            a = acc[: shape[0] * shape[1]].reshape(shape)
-            t = sq[: a.size].reshape(shape)
-            np.square(np.subtract(rows[0], cols[0, lo:], out=a), out=a)
-            for c in range(1, m):
-                np.square(np.subtract(rows[c], cols[c, lo:], out=t), out=t)
-                a += t
-            d2 = max(d2, a.max())
-        return float(np.sqrt(d2))
-    best = 0.0
-    seed_pts = [pts.mean(axis=0)]
+    if n == 0:
+        return 0.0
+    # the max propagates NaN, so this also tests every value is finite
+    scale = np.abs(pts).max()
+    if not np.isfinite(scale):
+        raise NumericalError("image diameter of non-finite node values")
+    d2 = np.sum((pts - pts.mean(axis=0)) ** 2, axis=-1)
+    r = np.sqrt(d2)
+    lower = 0.0
     for _ in range(4):
-        d2 = np.sum((pts - seed_pts[-1]) ** 2, axis=-1)
-        nxt = pts[int(np.argmax(d2))]
-        best = max(best, float(np.sqrt(np.max(np.sum((pts - nxt) ** 2, axis=-1)))))
-        seed_pts.append(nxt)
-    return best
+        d2 = np.sum((pts - pts[int(np.argmax(d2))]) ** 2, axis=-1)
+        lower = max(lower, float(np.sqrt(np.max(d2))))
+    # r, R, L and the scanned maximum are each within (m + 4) eps / 4,
+    # relative, of a length at most 2 sqrt(m) max|x|; the sqrt term
+    # covers squares that underflow
+    eps = np.finfo(float).eps
+    slack = 4 * (m + 4) * np.sqrt(m) * eps * scale
+    slack += 4 * np.sqrt(m * np.finfo(float).tiny)
+    cut = lower - r.max() - slack
+    # a squared length that overflowed bounds nothing: scan every point
+    cand = pts[r >= cut] if np.isfinite(cut) else pts
+    if len(cand) > EXACT_DIAMETER_LIMIT:
+        return lower
+    return _scan_diameter(cand)
+
+
+def _scan_diameter(pts):
+    """Exact diameter of an (n, m) point set by a blocked pairwise scan.
+
+    Each squared distance is summed component by component, in blocks
+    of DIAMETER_BLOCK rows, so memory stays linear in n.
+    """
+    n, m = pts.shape
+    # a block of rows meets only the columns from its own start on:
+    # (x_i - x_j)^2 = (x_j - x_i)^2 exactly, so the pairs left of
+    # the block were met by an earlier block, term for term
+    d2 = 0.0
+    cols = np.ascontiguousarray(pts.T)
+    acc = np.empty(min(n, DIAMETER_BLOCK) * n)
+    sq = np.empty_like(acc)
+    for lo in range(0, n, DIAMETER_BLOCK):
+        rows = cols[:, lo : lo + DIAMETER_BLOCK, None]
+        shape = (rows.shape[1], n - lo)
+        a = acc[: shape[0] * shape[1]].reshape(shape)
+        t = sq[: a.size].reshape(shape)
+        np.square(np.subtract(rows[0], cols[0, lo:], out=a), out=a)
+        for c in range(1, m):
+            np.square(np.subtract(rows[c], cols[c, lo:], out=t), out=t)
+            a += t
+        d2 = max(d2, a.max())
+    return float(np.sqrt(d2))
 
 
 def image_radius(values):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bochnerlab.domains import FlatTorus2, RoundSphere2
-from bochnerlab.errors import StabilityError, UsageError
+from bochnerlab.errors import NumericalError, StabilityError, UsageError
 from bochnerlab import flow
 from bochnerlab.flow import (
     DT_MAX,
@@ -267,6 +267,17 @@ class TestStepSchedule:
         assert summary.outcome == "collapsed_to_constant"
 
 
+@pytest.fixture(scope="module")
+def criterion_5_final():
+    f, summary = run_flow(cap(n=64), FlowParams(max_steps=50000))
+    assert summary.outcome == "collapsed_to_constant"
+    return f.values.reshape(-1, 3)
+
+
+def rng_points(seed, n, m=3):
+    return np.random.default_rng(seed).standard_normal((n, m))
+
+
 class TestDiameter:
     def test_exact_on_small_sets(self):
         rng = np.random.default_rng(0)
@@ -346,3 +357,87 @@ class TestDiameter:
     def test_accepts_maps(self):
         f = cap()
         assert image_diameter(f) <= 0.6 + 1e-6
+
+    @staticmethod
+    def assert_exact(pts):
+        assert image_diameter(pts).hex() == flow._scan_diameter(pts).hex()
+
+    def test_criterion_5_final_map(self, criterion_5_final):
+        self.assert_exact(criterion_5_final)
+
+    def test_criterion_5_final_map_memory(self, criterion_5_final):
+        # the unfiltered scan held two 8 MiB row blocks
+        tracemalloc.start()
+        try:
+            image_diameter(criterion_5_final)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("spread", [1e-15, 1e-13, 1e-11, 1e-9])
+    def test_tight_clusters(self, spread):
+        # rounding in |p - c| is comparable to the diameter here
+        pts = np.array([0.0, 0.0, 1.0]) + spread * rng_points(20, 1000)
+        self.assert_exact(pts)
+
+    def test_repeated_points(self):
+        base = rng_points(21, 5)
+        self.assert_exact(np.repeat(base, 300, axis=0))
+        self.assert_exact(np.repeat(base[:1], 300, axis=0))
+
+    def test_one_and_two_points(self):
+        pts = rng_points(22, 2)
+        self.assert_exact(pts)
+        self.assert_exact(pts[:1])
+        assert image_diameter(pts[:1]) == 0.0
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("n", [5, 30, 300])
+    @pytest.mark.parametrize("scale", [1.0, 1e-160])
+    def test_collinear_points(self, seed, n, scale):
+        # the near end of a diameter pair lies on the cut r = L - R
+        # exactly, so without the slack rounding drops it about one
+        # time in three; at 1e-160 the squares underflow
+        rng = np.random.default_rng(seed)
+        t = rng.uniform(-1, 1, n)
+        pts = scale * (rng.standard_normal(3) + t[:, None] * rng.standard_normal(3))
+        with np.errstate(under="ignore"):
+            self.assert_exact(pts)
+
+    def test_overflowing_squares_scan_every_point(self):
+        # the squared lengths of a shell of radius 1e154 overflow to inf
+        pts = rng_points(25, 300)
+        pts *= 1e154 / np.linalg.norm(pts, axis=1, keepdims=True)
+        with np.errstate(over="ignore"):
+            self.assert_exact(pts)
+
+    def test_large_compact_blob_is_exact(self, monkeypatch):
+        # above EXACT_DIAMETER_LIMIT points, but few candidates survive
+        pts = rng_points(24, 6000)
+        self.assert_exact(pts)
+        diam = image_diameter(pts)
+        monkeypatch.setattr(flow, "EXACT_DIAMETER_LIMIT", 10000)
+        assert image_diameter(pts).hex() == diam.hex()
+
+    def test_round_shell_keeps_every_candidate(self, monkeypatch):
+        # 6000 points on a sphere all survive the filter, so the sweep
+        # value is returned and the scan never runs
+        pts = rng_points(1, 6000)
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+
+        def refused(pts):
+            raise AssertionError(f"scan on {len(pts)} candidates")
+
+        monkeypatch.setattr(flow, "_scan_diameter", refused)
+        assert 1.999 < image_diameter(pts) <= 2.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_raise(self, bad):
+        pts = np.zeros((2, 3))
+        pts[0, 0] = bad
+        with pytest.raises(NumericalError):
+            image_diameter(pts)
+
+    def test_empty_set_has_diameter_zero(self):
+        assert image_diameter(np.empty((0, 3))) == 0.0
