@@ -29,6 +29,7 @@ from .flow import DT_MAX, IMPLICIT_DT, FlowParams, run_flow
 from .io_utils import ColumnRows, dump_json, json_dumps, write_csv
 from .maps import catalog_map, load_map, save_map, total_energy
 from .rigidity import (
+    HARMONIC_COEFF,
     build_report,
     equality_diagnostics,
     grid_h,
@@ -224,7 +225,7 @@ def _verify_level(f):
     integral = integral_identity_residual(f)
     data = compute_bochner(f)
     tol = VERIFY_RES_COEFF * h * h
-    harmonic = data.sup_tension <= 30.0 * h * h
+    harmonic = data.sup_tension <= HARMONIC_COEFF * h * h
     vol = dom.volume()
     return data, {
         "resolution": [dom.n1, dom.n2],

@@ -2,17 +2,15 @@
 
 Two built-in compact surfaces: the flat 2-torus and the round 2-sphere.
 Each carries a closed-form metric, Christoffel symbols and Ricci tensor
-on a periodic (torus) or pole-staggered (sphere) node grid, plus the
-finite-difference curvature paths used as cross-checks against the
-closed forms, and a fast direct solver for (I - dt L) that the heat
-flow's implicit step calls.
+on a periodic (torus) or pole-staggered (sphere) node grid, and a fast
+direct solver for (I - dt L) that the heat flow's implicit step calls.
 
 Both charts are orthogonal warped products g = diag(E(u), G(u)), so the
 grid forms store only what can be nonzero: the metric and Ricci
 diagonals, shape (n1, n2, 2), and the Christoffel symbols
 (Gamma^u_vv, Gamma^v_uv = Gamma^v_vu), also (n1, n2, 2).  The dense
 point forms metric_at, christoffel_at and ricci_at feed the
-finite-difference cross-checks.
+finite-difference cross-checks of the test suite.
 
 Sphere grids stagger the latitude nodes so no node sits on a chart
 pole; ghost rows continue fields across the pole antipodally, which
@@ -27,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ChartDomainError, UsageError
-from .numerics import fejer1_weights
+from .numerics import fejer1_weights, fmt_param
 
 TWO_PI = 2.0 * np.pi
 
@@ -123,7 +121,7 @@ class FlatTorus2(ChartGrid):
         return p
 
     def descriptor(self):
-        return f"torus:a={self.a:g},b={self.b:g}"
+        return f"torus:a={fmt_param(self.a)},b={fmt_param(self.b)}"
 
     # -- metric and curvature ------------------------------------------------
 
@@ -246,7 +244,7 @@ class RoundSphere2(ChartGrid):
         return p
 
     def descriptor(self):
-        return f"sphere:r={self.r:g}"
+        return f"sphere:r={fmt_param(self.r)}"
 
     # -- metric and curvature ------------------------------------------------
 
@@ -385,60 +383,6 @@ class RoundSphere2(ChartGrid):
         rows = (theta < self.pole_collar) | (theta > np.pi - self.pole_collar)
         rows[0] = rows[-1] = True
         return np.broadcast_to(rows[:, None], (self.n1, self.n2)).copy()
-
-
-# -- finite-difference curvature cross-checks --------------------------------
-
-
-def christoffel_fd_at(domain, p, h=None):
-    """Christoffel symbols from central differences of the metric.
-
-    Cross-check path for the closed forms; O(h^2) in the step.
-    """
-    p = np.asarray(p, dtype=float)
-    if h is None:
-        h = min(domain.spacing)
-    dg = np.empty((2, 2, 2))  # dg[l, i, j] = d_l g_ij
-    for l in range(2):
-        e = np.zeros(2)
-        e[l] = h
-        dg[l] = (domain.metric_at(p + e) - domain.metric_at(p - e)) / (2 * h)
-    ginv = np.linalg.inv(domain.metric_at(p))
-    G = np.empty((2, 2, 2))
-    for k in range(2):
-        for i in range(2):
-            for j in range(2):
-                G[k, i, j] = 0.5 * sum(
-                    ginv[k, l] * (dg[i][j, l] + dg[j][i, l] - dg[l][i, j])
-                    for l in range(2)
-                )
-    return G
-
-
-def ricci_fd_at(domain, p, h=None):
-    """Ricci tensor from central differences of the closed-form connection.
-
-    Ric_ab = d_m G^m_ab - d_a G^m_mb + G^m_ml G^l_ab - G^m_al G^l_mb.
-    """
-    p = np.asarray(p, dtype=float)
-    if h is None:
-        h = min(domain.spacing)
-    dG = np.empty((2, 2, 2, 2))  # dG[c, k, i, j] = d_c G^k_ij
-    for c in range(2):
-        e = np.zeros(2)
-        e[c] = h
-        dG[c] = (domain.christoffel_at(p + e) - domain.christoffel_at(p - e)) / (2 * h)
-    G = domain.christoffel_at(p)
-    ric = np.empty((2, 2))
-    for a in range(2):
-        for b in range(2):
-            t = 0.0
-            for m in range(2):
-                t += dG[m][m, a, b] - dG[a][m, m, b]
-                for l in range(2):
-                    t += G[m, m, l] * G[l, a, b] - G[m, a, l] * G[l, m, b]
-            ric[a, b] = t
-    return 0.5 * (ric + ric.T)
 
 
 def ricci_min(domain):

@@ -133,10 +133,13 @@ def holomorphic_map(domain, target, k):
         raise UsageError("holomorphic map needs a 2-sphere target in R^3")
     TH, PH = domain.chart_grid()
     t = np.tan(TH / 2.0)
-    w = t**k  # |z|^k; the staggered grid keeps t finite
-    denom = 1.0 + w * w
-    sin_tp = 2.0 * w / denom
-    cos_tp = (1.0 - w * w) / denom
+    # a large degree overflows w to inf and the quotients to nan, which
+    # DiscreteMap refuses as a NumericalError
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = t**k  # |z|^k; the staggered grid keeps t finite
+        denom = 1.0 + w * w
+        sin_tp = 2.0 * w / denom
+        cos_tp = (1.0 - w * w) / denom
     vals = target.r * np.stack(
         [sin_tp * np.cos(k * PH), sin_tp * np.sin(k * PH), cos_tp], axis=-1
     )
@@ -193,16 +196,6 @@ def catalog_map(name, domain, target):
             raise UsageError(f"unknown keys {sorted(params)} for cap map")
         return cap_map(domain, target, amp)
     raise UsageError(f"unknown catalog map {kind!r}")
-
-
-def analytic_scaling_jacobian(domain, r_target):
-    """Closed-form Jacobian of the radial scaling map (oracle for tests)."""
-    TH, PH = domain.chart_grid()
-    ct, st = np.cos(TH), np.sin(TH)
-    cp, sp = np.cos(PH), np.sin(PH)
-    d_theta = np.stack([ct * cp, ct * sp, -st], axis=-1)
-    d_phi = np.stack([-st * sp, st * cp, np.zeros_like(TH)], axis=-1)
-    return r_target * np.stack([d_theta, d_phi], axis=-1)
 
 
 # -- finite differences ------------------------------------------------------

@@ -1,7 +1,8 @@
 """Small shared numerical helpers: dot products over a short last axis,
 the batched 2x2 generalized eigensolve against a diagonal metric, Fejer
 quadrature weights, 17-significant-digit float formatting for
-byte-stable output files and read-only cached arrays.
+byte-stable output files, exact descriptor parameters and read-only
+cached arrays.
 """
 
 from __future__ import annotations
@@ -83,6 +84,13 @@ def fejer1_weights(n):
 def fmt17(x):
     """Format a float with 17 significant digits (round-trip stable)."""
     return format(float(x), ".17g")
+
+
+def fmt_param(x):
+    """A descriptor parameter: its %g text when that reads back as x,
+    else the shortest text that does (repr)."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x))
 
 
 def read_only(a):

@@ -9,13 +9,16 @@ equation
 
     <R(X, Y) Y, X> = <A(X, X), A(Y, Y)> - |A(X, Y)|^2,
 
-with closed-form overrides for the constant-curvature kinds.  Each
-target also gives in closed form the least and greatest eigenvalue of
-its curvature operator on the 2-vectors of T_q (`sec_range`); every
-eigenvector is decomposable for these kinds, so the two are the least
-and greatest sectional curvature at q.  The region extremizer takes
-their extremes over a point set, so it is deterministic and monotone
-under set inclusion.
+with closed-form overrides for the constant-curvature kinds.  Besides
+Euclidean space and the ellipsoid, the targets are products of round
+spheres (S^k(r), the flat torus S^1(rho_1) x ... x S^1(rho_k) and
+S^2(r1) x S^2(r2)), which share one implementation, `_RoundSpheres`.
+Each target also gives in closed form the least and greatest
+eigenvalue of its curvature operator on the 2-vectors of T_q
+(`sec_range`); every eigenvector is decomposable for these kinds, so
+the two are the least and greatest sectional curvature at q.  The
+region extremizer takes their extremes over a point set, so it is
+deterministic and monotone under set inclusion.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .errors import (
     NumericalError,
     UsageError,
 )
-from .numerics import dot
+from .numerics import dot, fmt_param
 
 ON_TARGET_TOL = 1e-8
 PROJECTION_MAX_ITER = 50
@@ -65,17 +68,8 @@ class _Target:
         return self.tangent_part(q[..., None, :], np.eye(self.m))
 
 
-class _ConstantCurvature(_Target):
-    """A target whose curvature operator is constant_sec times the identity."""
-
-    def sec_range(self, q):
-        """Least and greatest curvature-operator eigenvalue at each point."""
-        sec = np.full(np.shape(q)[:-1], self.constant_sec)
-        return sec, sec
-
-
 @dataclass(frozen=True)
-class Euclidean(_ConstantCurvature):
+class Euclidean(_Target):
     """Flat R^m."""
 
     m: int = 3
@@ -108,12 +102,95 @@ class Euclidean(_ConstantCurvature):
         X = np.asarray(X, dtype=float)
         return np.zeros(np.broadcast_shapes(X.shape, np.shape(Y)))
 
+    def sec_range(self, q):
+        zero = np.zeros(np.shape(q)[:-1])
+        return zero, zero
+
     def sample_points(self, count, rng):
         return rng.standard_normal((count, self.m))
 
 
+class _RoundSpheres(_Target):
+    """Riemannian product S^d(r_1) x ... x S^d(r_p) in R^{p(d+1)}.
+
+    A subclass gives `_factors`, its radii and the factor dimension d.
+    The ambient coordinates are p blocks of d + 1, one sphere each, and
+    every formula is the sphere's applied blockwise: factor i has unit
+    normal q_i / r_i and second fundamental form
+    A(X, Y) = -<X_i, Y_i> q_i / r_i^2.  A plane inside a factor of
+    dimension d >= 2 has curvature 1 / r_i^2 and a plane that mixes
+    factors is flat, at every point.
+    """
+
+    @property
+    def m(self):
+        radii, d = self._factors
+        return len(radii) * (d + 1)
+
+    @property
+    def dim(self):
+        radii, d = self._factors
+        return len(radii) * d
+
+    @property
+    def _r(self):
+        # against the blocks; one radius stays a Python scalar (faster)
+        radii = self._factors[0]
+        return radii[0] if len(radii) == 1 else np.array(radii, dtype=float)[:, None]
+
+    def _blocks(self, x):
+        radii, d = self._factors
+        x = np.asarray(x, dtype=float)
+        return x.reshape(x.shape[:-1] + (len(radii), d + 1))
+
+    @staticmethod
+    def _unblock(a):
+        return a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
+
+    @property
+    def _sec_values(self):
+        """Every sectional curvature the target takes, at any point."""
+        radii, d = self._factors
+        values = {1.0 / r**2 for r in radii} if d >= 2 else set()
+        return values | {0.0} if len(radii) >= 2 else values
+
+    @property
+    def constant_sec(self):
+        values = self._sec_values
+        return min(values) if len(values) == 1 else None
+
+    def sec_range(self, q):
+        """Least and greatest curvature-operator eigenvalue at each point,
+        as read-only views of one value each: they are the same everywhere."""
+        values, shape = self._sec_values, np.shape(q)[:-1]
+        return np.broadcast_to(min(values), shape), np.broadcast_to(max(values), shape)
+
+    def constraint_residual(self, q):
+        p = self._blocks(q)
+        res = np.abs(np.sum(p * p, axis=-1, keepdims=True) - self._r**2)
+        return np.max(res, axis=(-2, -1))
+
+    def closest_point(self, x):
+        p = self._blocks(x)
+        nrm = _finite_norm(p)
+        if np.any(nrm < 1e-14):
+            raise NumericalError("closest-point map undefined at the origin")
+        return self._unblock(self._r * p / nrm)
+
+    def tangent_part(self, q, V):
+        return self._unblock(_drop_normal(self._blocks(q) / self._r, self._blocks(V)))
+
+    def second_fundamental(self, q, X, Y):
+        X, Y = self._blocks(X), self._blocks(Y)
+        A = -np.sum(X * Y, axis=-1)[..., None] * self._blocks(q) / self._r**2
+        return self._unblock(A)
+
+    def sample_points(self, count, rng):
+        return self.closest_point(rng.standard_normal((count, self.m)))
+
+
 @dataclass(frozen=True)
-class Sphere(_ConstantCurvature):
+class Sphere(_RoundSpheres):
     """Round k-sphere of radius r embedded in R^{k+1}."""
 
     k: int = 2
@@ -128,52 +205,21 @@ class Sphere(_ConstantCurvature):
             raise UsageError("sphere radius must be positive")
 
     @property
-    def m(self):
-        return self.k + 1
-
-    @property
-    def dim(self):
-        return self.k
-
-    @property
-    def constant_sec(self):
-        return 1.0 / self.r**2
+    def _factors(self):
+        return (self.r,), self.k
 
     def descriptor(self):
-        return f"sphere:r={self.r:g}"
-
-    def constraint_residual(self, q):
-        q = np.asarray(q, dtype=float)
-        return np.abs(np.sum(q * q, axis=-1) - self.r**2)
-
-    def closest_point(self, x):
-        x = np.asarray(x, dtype=float)
-        nrm = _finite_norm(x)
-        if np.any(nrm < 1e-14):
-            raise NumericalError("closest-point map undefined at the origin")
-        return self.r * x / nrm
-
-    def tangent_part(self, q, V):
-        return _drop_normal(np.asarray(q, dtype=float) / self.r, V)
-
-    def second_fundamental(self, q, X, Y):
-        q = np.asarray(q, dtype=float)
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        return -np.sum(X * Y, axis=-1)[..., None] * q / self.r**2
-
-    def sample_points(self, count, rng):
-        return self.closest_point(rng.standard_normal((count, self.m)))
+        k = f",k={self.k}" if self.k != 2 else ""
+        return f"sphere:r={fmt_param(self.r)}{k}"
 
 
 @dataclass(frozen=True)
-class FlatTorusEmb(_ConstantCurvature):
+class FlatTorusEmb(_RoundSpheres):
     """Product of k circles of radii rho_i, embedded in R^{2k}.  Flat."""
 
     radii: tuple = (1.0, 1.0)
 
     kind = "torusemb"
-    constant_sec = 0.0
 
     def __post_init__(self):
         if len(self.radii) < 2:
@@ -182,61 +228,33 @@ class FlatTorusEmb(_ConstantCurvature):
             raise UsageError("circle radii must be positive")
 
     @property
-    def k(self):
-        return len(self.radii)
-
-    @property
-    def m(self):
-        return 2 * self.k
-
-    @property
-    def dim(self):
-        return self.k
+    def _factors(self):
+        return self.radii, 1
 
     def descriptor(self):
-        inner = ",".join(f"rho{i + 1}={r:g}" for i, r in enumerate(self.radii))
+        inner = ",".join(f"rho{i + 1}={fmt_param(r)}" for i, r in enumerate(self.radii))
         return f"torusemb:{inner}"
 
-    def _pairs(self, q):
-        return np.asarray(q, dtype=float).reshape(q.shape[:-1] + (self.k, 2))
 
-    def constraint_residual(self, q):
-        p = self._pairs(np.asarray(q, dtype=float))
-        res = np.abs(np.sum(p * p, axis=-1) - np.square(self.radii))
-        return np.max(res, axis=-1)
+@dataclass(frozen=True)
+class ProductSpheres(_RoundSpheres):
+    """S^2(r1) x S^2(r2) embedded in R^6 with the product metric."""
 
-    def closest_point(self, x):
-        x = np.asarray(x, dtype=float)
-        p = self._pairs(x)
-        nrm = _finite_norm(p)
-        if np.any(nrm < 1e-14):
-            raise NumericalError("closest-point map undefined at a circle axis")
-        p = p * (np.asarray(self.radii)[:, None] / nrm)
-        return p.reshape(x.shape)
+    r1: float = 1.0
+    r2: float = 2.0
 
-    def tangent_part(self, q, V):
-        # one unit normal per circle pair
-        q = np.asarray(q, dtype=float)
-        V = np.asarray(V, dtype=float)
-        n = self._pairs(q) / np.asarray(self.radii)[:, None]
-        out = _drop_normal(n, self._pairs(V))
-        return out.reshape(out.shape[:-2] + (self.m,))
+    kind = "prodspheres"
 
-    def second_fundamental(self, q, X, Y):
-        q = np.asarray(q, dtype=float)
-        shape = np.broadcast_shapes(np.shape(X), np.shape(Y), q.shape)
-        Xp = self._pairs(np.broadcast_to(np.asarray(X, float), shape))
-        Yp = self._pairs(np.broadcast_to(np.asarray(Y, float), shape))
-        qp = self._pairs(np.broadcast_to(q, shape))
-        rho2 = np.square(self.radii)
-        A = -np.sum(Xp * Yp, axis=-1)[..., None] * qp / rho2[:, None]
-        return A.reshape(shape)
+    def __post_init__(self):
+        if self.r1 <= 0 or self.r2 <= 0:
+            raise UsageError("sphere radii must be positive")
 
-    def sample_points(self, count, rng):
-        ang = rng.uniform(0, 2 * np.pi, size=(count, self.k))
-        p = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        p *= np.asarray(self.radii)[:, None]
-        return p.reshape(count, self.m)
+    @property
+    def _factors(self):
+        return (self.r1, self.r2), 2
+
+    def descriptor(self):
+        return f"prodspheres:r1={fmt_param(self.r1)},r2={fmt_param(self.r2)}"
 
 
 @dataclass(frozen=True)
@@ -257,7 +275,8 @@ class Ellipsoid(_Target):
             raise UsageError("ellipsoid semi-axes must be positive")
 
     def descriptor(self):
-        return f"ellipsoid:a={self.a:g},b={self.b:g},c={self.c:g}"
+        a, b, c = (fmt_param(v) for v in (self.a, self.b, self.c))
+        return f"ellipsoid:a={a},b={b},c={c}"
 
     @property
     def _w(self):
@@ -319,79 +338,6 @@ class Ellipsoid(_Target):
         u = rng.standard_normal((count, 3))
         u /= np.linalg.norm(u, axis=-1, keepdims=True)
         return u * np.array([self.a, self.b, self.c])
-
-
-@dataclass(frozen=True)
-class ProductSpheres(_Target):
-    """S^2(r1) x S^2(r2) embedded in R^6 with the product metric."""
-
-    r1: float = 1.0
-    r2: float = 2.0
-
-    kind = "prodspheres"
-    constant_sec = None
-    m = 6
-    dim = 4
-
-    def __post_init__(self):
-        if self.r1 <= 0 or self.r2 <= 0:
-            raise UsageError("sphere radii must be positive")
-
-    def descriptor(self):
-        return f"prodspheres:r1={self.r1:g},r2={self.r2:g}"
-
-    def _factors(self):
-        return Sphere(2, self.r1), Sphere(2, self.r2)
-
-    def constraint_residual(self, q):
-        q = np.asarray(q, dtype=float)
-        s1, s2 = self._factors()
-        return np.maximum(
-            s1.constraint_residual(q[..., :3]), s2.constraint_residual(q[..., 3:])
-        )
-
-    def closest_point(self, x):
-        x = np.asarray(x, dtype=float)
-        s1, s2 = self._factors()
-        return np.concatenate(
-            [s1.closest_point(x[..., :3]), s2.closest_point(x[..., 3:])], axis=-1
-        )
-
-    def tangent_part(self, q, V):
-        q = np.asarray(q, dtype=float)
-        V = np.asarray(V, dtype=float)
-        s1, s2 = self._factors()
-        return np.concatenate(
-            [
-                s1.tangent_part(q[..., :3], V[..., :3]),
-                s2.tangent_part(q[..., 3:], V[..., 3:]),
-            ],
-            axis=-1,
-        )
-
-    def second_fundamental(self, q, X, Y):
-        q = np.asarray(q, dtype=float)
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        s1, s2 = self._factors()
-        return np.concatenate(
-            [
-                s1.second_fundamental(q[..., :3], X[..., :3], Y[..., :3]),
-                s2.second_fundamental(q[..., 3:], X[..., 3:], Y[..., 3:]),
-            ],
-            axis=-1,
-        )
-
-    def sec_range(self, q):
-        # the 2-vectors of one factor carry 1/r^2; the mixed ones are flat
-        shape = np.shape(q)[:-1]
-        return np.zeros(shape), np.full(shape, 1.0 / min(self.r1, self.r2) ** 2)
-
-    def sample_points(self, count, rng):
-        s1, s2 = self._factors()
-        return np.concatenate(
-            [s1.sample_points(count, rng), s2.sample_points(count, rng)], axis=-1
-        )
 
 
 # -- sectional curvature -----------------------------------------------------

@@ -233,6 +233,21 @@ class TestReport:
             "seed": 0,
         }
 
+    def test_saved_map_reloads_onto_the_same_target(self, tmp_path):
+        # the dump's header must name k and the radius to the last digit,
+        # or the reload is refused or reprojected onto another sphere
+        target = "sphere:r=1.23456789,k=3"
+        saved, out, ref = tmp_path / "s.map", tmp_path / "r.json", tmp_path / "c.json"
+        common = ["--target", target, "--resolution", "8"]
+        assert run_cli("flow", "--init", "constant", *common, "--steps", "1",
+                       "--save", str(saved), "--json", str(tmp_path / "f.json")) == 0
+        assert run_cli("report", "--load", str(saved), "--json", str(out)) == 0
+        assert run_cli("report", "--map", "constant", *common, "--json", str(ref)) == 0
+        loaded = json.loads(out.read_text())["report"]
+        catalog = json.loads(ref.read_text())["report"]
+        assert loaded["target"] == catalog["target"] == target
+        assert loaded["sec_max_image"] == catalog["sec_max_image"]
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["report", "--map", "holomorphic:k=2", "--resolution", "32"]
@@ -388,6 +403,14 @@ class TestExitCodes:
         assert exit_code(FLOW + ["--json", str(out)]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "StabilityError"
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_holomorphic_degree_exits_quietly(self, capsys):
+        # t**k overflows for k = 1000; the non-finite values are refused
+        # with one JSON error and no numpy warning
+        argv = ["report", "--map", "holomorphic:k=1000", "--resolution", "8"]
+        assert exit_code(argv) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "NumericalError"
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_dt_is_rejected_not_passed(self, tmp_path, capsys):

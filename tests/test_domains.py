@@ -2,15 +2,10 @@
 
 import numpy as np
 import pytest
+from chart_oracle import christoffel_fd_at, ricci_fd_at
 
 from bochnerlab.catalog import parse_domain
-from bochnerlab.domains import (
-    FlatTorus2,
-    RoundSphere2,
-    christoffel_fd_at,
-    ricci_fd_at,
-    ricci_min,
-)
+from bochnerlab.domains import FlatTorus2, RoundSphere2, ricci_min
 from bochnerlab.errors import ChartDomainError, UsageError
 from bochnerlab.numerics import fejer1_weights, gen_eigh
 
@@ -216,6 +211,16 @@ def test_n2_follows_the_domains_rule(text, per_n1):
     assert dom.with_resolution(24).n2 == per_n1 * 24
     assert dom.with_resolution(24, 30).n2 == 30
     assert type(dom)(n1=16).n2 == per_n1 * 16
+
+
+@pytest.mark.parametrize(
+    "dom",
+    [FlatTorus2(a=1 / 3, b=0.1 + 0.2, n1=12), RoundSphere2(r=1.23456789, n1=12)],
+    ids=lambda d: d.kind,
+)
+def test_descriptor_names_the_domain_exactly(dom):
+    # %g keeps 6 significant digits; none of these parameters survives it
+    assert parse_domain(dom.descriptor(), dom.n1) == dom
 
 
 class TestFejerWeights:

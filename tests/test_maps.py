@@ -3,12 +3,12 @@ closed-form oracles, energy quadrature, serialization."""
 
 import numpy as np
 import pytest
+from chart_oracle import analytic_scaling_jacobian
 
 from bochnerlab.domains import FlatTorus2, RoundSphere2
 from bochnerlab.errors import UsageError
 from bochnerlab.maps import (
     DiscreteMap,
-    analytic_scaling_jacobian,
     catalog_map,
     constant_map,
     derivative,

@@ -346,7 +346,8 @@ class TestCurvatureOperator:
 @pytest.mark.parametrize(
     "tgt",
     ALL_TARGETS
-    + [Ellipsoid(a=1, b=2, c=3), ProductSpheres(r1=1.0, r2=1.0)],
+    + [Ellipsoid(a=1, b=2, c=3), ProductSpheres(r1=1.0, r2=1.0),
+       Sphere(k=3, r=0.7), FlatTorusEmb(radii=(1.3, 0.7, 2.1))],
     ids=lambda t: t.descriptor(),
 )
 def test_sec_range_matches_the_curvature_operator(tgt):
@@ -358,6 +359,86 @@ def test_sec_range_matches_the_curvature_operator(tgt):
     least, greatest = tgt.sec_range(q)
     np.testing.assert_allclose(least, lam[:, 0], rtol=0, atol=1e-12)
     np.testing.assert_allclose(greatest, lam[:, -1], rtol=0, atol=1e-12)
+
+
+class TestRoundSphereFamily:
+    """Sphere, FlatTorusEmb and ProductSpheres are products of round
+    spheres; each must give the sphere formulas factor by factor, bit
+    for bit."""
+
+    SHAPE = (4, 5)
+
+    def _data(self, m, seed):
+        rng = np.random.default_rng(seed)
+        x, X, Y = (rng.standard_normal(self.SHAPE + (m,)) for _ in range(3))
+        V = rng.standard_normal(self.SHAPE + (2, m))
+        return x, X, Y, V
+
+    def test_product_equals_its_two_spheres(self):
+        tgt = ProductSpheres(r1=1.3, r2=0.7)
+        factors = (Sphere(2, 1.3), slice(0, 3)), (Sphere(2, 0.7), slice(3, 6))
+        x, X, Y, V = self._data(6, 21)
+        q = tgt.closest_point(x)
+
+        def joined(method, *args):
+            return np.concatenate(
+                [getattr(s, method)(*(a[..., sl] for a in args)) for s, sl in factors],
+                axis=-1,
+            )
+
+        np.testing.assert_array_equal(q, joined("closest_point", x))
+        np.testing.assert_array_equal(
+            tgt.tangent_part(q[..., None, :], V), joined("tangent_part", q[..., None, :], V)
+        )
+        np.testing.assert_array_equal(
+            tgt.second_fundamental(q, X, Y), joined("second_fundamental", q, X, Y)
+        )
+        np.testing.assert_array_equal(
+            tgt.constraint_residual(x),
+            np.maximum(*(s.constraint_residual(x[..., sl]) for s, sl in factors)),
+        )
+
+    def test_torus_applies_the_sphere_formulas_per_circle(self):
+        radii = (1.3, 0.7, 2.1)
+        tgt = FlatTorusEmb(radii=radii)
+        x, X, Y, V = self._data(6, 22)
+        q = tgt.closest_point(x)
+        for i, rho in enumerate(radii):
+            sl = slice(2 * i, 2 * i + 2)
+            xi, qi, Xi, Yi, Vi = (a[..., sl] for a in (x, q, X, Y, V))
+            np.testing.assert_array_equal(
+                qi, rho * xi / np.linalg.norm(xi, axis=-1, keepdims=True)
+            )
+            n = qi[..., None, :] / rho
+            np.testing.assert_array_equal(
+                tgt.tangent_part(q[..., None, :], V)[..., sl],
+                Vi - n * np.sum(n * Vi, axis=-1, keepdims=True),
+            )
+            np.testing.assert_array_equal(
+                tgt.second_fundamental(q, X, Y)[..., sl],
+                -np.sum(Xi * Yi, axis=-1, keepdims=True) * qi / rho**2,
+            )
+        res = [np.abs(np.sum(x[..., 2 * i:2 * i + 2] ** 2, axis=-1) - rho**2)
+               for i, rho in enumerate(radii)]
+        np.testing.assert_array_equal(tgt.constraint_residual(x), np.max(res, axis=0))
+
+    @pytest.mark.parametrize(
+        "tgt, least, greatest, constant",
+        [
+            (Sphere(k=3, r=0.5), 4.0, 4.0, 4.0),
+            (FlatTorusEmb(radii=(1.3, 0.7, 2.1)), 0.0, 0.0, 0.0),
+            (ProductSpheres(r1=2.0, r2=0.5), 0.0, 4.0, None),
+            (ProductSpheres(r1=0.5, r2=0.5), 0.0, 4.0, None),
+        ],
+        ids=["sphere-k3", "torus-k3", "product", "product-equal-radii"],
+    )
+    def test_curvature_values(self, tgt, least, greatest, constant):
+        # 1/r^2 inside each factor of dimension >= 2; mixed planes are flat
+        q = on_target_points(tgt, 3)
+        lo, hi = tgt.sec_range(q)
+        np.testing.assert_array_equal(lo, [least] * 3)
+        np.testing.assert_array_equal(hi, [greatest] * 3)
+        assert tgt.constant_sec == constant
 
 
 class TestConstruction:
@@ -375,3 +456,29 @@ class TestConstruction:
         for tgt in ALL_TARGETS:
             again = parse_target(tgt.descriptor())
             assert again.descriptor() == tgt.descriptor()
+
+    def test_exact_parameters_keep_their_short_text(self):
+        assert [t.descriptor() for t in ALL_TARGETS] == [
+            "euclid:m=3",
+            "sphere:r=1.5",
+            "torusemb:rho1=1,rho2=0.7",
+            "ellipsoid:a=1,b=1,c=2",
+            "prodspheres:r1=1,r2=2",
+        ]
+
+    @pytest.mark.parametrize(
+        "tgt",
+        [
+            Sphere(k=3, r=1.23456789),
+            Sphere(k=2, r=1 / 3),
+            FlatTorusEmb(radii=(0.1 + 0.2, 1.23456789)),
+            Ellipsoid(a=1 / 3, b=0.1 + 0.2, c=1.23456789),
+            ProductSpheres(r1=1 / 3, r2=0.1 + 0.2),
+        ],
+        ids=lambda t: t.kind,
+    )
+    def test_descriptor_names_the_target_exactly(self, tgt):
+        # %g keeps 6 significant digits, and the sphere's k must be named
+        from bochnerlab.catalog import parse_target
+
+        assert parse_target(tgt.descriptor()) == tgt
