@@ -12,19 +12,22 @@ discrete residual (1/2) Lap |df|^2 - |H|^2 - Q decays at second order.
 
 `compute_bochner` computes nothing up front: each field of the
 BochnerData it returns is computed when first read.  The first-order
-fields come from one pass over the map: one Jacobian J, one pullback
-metric P = J^T J and one eigensolve of P against the domain metric.
-The spectrum (lam, S, e) comes from the eigenvalues; the kernels
+fields come from one pass over the map, taken one row band of
+`RowBands` at a time: per band one Jacobian J, one pullback metric
+P = J^T J and one eigensolve of P against the domain metric.  The
+spectrum (lam, S, e) comes from the eigenvalues; the kernels
 ricci_term_field, target_term_field and target_term_diagonal_field
 contract P, J, and J with the eigenvectors (integral_identity_residual
-applies the first two to its own accuracy-6 Jacobian).  A pass started
-by a spectrum field stops there, so a report that reads only S and lam
-pays for no curvature contraction; a pass started by a contraction
-field computes all of them and the spectrum.  Only node-sized results
-are kept: J, P and the eigenvectors are dropped when the pass returns,
-so a contraction read after a spectrum-only pass runs the pass again.
-Readers that need both read a contraction first (the residual reads Q
-before S).
+applies the first two to its own accuracy-6 Jacobian, also a band at a
+time).  A pass started by a spectrum field stops there, so a report
+that reads only S and lam pays for no curvature contraction; a pass
+started by a contraction field computes all of them and the spectrum.
+Each band's results go into node grids allocated once per pass; J, P
+and the eigenvectors never exceed a band and are dropped with it, so
+the pass holds its node grids, the continued values and the domain
+grids it reads, and a contraction read after a spectrum-only pass runs
+the pass again.  Readers that need both read a contraction first (the
+residual reads Q before S).
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import numpy as np
 
 from .errors import HypothesisViolationError, UsageError
 from .maps import (
+    RowBands,
     hessian_field,
     jacobian_field,
     pullback_field,
@@ -48,36 +52,34 @@ from .targets import sectional_batch
 DEGENERATE_PAIR_TOL = 1e-14
 
 
-def ricci_term_field(f, P):
-    """Ric^{ij} (f*gbar)_{ij} at every node, from the pullback metric P.
+def ricci_term_field(P, ginv, ric):
+    """Ric^{ij} (f*gbar)_{ij} at every node, from the pullback metric P
+    and the inverse metric and Ricci diagonals at the same nodes.
 
     Metric and Ricci tensor are diagonal, so this is
     sum_i (g^ii)^2 Ric_ii P_ii.
     """
-    ginv = f.domain.inv_metric_diag_grid()
-    ric = f.domain.ricci_grid()
     out = np.zeros(P.shape[:-2])
     for i in range(2):
         out += ginv[..., i] * ginv[..., i] * ric[..., i] * P[..., i, i]
     return out
 
 
-def target_term_field(f, J):
-    """Invariant contraction of the target curvature term (Gauss equation).
+def target_term_field(target, q, J, ginv):
+    """Invariant contraction of the target curvature term (Gauss equation)
+    at the image points q, with Jacobian J and inverse metric diagonal ginv.
 
     With a diagonal metric it is
     sum_{i,j} g^ii g^jj (<A_ii, A_jj> - <A_ij, A_ji>),
-    A_ij the second fundamental form of the target on the columns of J.
+    A_ij the second fundamental form of the target on the columns of J;
+    A is symmetric, so A_vu is A_uv.
     """
-    q = f.values
-    tgt = f.target
-    A = [
-        [tgt.second_fundamental(q, J[..., i], J[..., j]) for j in range(2)]
-        for i in range(2)
-    ]
-    ginv = f.domain.inv_metric_diag_grid()
-    t1 = np.zeros(q.shape[:2])
-    t2 = np.zeros(q.shape[:2])
+    Auv = target.second_fundamental(q, J[..., 0], J[..., 1])
+    A = [[target.second_fundamental(q, J[..., 0], J[..., 0]), Auv],
+         [Auv, target.second_fundamental(q, J[..., 1], J[..., 1])]]
+    t1 = np.zeros(q.shape[:-1])
+    t2 = np.zeros(q.shape[:-1])
+    term = np.empty(q.shape[:-1])
     # accumulate one term at a time over i, then j, then the ambient
     # index m: the order of the dense contraction g^ia g^jb A_iam A_jbm
     # that the output files were first written with (summing over m
@@ -85,14 +87,18 @@ def target_term_field(f, J):
     for i in range(2):
         for j in range(2):
             w = ginv[..., i] * ginv[..., j]
-            for m in range(tgt.m):
-                t1 += w * A[i][i][..., m] * A[j][j][..., m]
-                t2 += w * A[i][j][..., m] * A[j][i][..., m]
+            for m in range(target.m):
+                np.multiply(w, A[i][i][..., m], out=term)
+                term *= A[j][j][..., m]
+                t1 += term
+                np.multiply(w, A[i][j][..., m], out=term)
+                term *= A[j][i][..., m]
+                t2 += term
     return t1 - t2
 
 
-def target_term_diagonal_field(f, J, lam, vecs):
-    """Eigenframe evaluation: 2 Sec(u_1, u_2) lam_1 lam_2.
+def target_term_diagonal_field(target, q, J, lam, vecs):
+    """Eigenframe evaluation: 2 Sec(u_1, u_2) lam_1 lam_2 at the image points q.
 
     lam and vecs are the ascending eigenvalue pair and g-orthonormal
     eigenvectors of the pullback metric, u_a = J vecs_a.  Where
@@ -102,7 +108,7 @@ def target_term_diagonal_field(f, J, lam, vecs):
     w = lam[..., 0] * lam[..., 1]
     ua, ub = (J[..., 0] * vecs[..., 0, a, None] + J[..., 1] * vecs[..., 1, a, None]
               for a in range(2))
-    sec = sectional_batch(f.target, f.values, ua, ub)
+    sec = sectional_batch(target, q, ua, ub)
     sec = np.nan_to_num(sec, nan=0.0, posinf=0.0, neginf=0.0)
     return np.where(w > DEGENERATE_PAIR_TOL, 2.0 * sec * w, 0.0)
 
@@ -146,17 +152,22 @@ class BochnerData:
 
     def _first_order_pass(self, contraction):
         f = self.f
-        J = jacobian_field(f)
-        P = pullback_field(J)
-        lam, vecs = gen_eigh(P, f.domain.metric_diag_grid())  # ascending, g-orthonormal
-        fields = dict(zip(("lam", "S", "e"), spectrum(lam)))
-        if contraction:
-            fields.update(
-                ricci=ricci_term_field(f, P),
-                target=target_term_field(f, J),
-                target_frame=target_term_diagonal_field(f, J, lam, vecs),
-            )
-        for name, value in fields.items():
+
+        def first_order(band):
+            J = jacobian_field(f, band=band)
+            P = pullback_field(J)
+            lam, vecs = gen_eigh(P, band.grid("metric_diag_grid"))  # ascending, g-orthonormal
+            fields = dict(zip(("lam", "S", "e"), spectrum(lam)))
+            if contraction:
+                q, ginv = band.values, band.grid("inv_metric_diag_grid")
+                fields.update(
+                    ricci=ricci_term_field(P, ginv, band.grid("ricci_grid")),
+                    target=target_term_field(f.target, q, J, ginv),
+                    target_frame=target_term_diagonal_field(f.target, q, J, lam, vecs),
+                )
+            return fields
+
+        for name, value in RowBands(f).assemble(first_order).items():
             self.__dict__.setdefault(name, read_only(value))
 
     @cached_property
@@ -166,7 +177,9 @@ class BochnerData:
     @cached_property
     def hess(self):
         """|H|^2."""
-        return read_only(hessian_field(self.f))
+        f = self.f
+        grids = RowBands(f).assemble(lambda band: {"hess": hessian_field(f, band=band)})
+        return read_only(grids["hess"])
 
     @cached_property
     def lap(self):
@@ -204,18 +217,23 @@ def integral_identity_residual(f):
 
     Integrating the identity over a closed domain gives
     int (|H|^2 + Q) = (1/2) int Lap |df|^2 = 0 for a harmonic map.  The
-    integrand is evaluated with its own accuracy-6 (7-point) stencils
-    on the periodic continuation of the grid (the double Fourier
+    integrand is evaluated one row band at a time, with its own
+    accuracy-6 (7-point) stencils on the periodic continuation of the
+    grid (the double Fourier
     sphere on S^2) and integrated with the domain's high-order weights
     (Fejer's first rule in theta on S^2, trapezoid on T^2), so the
     value falls at sixth order under grid refinement rather than
     carrying the O(h^2) bias of the pointwise fields.
     """
-    J = jacobian_field(f, accuracy=6)
-    hess = hessian_field(f, accuracy=6)
-    Q = ricci_term_field(f, pullback_field(J)) - target_term_field(f, J)
-    w = f.domain.high_order_weight_grid()
-    return float(np.sum((hess + Q) * w))
+    def integrand(band):
+        J = jacobian_field(f, accuracy=6, band=band)
+        ginv = band.grid("inv_metric_diag_grid")
+        Q = (ricci_term_field(pullback_field(J), ginv, band.grid("ricci_grid"))
+             - target_term_field(f.target, band.values, J, ginv))
+        return {"hess_Q": hessian_field(f, accuracy=6, band=band) + Q}
+
+    hess_Q = RowBands(f, accuracy=6).assemble(integrand)["hess_Q"]
+    return float(np.sum(hess_Q * f.domain.high_order_weight_grid()))
 
 
 # -- the lambda inequality chain --------------------------------------------

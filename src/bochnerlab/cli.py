@@ -220,8 +220,9 @@ def _emit(ns, payload):
 def _verify_level(f):
     dom = f.domain
     h = grid_h(dom)
-    # the accuracy-6 integrand is the level's largest transient; taken
-    # first, it runs while no Bochner field is held
+    # the accuracy-6 integrand holds its own continued values, domain
+    # grids and integrand grid; taken first, it runs while no Bochner
+    # field is held
     integral = integral_identity_residual(f)
     data = compute_bochner(f)
     tol = VERIFY_RES_COEFF * h * h
@@ -249,11 +250,12 @@ def cmd_verify(ns):
         raise UsageError("refinement levels need a catalog map, not a saved map")
     f = _build_map(ns)
     levels = []
-    data = None
     for lev in range(ns.refine):
         if lev:
-            dom = f.domain.with_resolution(2 * f.domain.n1)
-            f = catalog_map(ns.map, dom, f.target)
+            dom, tgt = f.domain.with_resolution(2 * f.domain.n1), f.target
+            # drop the previous level's map and fields before the next is built
+            f = data = None
+            f = catalog_map(ns.map, dom, tgt)
         data, summary = _verify_level(f)
         levels.append(summary)
 

@@ -9,6 +9,12 @@ diagonal, so every contraction over the two chart directions is a sum
 of elementwise products.  The pointwise calculus uses second-order
 stencils; `accuracy=6` selects 7-point ones where a quadrature needs a
 smaller truncation error.
+
+The stencil kernels `jacobian_field` and `hessian_field` evaluate one
+row band of the grid at a time when given a `Band` of `RowBands`:
+about BAND_NODES nodes, so that their temporaries stay the size of a
+band however fine the grid; every node sees the same arithmetic as in
+a whole-grid evaluation, so the assembled grids are bit-identical.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ class DiscreteMap:
     values has shape (n1, n2, m) and always lies on the target: the
     constructor reprojects through the closest-point map.  The values
     are read-only, so the tension and energy density are cached; the
-    Jacobian is not (6 MB per map at 256x512 into R^3).
+    Jacobian is not kept, and the energy density is taken a row band of
+    it at a time.
     """
 
     domain: object
@@ -57,10 +64,13 @@ class DiscreteMap:
 
     @cached_property
     def energy_density(self):
-        J = jacobian_field(self)
-        ginv = self.domain.inv_metric_diag_grid()
-        S = sum(ginv[..., d] * dot(J[..., d], J[..., d]) for d in range(2))
-        return read_only(S / 2.0)
+        def density(band):
+            J = jacobian_field(self, band=band)
+            ginv = band.grid("inv_metric_diag_grid")
+            S = sum(ginv[..., d] * dot(J[..., d], J[..., d]) for d in range(2))
+            return {"e": S / 2.0}
+
+        return read_only(RowBands(self).assemble(density)["e"])
 
     def with_values(self, values):
         return DiscreteMap(self.domain, self.target, values)
@@ -236,16 +246,96 @@ def _stencil(domain, Fp, axis, order, accuracy):
     return out / (den * domain.spacing[axis] ** order)
 
 
-def jacobian_field(f, accuracy=2):
-    """Tangent-projected chart Jacobian, shape (n1, n2, m, 2).
+# nodes per row band of the banded kernels: a band of values is 192 KB
+# at m = 3, so its temporaries are cache-sized blocks (Lam, Rothberg &
+# Wolf, ASPLOS 1991) and stay that size however fine the grid
+BAND_NODES = 8192
+
+
+class RowBands:
+    """A map's grid cut into bands of whole rows, about BAND_NODES nodes each.
+
+    The values are continued by accuracy // 2 ghost nodes across both
+    axes once, and each domain grid is built once, on first use; every
+    band slices those arrays, so a banded evaluation costs one pass over
+    the grid however many bands it takes.
+    """
+
+    def __init__(self, f, accuracy=2):
+        dom = f.domain
+        self.f, self.p = f, accuracy // 2
+        self.continued = dom.extend(dom.extend(f.values, 0, self.p), 1, self.p)
+        self._grids = {}
+
+    def __iter__(self):
+        # the bands are made here and not kept, so no band refers back to
+        # a RowBands that refers to it: the continued values and domain
+        # grids are freed with the last band, not by the cycle collector
+        n1 = self.f.domain.n1
+        step = max(1, BAND_NODES // self.f.domain.n2)
+        for r in range(0, n1, step):
+            yield Band(self, slice(r, min(r + step, n1)))
+
+    def grid(self, name):
+        """The node grid that the domain method `name` builds."""
+        if name not in self._grids:
+            self._grids[name] = getattr(self.f.domain, name)()
+        return self._grids[name]
+
+    def assemble(self, kernel):
+        """The node grids, by name, of which kernel(band) gives each band's rows.
+
+        Each grid is allocated once and filled band by band; a band of
+        every row gives its values as they are.
+        """
+        n1 = self.f.domain.n1
+        grids = {}
+        for band in self:
+            for name, value in kernel(band).items():
+                if band.rows == slice(0, n1):
+                    grids[name] = value
+                    continue
+                if name not in grids:
+                    grids[name] = np.empty((n1,) + value.shape[1:])
+                grids[name][band.rows] = value
+        return grids
+
+
+class Band:
+    """The rows `rows` of a `RowBands` grid."""
+
+    def __init__(self, bands, rows):
+        self.bands, self.rows = bands, rows
+
+    @property
+    def values(self):
+        return self.bands.f.values[self.rows]
+
+    @property
+    def continued(self):
+        """The continued values on the rows and p ghost rows either side."""
+        return self.bands.continued[self.rows.start:self.rows.stop + 2 * self.bands.p]
+
+    def grid(self, name):
+        """The rows of the domain grid `name`."""
+        return self.bands.grid(name)[self.rows]
+
+
+def jacobian_field(f, accuracy=2, band=None):
+    """Tangent-projected chart Jacobian, shape (n1, n2, m, 2), or its
+    rows on a band of `RowBands(f, accuracy)`.
 
     Both chart derivatives go through one `tangent_part` call; the
     result is a view whose columns J[..., i] are contiguous.
     """
-    du = derivative(f.domain, f.values, 0, accuracy=accuracy)
-    dv = derivative(f.domain, f.values, 1, accuracy=accuracy)
-    rows = f.target.tangent_part(f.values[..., None, :], np.stack([du, dv], axis=-2))
-    return np.swapaxes(rows, -1, -2)
+    if band is None:
+        band = Band(RowBands(f, accuracy), slice(0, f.domain.n1))
+    p = accuracy // 2
+    vp = band.continued
+    du = _stencil(f.domain, vp[:, p:-p], 0, 1, accuracy)
+    dv = _stencil(f.domain, vp[p:-p], 1, 1, accuracy)
+    JT = f.target.tangent_part(band.values[..., None, :], np.stack([du, dv], axis=-2))
+    return np.swapaxes(JT, -1, -2)
 
 
 def pullback_field(J):
@@ -283,8 +373,9 @@ def tension_field(f):
     return f.tension
 
 
-def hessian_field(f, accuracy=2):
-    """Squared norm |H|^2 of the second fundamental form of the map.
+def hessian_field(f, accuracy=2, band=None):
+    """Squared norm |H|^2 of the second fundamental form of the map, on
+    the grid or on a band of `RowBands(f, accuracy)`.
 
     H_ij = P(f) (d_i d_j f - Gamma^k_ij d_k f), the chart derivatives
     taken with stencils of the given accuracy.  The chart is a warped
@@ -294,23 +385,26 @@ def hessian_field(f, accuracy=2):
     is projected and added in as soon as it is taken, so only a few
     node fields are held at once and H itself is never formed.
     """
+    if band is None:
+        band = Band(RowBands(f, accuracy), slice(0, f.domain.n1))
     dom = f.domain
-    v = f.values
-    G = dom.christoffel_grid()  # (Gamma^u_vv, Gamma^v_uv)
-    ginv = dom.inv_metric_diag_grid()
+    v = band.values
+    G = band.grid("christoffel_grid")  # (Gamma^u_vv, Gamma^v_uv)
+    ginv = band.grid("inv_metric_diag_grid")
 
     def sq(Hij):
         Hij = f.target.tangent_part(v, Hij)
         return dot(Hij, Hij)
 
-    # the values continued across both axes once, for their four derivatives
     p = accuracy // 2
-    vp = dom.extend(dom.extend(v, 0, p), 1, p)
+    vp = band.continued
     along_u, along_v = vp[:, p:-p], vp[p:-p]
     norm2 = ginv[..., 0] * ginv[..., 0] * sq(_stencil(dom, along_u, 0, 2, accuracy))
-    fv = _stencil(dom, along_v, 1, 1, accuracy)
-    fuv = derivative(dom, fv, 0, 1, accuracy)
-    norm2 += 2.0 * ginv[..., 0] * ginv[..., 1] * sq(fuv - G[..., 1, None] * fv)
+    # f_v on the ghost rows as well: the continuation commutes with the
+    # v-stencil, so these rows are f_v's own continuation
+    fv = _stencil(dom, vp, 1, 1, accuracy)
+    fuv = _stencil(dom, fv, 0, 1, accuracy)
+    norm2 += 2.0 * ginv[..., 0] * ginv[..., 1] * sq(fuv - G[..., 1, None] * fv[p:-p])
     del fv, fuv
     fvv = _stencil(dom, along_v, 1, 2, accuracy)
     fu = _stencil(dom, along_u, 0, 1, accuracy)

@@ -60,9 +60,12 @@ class TestCurvatureTerms:
             else:
                 continue
             J = jacobian_field(f)
-            assert np.max(np.abs(target_term_field(f, J))) < 1e-12
+            ginv = dom.inv_metric_diag_grid()
+            assert np.max(np.abs(target_term_field(tgt, f.values, J, ginv))) < 1e-12
             np.testing.assert_allclose(
-                compute_bochner(f).Q, ricci_term_field(f, pullback_field(J)), atol=1e-12
+                compute_bochner(f).Q,
+                ricci_term_field(pullback_field(J), ginv, dom.ricci_grid()),
+                atol=1e-12,
             )
 
     def test_path_agreement_on_analytic_maps(self):
@@ -206,14 +209,16 @@ class TestLazyFields:
     def test_fields_equal_the_kernels_on_one_pass(self):
         f = sphere_map("holomorphic:k=3", n1=32)
         data = compute_bochner(f)
+        dom, tgt, q = f.domain, f.target, f.values
         J = jacobian_field(f)
         P = pullback_field(J)
-        lam, vecs = gen_eigh(P, f.domain.metric_diag_grid())
+        lam, vecs = gen_eigh(P, dom.metric_diag_grid())
         lam_desc, S, e = spectrum(lam)
+        ginv = dom.inv_metric_diag_grid()
         for got, want in (
-            (data.ricci, ricci_term_field(f, P)),
-            (data.target, target_term_field(f, J)),
-            (data.target_frame, target_term_diagonal_field(f, J, lam, vecs)),
+            (data.ricci, ricci_term_field(P, ginv, dom.ricci_grid())),
+            (data.target, target_term_field(tgt, q, J, ginv)),
+            (data.target_frame, target_term_diagonal_field(tgt, q, J, lam, vecs)),
             (data.hess, hessian_field(f)),
             (data.lam, lam_desc), (data.S, S), (data.e, e),
         ):
