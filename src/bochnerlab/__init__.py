@@ -14,7 +14,7 @@ from .bochner import (
     compute_bochner,
     integral_identity_residual,
     lambda_chain_check,
-    pointwise_pinching_check,
+    pinching_slack,
 )
 from .catalog import parse_domain, parse_target
 from .domains import FlatTorus2, RoundSphere2, ricci_min
@@ -22,7 +22,6 @@ from .errors import (
     BochnerLabError,
     ChartDomainError,
     DegeneratePlaneError,
-    HypothesisViolationError,
     NumericalError,
     StabilityError,
     UsageError,

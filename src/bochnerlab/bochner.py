@@ -1,5 +1,5 @@
 """Curvature terms of the Bochner identity for maps, and the inequality
-chain that turns them into a pointwise pinching bound.
+chain that turns them into the slack of a pointwise pinching bound.
 
 The curvature quantity is
 
@@ -15,7 +15,7 @@ BochnerData it returns is computed when first read.  The first-order
 fields come from one pass over the map, taken one row band of
 `RowBands` at a time: per band one Jacobian J, one pullback metric
 P = J^T J and one eigensolve of P against the domain metric.  The
-spectrum (lam, S, e) comes from the eigenvalues; the kernels
+spectrum (lam, S) comes from the eigenvalues; the kernels
 ricci_term_field, target_term_field and target_term_diagonal_field
 contract P, J, and J with the eigenvectors (integral_identity_residual
 applies the first two to its own accuracy-6 Jacobian, also a band at a
@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import HypothesisViolationError, UsageError
+from .errors import UsageError
 from .maps import (
     RowBands,
     hessian_field,
@@ -145,7 +145,6 @@ class BochnerData:
 
     lam = _PassField(contraction=False)
     S = _PassField(contraction=False)
-    e = _PassField(contraction=False)
     ricci = _PassField(contraction=True)
     target = _PassField(contraction=True)
     target_frame = _PassField(contraction=True)
@@ -157,7 +156,7 @@ class BochnerData:
             J = jacobian_field(f, band=band)
             P = pullback_field(J)
             lam, vecs = gen_eigh(P, band.grid("metric_diag_grid"))  # ascending, g-orthonormal
-            fields = dict(zip(("lam", "S", "e"), spectrum(lam)))
+            fields = dict(zip(("lam", "S"), spectrum(lam)))
             if contraction:
                 q, ginv = band.values, band.grid("inv_metric_diag_grid")
                 fields.update(
@@ -281,40 +280,10 @@ def lambda_chain_check(lams):
 # -- pointwise pinching ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PinchingCheck:
-    Q: float
-    bound: float
-    bound_energy_form: float
-    slack: float
-
-
-def pinching_bound_fields(f, ric_min, sec_max, data):
-    """(Q, bound, slack) fields for Q >= S (ric_min - (n-1)/n sec_max S)."""
-    n = f.domain.n
+def pinching_slack(data, ric_min, sec_max):
+    """Q - S (ric_min - (n-1)/n sec_max S) at every node, S = |df|^2: the
+    pointwise pinching bound holds where this slack is nonnegative."""
+    n = data.f.domain.n
+    Q = data.Q  # a contraction first: one pass fills S too
     S = data.S
-    bound = S * (ric_min - (n - 1) / n * sec_max * S)
-    return data.Q, bound, data.Q - bound
-
-
-def pointwise_pinching_check(f, node, ric_min, sec_max, require_hypothesis=True):
-    """Evaluate the pointwise pinching bound at a node.
-
-    Also evaluates the energy-density form of the same bound,
-    2e (ric_min - 2(n-1)/n sec_max e), which is the identical
-    polynomial after S = 2e.
-    """
-    if require_hypothesis and sec_max < 0:
-        raise HypothesisViolationError(
-            "sec_max < 0 violates the nonnegative-curvature hypothesis"
-        )
-    data = compute_bochner(f)
-    n = f.domain.n
-    Q = float(data.Q[node])  # a contraction first: one pass fills S too
-    S = float(data.S[node])
-    e = S / 2.0
-    bound = S * (ric_min - (n - 1) / n * sec_max * S)
-    bound_e = 2 * e * (ric_min - 2 * (n - 1) / n * sec_max * e)
-    return PinchingCheck(
-        Q=Q, bound=float(bound), bound_energy_form=float(bound_e), slack=Q - bound
-    )
+    return Q - S * (ric_min - (n - 1) / n * sec_max * S)

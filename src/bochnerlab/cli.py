@@ -6,7 +6,8 @@ JSON), scan (parameter sweep, one report per CSV row), consistency
 (falsification table over the harmonic catalog).
 
 Exit codes: 0 all enabled assertions pass, 1 assertion failure,
-2 usage error, 3 numerical error.  All floats are written with 17
+2 usage error (an unreadable input path or an unwritable output path
+included), 3 numerical error.  All floats are written with 17
 significant digits so identical configs and seeds reproduce identical
 bytes.  To cap the BLAS/OpenMP worker threads, set OMP_NUM_THREADS and
 OPENBLAS_NUM_THREADS before Python starts: the pools are sized when
@@ -21,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .bochner import compute_bochner, integral_identity_residual, pinching_bound_fields
+from .bochner import compute_bochner, integral_identity_residual, pinching_slack
 from .catalog import parse_descriptor, parse_domain, parse_target
 from .domains import ricci_min
 from .errors import ChartDomainError, NumericalError, UsageError
@@ -301,7 +302,7 @@ def _write_node_csv(ns, f, data):
     rmin, _ = ricci_min(dom)
     sec_max, _ = sec_max_over_region(tgt, f.values.reshape(-1, tgt.m))
     sec_max = max(float(sec_max), 0.0)
-    _, _, slack = pinching_bound_fields(f, rmin, sec_max, data)
+    slack = pinching_slack(data, rmin, sec_max)
     n = dom.n
     header = (
         ["i", "j", "e"]
@@ -310,7 +311,7 @@ def _write_node_csv(ns, f, data):
     )
     i, j = np.indices((dom.n1, dom.n2))
     columns = (
-        [i, j, data.e]
+        [i, j, data.S / 2.0]
         + [data.lam[..., k] for k in range(n)]
         + [data.ricci, data.target, data.Q, data.hess, data.lap, data.residual, slack]
     )
@@ -486,7 +487,9 @@ def main(argv=None):
     try:
         ns = parse_config(sys.argv[1:] if argv is None else argv)
         return run(ns)
-    except UsageError as exc:
+    # an input path that cannot be read as text, or an output path that
+    # cannot be written, is the caller's error
+    except (UsageError, OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(json_dumps({"error": "usage", "message": str(exc)}))
         return 2
     # from the CLI, off-target points, overflow and exhausted memory are numerical

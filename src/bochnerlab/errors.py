@@ -2,6 +2,8 @@
 
 The CLI maps these onto its exit-code contract:
 usage errors -> 2, numerical errors -> 3, assertion failures -> 1.
+An input path it cannot read as text or an output path it cannot
+write (OSError, UnicodeDecodeError) is a usage error too.
 """
 
 
@@ -27,7 +29,3 @@ class DegeneratePlaneError(NumericalError):
 
 class StabilityError(NumericalError):
     """Flow step rejected too many times in a row."""
-
-
-class HypothesisViolationError(UsageError):
-    """A curvature-sign hypothesis was violated while its flag was on."""

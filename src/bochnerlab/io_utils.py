@@ -13,7 +13,7 @@ and reads the digits from a 10^4-entry table.  A cell that is NaN,
 infinite, subnormal or outside [1e-270, 1e270] (zero excepted), or
 whose inexactly scaled value lies within `TIE_MARGIN` of a rounding
 tie, is formatted by `fmt17` on its own.  Tables of other cell types
-(the scan CSV) go through one %-template per row.
+(the scan CSV) are written one cell at a time.
 """
 
 from __future__ import annotations
@@ -231,39 +231,22 @@ def fmt17_fields(x):
 CSV_BLOCK = 1024
 
 
-def _row_template(types):
-    """%-template of a CSV line whose cells have these types."""
-    cells = ("%.17g" if issubclass(t, (float, np.floating)) else "%s" for t in types)
-    return ",".join(cells) + "\n"
-
-
 def write_csv(path, header, rows):
     """Header line, then one line per row.
 
     A float cell is written with 17 significant digits, as `fmt17`
     writes it (nan, inf, -inf, -0 included), and any other cell as its
-    str().  A `ColumnRows` table is rendered by `ColumnRows.encode`;
-    any other sequence of rows is formatted one %-template per row, made
-    once per sequence of cell types.  Lines are written in blocks.
+    str().  A `ColumnRows` table is rendered by `ColumnRows.encode`,
+    any other sequence of rows one cell at a time.
     """
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         if isinstance(rows, ColumnRows):
             fh.writelines(rows.encode(","))
             return
-        templates = {}
-        block = []
         for row in rows:
-            row = tuple(row)
-            types = tuple(map(type, row))
-            template = templates.get(types)
-            if template is None:
-                template = templates[types] = _row_template(types)
-            block.append(template % row)
-            if len(block) == CSV_BLOCK:
-                fh.write("".join(block).encode())
-                block.clear()
-        fh.write("".join(block).encode())
+            cells = (fmt17(c) if isinstance(c, (float, np.floating)) else str(c) for c in row)
+            fh.write((",".join(cells) + "\n").encode())
 
 
 class ColumnRows:

@@ -223,18 +223,10 @@ _STENCILS = {
 }
 
 
-def derivative(domain, F, axis, order=1, accuracy=2):
-    """Central finite difference of a node field along a chart axis.
-
-    `order` is 1 or 2 and `accuracy` 2 or 6; the stencil has
-    accuracy + 1 points and acts on the domain's periodic (torus) or
-    antipodal (sphere) continuation of F.
-    """
-    return _stencil(domain, domain.extend(F, axis, accuracy // 2), axis, order, accuracy)
-
-
 def _stencil(domain, Fp, axis, order, accuracy):
-    """`derivative` of the field that Fp continues by accuracy // 2 nodes along axis."""
+    """Central difference of order 1 or 2 and accuracy 2 or 6 along a chart
+    axis, of the field that Fp, its `domain.extend` by accuracy // 2 nodes
+    along that axis, continues (periodic on a torus, antipodal on a sphere)."""
     weights, den = _STENCILS[order, accuracy]
     p = accuracy // 2
     n = Fp.shape[axis] - 2 * p
@@ -349,13 +341,13 @@ def pullback_field(J):
 
 
 def spectrum(lam):
-    """(lam desc, S, e) from the ascending eigenvalues of g^{-1} f*gbar.
+    """(lam desc, S) from the ascending eigenvalues of g^{-1} f*gbar.
 
-    lam are clamped at zero; S is their sum (= |df|^2) and e = S / 2.
+    lam are clamped at zero; S is their sum, |df|^2 (the energy density
+    is S / 2).
     """
     lam = np.where(lam > -1e-12, np.maximum(lam, 0.0), lam)[..., ::-1]
-    S = lam.sum(axis=-1)
-    return lam, S, S / 2.0
+    return lam, lam.sum(axis=-1)
 
 
 def energy_density_field(f):

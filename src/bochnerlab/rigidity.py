@@ -62,7 +62,6 @@ class PinchingReport:
     hess_sup: float
     lambda_spread: float
     homothety_factor: float
-    totally_geodesic_residual: float
     seed: int
     # the map's Bochner fields, for the equality diagnostics; not output
     bochner: object = field(default=None, repr=False, compare=False)
@@ -169,7 +168,6 @@ def build_report(f, seed=0, global_sample=0):
         hess_sup=hess_sup,
         lambda_spread=spread,
         homothety_factor=homothety,
-        totally_geodesic_residual=hess_sup,
         seed=int(seed),
         bochner=data,
     )

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bochnerlab.bochner import compute_bochner, pinching_bound_fields
+from bochnerlab.bochner import compute_bochner, pinching_slack
 from bochnerlab.catalog import parse_domain, parse_target
 from bochnerlab.cli import main
 from bochnerlab.domains import FlatTorus2, ricci_min
@@ -80,7 +80,7 @@ class TestVerify:
         # the node CSV takes Sec_max over every image node, as the report does
         nodes = f.values.reshape(-1, f.target.m)
         sec_max = max(sec_max_over_region(f.target, nodes)[0], 0.0)
-        _, _, slack = pinching_bound_fields(f, ricci_min(f.domain)[0], sec_max, data)
+        slack = pinching_slack(data, ricci_min(f.domain)[0], sec_max)
         lines = csv.read_text().splitlines()
         assert lines[0].split(",")[2:] == [
             "e", "lam1", "lam2", "ricci_term", "target_term",
@@ -90,7 +90,7 @@ class TestVerify:
         i, j = np.indices((f.domain.n1, f.domain.n2))
         assert [int(c[0]) for c in cells] == i.ravel().tolist()
         assert [int(c[1]) for c in cells] == j.ravel().tolist()
-        expected = [data.e, data.lam[..., 0], data.lam[..., 1], data.ricci,
+        expected = [data.S / 2.0, data.lam[..., 0], data.lam[..., 1], data.ricci,
                     data.target, data.Q, data.hess, data.lap, data.residual, slack]
         got = np.array([[float(x) for x in c[2:]] for c in cells])
         for col, field in enumerate(expected):
@@ -117,9 +117,7 @@ class TestVerify:
         f = load_map(str(path))
         every_node = sec_max_over_region(f.target, f.values.reshape(-1, 3))[0]
         assert 0 < sec_max == every_node
-        _, _, slack = pinching_bound_fields(
-            f, ricci_min(f.domain)[0], sec_max, compute_bochner(f)
-        )
+        slack = pinching_slack(compute_bochner(f), ricci_min(f.domain)[0], sec_max)
         got = [float(line.rsplit(",", 1)[1]) for line in csv.read_text().splitlines()[1:]]
         np.testing.assert_array_equal(got, slack.ravel())
 
@@ -146,17 +144,45 @@ class TestSavedMapErrors:
             (HEADER.replace("target sphere:r=1\n", "") + ROW * 64, 2),  # no target
             (HEADER + ROW * 63 + "0 0\n", 2),  # truncated body
             (HEADER + ROW * 63 + "nan 0 1\n", 3),  # non-finite node
+            (HEADER.replace("sphere", "sph\xe8re").encode("latin-1") + ROW.encode() * 64, 2),
         ],
-        ids=["missing-target", "truncated", "nan-node"],
+        ids=["missing-target", "truncated", "nan-node", "not-utf8"],
     )
     def test_exit_codes(self, tmp_path, capsys, text, code):
         path = tmp_path / "bad.map"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         out = tmp_path / "r.json"
         assert run_cli("report", "--load", str(path), "--json", str(out)) == code
         assert not out.exists()
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == ("usage" if code == 2 else "NumericalError")
+
+
+TORUS_CAP = ["--domain", "torus:a=1,b=1", "--init", "cap:amplitude=0.3", "--steps", "1"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["report", "--load", "{tmp}/no-such.map"],
+        ["report", "--load", "{tmp}"],
+        ["report", "--map", "constant", "--config", "{tmp}/latin1.json"],
+        ["report", "--map", "constant", "--json", "{tmp}/no-such-dir/r.json"],
+        ["verify", "--map", "identity", "--csv", "{tmp}/no-such-dir/n.csv"],
+        ["flow", *TORUS_CAP, "--save", "{tmp}/no-such-dir/f.map"],
+        ["flow", *TORUS_CAP, "--trace", "{tmp}/no-such-dir/t.csv"],
+        ["scan", "--map", "constant", "--param", "r=1:1:1", "--csv", "{tmp}/no-such-dir/s.csv"],
+        ["consistency", "--json", "{tmp}/no-such-dir/c.json"],
+    ],
+    ids=["load-missing", "load-directory", "config-not-utf8", "json-no-dir",
+         "verify-csv-no-dir", "flow-save-no-dir", "flow-trace-no-dir",
+         "scan-csv-no-dir", "consistency-json-no-dir"],
+)
+def test_bad_paths_are_usage_errors(tmp_path, capsys, args):
+    (tmp_path / "latin1.json").write_bytes('{"seed": "\xe9"}'.encode("latin-1"))
+    argv = [a.format(tmp=tmp_path) for a in args] + ["--resolution", "8"]
+    assert exit_code(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "usage"
 
 
 def test_import_leaves_out_scipy_optimize():
