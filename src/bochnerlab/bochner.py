@@ -12,22 +12,21 @@ discrete residual (1/2) Lap |df|^2 - |H|^2 - Q decays at second order.
 
 `compute_bochner` computes nothing up front: each field of the
 BochnerData it returns is computed when first read.  The first-order
-fields come from one pass over the map, taken one row band of
-`RowBands` at a time: per band one Jacobian J, one pullback metric
-P = J^T J and one eigensolve of P against the domain metric.  The
-spectrum (lam, S) comes from the eigenvalues; the kernels
+fields and |H|^2 come from one pass over the map, one row band at a
+time (`maps.assemble`): per band one Hessian, one Jacobian J, one
+pullback metric P = J^T J and one eigensolve of P against the domain
+metric.  The spectrum (lam, S) comes from the eigenvalues; the kernels
 ricci_term_field, target_term_field and target_term_diagonal_field
 contract P, J, and J with the eigenvectors (integral_identity_residual
 applies the first two to its own accuracy-6 Jacobian, also a band at a
-time).  A pass started by a spectrum field stops there, so a report
-that reads only S and lam pays for no curvature contraction; a pass
-started by a contraction field computes all of them and the spectrum.
-Each band's results go into node grids allocated once per pass; J, P
-and the eigenvectors never exceed a band and are dropped with it, so
-the pass holds its node grids, the continued values and the domain
-grids it reads, and a contraction read after a spectrum-only pass runs
-the pass again.  Readers that need both read a contraction first (the
-residual reads Q before S).
+time).  A pass started by S, lam or hess skips the contractions, so a
+report that reads only those pays for none; a pass started by a
+contraction field computes them all as well.  J, P and the
+eigenvectors never exceed a band, and the domain coefficients are row
+profiles, so the pass holds its node grids and the continued values;
+a contraction read after a contraction-free pass runs the pass again.
+Readers that need both read a contraction first (the residual reads Q
+before S).
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import numpy as np
 
 from .errors import UsageError
 from .maps import (
-    RowBands,
+    assemble,
     hessian_field,
     jacobian_field,
     pullback_field,
@@ -145,40 +144,36 @@ class BochnerData:
 
     lam = _PassField(contraction=False)
     S = _PassField(contraction=False)
+    hess = _PassField(contraction=False)  # |H|^2
     ricci = _PassField(contraction=True)
     target = _PassField(contraction=True)
     target_frame = _PassField(contraction=True)
 
     def _first_order_pass(self, contraction):
-        f = self.f
+        f, dom = self.f, self.f.domain
 
         def first_order(band):
+            hess = hessian_field(f, band=band)  # before J, so no J is held
             J = jacobian_field(f, band=band)
             P = pullback_field(J)
-            lam, vecs = gen_eigh(P, band.grid("metric_diag_grid"))  # ascending, g-orthonormal
-            fields = dict(zip(("lam", "S"), spectrum(lam)))
+            # ascending, g-orthonormal
+            lam, vecs = gen_eigh(P, dom.metric_diag_grid()[band.rows])
+            fields = dict(zip(("lam", "S"), spectrum(lam)), hess=hess)
             if contraction:
-                q, ginv = band.values, band.grid("inv_metric_diag_grid")
+                q, ginv = band.values, dom.inv_metric_diag_grid()[band.rows]
                 fields.update(
-                    ricci=ricci_term_field(P, ginv, band.grid("ricci_grid")),
+                    ricci=ricci_term_field(P, ginv, dom.ricci_grid()[band.rows]),
                     target=target_term_field(f.target, q, J, ginv),
                     target_frame=target_term_diagonal_field(f.target, q, J, lam, vecs),
                 )
             return fields
 
-        for name, value in RowBands(f).assemble(first_order).items():
+        for name, value in assemble(f, first_order).items():
             self.__dict__.setdefault(name, read_only(value))
 
     @cached_property
     def Q(self):
         return read_only(self.ricci - self.target)
-
-    @cached_property
-    def hess(self):
-        """|H|^2."""
-        f = self.f
-        grids = RowBands(f).assemble(lambda band: {"hess": hessian_field(f, band=band)})
-        return read_only(grids["hess"])
 
     @cached_property
     def lap(self):
@@ -226,12 +221,12 @@ def integral_identity_residual(f):
     """
     def integrand(band):
         J = jacobian_field(f, accuracy=6, band=band)
-        ginv = band.grid("inv_metric_diag_grid")
-        Q = (ricci_term_field(pullback_field(J), ginv, band.grid("ricci_grid"))
+        ginv = f.domain.inv_metric_diag_grid()[band.rows]
+        Q = (ricci_term_field(pullback_field(J), ginv, f.domain.ricci_grid()[band.rows])
              - target_term_field(f.target, band.values, J, ginv))
         return {"hess_Q": hessian_field(f, accuracy=6, band=band) + Q}
 
-    hess_Q = RowBands(f, accuracy=6).assemble(integrand)["hess_Q"]
+    hess_Q = assemble(f, integrand, accuracy=6)["hess_Q"]
     return float(np.sum(hess_Q * f.domain.high_order_weight_grid()))
 
 

@@ -221,9 +221,8 @@ def _emit(ns, payload):
 def _verify_level(f):
     dom = f.domain
     h = grid_h(dom)
-    # the accuracy-6 integrand holds its own continued values, domain
-    # grids and integrand grid; taken first, it runs while no Bochner
-    # field is held
+    # the accuracy-6 integrand holds its own continued values and
+    # integrand grid; taken first, it runs while no Bochner field is held
     integral = integral_identity_residual(f)
     data = compute_bochner(f)
     tol = VERIFY_RES_COEFF * h * h

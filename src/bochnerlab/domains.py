@@ -5,17 +5,18 @@ Each carries a closed-form metric, Christoffel symbols and Ricci tensor
 on a periodic (torus) or pole-staggered (sphere) node grid, and a fast
 direct solver for (I - dt L) that the heat flow's implicit step calls.
 
-Both charts are orthogonal warped products g = diag(E(u), G(u)), so the
-grid forms store only what can be nonzero: the metric and Ricci
-diagonals, shape (n1, n2, 2), and the Christoffel symbols
-(Gamma^u_vv, Gamma^v_uv = Gamma^v_vu), also (n1, n2, 2).  The dense
-point forms metric_at, christoffel_at and ricci_at feed the
-finite-difference cross-checks of the test suite.
+Both charts are orthogonal warped products g = diag(E(u), G(u))
+(Bishop & O'Neill 1969), so the grid forms are row profiles, shape
+(n1, 1, 2), that broadcast against node fields, and store only what
+can be nonzero: the metric and Ricci diagonals and the Christoffel
+symbols (Gamma^u_vv, Gamma^v_uv = Gamma^v_vu).  The dense point forms
+metric_at, christoffel_at and ricci_at feed the finite-difference
+cross-checks of the test suite.
 
 Sphere grids stagger the latitude nodes so no node sits on a chart
 pole; ghost rows continue fields across the pole antipodally, which
-keeps stencils of any width central.  The two rows adjacent to the
-poles are flagged so sup-norm diagnostics can exclude them.
+keeps stencils of any width central.  The rows near the poles are
+flagged so sup-norm diagnostics can exclude them.
 """
 
 from __future__ import annotations
@@ -70,6 +71,13 @@ class ChartGrid:
 
     def with_resolution(self, n1, n2=None):
         return replace(self, n1=n1, n2=n2)
+
+    def _row_profile(self, first, second):
+        """The (n1, 1, 2) profile of two per-row (or constant) components."""
+        out = np.empty((self.n1, 1, 2))
+        out[:, 0, 0] = first
+        out[:, 0, 1] = second
+        return out
 
     def inv_metric_diag_grid(self):
         return 1.0 / self.metric_diag_grid()
@@ -130,10 +138,7 @@ class FlatTorus2(ChartGrid):
         return np.diag([self.a**2, self.b**2])
 
     def metric_diag_grid(self):
-        g = np.empty((self.n1, self.n2, 2))
-        g[..., 0] = self.a**2
-        g[..., 1] = self.b**2
-        return g
+        return self._row_profile(self.a**2, self.b**2)
 
     def sqrt_det_grid(self):
         return np.full((self.n1, self.n2), self.a * self.b)
@@ -144,7 +149,7 @@ class FlatTorus2(ChartGrid):
 
     def christoffel_grid(self):
         """(Gamma^u_vv, Gamma^v_uv) on the last axis; flat, so zero."""
-        return np.zeros((self.n1, self.n2, 2))
+        return np.zeros((self.n1, 1, 2))
 
     def ricci_at(self, p):
         self.check_point(p)
@@ -152,7 +157,7 @@ class FlatTorus2(ChartGrid):
 
     def ricci_grid(self):
         """Ricci diagonal (Ric_uu, Ric_vv); flat, so zero."""
-        return np.zeros((self.n1, self.n2, 2))
+        return np.zeros((self.n1, 1, 2))
 
     # -- discrete calculus ---------------------------------------------------
 
@@ -189,7 +194,7 @@ class FlatTorus2(ChartGrid):
         return self.quad_weight_grid()
 
     def flagged_mask(self):
-        return np.zeros((self.n1, self.n2), dtype=bool)
+        return np.zeros(self.n1, dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -254,10 +259,7 @@ class RoundSphere2(ChartGrid):
 
     def metric_diag_grid(self):
         theta, _ = self.axes()
-        g = np.empty((self.n1, self.n2, 2))
-        g[..., 0] = self.r**2
-        g[..., 1] = (self.r * np.sin(theta))[:, None] ** 2
-        return g
+        return self._row_profile(self.r**2, (self.r * np.sin(theta)) ** 2)
 
     def sqrt_det_grid(self):
         theta, _ = self.axes()
@@ -279,10 +281,8 @@ class RoundSphere2(ChartGrid):
         The other symbols of the warped product vanish.
         """
         theta, _ = self.axes()
-        G = np.empty((self.n1, self.n2, 2))
-        G[..., 0] = (-np.sin(theta) * np.cos(theta))[:, None]
-        G[..., 1] = (np.cos(theta) / np.sin(theta))[:, None]
-        return G
+        s, c = np.sin(theta), np.cos(theta)
+        return self._row_profile(-s * c, c / s)
 
     def ricci_at(self, p):
         # Ric = (n-1)/r^2 g with n = 2
@@ -379,10 +379,11 @@ class RoundSphere2(ChartGrid):
         ).copy()
 
     def flagged_mask(self):
+        """The flagged rows, shape (n1,): field[~mask] drops their nodes."""
         theta, _ = self.axes()
         rows = (theta < self.pole_collar) | (theta > np.pi - self.pole_collar)
         rows[0] = rows[-1] = True
-        return np.broadcast_to(rows[:, None], (self.n1, self.n2)).copy()
+        return rows
 
 
 def ricci_min(domain):
@@ -390,12 +391,12 @@ def ricci_min(domain):
 
     Metric and Ricci tensor are diagonal, so the eigenvalues at a node
     are (d_i Ric_ii) d_i with d = g_ii^{-1/2}, associated as `gen_eigh`
-    scales its matrix; no eigensolve is needed.  Returns (value,
-    witness chart point).
+    scales its matrix; no eigensolve is needed.  They depend on the row
+    alone.  Returns (value, witness chart point), the witness the first
+    node in C order that attains the minimum.
     """
-    U, V = domain.chart_grid()
-    pts = np.stack([U.ravel(), V.ravel()], axis=-1)
     d = 1.0 / np.sqrt(domain.metric_diag_grid())
-    lam = np.min(d * domain.ricci_grid() * d, axis=-1).ravel()
+    lam = np.min(d * domain.ricci_grid() * d, axis=-1)[:, 0]
     k = int(np.argmin(lam))
-    return float(lam[k]), pts[k]
+    u, v = domain.axes()
+    return float(lam[k]), np.array([u[k], v[0]])

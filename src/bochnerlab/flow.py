@@ -56,8 +56,8 @@ class FlowParams:
         # written as not (x > 0) so that NaN is rejected too
         if not self.dt > 0:
             raise UsageError("time step must be positive")
-        if not (self.tension_tol > 0 and self.collapse_tol > 0):
-            raise UsageError("tolerances must be positive")
+        if not (0 < self.tension_tol < np.inf and 0 < self.collapse_tol < np.inf):
+            raise UsageError("tolerances must be positive and finite")
         if self.max_steps < 1:
             raise UsageError("max_steps must be at least 1")
 

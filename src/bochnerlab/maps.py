@@ -11,16 +11,19 @@ stencils; `accuracy=6` selects 7-point ones where a quadrature needs a
 smaller truncation error.
 
 The stencil kernels `jacobian_field` and `hessian_field` evaluate one
-row band of the grid at a time when given a `Band` of `RowBands`:
-about BAND_NODES nodes, so that their temporaries stay the size of a
-band however fine the grid; every node sees the same arithmetic as in
-a whole-grid evaluation, so the assembled grids are bit-identical.
+row band of the grid at a time when given a `Band` that `assemble`
+passes its kernel: about BAND_NODES nodes, so that their temporaries
+stay the size of a band however fine the grid.  The domain's
+coefficients are row profiles, and a kernel slices the band's rows of
+them; every node sees the same arithmetic as in a whole-grid
+evaluation, so the assembled grids are bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,11 +69,11 @@ class DiscreteMap:
     def energy_density(self):
         def density(band):
             J = jacobian_field(self, band=band)
-            ginv = band.grid("inv_metric_diag_grid")
+            ginv = self.domain.inv_metric_diag_grid()[band.rows]
             S = sum(ginv[..., d] * dot(J[..., d], J[..., d]) for d in range(2))
             return {"e": S / 2.0}
 
-        return read_only(RowBands(self).assemble(density)["e"])
+        return read_only(assemble(self, density)["e"])
 
     def with_values(self, values):
         return DiscreteMap(self.domain, self.target, values)
@@ -244,84 +247,56 @@ def _stencil(domain, Fp, axis, order, accuracy):
 BAND_NODES = 8192
 
 
-class RowBands:
-    """A map's grid cut into bands of whole rows, about BAND_NODES nodes each.
+class Band(NamedTuple):
+    """The rows `rows` of a map's grid: their values, and the continued
+    values on them and on accuracy // 2 ghost rows either side."""
 
-    The values are continued by accuracy // 2 ghost nodes across both
-    axes once, and each domain grid is built once, on first use; every
-    band slices those arrays, so a banded evaluation costs one pass over
-    the grid however many bands it takes.
+    rows: slice
+    values: np.ndarray
+    continued: np.ndarray
+
+
+def _bands(f, accuracy, step=None):
+    """The map's grid cut into bands of `step` whole rows, by default
+    about BAND_NODES nodes.  The values are continued by accuracy // 2
+    ghost nodes across both axes once, and every band slices them."""
+    dom, p = f.domain, accuracy // 2
+    continued = dom.extend(dom.extend(f.values, 0, p), 1, p)
+    step = step or max(1, BAND_NODES // dom.n2)
+    for r in range(0, dom.n1, step):
+        rows = slice(r, min(r + step, dom.n1))
+        yield Band(rows, f.values[rows], continued[r:rows.stop + 2 * p])
+
+
+def assemble(f, kernel, accuracy=2):
+    """The node grids, by name, of which kernel(band) gives each band's rows.
+
+    Each grid is allocated once and filled band by band; a band of
+    every row gives its values as they are.  The banded evaluation costs
+    one pass over the grid however many bands it takes.
     """
-
-    def __init__(self, f, accuracy=2):
-        dom = f.domain
-        self.f, self.p = f, accuracy // 2
-        self.continued = dom.extend(dom.extend(f.values, 0, self.p), 1, self.p)
-        self._grids = {}
-
-    def __iter__(self):
-        # the bands are made here and not kept, so no band refers back to
-        # a RowBands that refers to it: the continued values and domain
-        # grids are freed with the last band, not by the cycle collector
-        n1 = self.f.domain.n1
-        step = max(1, BAND_NODES // self.f.domain.n2)
-        for r in range(0, n1, step):
-            yield Band(self, slice(r, min(r + step, n1)))
-
-    def grid(self, name):
-        """The node grid that the domain method `name` builds."""
-        if name not in self._grids:
-            self._grids[name] = getattr(self.f.domain, name)()
-        return self._grids[name]
-
-    def assemble(self, kernel):
-        """The node grids, by name, of which kernel(band) gives each band's rows.
-
-        Each grid is allocated once and filled band by band; a band of
-        every row gives its values as they are.
-        """
-        n1 = self.f.domain.n1
-        grids = {}
-        for band in self:
-            for name, value in kernel(band).items():
-                if band.rows == slice(0, n1):
-                    grids[name] = value
-                    continue
-                if name not in grids:
-                    grids[name] = np.empty((n1,) + value.shape[1:])
-                grids[name][band.rows] = value
-        return grids
-
-
-class Band:
-    """The rows `rows` of a `RowBands` grid."""
-
-    def __init__(self, bands, rows):
-        self.bands, self.rows = bands, rows
-
-    @property
-    def values(self):
-        return self.bands.f.values[self.rows]
-
-    @property
-    def continued(self):
-        """The continued values on the rows and p ghost rows either side."""
-        return self.bands.continued[self.rows.start:self.rows.stop + 2 * self.bands.p]
-
-    def grid(self, name):
-        """The rows of the domain grid `name`."""
-        return self.bands.grid(name)[self.rows]
+    n1 = f.domain.n1
+    grids = {}
+    for band in _bands(f, accuracy):
+        for name, value in kernel(band).items():
+            if band.rows == slice(0, n1):
+                grids[name] = value
+                continue
+            if name not in grids:
+                grids[name] = np.empty((n1,) + value.shape[1:])
+            grids[name][band.rows] = value
+    return grids
 
 
 def jacobian_field(f, accuracy=2, band=None):
     """Tangent-projected chart Jacobian, shape (n1, n2, m, 2), or its
-    rows on a band of `RowBands(f, accuracy)`.
+    rows on a `Band` that `assemble(f, kernel, accuracy)` passes.
 
     Both chart derivatives go through one `tangent_part` call; the
     result is a view whose columns J[..., i] are contiguous.
     """
     if band is None:
-        band = Band(RowBands(f, accuracy), slice(0, f.domain.n1))
+        band = next(_bands(f, accuracy, f.domain.n1))
     p = accuracy // 2
     vp = band.continued
     du = _stencil(f.domain, vp[:, p:-p], 0, 1, accuracy)
@@ -367,7 +342,7 @@ def tension_field(f):
 
 def hessian_field(f, accuracy=2, band=None):
     """Squared norm |H|^2 of the second fundamental form of the map, on
-    the grid or on a band of `RowBands(f, accuracy)`.
+    the grid or on a `Band` that `assemble(f, kernel, accuracy)` passes.
 
     H_ij = P(f) (d_i d_j f - Gamma^k_ij d_k f), the chart derivatives
     taken with stencils of the given accuracy.  The chart is a warped
@@ -378,11 +353,11 @@ def hessian_field(f, accuracy=2, band=None):
     node fields are held at once and H itself is never formed.
     """
     if band is None:
-        band = Band(RowBands(f, accuracy), slice(0, f.domain.n1))
+        band = next(_bands(f, accuracy, f.domain.n1))
     dom = f.domain
     v = band.values
-    G = band.grid("christoffel_grid")  # (Gamma^u_vv, Gamma^v_uv)
-    ginv = band.grid("inv_metric_diag_grid")
+    G = dom.christoffel_grid()[band.rows]  # (Gamma^u_vv, Gamma^v_uv)
+    ginv = dom.inv_metric_diag_grid()[band.rows]
 
     def sq(Hij):
         Hij = f.target.tangent_part(v, Hij)

@@ -99,16 +99,18 @@ def test_band_sized_temporaries(tmp_path):
         return (n1 + 2 * p) * (n2 + 2 * p) * m * 8
 
     # Multiples of one band that each operation may allocate beyond what
-    # it keeps and the values it continues, set between the two trees'
-    # measurements (numpy 2.4).  Banded: reading the fields at most 20.0
-    # bands (the contraction pass: its band's J, P and eigensolve
-    # temporaries next to the metric, inverse metric and Ricci grids it
-    # slices, 2.7 bands each at this grid), the integrand 19.1, the energy
-    # 12.0, and 28.1 for the node-CSV writer (some 50 temporaries per cell
-    # of a 1024-row block).  Whole-grid kernels: 30.6 to 40.2 bands for the
-    # fields, the energy and the integrand, and 98.5 for the writer with
-    # 4096-row blocks.
-    KERNELS, WRITER = 25, 40
+    # it keeps and the values it continues, set between two designs'
+    # measurements (numpy 2.4).  Banded kernels that slice the domain's
+    # row profiles: reading the fields at most 12.4 bands (sup_tension,
+    # whose tension is taken over the whole grid; the contraction pass
+    # 12.0), the integrand 10.7, the energy 9.3, and 28.1 for the node-CSV
+    # writer (some 50 temporaries per cell of a 1024-row block).  Banded
+    # kernels that slice node-sized metric, inverse metric and Ricci grids
+    # (2.7 bands each at this grid): the contraction pass 19.7, the
+    # integrand 18.9, the energy 12.0.  Whole-grid kernels: 30.6 to 40.2
+    # bands for the fields, the energy and the integrand, and 98.5 for the
+    # writer with 4096-row blocks.
+    KERNELS, WRITER = 16, 40
     data = compute_bochner(f)
     for name in FIELDS:
         used = transient(lambda: getattr(data, name))

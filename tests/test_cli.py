@@ -364,10 +364,12 @@ class TestExitCodes:
             FLOW + ["--dt", "nan"],
             FLOW + ["--tol", "nan"],
             FLOW + ["--collapse-tol", "nan"],
+            FLOW + ["--tol", "inf"],
+            FLOW + ["--collapse-tol", "inf"],
             FLOW + ["--trace", "{tmp}/trace.csv", "--trace-stride", "0"],
         ],
         ids=["global-sample", "fractional-degree", "dt", "tol", "collapse-tol",
-             "trace-stride"],
+             "tol-inf", "collapse-tol-inf", "trace-stride"],
     )
     def test_bad_value_is_a_usage_error(self, tmp_path, argv):
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]

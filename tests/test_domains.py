@@ -165,10 +165,11 @@ class TestRoundSphere:
     def test_flagged_mask_covers_pole_collar(self):
         dom = RoundSphere2(r=1.0, n1=64, n2=128)
         TH, _ = dom.chart_grid()
-        mask = dom.flagged_mask()
-        assert mask[0].all() and mask[-1].all()
-        assert not mask[dom.n1 // 2].any()
-        assert np.all(TH[mask.any(axis=1)][:, 0] != TH[dom.n1 // 2, 0])
+        mask = dom.flagged_mask()  # one flag per row
+        assert mask.shape == (dom.n1,)
+        assert mask[0] and mask[-1]
+        assert not mask[dom.n1 // 2]
+        assert np.all(TH[mask][:, 0] != TH[dom.n1 // 2, 0])
 
     def test_invalid_construction(self):
         with pytest.raises(UsageError):
@@ -185,20 +186,23 @@ class TestRoundSphere:
 def test_grid_forms_match_point_forms(dom):
     # the charts are warped products diag(E(u), G(u)): metric and Ricci
     # are diagonal, and of the eight Christoffel symbols only Gamma^u_vv
-    # and Gamma^v_uv = Gamma^v_vu can be nonzero
+    # and Gamma^v_uv = Gamma^v_vu can be nonzero; all depend on u alone,
+    # so the grid forms are row profiles and node (i, j) reads row i
     G_grid, ric_grid = dom.christoffel_grid(), dom.ricci_grid()
-    g_grid = dom.metric_diag_grid()
+    g_grid, ginv_grid = dom.metric_diag_grid(), dom.inv_metric_diag_grid()
+    for grid in (G_grid, ric_grid, g_grid, ginv_grid):
+        assert grid.shape == (dom.n1, 1, 2)
     stored = np.zeros((2, 2, 2), dtype=bool)
     stored[0, 1, 1] = stored[1, 0, 1] = stored[1, 1, 0] = True
     U, V = dom.chart_grid()
     for idx in np.ndindex(U.shape):
-        p = (U[idx], V[idx])
+        p, row = (U[idx], V[idx]), idx[0]
         G = dom.christoffel_at(p)
-        assert G[0, 1, 1] == G_grid[idx][0]
-        assert G[1, 0, 1] == G[1, 1, 0] == G_grid[idx][1]
+        assert G[0, 1, 1] == G_grid[row, 0, 0]
+        assert G[1, 0, 1] == G[1, 1, 0] == G_grid[row, 0, 1]
         assert np.all(G[~stored] == 0.0)
-        assert np.array_equal(dom.ricci_at(p), np.diag(ric_grid[idx]))
-        assert np.array_equal(dom.metric_at(p), np.diag(g_grid[idx]))
+        assert np.array_equal(dom.ricci_at(p), np.diag(ric_grid[row, 0]))
+        assert np.array_equal(dom.metric_at(p), np.diag(g_grid[row, 0]))
 
 
 @pytest.mark.parametrize(
@@ -252,9 +256,11 @@ def _ricci_id(domain):
 class TestRicciMin:
     @pytest.mark.parametrize("domain", RICCI_DOMAINS, ids=_ricci_id)
     def test_matches_the_eigensolve_bit_for_bit(self, domain):
-        gd = domain.metric_diag_grid().reshape(-1, 2)
+        nodes = (domain.n1, domain.n2, 2)
+        gd = np.broadcast_to(domain.metric_diag_grid(), nodes).reshape(-1, 2)
+        ric_d = np.broadcast_to(domain.ricci_grid(), nodes).reshape(-1, 2)
         ric = np.zeros(gd.shape + (2,))
-        ric[:, (0, 1), (0, 1)] = domain.ricci_grid().reshape(-1, 2)
+        ric[:, (0, 1), (0, 1)] = ric_d
         lam = gen_eigh(ric, gd)[0][..., 0]
         k = int(np.argmin(lam))
         U, V = domain.chart_grid()

@@ -231,6 +231,8 @@ class TestRun:
         with pytest.raises(UsageError):
             FlowParams(tension_tol=0.0)
         with pytest.raises(UsageError):
+            FlowParams(collapse_tol=np.inf)
+        with pytest.raises(UsageError):
             FlowParams(max_steps=0)
 
 
