@@ -24,9 +24,9 @@ report that reads only those pays for none; a pass started by a
 contraction field computes them all as well.  J, P and the
 eigenvectors never exceed a band, and the domain coefficients are row
 profiles, so the pass holds its node grids and the continued values;
-a contraction read after a contraction-free pass runs the pass again.
-Readers that need both read a contraction first (the residual reads Q
-before S).
+a contraction read after a contraction-free pass runs the pass again,
+all but the Hessian.  Readers that need both read a contraction first
+(the residual reads Q before S).
 """
 
 from __future__ import annotations
@@ -151,14 +151,16 @@ class BochnerData:
 
     def _first_order_pass(self, contraction):
         f, dom = self.f, self.f.domain
+        need_hess = "hess" not in self.__dict__  # a second pass skips it
 
         def first_order(band):
-            hess = hessian_field(f, band=band)  # before J, so no J is held
+            # the Hessian before J, so that no J is held
+            fields = {"hess": hessian_field(f, band=band)} if need_hess else {}
             J = jacobian_field(f, band=band)
             P = pullback_field(J)
             # ascending, g-orthonormal
             lam, vecs = gen_eigh(P, dom.metric_diag_grid()[band.rows])
-            fields = dict(zip(("lam", "S"), spectrum(lam)), hess=hess)
+            fields.update(zip(("lam", "S"), spectrum(lam)))
             if contraction:
                 q, ginv = band.values, dom.inv_metric_diag_grid()[band.rows]
                 fields.update(
