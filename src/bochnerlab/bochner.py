@@ -21,12 +21,14 @@ contract P, J, and J with the eigenvectors (integral_identity_residual
 applies the first two to its own accuracy-6 Jacobian, also a band at a
 time).  A pass started by S, lam or hess skips the contractions, so a
 report that reads only those pays for none; a pass started by a
-contraction field computes them all as well.  J, P and the
-eigenvectors never exceed a band, and the domain coefficients are row
-profiles, so the pass holds its node grids and the continued values;
+contraction field computes them all as well.  J, P, the eigenvectors
+and each band's continued values never exceed a band, and the domain
+coefficients are row profiles, so the pass holds only its node grids;
 a contraction read after a contraction-free pass runs the pass again,
 all but the Hessian.  Readers that need both read a contraction first
-(the residual reads Q before S).
+(the residual reads Q before S).  (1/2) Lap |df|^2 runs the domain's
+banded Laplace-Beltrami kernel on S a band at a time, and the sup
+norms reduce a band at a time.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .maps import (
     hessian_field,
     jacobian_field,
     pullback_field,
+    row_bands,
     spectrum,
     tension_field,
 )
@@ -170,7 +173,7 @@ class BochnerData:
                 )
             return fields
 
-        for name, value in assemble(f, first_order).items():
+        for name, value in assemble(dom, f.values, first_order).items():
             self.__dict__.setdefault(name, read_only(value))
 
     @cached_property
@@ -179,8 +182,13 @@ class BochnerData:
 
     @cached_property
     def lap(self):
-        """(1/2) Lap |df|^2."""
-        return read_only(0.5 * self.f.domain.laplace_beltrami(self.S))
+        """(1/2) Lap |df|^2, a row band of S at a time."""
+        dom = self.f.domain
+
+        def half_lap(band):
+            return {"lap": 0.5 * dom.laplace_beltrami_rows(band.continued, band.rows)}
+
+        return read_only(assemble(dom, self.S, half_lap)["lap"])
 
     @cached_property
     def residual(self):
@@ -189,18 +197,26 @@ class BochnerData:
 
     @cached_property
     def sup_residual(self):
-        return self._sup(np.abs(self.residual))
+        residual = self.residual
+        return self._sup(lambda rows: np.abs(residual[rows]))
 
     @cached_property
     def sup_tension(self):
-        return self._sup(np.linalg.norm(tension_field(self.f), axis=-1))
+        tau = tension_field(self.f)
+        return self._sup(lambda rows: np.linalg.norm(tau[rows], axis=-1))
 
     @cached_property
     def path_disagreement(self):
-        return self._sup(np.abs(self.target - self.target_frame))
+        target, frame = self.target, self.target_frame
+        return self._sup(lambda rows: np.abs(target[rows] - frame[rows]))
 
     def _sup(self, field):
-        return float(np.max(field[~self.f.domain.flagged_mask()]))
+        """The max over the unflagged nodes of field(rows), a node field
+        on the grid rows `rows`, taken a row band at a time."""
+        dom = self.f.domain
+        keep = ~dom.flagged_mask()
+        return float(np.max([np.max(field(rows)[keep[rows]], initial=-np.inf)
+                             for rows in row_bands(dom)]))
 
 
 def compute_bochner(f):
@@ -228,7 +244,7 @@ def integral_identity_residual(f):
              - target_term_field(f.target, band.values, J, ginv))
         return {"hess_Q": hessian_field(f, accuracy=6, band=band) + Q}
 
-    hess_Q = assemble(f, integrand, accuracy=6)["hess_Q"]
+    hess_Q = assemble(f.domain, f.values, integrand, accuracy=6)["hess_Q"]
     return float(np.sum(hess_Q * f.domain.high_order_weight_grid()))
 
 
@@ -277,10 +293,13 @@ def lambda_chain_check(lams):
 # -- pointwise pinching ------------------------------------------------------
 
 
-def pinching_slack(data, ric_min, sec_max):
-    """Q - S (ric_min - (n-1)/n sec_max S) at every node, S = |df|^2: the
-    pointwise pinching bound holds where this slack is nonnegative."""
+def pinching_slack(data, ric_min, sec_max, nodes=None):
+    """Q - S (ric_min - (n-1)/n sec_max S) at every node, S = |df|^2, or
+    at the nodes `nodes`, a slice of them in C order: the pointwise
+    pinching bound holds where this slack is nonnegative."""
     n = data.f.domain.n
     Q = data.Q  # a contraction first: one pass fills S too
     S = data.S
+    if nodes is not None:
+        Q, S = Q.reshape(-1)[nodes], S.reshape(-1)[nodes]
     return Q - S * (ric_min - (n - 1) / n * sec_max * S)

@@ -28,7 +28,7 @@ from .domains import ricci_min
 from .errors import ChartDomainError, NumericalError, UsageError
 from .flow import DT_MAX, IMPLICIT_DT, FlowParams, run_flow
 from .io_utils import ColumnRows, dump_json, json_dumps, write_csv
-from .maps import catalog_map, load_map, save_map, total_energy
+from .maps import catalog_map, load_map, row_bands, save_map, total_energy
 from .rigidity import (
     HARMONIC_COEFF,
     build_report,
@@ -299,22 +299,33 @@ def cmd_verify(ns):
 def _write_node_csv(ns, f, data):
     dom, tgt = f.domain, f.target
     rmin, _ = ricci_min(dom)
-    sec_max, _ = sec_max_over_region(tgt, f.values.reshape(-1, tgt.m))
-    sec_max = max(float(sec_max), 0.0)
-    slack = pinching_slack(data, rmin, sec_max)
+    # Sec_max over every image node, as the report takes it, a row band at a time
+    sec_max = max(
+        max(float(sec_max_over_region(tgt, f.values[rows].reshape(-1, tgt.m))[0])
+            for rows in row_bands(dom)),
+        0.0,
+    )
     n = dom.n
     header = (
         ["i", "j", "e"]
         + [f"lam{k + 1}" for k in range(n)]
         + ["ricci_term", "target_term", "Q", "hess", "lap", "residual", "slack"]
     )
-    i, j = np.indices((dom.n1, dom.n2))
+    Q = data.Q  # a contraction first: one pass fills every field
+    S = data.S.reshape(-1)
+
+    # the node indices, e and the slack are computed a block of rows at a time
+    def node_index(op):
+        return lambda start, stop: op(np.arange(start, stop), dom.n2)
+
     columns = (
-        [i, j, data.S / 2.0]
+        [node_index(np.floor_divide), node_index(np.remainder),
+         lambda start, stop: S[start:stop] / 2.0]
         + [data.lam[..., k] for k in range(n)]
-        + [data.ricci, data.target, data.Q, data.hess, data.lap, data.residual, slack]
+        + [data.ricci, data.target, Q, data.hess, data.lap, data.residual,
+           lambda start, stop: pinching_slack(data, rmin, sec_max, slice(start, stop))]
     )
-    write_csv(ns.csv, header, ColumnRows(columns))
+    write_csv(ns.csv, header, ColumnRows(columns, count=S.size))
 
 
 def cmd_flow(ns):

@@ -17,6 +17,10 @@ Sphere grids stagger the latitude nodes so no node sits on a chart
 pole; ghost rows continue fields across the pole antipodally, which
 keeps stencils of any width central.  The rows near the poles are
 flagged so sup-norm diagnostics can exclude them.
+
+The Laplace-Beltrami is one kernel, `laplace_beltrami_rows`, on a band
+of grid rows continued by one ghost row and column either side;
+`laplace_beltrami` is its one-band case.
 """
 
 from __future__ import annotations
@@ -85,6 +89,12 @@ class ChartGrid:
     def pad(self, F):
         """One ghost layer on each side of both axes, as `extend` continues F."""
         return self.extend(self.extend(F, 0, 1), 1, 1)
+
+    def laplace_beltrami(self, F):
+        """Conservative discrete Laplace-Beltrami of a node field: the
+        banded kernel `laplace_beltrami_rows` on a band of every row."""
+        Fp = self.pad(np.asarray(F, dtype=float))
+        return self.laplace_beltrami_rows(Fp, slice(0, self.n1))
 
     def quad_weight_grid(self):
         h1, h2 = self.spacing
@@ -165,11 +175,10 @@ class FlatTorus2(ChartGrid):
         """`width` ghost layers on each side of `axis`, periodic."""
         return _wrap(np.asarray(F), axis, width)
 
-    def laplace_beltrami(self, F):
-        """Conservative discrete Laplace-Beltrami of a node field."""
-        F = np.asarray(F, dtype=float)
+    def laplace_beltrami_rows(self, Fp, rows):
+        """The Laplace-Beltrami on the grid rows `rows`, from Fp: the field
+        on them and on one continued ghost row and column either side."""
         h1, h2 = self.spacing
-        Fp = self.pad(F)
         c = Fp[1:-1, 1:-1]
         d1 = (Fp[2:, 1:-1] - 2 * c + Fp[:-2, 1:-1]) / (self.a**2 * h1**2)
         d2 = (Fp[1:-1, 2:] - 2 * c + Fp[1:-1, :-2]) / (self.b**2 * h2**2)
@@ -311,21 +320,25 @@ class RoundSphere2(ChartGrid):
         bot = np.roll(F[:-width - 1:-1], half, axis=1)
         return np.concatenate([top, F, bot], axis=0)
 
-    def laplace_beltrami(self, F):
-        """Conservative (flux-form) discrete Laplace-Beltrami.
+    def _sin_profiles(self):
+        """sin(theta) at the latitude nodes and at the interfaces above
+        and below them, shape (n1,) each."""
+        h1 = self.spacing[0]
+        theta, _ = self.axes()
+        return np.sin(theta), np.sin(theta + h1 / 2), np.sin(theta - h1 / 2)
+
+    def laplace_beltrami_rows(self, Fp, rows):
+        """Conservative (flux-form) discrete Laplace-Beltrami on the grid
+        rows `rows`, from Fp: the field on them and on one continued ghost
+        row and column either side.
 
         The theta fluxes carry sin(theta) at cell interfaces; the
         interface at each pole has sin = 0, so the discrete divergence
         theorem holds exactly.
         """
-        F = np.asarray(F, dtype=float)
         h1, h2 = self.spacing
-        theta, _ = self.axes()
-        shape = (self.n1,) + (1,) * (F.ndim - 1)
-        s = np.sin(theta).reshape(shape)
-        s_up = np.sin(theta + h1 / 2).reshape(shape)
-        s_dn = np.sin(theta - h1 / 2).reshape(shape)
-        Fp = self.pad(F)
+        shape = (-1,) + (1,) * (Fp.ndim - 1)
+        s, s_up, s_dn = (x[rows].reshape(shape) for x in self._sin_profiles())
         c = Fp[1:-1, 1:-1]
         flux = s_up * (Fp[2:, 1:-1] - c) - s_dn * (c - Fp[:-2, 1:-1])
         d1 = flux / (self.r**2 * s * h1**2)
@@ -342,10 +355,7 @@ class RoundSphere2(ChartGrid):
         M-matrix, and one batched Thomas sweep solves it without pivoting.
         """
         h1, h2 = self.spacing
-        theta, _ = self.axes()
-        s = np.sin(theta)
-        s_up = np.sin(theta + h1 / 2)
-        s_dn = np.sin(theta - h1 / 2)
+        s, s_up, s_dn = self._sin_profiles()
         s_up[-1] = s_dn[0] = 0.0
         w = dt / (self.r**2 * s * h1**2)
         lower, upper = -w * s_dn, -w * s_up

@@ -6,10 +6,14 @@ identical runs produce identical bytes and values round-trip exactly.
 Numeric tables (the node CSV, the flow trace, map dumps) are held as
 `ColumnRows` and rendered a block of rows at a time by `fmt17_fields`,
 which writes whole arrays in numpy with the bytes `fmt17` gives each
-cell.  It scales |x| to a 17-digit integer in double-double arithmetic
-(Veltkamp split and Dekker product, Numer. Math. 18, 1971) with a
-correctly rounded two-double power of ten, rounds it half to even,
-and reads the digits from a 10^4-entry table.  A cell that is NaN,
+cell.  A column is read as a view of its array where the strides
+allow, and a derived column (the node CSV's indices, e and slack) is
+computed a block at a time, so a table costs only its block beyond
+the arrays it reads.  `fmt17_fields` scales |x| to a 17-digit
+integer in double-double arithmetic (Veltkamp split and Dekker
+product, Numer. Math. 18, 1971) with a correctly rounded two-double
+power of ten, rounds it half to even, and reads the digits from a
+10^4-entry table.  A cell that is NaN,
 infinite, subnormal or outside [1e-270, 1e270] (zero excepted), or
 whose inexactly scaled value lies within `TIE_MARGIN` of a rounding
 tie, is formatted by `fmt17` on its own.  Tables of other cell types
@@ -140,15 +144,18 @@ def _tables():
             frame[i, _TAIL:_TAIL + len(text)] = np.frombuffer(text, np.uint8)
             point[i], frac[i] = 1, 16
     j, keep, slot = np.ogrid[:18, :18, :24]
+    # the tables are built in small integer types, so that the build
+    # holds a few hundred KB
     masks = np.stack([
-        255 * ((slot < j) & (slot < keep)),
-        255 * ((slot > j) & (slot <= keep)),
-        46 * ((slot == j) & (j < keep)),
-    ], axis=2).astype(np.uint8).view("<u8").reshape(18 * 18, 9).T.copy()
-    n = np.arange(10000)
+        np.uint8(255) * ((slot < j) & (slot < keep)),
+        np.uint8(255) * ((slot > j) & (slot <= keep)),
+        np.uint8(46) * ((slot == j) & (j < keep)),
+    ], axis=2).view("<u8").reshape(18 * 18, 9).T.copy()
+    n = np.arange(10000, dtype=np.uint16)
     groups = 48 + np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
-    quad = groups.astype(np.uint8).view("<u4").ravel().astype(np.uint64)
-    tz = np.sum(np.cumprod(groups[:, ::-1] == 48, axis=1), axis=1)
+    groups = groups.astype(np.uint8)
+    quad = groups.view("<u4").ravel().astype(np.uint64)
+    tz = np.sum(np.cumprod(groups[:, ::-1] == 48, axis=1, dtype=np.uint8), axis=1, dtype=np.int64)
     return pow10, frame.view("<u8"), point, frac, masks, quad, tz
 
 
@@ -171,6 +178,8 @@ def fmt17_fields(x):
     """
     x = np.ravel(np.asarray(x, dtype=float))
     pow10, frame, point, frac, masks, quad, tz = _tables()
+    # each temporary is dropped once it is dead, so that a block holds a
+    # few cell-sized arrays at a time
     a = np.abs(x)
     zero = a == 0.0
     fast = (a >= _LOW) & (a <= _HIGH)
@@ -184,14 +193,18 @@ def fmt17_fields(x):
     if moved.size:
         i[moved] += high[moved].astype(np.int64) - low[moved]
         p[moved], e[moved] = _scaled(a[moved], i[moved], pow10)
+    del a, low, high, moved
     # p >= 2**53 is an even integer, so e carries the fraction of the
     # product, and rint(e) rounds an exact tie to even
     near = (np.abs(e - np.floor(e) - 0.5) < TIE_MARGIN) & (np.take(pow10[1], i) != 0.0)
-    slow = ~(fast | zero) | near
+    slow = np.flatnonzero(~(fast | zero) | near)
+    del fast, near
     D = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    del p, e
     carry = D == 10**17  # rounded up into the next decade
     D[carry] = 10**16
     i += carry
+    del carry
     g = []  # the four 4-digit groups below the leading digit, last first
     for _ in range(4):
         q = D // 10000
@@ -202,21 +215,30 @@ def fmt17_fields(x):
     z2 = z3 & (g[2] == 0)
     t4, t3, t2, t1 = (np.take(tz, k) for k in g)
     trailing = t4 + z4 * t3 + z3 * t2 + z2 * t1
+    del t4, t3, t2, t1, z4, z3, z2
     keep = 17 - np.minimum(trailing, np.take(frac, i))  # digits shown
-    c = 18 * np.take(point, i) + keep
-    m = [np.take(mask, c) for mask in masks]
-    # A: the 17 digits from slot 0 of the body; B: the same from slot 1
+    c = 18 * np.take(point, i) + keep  # each cell's column of masks
+    del trailing, keep
     q4, q3, q2, q1 = (np.take(quad, k) for k in g)
+    del g
     a1 = np.where(zero, 48, 48 + D).astype(np.uint64) | q1 << 8 | q2 << 40
     a2 = q2 >> 24 | q3 << 8 | q4 << 40
     a3 = q4 >> 24
-    b = (a1 << 8, a2 << 8 | a1 >> 56, a3 << 8 | a2 >> 56)
+    del zero, D, q1, q2, q3, q4
     out = np.take(frame, i, axis=0)
+    del i
     out[:, 0] |= np.signbit(x) * np.uint64(45)
-    for w, (aw, bw) in enumerate(zip((a1, a2, a3), b)):
-        out[:, w + 1] |= aw & m[w] | bw & m[w + 3] | m[w + 6]
+    # A: the 17 digits from slot 0 of the body, B: the same from slot 1;
+    # body word w takes A through masks[w], B through masks[w + 3] and
+    # the point from masks[w + 6]
+    spill = 0  # the top byte of the word before, shifted into B
+    for w, A in enumerate((a1, a2, a3)):
+        mA, mB, mp = (np.take(masks[w + k], c) for k in (0, 3, 6))
+        out[:, w + 1] |= A & mA | (A << 8 | spill) & mB | mp
+        spill = A >> 56
+    del a1, a2, a3, c, mA, mB, mp, spill
     out = out.view(np.uint8)
-    for n in np.flatnonzero(slow):
+    for n in slow:
         text = fmt17(x[n]).encode()
         out[n] = 0
         out[n, :len(text)] = np.frombuffer(text, np.uint8)
@@ -225,9 +247,9 @@ def fmt17_fields(x):
 
 # -- CSV ---------------------------------------------------------------------
 
-# rows formatted and written at a time; fmt17_fields makes a few dozen
-# temporaries of the block's cell count, about 5 MB for 1024 rows of the
-# 12-column node CSV, and larger blocks write no faster
+# rows formatted and written at a time; fmt17_fields holds a few
+# temporaries of the block's cell count at once, about 1.5 MB for 1024
+# rows of the 12-column node CSV, and larger blocks write no faster
 CSV_BLOCK = 1024
 
 
@@ -250,29 +272,42 @@ def write_csv(path, header, rows):
 
 
 class ColumnRows:
-    """The rows of a numeric table held as equal-length 1-D array columns.
+    """The rows of a numeric table held as equal-length columns.
 
-    A column holds floats or integers below 2**53 in magnitude, which
-    convert to float exactly and print as str() prints them.
+    A column is an array, read in C order (as a view where its strides
+    allow), or a function that gives its cells on rows start..stop - 1,
+    for a column derived from others a block at a time.  The cells are
+    floats or integers below 2**53 in magnitude, which convert to float
+    exactly and print as str() prints them.  `count` is the number of
+    rows, by default the length of the first column.
     """
 
-    def __init__(self, columns):
-        self.columns = [np.ravel(c) for c in columns]
+    def __init__(self, columns, count=None):
+        self.columns = [c if callable(c) else np.reshape(c, -1) for c in columns]
         for c in self.columns:
+            if callable(c):
+                continue
             if c.dtype.kind not in "iuf":
                 raise TypeError(f"ColumnRows holds numbers, not {c.dtype}")
-            if c.dtype.kind in "iu" and c.size and np.max(np.abs(c.astype(float))) >= 2.0**53:
+            # the extremes in the column's own type, so -2**63 cannot overflow
+            if c.dtype.kind in "iu" and c.size and (c.min() <= -2**53 or c.max() >= 2**53):
                 raise ValueError("integer cells must lie below 2**53 in magnitude")
+        self.count = len(self.columns[0]) if count is None else count
 
     def __len__(self):
-        return self.columns[0].size
+        return self.count
+
+    def cells(self, start, stop):
+        """Rows start..stop - 1 of the table, shape (rows, columns)."""
+        return np.stack(
+            [c(start, stop) if callable(c) else c[start:stop] for c in self.columns], axis=1)
 
     def encode(self, sep):
         """The lines, cells joined by `sep`, as bytes of CSV_BLOCK rows each."""
         ends = np.full(len(self.columns), ord(sep), np.uint8)
         ends[-1] = ord("\n")
         for start in range(0, len(self), CSV_BLOCK):
-            block = np.stack([c[start:start + CSV_BLOCK] for c in self.columns], axis=1)
+            block = self.cells(start, min(start + CSV_BLOCK, len(self)))
             cells = fmt17_fields(block).reshape(block.shape + (FIELD,))
             cells[..., -1] = ends
             yield cells.tobytes().translate(None, b"\0")

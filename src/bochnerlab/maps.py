@@ -10,13 +10,17 @@ of elementwise products.  The pointwise calculus uses second-order
 stencils; `accuracy=6` selects 7-point ones where a quadrature needs a
 smaller truncation error.
 
-The stencil kernels `jacobian_field` and `hessian_field` evaluate one
-row band of the grid at a time when given a `Band` that `assemble`
-passes its kernel: about BAND_NODES nodes, so that their temporaries
-stay the size of a band however fine the grid.  The domain's
-coefficients are row profiles, and a kernel slices the band's rows of
-them; every node sees the same arithmetic as in a whole-grid
-evaluation, so the assembled grids are bit-identical.
+The stencil kernels `jacobian_field` and `hessian_field`, the tension's
+Laplace-Beltrami and the map's reprojection evaluate one row band of
+the grid at a time, on a `Band` that `assemble` passes its kernel:
+about BAND_NODES nodes, so that their temporaries stay the size of a
+band however fine the grid.  Each band is continued on its own, an
+interior band by a slice and one column wrap, so no pass continues the
+whole grid.  The domain's coefficients are row profiles, and a kernel
+slices the band's rows of them; every node sees the same arithmetic as
+in a whole-grid evaluation, so the assembled grids are bit-identical.
+The catalog maps are built from the chart axes as row and column
+profiles, with the elementwise operations of a meshgrid build.
 """
 
 from __future__ import annotations
@@ -39,10 +43,10 @@ class DiscreteMap:
     """Map f: domain -> target sampled on the domain grid.
 
     values has shape (n1, n2, m) and always lies on the target: the
-    constructor reprojects through the closest-point map.  The values
-    are read-only, so the tension and energy density are cached; the
-    Jacobian is not kept, and the energy density is taken a row band of
-    it at a time.
+    constructor reprojects through the closest-point map one row band at
+    a time.  The values are read-only, so the tension and energy density
+    are cached; both are taken a row band at a time, and the Jacobian is
+    not kept.
     """
 
     domain: object
@@ -56,14 +60,26 @@ class DiscreteMap:
                 f"value grid shape {v.shape} does not match "
                 f"({self.domain.n1}, {self.domain.n2}, {self.target.m})"
             )
-        if not np.all(np.isfinite(v)):
+        # every band is checked before any is projected, so that a
+        # non-finite entry is refused as such wherever it lies
+        if not all(np.all(np.isfinite(v[rows])) for rows in row_bands(self.domain)):
             raise NumericalError("map values contain non-finite entries")
-        object.__setattr__(self, "values", read_only(self.target.closest_point(v)))
+
+        def project(band):
+            return {"values": self.target.closest_point(band.values)}
+
+        values = assemble(self.domain, v, project, accuracy=0)["values"]
+        object.__setattr__(self, "values", read_only(values))
 
     @cached_property
     def tension(self):
-        lap = self.domain.laplace_beltrami(self.values)
-        return read_only(self.target.tangent_part(self.values, lap))
+        def tau(band):
+            lap = self.domain.laplace_beltrami_rows(band.continued, band.rows)
+            values = band.values
+            del band  # the continued rows, before the projection's temporaries
+            return {"tau": self.target.tangent_part(values, lap)}
+
+        return read_only(assemble(self.domain, self.values, tau)["tau"])
 
     @cached_property
     def energy_density(self):
@@ -73,24 +89,34 @@ class DiscreteMap:
             S = sum(ginv[..., d] * dot(J[..., d], J[..., d]) for d in range(2))
             return {"e": S / 2.0}
 
-        return read_only(assemble(self, density)["e"])
+        return read_only(assemble(self.domain, self.values, density)["e"])
 
     def with_values(self, values):
         return DiscreteMap(self.domain, self.target, values)
 
     def max_constraint_residual(self):
-        return float(np.max(self.target.constraint_residual(self.values)))
+        return float(np.max([np.max(self.target.constraint_residual(self.values[rows]))
+                             for rows in row_bands(self.domain)]))
 
 
 # -- analytic map catalog ----------------------------------------------------
+
+# The builders evaluate each factor on the chart axes, row and column
+# profiles, and write the products into the one value grid they return:
+# elementwise the same operations as on chart_grid() meshgrids, so the
+# same bits, without grid-sized temporaries.
 
 
 def _unit_directions(domain):
     if not isinstance(domain, RoundSphere2):
         raise UsageError("this catalog map needs a sphere domain")
-    TH, PH = domain.chart_grid()
-    s = np.sin(TH)
-    return np.stack([s * np.cos(PH), s * np.sin(PH), np.cos(TH)], axis=-1)
+    theta, phi = domain.axes()
+    s = np.sin(theta)[:, None]
+    out = np.empty((domain.n1, domain.n2, 3))
+    np.multiply(s, np.cos(phi), out=out[..., 0])
+    np.multiply(s, np.sin(phi), out=out[..., 1])
+    out[..., 2] = np.cos(theta)[:, None]
+    return out
 
 
 def default_basepoint(target):
@@ -116,7 +142,7 @@ def default_basepoint(target):
 
 def constant_map(domain, target):
     vals = np.broadcast_to(default_basepoint(target), (domain.n1, domain.n2, target.m))
-    return DiscreteMap(domain, target, vals.copy())
+    return DiscreteMap(domain, target, vals)
 
 
 def radial_scaling_map(domain, target):
@@ -127,7 +153,9 @@ def radial_scaling_map(domain, target):
     """
     if target.kind != "sphere" or target.m != 3:
         raise UsageError("radial scaling needs a 2-sphere target in R^3")
-    return DiscreteMap(domain, target, target.r * _unit_directions(domain))
+    vals = _unit_directions(domain)
+    vals *= target.r
+    return DiscreteMap(domain, target, vals)
 
 
 def identity_sphere_map(domain, target):
@@ -144,18 +172,20 @@ def holomorphic_map(domain, target, k):
     k = int(k)
     if target.kind != "sphere" or target.m != 3:
         raise UsageError("holomorphic map needs a 2-sphere target in R^3")
-    TH, PH = domain.chart_grid()
-    t = np.tan(TH / 2.0)
+    theta, phi = domain.axes()
+    t = np.tan(theta / 2.0)
     # a large degree overflows w to inf and the quotients to nan, which
     # DiscreteMap refuses as a NumericalError
     with np.errstate(over="ignore", invalid="ignore"):
         w = t**k  # |z|^k; the staggered grid keeps t finite
         denom = 1.0 + w * w
-        sin_tp = 2.0 * w / denom
+        sin_tp = (2.0 * w / denom)[:, None]
         cos_tp = (1.0 - w * w) / denom
-    vals = target.r * np.stack(
-        [sin_tp * np.cos(k * PH), sin_tp * np.sin(k * PH), cos_tp], axis=-1
-    )
+    vals = np.empty((domain.n1, domain.n2, 3))
+    np.multiply(sin_tp, np.cos(k * phi), out=vals[..., 0])
+    np.multiply(sin_tp, np.sin(k * phi), out=vals[..., 1])
+    vals[..., 2] = cos_tp[:, None]
+    vals *= target.r
     return DiscreteMap(domain, target, vals)
 
 
@@ -171,16 +201,16 @@ def cap_map(domain, target, amplitude):
         raise UsageError("cap map needs a 2-sphere target in R^3")
     if not (0 < amplitude < np.pi / 2):
         raise UsageError("cap amplitude must lie in (0, pi/2)")
-    U, V = domain.chart_grid()
+    u, v = domain.axes()
     s = amplitude / np.sqrt(2.0)
-    disp = np.stack([s * np.sin(U), s * np.sin(V), np.zeros_like(U)], axis=-1)
-    q0 = np.array([0.0, 0.0, 1.0])
-    vals = target.r * _normalize(q0 + disp)
+    vals = np.empty((domain.n1, domain.n2, 3))  # q0 + the displacement
+    vals[..., 0] = (s * np.sin(u))[:, None]
+    vals[..., 1] = s * np.sin(v)
+    vals[..., 2] = 0.0
+    vals += np.array([0.0, 0.0, 1.0])
+    vals /= np.linalg.norm(vals, axis=-1, keepdims=True)
+    vals *= target.r
     return DiscreteMap(domain, target, vals)
-
-
-def _normalize(v):
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 def catalog_map(name, domain, target):
@@ -248,55 +278,77 @@ BAND_NODES = 8192
 
 
 class Band(NamedTuple):
-    """The rows `rows` of a map's grid: their values, and the continued
-    values on them and on accuracy // 2 ghost rows either side."""
+    """The rows `rows` of a node field's grid: their values, and the field
+    continued on them and on accuracy // 2 ghost rows either side, its
+    columns wrapped by as many."""
 
     rows: slice
     values: np.ndarray
     continued: np.ndarray
 
 
-def _bands(f, accuracy, step=None):
-    """The map's grid cut into bands of `step` whole rows, by default
-    about BAND_NODES nodes.  The values are continued by accuracy // 2
-    ghost nodes across both axes once, and every band slices them."""
-    dom, p = f.domain, accuracy // 2
-    continued = dom.extend(dom.extend(f.values, 0, p), 1, p)
-    step = step or max(1, BAND_NODES // dom.n2)
-    for r in range(0, dom.n1, step):
-        rows = slice(r, min(r + step, dom.n1))
-        yield Band(rows, f.values[rows], continued[r:rows.stop + 2 * p])
+def row_bands(domain):
+    """The domain's grid rows cut into slices of whole rows, about
+    BAND_NODES nodes each."""
+    step = max(1, BAND_NODES // domain.n2)
+    return [slice(r, min(r + step, domain.n1)) for r in range(0, domain.n1, step)]
 
 
-def assemble(f, kernel, accuracy=2):
-    """The node grids, by name, of which kernel(band) gives each band's rows.
+def _band(domain, F, rows, accuracy):
+    """The band of the node field F on the grid rows `rows`, continued on
+    its own by accuracy // 2 ghost rows and columns (none at accuracy 0).
+
+    A band's ghost rows are F's rows either side of it, except past an
+    end of the grid, where the domain continues F (periodic on a torus,
+    antipodal across a pole on a sphere).  An interior band is then a
+    slice and one column wrap.
+    """
+    n1, p = domain.n1, accuracy // 2
+    if not p:
+        return Band(rows, F[rows], F[rows])
+    lo, hi = rows.start - p, rows.stop + p
+    continued = F[max(lo, 0):min(hi, n1)]
+    if lo < 0 or hi > n1:
+        # domain.extend continues the p rows nearest each end into the
+        # ghost rows past it, so extending those rows alone gives them
+        ends = domain.extend(np.concatenate([F[:p], F[-p:]]), 0, p)
+        continued = np.concatenate(
+            [ends[:p][min(lo, 0) + p:], continued, ends[-p:][:max(hi - n1, 0)]])
+    return Band(rows, F[rows], domain.extend(continued, 1, p))
+
+
+def assemble(domain, F, kernel, accuracy=2):
+    """The node grids, by name, that kernel(band) gives band by band, on
+    the bands of the node field F continued for `accuracy`.
 
     Each grid is allocated once and filled band by band; a band of
     every row gives its values as they are.  The banded evaluation costs
     one pass over the grid however many bands it takes.
     """
-    n1 = f.domain.n1
+    n1 = domain.n1
     grids = {}
-    for band in _bands(f, accuracy):
-        for name, value in kernel(band).items():
-            if band.rows == slice(0, n1):
+    for rows in row_bands(domain):
+        # the band is built in the call, so that the kernel holds it alone
+        # and can drop its continued rows once they are dead
+        for name, value in kernel(_band(domain, F, rows, accuracy)).items():
+            if rows == slice(0, n1):
                 grids[name] = value
                 continue
             if name not in grids:
                 grids[name] = np.empty((n1,) + value.shape[1:])
-            grids[name][band.rows] = value
+            grids[name][rows] = value
     return grids
 
 
 def jacobian_field(f, accuracy=2, band=None):
     """Tangent-projected chart Jacobian, shape (n1, n2, m, 2), or its
-    rows on a `Band` that `assemble(f, kernel, accuracy)` passes.
+    rows on a `Band` that `assemble` passes its kernel.
 
     Both chart derivatives go through one `tangent_part` call; the
     result is a view whose columns J[..., i] are contiguous.
     """
     if band is None:
-        band = next(_bands(f, accuracy, f.domain.n1))
+        band = _band(f.domain, f.values, slice(0, f.domain.n1), accuracy)
     p = accuracy // 2
     vp = band.continued
     du = _stencil(f.domain, vp[:, p:-p], 0, 1, accuracy)
@@ -342,7 +394,7 @@ def tension_field(f):
 
 def hessian_field(f, accuracy=2, band=None):
     """Squared norm |H|^2 of the second fundamental form of the map, on
-    the grid or on a `Band` that `assemble(f, kernel, accuracy)` passes.
+    the grid or on a `Band` that `assemble` passes its kernel.
 
     H_ij = P(f) (d_i d_j f - Gamma^k_ij d_k f), the chart derivatives
     taken with stencils of the given accuracy.  The chart is a warped
@@ -353,7 +405,7 @@ def hessian_field(f, accuracy=2, band=None):
     node fields are held at once and H itself is never formed.
     """
     if band is None:
-        band = next(_bands(f, accuracy, f.domain.n1))
+        band = _band(f.domain, f.values, slice(0, f.domain.n1), accuracy)
     dom = f.domain
     v = band.values
     G = dom.christoffel_grid()[band.rows]  # (Gamma^u_vv, Gamma^v_uv)

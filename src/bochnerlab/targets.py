@@ -291,20 +291,25 @@ class Ellipsoid(_Target):
 
         Stationarity gives x_i = p_i / (1 + mu w_i); mu solves
         sum w_i p_i^2 / (1 + mu w_i)^2 = 1.  Valid inside the
-        projection tube around the surface.
+        projection tube around the surface.  A point whose |phi| is
+        below PROJECTION_TOL takes one more step, which brings it to
+        round-off, and stops; so each point projects to the same bits
+        whatever other points share the call.
         """
         p = np.asarray(x, dtype=float)
         w = self._w
         mu = np.zeros(p.shape[:-1])
+        done = np.zeros(mu.shape, dtype=bool)
         lo = -0.9 / w.max()
         _finite_norm(p)  # a huge point would overflow p * p below
         for _ in range(PROJECTION_MAX_ITER):
+            if np.all(done):
+                break
             d = 1.0 + mu[..., None] * w
             phi = np.sum(w * p * p / d**2, axis=-1) - 1.0
-            if np.all(np.abs(phi) < PROJECTION_TOL):
-                break
             dphi = -2.0 * np.sum(w**2 * p * p / d**3, axis=-1)
-            mu = np.maximum(mu - phi / dphi, lo)
+            mu = np.where(done, mu, np.maximum(mu - phi / dphi, lo))
+            done |= np.abs(phi) < PROJECTION_TOL
         else:
             d = 1.0 + mu[..., None] * w
             phi = np.sum(w * p * p / d**2, axis=-1) - 1.0

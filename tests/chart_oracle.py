@@ -1,9 +1,11 @@
 """Oracles on the domain charts, for the closed forms the library uses:
 Christoffel symbols and the Ricci tensor from central differences of
-the dense point forms, and the closed-form Jacobian of the radial
-scaling map."""
+the dense point forms, the closed-form Jacobian of the radial scaling
+map, and the catalog maps' value grids built on chart meshgrids."""
 
 import numpy as np
+
+from bochnerlab.maps import default_basepoint
 
 
 def christoffel_fd_at(domain, p, h=None):
@@ -65,3 +67,33 @@ def analytic_scaling_jacobian(domain, r_target):
     d_theta = np.stack([ct * cp, ct * sp, -st], axis=-1)
     d_phi = np.stack([-st * sp, st * cp, np.zeros_like(TH)], axis=-1)
     return r_target * np.stack([d_theta, d_phi], axis=-1)
+
+
+def catalog_values_on_meshgrid(name, domain, target):
+    """The raw value grid of a catalog map, each factor evaluated on the
+    chart_grid() meshgrids, before the map's reprojection."""
+    kind, _, arg = name.partition(":")
+    arg = float(arg.partition("=")[2]) if arg else None
+    if kind == "constant":
+        return np.broadcast_to(default_basepoint(target), (domain.n1, domain.n2, target.m))
+    if kind in ("identity", "scaling"):
+        TH, PH = domain.chart_grid()
+        s = np.sin(TH)
+        return target.r * np.stack([s * np.cos(PH), s * np.sin(PH), np.cos(TH)], axis=-1)
+    if kind == "holomorphic":
+        k = int(arg)
+        TH, PH = domain.chart_grid()
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = np.tan(TH / 2.0) ** k
+            denom = 1.0 + w * w
+            sin_tp = 2.0 * w / denom
+            cos_tp = (1.0 - w * w) / denom
+        return target.r * np.stack(
+            [sin_tp * np.cos(k * PH), sin_tp * np.sin(k * PH), cos_tp], axis=-1)
+    if kind == "cap":
+        U, V = domain.chart_grid()
+        s = arg / np.sqrt(2.0)
+        disp = np.stack([s * np.sin(U), s * np.sin(V), np.zeros_like(U)], axis=-1)
+        v = np.array([0.0, 0.0, 1.0]) + disp
+        return target.r * (v / np.linalg.norm(v, axis=-1, keepdims=True))
+    raise ValueError(name)

@@ -1,18 +1,27 @@
-"""Row-banded evaluation of the Bochner pass, the Hessian, the accuracy-6
-integrand and the energy: the same bits as one whole-grid band, and
-temporaries the size of a band."""
+"""Row-banded evaluation of the map construction, the tension, the
+Bochner pass, the Hessian, the accuracy-6 integrand and the energy: the
+same bits as one whole-grid band, and temporaries the size of a band."""
 
 import tracemalloc
 import types
 
 import numpy as np
 import pytest
+from chart_oracle import catalog_values_on_meshgrid
 from test_bochner import FIELDS
 
 from bochnerlab import bochner, cli, maps
 from bochnerlab.bochner import compute_bochner, integral_identity_residual
+from bochnerlab.catalog import parse_target
 from bochnerlab.domains import FlatTorus2, RoundSphere2
-from bochnerlab.maps import DiscreteMap, catalog_map, hessian_field, total_energy
+from bochnerlab.maps import (
+    DiscreteMap,
+    catalog_map,
+    hessian_field,
+    row_bands,
+    tension_field,
+    total_energy,
+)
 from bochnerlab.targets import Ellipsoid, Sphere
 
 
@@ -91,33 +100,126 @@ def transient(op):
 def test_band_sized_temporaries(tmp_path):
     # S^2 at 128 x 256: 32768 nodes, 4 bands
     f = catalog_map("holomorphic:k=2", RoundSphere2(n1=128), Sphere())
-    n1, n2, m = f.values.shape
-    band = maps.BAND_NODES * m * 8  # one band of the values, 192 KB
-
-    def continued(accuracy):
-        p = accuracy // 2
-        return (n1 + 2 * p) * (n2 + 2 * p) * m * 8
+    band = maps.BAND_NODES * f.target.m * 8  # one band of the values, 192 KB
 
     # Multiples of one band that each operation may allocate beyond what
-    # it keeps and the values it continues, set between two designs'
-    # measurements (numpy 2.4).  Banded kernels that slice the domain's
-    # row profiles: reading the fields at most 12.4 bands (sup_tension,
-    # whose tension is taken over the whole grid; the contraction pass
-    # 12.0), the integrand 10.7, the energy 9.3, and 28.1 for the node-CSV
-    # writer (some 50 temporaries per cell of a 1024-row block).  Banded
-    # kernels that slice node-sized metric, inverse metric and Ricci grids
-    # (2.7 bands each at this grid): the contraction pass 19.7, the
-    # integrand 18.9, the energy 12.0.  Whole-grid kernels: 30.6 to 40.2
-    # bands for the fields, the energy and the integrand, and 98.5 for the
-    # writer with 4096-row blocks.
-    KERNELS, WRITER = 16, 40
+    # it keeps, set between two designs' measurements (numpy 2.4).  Bands
+    # continued on their own, a banded Laplace-Beltrami, a banded map
+    # construction and a streaming node CSV: the contraction pass 13.1
+    # bands, sup_tension 6.4, lap 2.4, the integrand 11.9, the energy
+    # 10.4, the writer 10.6, and a holomorphic build at 256 x 512 19.8
+    # (its raw value grid is 16).  One continued copy of the whole grid
+    # per pass, whole-grid Laplacians, builds on chart meshgrids and
+    # whole-grid CSV columns: the pass 16.1, sup_tension 16.5, lap 5.8,
+    # the integrand 15.0, the energy 13.4, the writer 32.2 and the build
+    # 75.0.
+    KERNELS, LAPLACIANS, BUILD, WRITER = 16, 8, 24, 16
     data = compute_bochner(f)
     for name in FIELDS:
         used = transient(lambda: getattr(data, name))
-        assert used <= continued(2) + KERNELS * band, name
-    assert transient(lambda: total_energy(f)) <= continued(2) + KERNELS * band
-    used = transient(lambda: integral_identity_residual(f))
-    assert used <= continued(6) + KERNELS * band
+        bound = LAPLACIANS if name in ("lap", "sup_tension") else KERNELS
+        assert used <= bound * band, name
+    assert transient(lambda: total_energy(f)) <= KERNELS * band
+    assert transient(lambda: integral_identity_residual(f)) <= KERNELS * band
     ns = types.SimpleNamespace(csv=str(tmp_path / "nodes.csv"))
-    used = transient(lambda: cli._write_node_csv(ns, f, data))
-    assert used <= continued(2) + WRITER * band
+    assert transient(lambda: cli._write_node_csv(ns, f, data)) <= WRITER * band
+    built = []
+    fine = RoundSphere2(n1=256)
+    used = transient(lambda: built.append(catalog_map("holomorphic:k=2", fine, Sphere())))
+    assert used <= BUILD * band
+
+
+# -- per-band continuation, the banded Laplacian and the map construction ----
+
+
+@pytest.mark.parametrize("band_nodes", [None, 1])
+@pytest.mark.parametrize("case", ["sphere", "torus"])
+def test_banded_laplacians_are_the_whole_grid_kernel(case, band_nodes, monkeypatch):
+    build, bands = CASES[case]
+    f = build()
+    dom = f.domain
+    if band_nodes:
+        monkeypatch.setattr(maps, "BAND_NODES", band_nodes)
+        bands = dom.n1
+    calls = []
+    kernel = type(dom).laplace_beltrami_rows
+
+    def counted(self, Fp, rows):
+        calls.append(rows)
+        return kernel(self, Fp, rows)
+
+    monkeypatch.setattr(type(dom), "laplace_beltrami_rows", counted)
+    tau = tension_field(f)
+    assert len(calls) == bands
+    whole = f.target.tangent_part(f.values, dom.laplace_beltrami(f.values))
+    np.testing.assert_array_equal(tau, whole)
+    data = compute_bochner(f)
+    lap = data.lap
+    assert len(calls) == 2 * bands + 1
+    np.testing.assert_array_equal(lap, 0.5 * dom.laplace_beltrami(data.S))
+
+
+@pytest.mark.parametrize("band_nodes", [1, 40, maps.BAND_NODES])
+@pytest.mark.parametrize("accuracy", [0, 2, 6])
+@pytest.mark.parametrize(
+    "dom",
+    [RoundSphere2(n1=12), RoundSphere2(n1=4, n2=6), FlatTorus2(n1=10, n2=8)],
+    ids=["sphere", "small-sphere", "torus"],
+)
+def test_band_continuation_is_the_whole_grids(dom, accuracy, band_nodes, monkeypatch):
+    # each band's rows of extend(extend(F, 0, p), 1, p), ghost rows past
+    # either end of the grid included, down to one-row bands at p = 3
+    monkeypatch.setattr(maps, "BAND_NODES", band_nodes)
+    F = np.random.default_rng(accuracy).standard_normal((dom.n1, dom.n2, 3))
+    p = accuracy // 2
+    whole = dom.extend(dom.extend(F, 0, p), 1, p) if p else F
+    rows = row_bands(dom)
+    step = max(1, band_nodes // dom.n2)
+    assert [r.start for r in rows] == list(range(0, dom.n1, step))
+    for r in rows:
+        band = maps._band(dom, F, r, accuracy)
+        np.testing.assert_array_equal(band.values, F[r])
+        np.testing.assert_array_equal(band.continued, whole[r.start:r.stop + 2 * p])
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    ["sphere:r=2", "ellipsoid:a=1,b=1.5,c=2", "prodspheres:r1=1,r2=2",
+     "torusemb:rho1=1,rho2=2", "euclid:m=3"],
+)
+def test_banded_reprojection_is_one_closest_point_call(descriptor, monkeypatch):
+    # bands of 3 rows; points off the target by up to 30 %, so that the
+    # ellipsoid's Newton iteration takes different counts in different bands
+    target = parse_target(descriptor)
+    dom = FlatTorus2(n1=12, n2=10)
+    rng = np.random.default_rng(7)
+    raw = target.sample_points(dom.n1 * dom.n2, rng)
+    raw = raw * (1.0 + 0.3 * rng.uniform(-1, 1, (raw.shape[0], 1)))
+    raw = raw.reshape(dom.n1, dom.n2, target.m)
+    monkeypatch.setattr(maps, "BAND_NODES", 3 * dom.n2)
+    assert len(row_bands(dom)) == 4
+    np.testing.assert_array_equal(DiscreteMap(dom, target, raw).values, target.closest_point(raw))
+
+
+@pytest.mark.parametrize(
+    "name, domain, descriptor",
+    [
+        ("identity", RoundSphere2(n1=96), "sphere:r=1"),
+        ("scaling", RoundSphere2(n1=96), "sphere:r=2"),
+        ("holomorphic:k=1", RoundSphere2(n1=96), "sphere:r=1"),
+        ("holomorphic:k=3", RoundSphere2(n1=96), "sphere:r=1.5"),
+        ("holomorphic:k=40", RoundSphere2(n1=16), "sphere:r=1"),
+        ("cap:amplitude=0.3", FlatTorus2(n1=100), "sphere:r=1"),
+        ("cap:amplitude=1.2", FlatTorus2(n1=30, n2=44), "sphere:r=2"),
+        ("constant", FlatTorus2(n1=100), "prodspheres:r1=1,r2=2"),
+    ],
+)
+def test_catalog_maps_are_the_meshgrid_builds(name, domain, descriptor, monkeypatch):
+    # the raw value grid a builder hands the map constructor, bit for bit
+    target = parse_target(descriptor)
+    raw = []
+    monkeypatch.setattr(maps, "DiscreteMap", lambda dom, tgt, values: raw.append(values))
+    catalog_map(name, domain, target)
+    expected = catalog_values_on_meshgrid(name, domain, target)
+    np.testing.assert_array_equal(raw[0], expected)
+    assert np.signbit(raw[0]).tobytes() == np.signbit(expected).tobytes()

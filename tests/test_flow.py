@@ -133,13 +133,15 @@ class TestRun:
     def test_halving_repeats_only_the_solve(self, monkeypatch):
         # per step one Laplacian for the map's tension and one for the
         # normal part L f - tau, plus the final tension; the rejected
-        # candidate costs a second resolvent solve and no Laplacian
+        # candidate costs a second resolvent solve and no Laplacian.  Both
+        # Laplacians run the banded kernel, the tension band by band and
+        # the normal part as one band; a 32 x 32 grid is one band.
         laplacians = []
-        original = FlatTorus2.laplace_beltrami
+        original = FlatTorus2.laplace_beltrami_rows
 
-        def counted(self, F):
-            laplacians.append(None)
-            return original(self, F)
+        def counted(self, Fp, rows):
+            laplacians.append(rows)
+            return original(self, Fp, rows)
 
         energies = []
 
@@ -147,12 +149,12 @@ class TestRun:
             energies.append(None)
             return total_energy(f) + (1.0 if len(energies) == 3 else 0.0)
 
-        monkeypatch.setattr(FlatTorus2, "laplace_beltrami", counted)
+        monkeypatch.setattr(FlatTorus2, "laplace_beltrami_rows", counted)
         monkeypatch.setattr(flow, "total_energy", rises_once)
         n = 3
         f, summary = run_flow(cap(), FlowParams(max_steps=n))
         assert summary.steps == n and summary.rejected == 1
-        assert len(laplacians) == 2 * n + 1
+        assert laplacians == [slice(0, 32)] * (2 * n + 1)
 
     def test_non_finite_candidate_is_a_rejection(self, monkeypatch):
         # DiscreteMap refuses NaN values with NumericalError; the

@@ -108,6 +108,37 @@ def test_column_rows_hold_numbers_only():
         ColumnRows([np.array([2**53])])
 
 
+@pytest.mark.parametrize("big", [2**53, -2**53, -2**63, 2**64 - 1])
+def test_column_rows_refuse_integers_from_2_53(big):
+    # read from the column's extremes: -2**63 has no int64 absolute value
+    column = np.array([0, big], dtype=np.uint64 if big > 2**63 else np.int64)
+    with pytest.raises(ValueError):
+        ColumnRows([column])
+
+
+def test_column_rows_write_integers_below_2_53(tmp_path):
+    ints = np.array([2**53 - 1, -(2**53 - 1), 0])
+    rows = ColumnRows([ints])
+    assert written(tmp_path, ["n"], rows) == reference(["n"], [[int(n)] for n in ints])
+
+
+def test_column_rows_compute_derived_columns_a_block_at_a_time(tmp_path):
+    count = 2 * CSV_BLOCK + 5
+    x = np.random.default_rng(1).standard_normal(count)
+    blocks = []
+
+    def index(start, stop):
+        blocks.append((start, stop))
+        return np.arange(start, stop)
+
+    rows = ColumnRows([index, x[::-1], lambda start, stop: 3.0 * x[start:stop]], count=count)
+    expected = [[k, x[::-1][k], 3.0 * x[k]] for k in range(count)]
+    assert written(tmp_path, ["k", "y", "z"], rows) == reference(["k", "y", "z"], expected)
+    assert blocks == [(0, CSV_BLOCK), (CSV_BLOCK, 2 * CSV_BLOCK), (2 * CSV_BLOCK, count)]
+    # an array column is read as a view where its strides allow
+    assert np.shares_memory(rows.columns[1], x)
+
+
 # -- the %.17g kernel, cell by cell ----------------------------------------
 
 
@@ -196,7 +227,8 @@ def test_node_csv_equals_the_per_cell_reference(tmp_path, monkeypatch):
                      "--refine", "2", "--csv", str(path)]) == 0
     (_, header, rows), = tables
     assert isinstance(rows, ColumnRows) and len(rows) == 64 * 128
-    cells = [c.tolist() for c in rows.columns]
+    # a derived column computed as one block, against the CSV's blocks
+    cells = [(c(0, len(rows)) if callable(c) else c).tolist() for c in rows.columns]
     assert path.read_text() == reference(header, zip(*cells))
 
 
