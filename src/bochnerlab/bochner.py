@@ -26,9 +26,9 @@ and each band's continued values never exceed a band, and the domain
 coefficients are row profiles, so the pass holds only its node grids;
 a contraction read after a contraction-free pass runs the pass again,
 all but the Hessian.  Readers that need both read a contraction first
-(the residual reads Q before S).  (1/2) Lap |df|^2 runs the domain's
-banded Laplace-Beltrami kernel on S a band at a time, and the sup
-norms reduce a band at a time.
+(the residual reads Q before S).  (1/2) Lap |df|^2 is the banded
+`maps.laplace_beltrami` of S, halved; the sup norms reduce a band at a
+time, sup|tau| from the map's cached L f, so no tension grid is held.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ from .maps import (
     assemble,
     hessian_field,
     jacobian_field,
+    laplace_beltrami,
     pullback_field,
     row_bands,
     spectrum,
-    tension_field,
 )
 from .numerics import gen_eigh, read_only
 from .targets import sectional_batch
@@ -183,12 +183,9 @@ class BochnerData:
     @cached_property
     def lap(self):
         """(1/2) Lap |df|^2, a row band of S at a time."""
-        dom = self.f.domain
-
-        def half_lap(band):
-            return {"lap": 0.5 * dom.laplace_beltrami_rows(band.continued, band.rows)}
-
-        return read_only(assemble(dom, self.S, half_lap)["lap"])
+        lap = laplace_beltrami(self.f.domain, self.S)
+        lap *= 0.5
+        return read_only(lap)
 
     @cached_property
     def residual(self):
@@ -202,8 +199,9 @@ class BochnerData:
 
     @cached_property
     def sup_tension(self):
-        tau = tension_field(self.f)
-        return self._sup(lambda rows: np.linalg.norm(tau[rows], axis=-1))
+        f = self.f
+        return self._sup(lambda rows: np.linalg.norm(
+            f.target.tangent_part(f.values[rows], f.laplacian[rows]), axis=-1))
 
     @cached_property
     def path_disagreement(self):

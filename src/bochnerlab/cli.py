@@ -28,15 +28,15 @@ from .domains import ricci_min
 from .errors import ChartDomainError, NumericalError, UsageError
 from .flow import DT_MAX, IMPLICIT_DT, FlowParams, run_flow
 from .io_utils import ColumnRows, dump_json, json_dumps, write_csv
-from .maps import catalog_map, load_map, row_bands, save_map, total_energy
+from .maps import catalog_map, load_map, save_map, total_energy
 from .rigidity import (
     HARMONIC_COEFF,
     build_report,
     equality_diagnostics,
     grid_h,
+    image_curvature_bounds,
     theorem_consistency_scan,
 )
-from .targets import sec_max_over_region
 
 MIN_RESOLUTION = 8
 VERIFY_RES_COEFF = 100.0  # residual band C h^2, calibrated on the catalog
@@ -249,10 +249,12 @@ def cmd_verify(ns):
     if ns.load and ns.refine > 1:
         raise UsageError("refinement levels need a catalog map, not a saved map")
     f = _build_map(ns)
+    tgt = f.target
+    # the finer levels' domains first: one beyond MAX_NODES exits before level 1
+    finer = [f.domain.with_resolution(f.domain.n1 << lev) for lev in range(1, ns.refine)]
     levels = []
-    for lev in range(ns.refine):
-        if lev:
-            dom, tgt = f.domain.with_resolution(2 * f.domain.n1), f.target
+    for dom in [None] + finer:
+        if dom is not None:
             # drop the previous level's map and fields before the next is built
             f = data = None
             f = catalog_map(ns.map, dom, tgt)
@@ -297,14 +299,10 @@ def cmd_verify(ns):
 
 
 def _write_node_csv(ns, f, data):
-    dom, tgt = f.domain, f.target
+    dom = f.domain
     rmin, _ = ricci_min(dom)
-    # Sec_max over every image node, as the report takes it, a row band at a time
-    sec_max = max(
-        max(float(sec_max_over_region(tgt, f.values[rows].reshape(-1, tgt.m))[0])
-            for rows in row_bands(dom)),
-        0.0,
-    )
+    # Sec_max over every image node, as the report takes it
+    sec_max = max(image_curvature_bounds(f)[1], 0.0)
     n = dom.n
     header = (
         ["i", "j", "e"]

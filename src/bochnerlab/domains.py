@@ -20,7 +20,7 @@ flagged so sup-norm diagnostics can exclude them.
 
 The Laplace-Beltrami is one kernel, `laplace_beltrami_rows`, on a band
 of grid rows continued by one ghost row and column either side;
-`laplace_beltrami` is its one-band case.
+`maps.laplace_beltrami` runs it over a node field a row band at a time.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .errors import ChartDomainError, UsageError
 from .numerics import fejer1_weights, fmt_param
 
 TWO_PI = 2.0 * np.pi
+MAX_NODES = 2**24  # 128 times the 256 x 512 sphere grid; refused beyond
 
 
 def _wrap(F, axis, width):
@@ -69,6 +70,8 @@ class ChartGrid:
     def __post_init__(self):
         if self.n2 is None:
             object.__setattr__(self, "n2", self.N2_PER_N1 * self.n1)
+        if self.n1 * self.n2 > MAX_NODES:
+            raise UsageError(f"{self.n1} x {self.n2} grid exceeds MAX_NODES = {MAX_NODES}")
 
     def chart_grid(self):
         return np.meshgrid(*self.axes(), indexing="ij")
@@ -85,16 +88,6 @@ class ChartGrid:
 
     def inv_metric_diag_grid(self):
         return 1.0 / self.metric_diag_grid()
-
-    def pad(self, F):
-        """One ghost layer on each side of both axes, as `extend` continues F."""
-        return self.extend(self.extend(F, 0, 1), 1, 1)
-
-    def laplace_beltrami(self, F):
-        """Conservative discrete Laplace-Beltrami of a node field: the
-        banded kernel `laplace_beltrami_rows` on a band of every row."""
-        Fp = self.pad(np.asarray(F, dtype=float))
-        return self.laplace_beltrami_rows(Fp, slice(0, self.n1))
 
     def quad_weight_grid(self):
         h1, h2 = self.spacing
@@ -185,7 +178,7 @@ class FlatTorus2(ChartGrid):
         return d1 + d2
 
     def resolvent(self, F, dt):
-        """X with (I - dt L) X = F, L the stencil of laplace_beltrami.
+        """X with (I - dt L) X = F, L the stencil of laplace_beltrami_rows.
 
         L is periodic with constant coefficients, so the discrete
         Fourier modes diagonalize it.
@@ -346,13 +339,14 @@ class RoundSphere2(ChartGrid):
         return d1 + d2
 
     def resolvent(self, F, dt):
-        """X with (I - dt L) X = F, L the stencil of laplace_beltrami.
+        """X with (I - dt L) X = F, L the stencil of laplace_beltrami_rows.
 
         L has constant coefficients in phi, so a real FFT in phi leaves
         one tridiagonal system in theta per Fourier mode.  The pole
         interfaces carry sin(0) = 0 and sin(pi) ~ 1.2e-16, so their
-        ghost couplings are dropped and each system stays tridiagonal.  (I - dt L) is then a strictly diagonally dominant
-        M-matrix, and one batched Thomas sweep solves it without pivoting.
+        ghost couplings are dropped and each system stays tridiagonal.
+        (I - dt L) is then a strictly diagonally dominant M-matrix, and
+        one batched Thomas sweep solves it without pivoting.
         """
         h1, h2 = self.spacing
         s, s_up, s_dn = self._sin_profiles()

@@ -5,9 +5,9 @@ solves (I - dt L) f* = f - dt (L f - tau(f)) with the domain's fast
 resolvent and reprojects f* onto the target with the closest-point map.
 L f - tau = N L f is the normal part of the componentwise Laplacian, so
 the step treats the diffusion implicitly and the constraint force
-explicitly, and reuses the map's cached tension.  An energy-monotone
-controller halves dt whenever a candidate's energy rises or the map
-constructor rejects it.
+explicitly; both terms read the L f cached on the map, so a step runs
+one Laplace-Beltrami.  An energy-monotone controller halves dt
+whenever a candidate's energy rises or the map constructor rejects it.
 
 run_flow doubles dt (DT_GROWTH) after each step accepted at its first
 try, up to DT_MAX or the given first step if that is larger; a step
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, StabilityError, UsageError
-from .maps import energy_density_field, tension_field, total_energy
+from .maps import row_bands, total_energy
 
 ENERGY_SLACK = 1e-10
 MAX_HALVINGS = 20
@@ -149,18 +149,17 @@ def _scan_diameter(pts):
     return float(np.sqrt(d2))
 
 
-def image_radius(values):
-    """Largest distance of a node value from their centroid.
-
-    It brackets the image diameter: R <= diam <= 2R.
-    """
-    pts = values.reshape(-1, values.shape[-1])
-    center = pts.mean(axis=0)
-    return float(np.max(np.linalg.norm(pts - center, axis=-1)))
+def image_radius(f):
+    """Largest distance of a node value of the map f from their centroid,
+    a row band at a time.  It brackets the image diameter: R <= diam <= 2R."""
+    center = f.values.reshape(-1, f.target.m).mean(axis=0)
+    return float(max(np.max(np.linalg.norm(f.values[rows] - center, axis=-1))
+                     for rows in row_bands(f.domain)))
 
 
-def _implicit_step(f, dt):
-    """One accepted linearly implicit step, halving dt on each rejection.
+def _implicit_step(f, tau, dt):
+    """One accepted linearly implicit step from f, whose tension is tau,
+    halving dt on each rejection.
 
     A candidate is rejected when its energy rises or the map constructor
     refuses its values with NumericalError.  The normal part L f - tau
@@ -168,7 +167,7 @@ def _implicit_step(f, dt):
     solve.  Returns (map, accepted_dt, energy_after, rejections); raises
     StabilityError after MAX_HALVINGS + 1 rejections in a row.
     """
-    normal = f.domain.laplace_beltrami(f.values) - tension_field(f)
+    normal = f.laplacian - tau
     e0 = total_energy(f)
     e1 = np.nan
     for rejected in range(MAX_HALVINGS + 1):
@@ -206,16 +205,16 @@ def run_flow(f0, params=None):
     f = f0
     summary = FlowSummary(dt=dt)
     keep = ~f0.domain.flagged_mask()
-    e_max0 = float(np.max(energy_density_field(f0)))
+    e_max0 = float(np.max(f0.energy_density))
     summary.energies.append(total_energy(f))
 
     # one more pass than the budget of steps tests the final map as well
     for step in range(params.max_steps + 1):
-        tau = tension_field(f)
+        tau = f.tension
         sup_tau = float(np.max(np.linalg.norm(tau, axis=-1)[keep]))
-        e_max = float(np.max(energy_density_field(f)))
+        e_max = float(np.max(f.energy_density))
         # 2 * bounding radius dominates the diameter, so the collapse test is safe
-        diam = 2 * image_radius(f.values)
+        diam = 2 * image_radius(f)
         if params.snapshot_stride and step % params.snapshot_stride == 0:
             summary.trace.append((step, summary.energies[-1], sup_tau, diam, e_max))
         # a constant map has no tension either, so collapse is tested first
@@ -229,7 +228,7 @@ def run_flow(f0, params=None):
             raise NumericalError(
                 f"energy density concentrated ({e_max:.3e} vs initial {e_max0:.3e})"
             )
-        f, dt, energy, rejected = _implicit_step(f, dt)
+        f, dt, energy, rejected = _implicit_step(f, tau, dt)
         summary.dt = dt
         summary.rejected += rejected
         summary.energies.append(energy)

@@ -10,8 +10,8 @@ of elementwise products.  The pointwise calculus uses second-order
 stencils; `accuracy=6` selects 7-point ones where a quadrature needs a
 smaller truncation error.
 
-The stencil kernels `jacobian_field` and `hessian_field`, the tension's
-Laplace-Beltrami and the map's reprojection evaluate one row band of
+The stencil kernels `jacobian_field`, `hessian_field` and
+`laplace_beltrami` and the map's reprojection evaluate one row band of
 the grid at a time, on a `Band` that `assemble` passes its kernel:
 about BAND_NODES nodes, so that their temporaries stay the size of a
 band however fine the grid.  Each band is continued on its own, an
@@ -44,9 +44,9 @@ class DiscreteMap:
 
     values has shape (n1, n2, m) and always lies on the target: the
     constructor reprojects through the closest-point map one row band at
-    a time.  The values are read-only, so the tension and energy density
-    are cached; both are taken a row band at a time, and the Jacobian is
-    not kept.
+    a time.  The values are read-only, so L f (`laplacian`) and the
+    energy density are cached, each taken a row band at a time; the
+    tension is the tangent part of L f, and the Jacobian is not kept.
     """
 
     domain: object
@@ -72,14 +72,14 @@ class DiscreteMap:
         object.__setattr__(self, "values", read_only(values))
 
     @cached_property
-    def tension(self):
-        def tau(band):
-            lap = self.domain.laplace_beltrami_rows(band.continued, band.rows)
-            values = band.values
-            del band  # the continued rows, before the projection's temporaries
-            return {"tau": self.target.tangent_part(values, lap)}
+    def laplacian(self):
+        """L f, the Laplace-Beltrami of each ambient component."""
+        return read_only(laplace_beltrami(self.domain, self.values))
 
-        return read_only(assemble(self.domain, self.values, tau)["tau"])
+    @property
+    def tension(self):
+        """tau = the tangent part of L f at each node."""
+        return self.target.tangent_part(self.values, self.laplacian)
 
     @cached_property
     def energy_density(self):
@@ -340,6 +340,15 @@ def assemble(domain, F, kernel, accuracy=2):
     return grids
 
 
+def laplace_beltrami(domain, F):
+    """The domain's Laplace-Beltrami of a node field F, (n1, n2[, k]): its
+    kernel `laplace_beltrami_rows` a row band at a time."""
+    def lap(band):
+        return {"lap": domain.laplace_beltrami_rows(band.continued, band.rows)}
+
+    return assemble(domain, np.asarray(F, dtype=float), lap)["lap"]
+
+
 def jacobian_field(f, accuracy=2, band=None):
     """Tangent-projected chart Jacobian, shape (n1, n2, m, 2), or its
     rows on a `Band` that `assemble` passes its kernel.
@@ -377,19 +386,9 @@ def spectrum(lam):
     return lam, lam.sum(axis=-1)
 
 
-def energy_density_field(f):
-    """e = trace_g(f*gbar) / 2 without an eigensolve."""
-    return f.energy_density
-
-
 def total_energy(f):
     """Quadrature of the energy density over the domain."""
     return float(np.sum(f.energy_density * f.domain.quad_weight_grid()))
-
-
-def tension_field(f):
-    """Tension tau = tangential part of the componentwise Laplace-Beltrami."""
-    return f.tension
 
 
 def hessian_field(f, accuracy=2, band=None):

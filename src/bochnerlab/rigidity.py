@@ -18,6 +18,7 @@ from .bochner import compute_bochner
 from .domains import ricci_min
 from .errors import UsageError
 from .flow import image_diameter, image_radius
+from .maps import row_bands
 from .targets import curvature_bounds, sec_max_over_region
 
 # Margin/diagnostic band coefficients for tol(h) = C h^2, calibrated on
@@ -74,6 +75,15 @@ class PinchingReport:
         return d
 
 
+def image_curvature_bounds(f):
+    """`curvature_bounds` over the image nodes of f, a row band at a time:
+    (least, greatest, the first node in C order that reaches the greatest)."""
+    bands = [curvature_bounds(f.target, f.values[rows].reshape(-1, f.target.m))
+             for rows in row_bands(f.domain)]
+    top = max(bands, key=lambda b: b[1])  # the first band that reaches it
+    return min(b[0] for b in bands), top[1], top[2]
+
+
 def build_report(f, seed=0, global_sample=0):
     """Assemble the pinching report for a map.
 
@@ -99,7 +109,7 @@ def build_report(f, seed=0, global_sample=0):
     rmin, rwit = ricci_min(dom)
     # Sec >= 0 on all planes at the image nodes (the hypothesis) when
     # the least eigenvalue of the curvature operator is nonnegative
-    least, sec_img, wit = curvature_bounds(tgt, f.values.reshape(-1, tgt.m))
+    least, sec_img, wit = image_curvature_bounds(f)
     sec_global = None
     if global_sample:
         rng = np.random.default_rng(seed)
@@ -112,7 +122,7 @@ def build_report(f, seed=0, global_sample=0):
 
     # R <= diam <= 2R decides diam < tol without the pairwise scan
     # unless R lies in [tol/2, tol)
-    R = image_radius(f.values)
+    R = image_radius(f)
     is_constant = 2 * R < CONSTANT_DIAMETER_TOL or (
         R < CONSTANT_DIAMETER_TOL and image_diameter(f) < CONSTANT_DIAMETER_TOL
     )

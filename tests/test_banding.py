@@ -19,7 +19,6 @@ from bochnerlab.maps import (
     catalog_map,
     hessian_field,
     row_bands,
-    tension_field,
     total_energy,
 )
 from bochnerlab.targets import Ellipsoid, Sphere
@@ -148,15 +147,22 @@ def test_banded_laplacians_are_the_whole_grid_kernel(case, band_nodes, monkeypat
         calls.append(rows)
         return kernel(self, Fp, rows)
 
+    def whole_grid(F):
+        # the kernel on one band of every row, one ghost layer either side
+        return kernel(dom, dom.extend(dom.extend(F, 0, 1), 1, 1), slice(0, dom.n1))
+
     monkeypatch.setattr(type(dom), "laplace_beltrami_rows", counted)
-    tau = tension_field(f)
+    tau = f.tension
     assert len(calls) == bands
-    whole = f.target.tangent_part(f.values, dom.laplace_beltrami(f.values))
-    np.testing.assert_array_equal(tau, whole)
+    np.testing.assert_array_equal(f.laplacian, whole_grid(f.values))
+    np.testing.assert_array_equal(tau, f.target.tangent_part(f.values, whole_grid(f.values)))
     data = compute_bochner(f)
     lap = data.lap
-    assert len(calls) == 2 * bands + 1
-    np.testing.assert_array_equal(lap, 0.5 * dom.laplace_beltrami(data.S))
+    assert len(calls) == 2 * bands
+    np.testing.assert_array_equal(lap, 0.5 * whole_grid(data.S))
+    # sup|tau| reads the map's L f
+    assert data.sup_tension == np.max(np.linalg.norm(tau, axis=-1)[~dom.flagged_mask()])
+    assert len(calls) == 2 * bands
 
 
 @pytest.mark.parametrize("band_nodes", [1, 40, maps.BAND_NODES])

@@ -406,6 +406,27 @@ class TestExitCodes:
                 "--resolution", "16"]
         assert exit_code(argv) == 2
 
+    @pytest.mark.parametrize(
+        "argv, stage",
+        [
+            # the finest of 30 levels would be 8 * 2**29 rows
+            (["verify", "--map", "holomorphic:k=2", "--resolution", "8",
+              "--refine", "30"], "_verify_level"),
+            # the value grid alone would take 240 GB
+            (["report", "--map", "constant", "--domain", "torus:a=1,b=1",
+              "--resolution", "100000"], "catalog_map"),
+        ],
+        ids=["refine", "resolution"],
+    )
+    def test_oversized_grid_exits_before_it_allocates(self, monkeypatch, argv, stage):
+        def refused(*args):
+            raise AssertionError(f"{stage} ran")
+
+        monkeypatch.setattr(f"bochnerlab.cli.{stage}", refused)
+        t0 = time.perf_counter()
+        assert exit_code(argv) == 2
+        assert time.perf_counter() - t0 < 1.0
+
     def test_config_value_passes_the_flag_check(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"steps": 2.5}))

@@ -5,8 +5,9 @@ import pytest
 from chart_oracle import christoffel_fd_at, ricci_fd_at
 
 from bochnerlab.catalog import parse_domain
-from bochnerlab.domains import FlatTorus2, RoundSphere2, ricci_min
+from bochnerlab.domains import MAX_NODES, FlatTorus2, RoundSphere2, ricci_min
 from bochnerlab.errors import ChartDomainError, UsageError
+from bochnerlab.maps import laplace_beltrami
 from bochnerlab.numerics import fejer1_weights, gen_eigh
 
 
@@ -39,7 +40,7 @@ class TestFlatTorus:
             U, V = dom.chart_grid()
             F = np.sin(2 * U) * np.cos(3 * V)
             lam = -(4.0 / 1.0**2 + 9.0 / 2.0**2)
-            return np.max(np.abs(dom.laplace_beltrami(F) - lam * F))
+            return np.max(np.abs(laplace_beltrami(dom, F) - lam * F))
 
         e64, e128 = max_err(64), max_err(128)
         assert e64 < 0.05
@@ -50,7 +51,7 @@ class TestFlatTorus:
         dom = FlatTorus2(a=1.0, b=2.0, n1=32, n2=48)
         F = np.random.default_rng(5).standard_normal((dom.n1, dom.n2, 3))
         X = dom.resolvent(F, dt)
-        residual = X - dt * dom.laplace_beltrami(X) - F
+        residual = X - dt * laplace_beltrami(dom, X) - F
         assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(F))
 
     def test_check_point_rejects_bad_input(self):
@@ -104,14 +105,14 @@ class TestRoundSphere:
         dom = RoundSphere2(r=1.0, n1=32, n2=64)
         rng = np.random.default_rng(3)
         F = rng.standard_normal((dom.n1, dom.n2))
-        total = np.sum(dom.laplace_beltrami(F) * dom.quad_weight_grid())
+        total = np.sum(laplace_beltrami(dom, F) * dom.quad_weight_grid())
         assert abs(total) < 1e-8 * np.max(np.abs(F))
 
     def test_divergence_theorem_on_torus(self):
         dom = FlatTorus2(a=1.0, b=2.0, n1=16, n2=24)
         rng = np.random.default_rng(4)
         F = rng.standard_normal((dom.n1, dom.n2))
-        total = np.sum(dom.laplace_beltrami(F) * dom.quad_weight_grid())
+        total = np.sum(laplace_beltrami(dom, F) * dom.quad_weight_grid())
         assert abs(total) < 1e-10
 
     def test_laplacian_of_spherical_harmonic(self):
@@ -119,7 +120,7 @@ class TestRoundSphere:
         dom = RoundSphere2(r=1.0, n1=64, n2=128)
         TH, _ = dom.chart_grid()
         F = np.cos(TH)
-        err = np.max(np.abs(dom.laplace_beltrami(F) + 2 * F))
+        err = np.max(np.abs(laplace_beltrami(dom, F) + 2 * F))
         assert err < 2e-3
 
     @pytest.mark.parametrize("n1", [64, 128])
@@ -128,7 +129,7 @@ class TestRoundSphere:
         dom = RoundSphere2(r=1.5, n1=n1, n2=2 * n1)
         F = np.random.default_rng(6).standard_normal((dom.n1, dom.n2, 3))
         X = dom.resolvent(F, dt)
-        residual = X - dt * dom.laplace_beltrami(X) - F
+        residual = X - dt * laplace_beltrami(dom, X) - F
         # the resolvent drops the south-pole ghost coupling, whose
         # coefficient dt sin(pi) / (r^2 sin(theta) h^2) on the last row
         # is zero only in exact arithmetic; it multiplies a difference
@@ -137,12 +138,12 @@ class TestRoundSphere:
         coupling = dt * abs(np.sin(np.pi)) / (dom.r**2 * np.sin(h1 / 2) * h1**2)
         assert np.max(np.abs(residual)) <= (1e-12 + 2 * coupling) * np.max(np.abs(F))
 
-    def test_pad_antipodal_wrap(self):
+    def test_one_ghost_layer_antipodal_wrap(self):
         # a rotationally symmetric smooth field stays smooth across the pole
         dom = RoundSphere2(r=1.0, n1=32, n2=64)
         TH, PH = dom.chart_grid()
         F = np.sin(TH) * np.cos(PH)
-        Fp = dom.pad(F)
+        Fp = dom.extend(dom.extend(F, 0, 1), 1, 1)
         # ghost row above the north pole equals the antipodally rolled row
         np.testing.assert_allclose(Fp[0, 1:-1], np.roll(F[0], dom.n2 // 2))
 
@@ -215,6 +216,19 @@ def test_n2_follows_the_domains_rule(text, per_n1):
     assert dom.with_resolution(24).n2 == per_n1 * 24
     assert dom.with_resolution(24, 30).n2 == 30
     assert type(dom)(n1=16).n2 == per_n1 * 16
+
+
+def test_grid_beyond_max_nodes_is_refused():
+    # a 4096 x 4096 torus is the largest square grid; nothing is allocated
+    side = 4096
+    assert side * side == MAX_NODES
+    dom = FlatTorus2(n1=side)
+    for build in (lambda: FlatTorus2(n1=side + 1), lambda: RoundSphere2(n1=side),
+                  lambda: FlatTorus2(n1=4, n2=MAX_NODES // 4 + 1),
+                  lambda: dom.with_resolution(2 * side),
+                  lambda: parse_domain("sphere:r=1", 100_000)):
+        with pytest.raises(UsageError, match="MAX_NODES"):
+            build()
 
 
 @pytest.mark.parametrize(

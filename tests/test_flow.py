@@ -131,11 +131,10 @@ class TestRun:
         assert summary.dt == IMPLICIT_DT * 2
 
     def test_halving_repeats_only_the_solve(self, monkeypatch):
-        # per step one Laplacian for the map's tension and one for the
-        # normal part L f - tau, plus the final tension; the rejected
-        # candidate costs a second resolvent solve and no Laplacian.  Both
-        # Laplacians run the banded kernel, the tension band by band and
-        # the normal part as one band; a 32 x 32 grid is one band.
+        # per step one Laplacian L f, cached on the map, for its tension
+        # and the normal part L f - tau, plus the final map's tension;
+        # the rejected candidate costs a second resolvent solve and no
+        # Laplacian.  A 32 x 32 grid is one band.
         laplacians = []
         original = FlatTorus2.laplace_beltrami_rows
 
@@ -154,7 +153,7 @@ class TestRun:
         n = 3
         f, summary = run_flow(cap(), FlowParams(max_steps=n))
         assert summary.steps == n and summary.rejected == 1
-        assert laplacians == [slice(0, 32)] * (2 * n + 1)
+        assert laplacians == [slice(0, 32)] * (n + 1)
 
     def test_non_finite_candidate_is_a_rejection(self, monkeypatch):
         # DiscreteMap refuses NaN values with NumericalError; the

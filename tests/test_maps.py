@@ -12,16 +12,15 @@ from bochnerlab.maps import (
     _stencil,
     catalog_map,
     constant_map,
-    energy_density_field,
     hessian_field,
     identity_sphere_map,
     jacobian_field,
+    laplace_beltrami,
     load_map,
     pullback_field,
     radial_scaling_map,
     save_map,
     spectrum,
-    tension_field,
     total_energy,
 )
 from bochnerlab.numerics import fmt17, gen_eigh
@@ -62,12 +61,26 @@ class TestCatalog:
         with pytest.raises(ValueError):
             f.values[0, 0, 0] = 7.0
 
-    def test_tension_and_energy_density_are_cached_read_only(self):
+    def test_tension_is_derived_from_the_cached_laplacian(self, monkeypatch):
+        calls = []
+        kernel = RoundSphere2.laplace_beltrami_rows
+
+        def counted(self, Fp, rows):
+            calls.append(rows)
+            return kernel(self, Fp, rows)
+
+        monkeypatch.setattr(RoundSphere2, "laplace_beltrami_rows", counted)
         f = catalog_map("holomorphic:k=2", SPHERE, Sphere(k=2, r=1.0))
-        for field in (tension_field, energy_density_field):
-            assert field(f) is field(f)
+        tau = f.tension
+        assert calls == [slice(0, SPHERE.n1)]  # 64 x 128 is one band
+        # a second read takes the tangent part again, and no Laplacian
+        np.testing.assert_array_equal(f.tension, tau)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(tau, f.target.tangent_part(f.values, f.laplacian))
+        for name in ("laplacian", "energy_density"):
+            assert getattr(f, name) is getattr(f, name)
             with pytest.raises(ValueError):
-                field(f)[0, 0] = 7.0
+                getattr(f, name)[0, 0] = 7.0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(UsageError):
@@ -101,9 +114,9 @@ class TestTension:
         def disagreement(n1):
             dom = RoundSphere2(r=1.0, n1=n1, n2=2 * n1)
             f = catalog_map("holomorphic:k=2", dom, Sphere(k=2, r=1.0))
-            tau = tension_field(f)
-            lap = dom.laplace_beltrami(f.values)
-            e2 = 2.0 * energy_density_field(f)
+            tau = f.tension
+            lap = laplace_beltrami(dom, f.values)
+            e2 = 2.0 * f.energy_density
             alt = lap + e2[..., None] * f.values
             return np.max(np.linalg.norm((tau - alt), axis=-1)[keep(dom)])
 
@@ -117,14 +130,14 @@ class TestTension:
             for n1 in (32, 64):
                 dom = RoundSphere2(r=1.0, n1=n1, n2=2 * n1)
                 f = catalog_map(name, dom, Sphere(k=2, r=1.0))
-                tau = np.linalg.norm(tension_field(f), axis=-1)
+                tau = np.linalg.norm(f.tension, axis=-1)
                 sups.append(np.max(tau[keep(dom)]))
             assert 3.0 < sups[0] / sups[1] < 5.0
 
     def test_cap_map_is_not_harmonic(self):
         dom = FlatTorus2(a=1, b=1, n1=32, n2=32)
         f = catalog_map("cap:amplitude=0.3", dom, Sphere(k=2, r=1.0))
-        tau = np.linalg.norm(tension_field(f), axis=-1)
+        tau = np.linalg.norm(f.tension, axis=-1)
         assert np.max(tau) > 0.1
 
 
@@ -172,11 +185,11 @@ class TestStencils:
 
     @pytest.mark.parametrize("dom", [SPHERE, FlatTorus2(a=1, b=2, n1=16, n2=24)])
     def test_accuracy_2_is_the_ghost_row_stencil(self, dom):
-        # bit-identical to the one-ghost-layer stencils of domain.pad
+        # bit-identical to the stencils on one ghost layer either side
         rng = np.random.default_rng(0)
         F = rng.standard_normal((dom.n1, dom.n2, 3))
         h1, h2 = dom.spacing
-        Fp = dom.pad(F)
+        Fp = dom.extend(dom.extend(F, 0, 1), 1, 1)
         c = Fp[1:-1, 1:-1]
         np.testing.assert_array_equal(
             derivative(dom, F, 0), (Fp[2:, 1:-1] - Fp[:-2, 1:-1]) / (2 * h1))
