@@ -3,14 +3,25 @@
 Grammar: ``kind`` or ``kind:key=val,key=val`` with numeric values, e.g.
 ``torus:a=1,b=1``, ``sphere:r=2``, ``ellipsoid:a=1,b=1,c=2``,
 ``prodspheres:r1=1,r2=2``, ``euclid:m=3``, ``cap:amplitude=0.3``.
-Unknown kinds, unknown keys, non-finite values, non-integer
-dimensions and targets in more than MAX_AMBIENT_DIM ambient dimensions
-are rejected.
+
+Every family (domains, targets, catalog maps) is a table of kinds, and
+`build` makes each kind from its table entry: a builder and its keys
+with their defaults.  A domain or target kind is its class, and its
+keys and defaults are the class's dataclass fields, less the ones the
+caller passes itself (a domain's grid size n1, n2); the catalog maps'
+table sits next to their builders in `maps`.  A key whose default is an
+int takes integer values only.  The one special case is ``torusemb``,
+whose circle radii are the consecutive keys ``rho1, ..., rhoN`` (the
+class's default radii when none is given); a key after a gap is unknown.
+Unknown kinds, unknown keys, non-finite values, non-integer values of
+integer keys and targets in more than MAX_AMBIENT_DIM ambient
+dimensions are rejected.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 from .domains import FlatTorus2, RoundSphere2
 from .errors import UsageError
@@ -43,24 +54,36 @@ def parse_descriptor(text):
     return kind.strip().lower(), params
 
 
-def _take(params, key, default=None):
-    if key in params:
-        return params.pop(key)
-    if default is None:
-        raise UsageError(f"missing required key {key!r}")
-    return default
+def _by_kind(*classes):
+    # a class's descriptor keys are its dataclass fields, with their defaults
+    return {cls.kind: (cls, {f.name: f.default for f in fields(cls)}) for cls in classes}
 
 
-def _take_int(params, key, default):
-    value = _take(params, key, default)
-    if value != int(value):
-        raise UsageError(f"{key!r} must be an integer, got {value:g}")
-    return int(value)
+DOMAINS = _by_kind(FlatTorus2, RoundSphere2)
+TARGETS = _by_kind(Euclidean, Sphere, FlatTorusEmb, Ellipsoid, ProductSpheres)
 
 
-def _done(kind, params):
-    if params:
-        raise UsageError(f"unknown keys {sorted(params)} for {kind!r}")
+def build(family, table, kind, params, **fixed):
+    """Build a `kind` of `family` from its `table` entry, (builder,
+    {key: default}).
+
+    The descriptor's params override the defaults; `fixed` holds the
+    builder's other arguments, which are not descriptor keys.
+    """
+    if kind not in table:
+        raise UsageError(f"unknown {family} kind {kind!r}")
+    builder, defaults = table[kind]
+    keys = {k: v for k, v in defaults.items() if k not in fixed}
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        raise UsageError(f"unknown keys {unknown} for {family} {kind!r}")
+    args = {**keys, **params}
+    for key, default in keys.items():
+        if isinstance(default, int):
+            if args[key] != int(args[key]):
+                raise UsageError(f"{key!r} must be an integer, got {args[key]:g}")
+            args[key] = int(args[key])
+    return builder(**args, **fixed)
 
 
 def parse_domain(text, n1=64, n2=None):
@@ -68,58 +91,27 @@ def parse_domain(text, n1=64, n2=None):
 
     Without n2 the domain's own rule (ChartGrid.N2_PER_N1) sets it.
     """
-    kind, params = parse_descriptor(text)
-    if kind == "torus":
-        a = _take(params, "a", 1.0)
-        b = _take(params, "b", 1.0)
-        _done(kind, params)
-        return FlatTorus2(a=a, b=b, n1=n1, n2=n2)
-    if kind == "sphere":
-        r = _take(params, "r", 1.0)
-        _done(kind, params)
-        return RoundSphere2(r=r, n1=n1, n2=n2)
-    raise UsageError(f"unknown domain kind {kind!r}")
+    return build("domain", DOMAINS, *parse_descriptor(text), n1=n1, n2=n2)
 
 
 def parse_target(text):
     """Build a target manifold from a descriptor."""
-    target = _target(*parse_descriptor(text))
+    return build_target(*parse_descriptor(text))
+
+
+def build_target(kind, params):
+    """Build a target manifold from a parsed descriptor (kind, params)."""
+    fixed = {}
+    if kind == FlatTorusEmb.kind:
+        # radii from rho1, rho2, ... up to the first gap
+        params = dict(params)
+        radii = []
+        while f"rho{len(radii) + 1}" in params:
+            radii.append(params.pop(f"rho{len(radii) + 1}"))
+        fixed["radii"] = tuple(radii) or FlatTorusEmb.radii
+    target = build("target", TARGETS, kind, params, **fixed)
     if target.m > MAX_AMBIENT_DIM:
         raise UsageError(
-            f"{text!r} has an ambient dimension above MAX_AMBIENT_DIM = {MAX_AMBIENT_DIM}"
+            f"{kind!r} target has an ambient dimension above MAX_AMBIENT_DIM = {MAX_AMBIENT_DIM}"
         )
     return target
-
-
-def _target(kind, params):
-    if kind == "euclid":
-        m = _take_int(params, "m", 3.0)
-        _done(kind, params)
-        return Euclidean(m=m)
-    if kind == "sphere":
-        r = _take(params, "r", 1.0)
-        k = _take_int(params, "k", 2.0)
-        _done(kind, params)
-        return Sphere(k=k, r=r)
-    if kind == "torusemb":
-        radii = []
-        i = 1
-        while f"rho{i}" in params:
-            radii.append(params.pop(f"rho{i}"))
-            i += 1
-        if not radii:
-            radii = [1.0, 1.0]
-        _done(kind, params)
-        return FlatTorusEmb(radii=tuple(radii))
-    if kind == "ellipsoid":
-        a = _take(params, "a", 1.0)
-        b = _take(params, "b", 1.0)
-        c = _take(params, "c", 2.0)
-        _done(kind, params)
-        return Ellipsoid(a=a, b=b, c=c)
-    if kind == "prodspheres":
-        r1 = _take(params, "r1", 1.0)
-        r2 = _take(params, "r2", 2.0)
-        _done(kind, params)
-        return ProductSpheres(r1=r1, r2=r2)
-    raise UsageError(f"unknown target kind {kind!r}")

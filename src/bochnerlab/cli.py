@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from .bochner import compute_bochner, integral_identity_residual, pinching_slack
-from .catalog import parse_descriptor, parse_domain, parse_target
+from .catalog import build_target, parse_descriptor, parse_domain, parse_target
 from .domains import ricci_min
 from .errors import ChartDomainError, NumericalError, UsageError
 from .flow import DT_MAX, IMPLICIT_DT, FlowParams, run_flow
@@ -434,10 +434,8 @@ def cmd_scan(ns):
     reports = []
     ok = True
     for v in values:
-        params[key] = v
-        desc = kind + ":" + ",".join(f"{k}={params[k]!r}" for k in sorted(params))
         dom = parse_domain(ns.domain, ns.resolution)
-        tgt = parse_target(desc)
+        tgt = build_target(kind, {**params, key: v})
         f = catalog_map(ns.map, dom, tgt)
         rep = build_report(f, seed=ns.seed)
         d = rep.to_dict()
@@ -461,11 +459,12 @@ def cmd_scan(ns):
 
 
 def cmd_consistency(ns):
-    entries = []
-    for name, tgt_desc, map_name in CONSISTENCY_CATALOG:
-        dom = parse_domain(ns.domain, ns.resolution)
-        tgt = parse_target(tgt_desc)
-        entries.append((name, catalog_map(map_name, dom, tgt)))
+    # built one at a time as the scan reaches them: a map and its cached
+    # fields are gone before the next is built
+    entries = (
+        (name, catalog_map(spec, parse_domain(ns.domain, ns.resolution), parse_target(tgt)))
+        for name, tgt, spec in CONSISTENCY_CATALOG
+    )
     result = theorem_consistency_scan(entries, seed=ns.seed)
     sys.stdout.write(result.table() + "\n")
     payload = {

@@ -179,6 +179,7 @@ def _implicit_step(f, tau, dt):
         except NumericalError:
             pass
         else:
+            del values  # the candidate holds its own reprojected copy
             e1 = total_energy(cand)
             if e1 <= e0 + ENERGY_SLACK:
                 return cand, dt, e1, rejected

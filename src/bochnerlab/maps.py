@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import parse_descriptor, parse_domain, parse_target
+from .catalog import build, parse_descriptor, parse_domain, parse_target
 from .domains import FlatTorus2, RoundSphere2
 from .errors import NumericalError, UsageError
 from .io_utils import ColumnRows
@@ -213,32 +213,23 @@ def cap_map(domain, target, amplitude):
     return DiscreteMap(domain, target, vals)
 
 
+# each catalog map's builder and its descriptor keys with their defaults
+CATALOG = {
+    "constant": (constant_map, {}),
+    "identity": (identity_sphere_map, {}),
+    "scaling": (radial_scaling_map, {}),
+    "holomorphic": (holomorphic_map, {"k": 2}),
+    "cap": (cap_map, {"amplitude": 0.3}),
+}
+
+
 def catalog_map(name, domain, target):
-    """Build a catalog map from a descriptor such as 'holomorphic:k=2'."""
-    kind, params = parse_descriptor(name)
-    if kind == "constant":
-        if params:
-            raise UsageError("constant map takes no descriptor keys")
-        return constant_map(domain, target)
-    if kind == "identity":
-        if params:
-            raise UsageError("identity map takes no descriptor keys")
-        return identity_sphere_map(domain, target)
-    if kind == "scaling":
-        if params:
-            raise UsageError("scaling map takes no descriptor keys")
-        return radial_scaling_map(domain, target)
-    if kind == "holomorphic":
-        k = params.pop("k", 2.0)
-        if params:
-            raise UsageError(f"unknown keys {sorted(params)} for holomorphic map")
-        return holomorphic_map(domain, target, k)
-    if kind == "cap":
-        amp = params.pop("amplitude", 0.3)
-        if params:
-            raise UsageError(f"unknown keys {sorted(params)} for cap map")
-        return cap_map(domain, target, amp)
-    raise UsageError(f"unknown catalog map {kind!r}")
+    """Build a catalog map from a descriptor such as 'holomorphic:k=2'.
+
+    The kinds, their keys and defaults are `CATALOG`'s; `catalog.build`
+    rejects an unknown kind or key and a fractional degree.
+    """
+    return build("catalog map", CATALOG, *parse_descriptor(name), domain=domain, target=target)
 
 
 # -- finite differences ------------------------------------------------------

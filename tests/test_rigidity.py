@@ -192,3 +192,21 @@ class TestConsistencyScan:
         result = theorem_consistency_scan([("cap", f)])
         assert result.ok
         assert result.rows[0].status == "skipped"
+
+    def test_energy_in_the_pole_collar_enters_S0(self):
+        # z -> a z in the stereographic coordinate of S^2 is harmonic and
+        # puts nearly all of |df|^2 in the collar around theta = 0; a sup
+        # over the unflagged nodes alone read 0.267 here (all nodes: 68.7),
+        # called the map strict and the scan a counterexample
+        a = 200.0
+        dom = RoundSphere2(r=1.0, n1=32)
+        theta, phi = dom.chart_grid()
+        w = a * np.tan(theta / 2.0)
+        sin_t, cos_t = 2.0 * w / (1.0 + w * w), (1.0 - w * w) / (1.0 + w * w)
+        vals = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi), cos_t], axis=-1)
+        f = DiscreteMap(dom, Sphere(k=2, r=1.0), vals)
+        rep = build_report(f)
+        assert rep.harmonic and not rep.is_constant
+        assert rep.classification != "strict"
+        assert rep.S0 > 60.0
+        assert theorem_consistency_scan([("dilation", f)]).ok
