@@ -28,7 +28,7 @@ def main():
         for n1 in LEVELS:
             dom = RoundSphere2(r=1.0, n1=n1, n2=2 * n1)
             f = catalog_map(name, dom, Sphere(k=2, r=1.0))
-            data = compute_bochner(f)
+            data = compute_bochner(f, contraction=True)
             integ = abs(integral_identity_residual(f)) / dom.volume()
             h = max(dom.spacing)
             row = (data.sup_residual, integ)

@@ -25,7 +25,7 @@ def main():
 
     tgt = Sphere(k=2, r=2.0)
     q = tgt.sample_points(1, rng)[0]
-    X, Y = tgt.tangent_projector(q)[:, :2].T
+    X, Y = tgt.tangent_part(q, np.eye(3)[:2])  # P e_1, P e_2
     print(f"S^2(2): sec = {sectional_curvature(tgt, q, X, Y):.6f}"
           f"  (closed form 0.25)")
 

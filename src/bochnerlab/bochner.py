@@ -6,46 +6,44 @@ The curvature quantity is
     Q = Ric^{ij} (f*gbar)_{ij}  -  g^{ia} g^{jb} <Rbar(d_i f, d_j f) d_b f, d_a f>,
 
 a frame-invariant contraction; the eigenframe evaluation (weights
-lam_i lam_j on the pullback singular directions) is kept as a second
-path and must agree with the contraction.  For a harmonic map the
-discrete residual (1/2) Lap |df|^2 - |H|^2 - Q decays at second order.
+lam_i lam_j on the pullback singular directions) is a second path that
+must agree with the contraction.  For a harmonic map the discrete
+residual (1/2) Lap |df|^2 - |H|^2 - Q decays at second order.
 
-`compute_bochner` computes nothing up front: each field of the
-BochnerData it returns is computed when first read.  The first-order
-fields and |H|^2 come from one pass over the map, one row band at a
-time (`maps.assemble`): per band one Hessian, one Jacobian J, one
-pullback metric P = J^T J and one eigensolve of P against the domain
-metric.  The spectrum (lam, S) comes from the eigenvalues; the kernels
-ricci_term_field, target_term_field and target_term_diagonal_field
-contract P, J, and J with the eigenvectors (integral_identity_residual
-applies the first two to its own accuracy-6 Jacobian, also a band at a
-time).  A pass started by S, lam or hess skips the contractions, so a
-report that reads only those pays for none; a pass started by a
-contraction field computes them all as well.  J, P, the eigenvectors
-and each band's continued values never exceed a band, and the domain
-coefficients are row profiles, so the pass holds only its node grids;
-a contraction read after a contraction-free pass runs the pass again,
-all but the Hessian.  Readers that need both read a contraction first
-(the residual reads Q before S).  (1/2) Lap |df|^2 is the banded
-`maps.laplace_beltrami` of S, halved; the sup norms reduce a band at a
-time, sup|tau| from the map's cached L f, so no tension grid is held.
+`compute_bochner` runs one pass over the map, one row band at a time
+(`maps.assemble`), and its caller says which: the first-order pass
+(what a report reads) or the contraction pass (what `verify` reads).
+Per band the first-order pass takes L f on the band's continuation,
+one Hessian, one Jacobian J, one pullback metric P = J^T J and one
+eigensolve of P against the domain metric.  It keeps the spectrum
+(lam, S) and |H|^2 as node grids and reduces sup|tau| inside the band,
+so neither L f nor the tension is held.  The contraction pass also
+contracts P and J into the Ricci and target terms (ricci_term_field,
+target_term_field), which it keeps; it reduces the path check
+|target - frame| inside the band, the eigenframe term
+(target_term_diagonal_field) never leaving it, and sums the energy
+density of its own J over the grid.  A second banded pass then takes
+(1/2) Lap |df|^2 of S, kept for the node CSV, and reduces sup|residual|.
+Q and the residual are never stored: they are derived from the kept
+grids a band or a CSV block at a time.  J, P, the eigenvectors and
+each band's continued values never exceed a band, and the domain
+coefficients are row profiles.  `integral_identity_residual` applies
+the contractions to its own accuracy-6 Jacobian, also a band at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import UsageError
 from .maps import (
     assemble,
+    energy_density_field,
     hessian_field,
     jacobian_field,
-    laplace_beltrami,
     pullback_field,
-    row_bands,
     spectrum,
 )
 from .numerics import gen_eigh, read_only
@@ -115,111 +113,108 @@ def target_term_diagonal_field(target, q, J, lam, vecs):
     return np.where(w > DEGENERATE_PAIR_TOL, 2.0 * sec * w, 0.0)
 
 
-class _PassField:
-    """A BochnerData field that the first-order pass fills on first read."""
+def _at(grid, nodes):
+    """The node grid, or its nodes `nodes`, a slice of them in C order."""
+    return grid if nodes is None else grid.reshape(-1)[nodes]
 
-    def __init__(self, contraction):
-        self.contraction = contraction
 
-    def __set_name__(self, owner, name):
-        self.name = name
+def _residual(lap, hess, ricci, target):
+    """(1/2) Lap |df|^2 - |H|^2 - Q, Q = ricci - target, elementwise and
+    in the order the output files were first written with."""
+    return (lap - hess) - (ricci - target)
 
-    def __get__(self, data, owner=None):
-        if data is None:
-            return self
-        # no __set__, so once the pass has stored the field in the
-        # instance dict, attribute lookup finds it there and skips this
-        data._first_order_pass(self.contraction)
-        return data.__dict__[self.name]
+
+def _band_max(values, keep):
+    """The max of a band's node values over its unflagged rows `keep`."""
+    return np.max(values[keep], initial=-np.inf)
 
 
 @dataclass(frozen=True, eq=False)
 class BochnerData:
-    """Per-node Bochner bookkeeping for one map, each field computed on first read.
+    """Per-node Bochner bookkeeping for one map, from one pass.
 
-    The fields are read-only node grids (lam holds the descending pair
-    per node) and, for the sup norms, floats over the unflagged nodes.
-    The residual is meaningful when sup_tension is small (numerically
-    harmonic map).
+    The node grids are read-only: lam (the descending pair per node), S
+    and hess (|H|^2) from either pass; ricci, target and lap
+    ((1/2) Lap |df|^2) from the contraction pass only, as are
+    path_disagreement, sup_residual and energy (None after the
+    first-order pass).  The sup norms are floats over the unflagged
+    nodes.  The residual is meaningful when sup_tension is small
+    (numerically harmonic map).
     """
 
     f: object
+    lam: np.ndarray
+    S: np.ndarray
+    hess: np.ndarray
+    sup_tension: float
+    ricci: np.ndarray | None = None
+    target: np.ndarray | None = None
+    lap: np.ndarray | None = None
+    path_disagreement: float | None = None
+    sup_residual: float | None = None
+    energy: float | None = None
 
-    lam = _PassField(contraction=False)
-    S = _PassField(contraction=False)
-    hess = _PassField(contraction=False)  # |H|^2
-    ricci = _PassField(contraction=True)
-    target = _PassField(contraction=True)
-    target_frame = _PassField(contraction=True)
+    def Q(self, nodes=None):
+        """Ric term - target term on the grid, or at the nodes `nodes`, a
+        slice of them in C order."""
+        return _at(self.ricci, nodes) - _at(self.target, nodes)
 
-    def _first_order_pass(self, contraction):
-        f, dom = self.f, self.f.domain
-        need_hess = "hess" not in self.__dict__  # a second pass skips it
-
-        def first_order(band):
-            # the Hessian before J, so that no J is held
-            fields = {"hess": hessian_field(f, band=band)} if need_hess else {}
-            J = jacobian_field(f, band=band)
-            P = pullback_field(J)
-            # ascending, g-orthonormal
-            lam, vecs = gen_eigh(P, dom.metric_diag_grid()[band.rows])
-            fields.update(zip(("lam", "S"), spectrum(lam)))
-            if contraction:
-                q, ginv = band.values, dom.inv_metric_diag_grid()[band.rows]
-                fields.update(
-                    ricci=ricci_term_field(P, ginv, dom.ricci_grid()[band.rows]),
-                    target=target_term_field(f.target, q, J, ginv),
-                    target_frame=target_term_diagonal_field(f.target, q, J, lam, vecs),
-                )
-            return fields
-
-        for name, value in assemble(dom, f.values, first_order).items():
-            self.__dict__.setdefault(name, read_only(value))
-
-    @cached_property
-    def Q(self):
-        return read_only(self.ricci - self.target)
-
-    @cached_property
-    def lap(self):
-        """(1/2) Lap |df|^2, a row band of S at a time."""
-        lap = laplace_beltrami(self.f.domain, self.S)
-        lap *= 0.5
-        return read_only(lap)
-
-    @cached_property
-    def residual(self):
-        Q = self.Q  # before lap, so that one pass fills S as well
-        return read_only(self.lap - self.hess - Q)
-
-    @cached_property
-    def sup_residual(self):
-        residual = self.residual
-        return self._sup(lambda rows: np.abs(residual[rows]))
-
-    @cached_property
-    def sup_tension(self):
-        f = self.f
-        return self._sup(lambda rows: np.linalg.norm(
-            f.target.tangent_part(f.values[rows], f.laplacian[rows]), axis=-1))
-
-    @cached_property
-    def path_disagreement(self):
-        target, frame = self.target, self.target_frame
-        return self._sup(lambda rows: np.abs(target[rows] - frame[rows]))
-
-    def _sup(self, field):
-        """The max over the unflagged nodes of field(rows), a node field
-        on the grid rows `rows`, taken a row band at a time."""
-        dom = self.f.domain
-        keep = ~dom.flagged_mask()
-        return float(np.max([np.max(field(rows)[keep[rows]], initial=-np.inf)
-                             for rows in row_bands(dom)]))
+    def residual(self, nodes=None):
+        """(1/2) Lap |df|^2 - |H|^2 - Q on the grid, or at the nodes `nodes`."""
+        grids = (self.lap, self.hess, self.ricci, self.target)
+        return _residual(*(_at(grid, nodes) for grid in grids))
 
 
-def compute_bochner(f):
-    """The terms of the identity on the grid, each computed when first read."""
-    return BochnerData(f)
+def compute_bochner(f, *, contraction):
+    """The terms of the identity on the grid, from one pass over the map:
+    the first-order pass, or with contraction=True the contraction pass."""
+    dom, tgt = f.domain, f.target
+    keep = ~dom.flagged_mask()
+    sups = {"sup_tension": [], "path_disagreement": [], "sup_residual": []}
+
+    def first_order(band):
+        rows, q = band.rows, band.values
+        # L f on the continuation the stencils read, dropped once reduced
+        tau = tgt.tangent_part(q, dom.laplace_beltrami_rows(band.continued, rows))
+        sups["sup_tension"].append(_band_max(np.linalg.norm(tau, axis=-1), keep[rows]))
+        del tau
+        # the Hessian before J, so that no J is held
+        fields = {"hess": hessian_field(f, band=band)}
+        J = jacobian_field(f, band=band)
+        P = pullback_field(J)
+        # ascending, g-orthonormal
+        lam, vecs = gen_eigh(P, dom.metric_diag_grid()[rows])
+        fields.update(zip(("lam", "S"), spectrum(lam)))
+        if contraction:
+            ginv = dom.inv_metric_diag_grid()[rows]
+            target = target_term_field(tgt, q, J, ginv)
+            frame = target_term_diagonal_field(tgt, q, J, lam, vecs)
+            sups["path_disagreement"].append(_band_max(np.abs(target - frame), keep[rows]))
+            fields.update(ricci=ricci_term_field(P, ginv, dom.ricci_grid()[rows]),
+                          target=target, e=energy_density_field(J, ginv))
+        return fields
+
+    grids = assemble(dom, f.values, first_order)
+    floats = {}
+    if contraction:
+        # one whole-grid sum, as total_energy takes it: sums per band move bits
+        e = grids.pop("e")
+        e *= dom.quad_weight_grid()
+        floats["energy"] = float(np.sum(e))
+        del e
+        hess, ricci, target = grids["hess"], grids["ricci"], grids["target"]
+
+        def half_laplacian(band):
+            rows = band.rows
+            lap = dom.laplace_beltrami_rows(band.continued, rows)
+            lap *= 0.5
+            residual = _residual(lap, hess[rows], ricci[rows], target[rows])
+            sups["sup_residual"].append(_band_max(np.abs(residual), keep[rows]))
+            return {"lap": lap}
+
+        grids.update(assemble(dom, grids["S"], half_laplacian))
+    floats.update((name, float(np.max(maxima))) for name, maxima in sups.items() if maxima)
+    return BochnerData(f, **{name: read_only(g) for name, g in grids.items()}, **floats)
 
 
 def integral_identity_residual(f):
@@ -294,10 +289,8 @@ def lambda_chain_check(lams):
 def pinching_slack(data, ric_min, sec_max, nodes=None):
     """Q - S (ric_min - (n-1)/n sec_max S) at every node, S = |df|^2, or
     at the nodes `nodes`, a slice of them in C order: the pointwise
-    pinching bound holds where this slack is nonnegative."""
+    pinching bound holds where this slack is nonnegative.  data is a
+    contraction pass."""
     n = data.f.domain.n
-    Q = data.Q  # a contraction first: one pass fills S too
-    S = data.S
-    if nodes is not None:
-        Q, S = Q.reshape(-1)[nodes], S.reshape(-1)[nodes]
-    return Q - S * (ric_min - (n - 1) / n * sec_max * S)
+    S = _at(data.S, nodes)
+    return data.Q(nodes) - S * (ric_min - (n - 1) / n * sec_max * S)

@@ -28,7 +28,7 @@ from .domains import ricci_min
 from .errors import ChartDomainError, NumericalError, UsageError
 from .flow import DT_MAX, IMPLICIT_DT, FlowParams, run_flow
 from .io_utils import ColumnRows, dump_json, json_dumps, write_csv
-from .maps import catalog_map, load_map, save_map, total_energy
+from .maps import catalog_map, load_map, save_map
 from .rigidity import (
     HARMONIC_COEFF,
     build_report,
@@ -224,7 +224,7 @@ def _verify_level(f):
     # the accuracy-6 integrand holds its own continued values and
     # integrand grid; taken first, it runs while no Bochner field is held
     integral = integral_identity_residual(f)
-    data = compute_bochner(f)
+    data = compute_bochner(f, contraction=True)
     tol = VERIFY_RES_COEFF * h * h
     harmonic = data.sup_tension <= HARMONIC_COEFF * h * h
     vol = dom.volume()
@@ -236,7 +236,7 @@ def _verify_level(f):
         "path_disagreement": data.path_disagreement,
         "residual_tol": tol,
         "harmonic": harmonic,
-        "energy": total_energy(f),
+        "energy": data.energy,
         "integral_identity_residual": integral,
         "volume": vol,
         "constraint_residual": f.max_constraint_residual(),
@@ -309,19 +309,23 @@ def _write_node_csv(ns, f, data):
         + [f"lam{k + 1}" for k in range(n)]
         + ["ricci_term", "target_term", "Q", "hess", "lap", "residual", "slack"]
     )
-    Q = data.Q  # a contraction first: one pass fills every field
     S = data.S.reshape(-1)
 
-    # the node indices, e and the slack are computed a block of rows at a time
+    # the node indices, e, Q, the residual and the slack are computed a
+    # block of rows at a time
     def node_index(op):
         return lambda start, stop: op(np.arange(start, stop), dom.n2)
+
+    def at_nodes(field):
+        return lambda start, stop: field(slice(start, stop))
 
     columns = (
         [node_index(np.floor_divide), node_index(np.remainder),
          lambda start, stop: S[start:stop] / 2.0]
         + [data.lam[..., k] for k in range(n)]
-        + [data.ricci, data.target, Q, data.hess, data.lap, data.residual,
-           lambda start, stop: pinching_slack(data, rmin, sec_max, slice(start, stop))]
+        + [data.ricci, data.target, at_nodes(data.Q), data.hess, data.lap,
+           at_nodes(data.residual),
+           at_nodes(lambda nodes: pinching_slack(data, rmin, sec_max, nodes))]
     )
     write_csv(ns.csv, header, ColumnRows(columns, count=S.size))
 

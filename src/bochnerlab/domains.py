@@ -10,8 +10,8 @@ Both charts are orthogonal warped products g = diag(E(u), G(u))
 (n1, 1, 2), that broadcast against node fields, and store only what
 can be nonzero: the metric and Ricci diagonals and the Christoffel
 symbols (Gamma^u_vv, Gamma^v_uv = Gamma^v_vu).  The dense point forms
-metric_at, christoffel_at and ricci_at feed the finite-difference
-cross-checks of the test suite.
+that the test suite's finite-difference cross-checks read live in its
+chart oracle; `check_point` validates a chart point.
 
 Sphere grids stagger the latitude nodes so no node sits on a chart
 pole; ghost rows continue fields across the pole antipodally, which
@@ -136,27 +136,15 @@ class FlatTorus2(ChartGrid):
 
     # -- metric and curvature ------------------------------------------------
 
-    def metric_at(self, p):
-        self.check_point(p)
-        return np.diag([self.a**2, self.b**2])
-
     def metric_diag_grid(self):
         return self._row_profile(self.a**2, self.b**2)
 
     def sqrt_det_grid(self):
         return np.full((self.n1, self.n2), self.a * self.b)
 
-    def christoffel_at(self, p):
-        self.check_point(p)
-        return np.zeros((2, 2, 2))
-
     def christoffel_grid(self):
         """(Gamma^u_vv, Gamma^v_uv) on the last axis; flat, so zero."""
         return np.zeros((self.n1, 1, 2))
-
-    def ricci_at(self, p):
-        self.check_point(p)
-        return np.zeros((2, 2))
 
     def ricci_grid(self):
         """Ricci diagonal (Ric_uu, Ric_vv); flat, so zero."""
@@ -255,10 +243,6 @@ class RoundSphere2(ChartGrid):
 
     # -- metric and curvature ------------------------------------------------
 
-    def metric_at(self, p):
-        self.check_point(p)
-        return np.diag([self.r**2, (self.r * np.sin(p[0])) ** 2])
-
     def metric_diag_grid(self):
         theta, _ = self.axes()
         return self._row_profile(self.r**2, (self.r * np.sin(theta)) ** 2)
@@ -269,14 +253,6 @@ class RoundSphere2(ChartGrid):
             (self.r**2 * np.sin(theta))[:, None], (self.n1, self.n2)
         ).copy()
 
-    def christoffel_at(self, p):
-        p = self.check_point(p)
-        th = p[0]
-        G = np.zeros((2, 2, 2))  # G[k, i, j]
-        G[0, 1, 1] = -np.sin(th) * np.cos(th)
-        G[1, 0, 1] = G[1, 1, 0] = np.cos(th) / np.sin(th)
-        return G
-
     def christoffel_grid(self):
         """(Gamma^theta_phiphi, Gamma^phi_thetaphi) on the last axis.
 
@@ -285,10 +261,6 @@ class RoundSphere2(ChartGrid):
         theta, _ = self.axes()
         s, c = np.sin(theta), np.cos(theta)
         return self._row_profile(-s * c, c / s)
-
-    def ricci_at(self, p):
-        # Ric = (n-1)/r^2 g with n = 2
-        return self.metric_at(p) / self.r**2
 
     def ricci_grid(self):
         """Ricci diagonal: Ric = g / r^2."""

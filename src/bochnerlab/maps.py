@@ -45,8 +45,10 @@ class DiscreteMap:
     values has shape (n1, n2, m) and always lies on the target: the
     constructor reprojects through the closest-point map one row band at
     a time.  The values are read-only, so L f (`laplacian`) and the
-    energy density are cached, each taken a row band at a time; the
-    tension is the tangent part of L f, and the Jacobian is not kept.
+    energy density are cached for the flow, each taken a row band at a
+    time; the tension is the tangent part of L f, and the Jacobian is
+    not kept.  The Bochner pass reads neither: it reduces sup|tau| and
+    sums the energy from its own bands.
     """
 
     domain: object
@@ -84,10 +86,8 @@ class DiscreteMap:
     @cached_property
     def energy_density(self):
         def density(band):
-            J = jacobian_field(self, band=band)
             ginv = self.domain.inv_metric_diag_grid()[band.rows]
-            S = sum(ginv[..., d] * dot(J[..., d], J[..., d]) for d in range(2))
-            return {"e": S / 2.0}
+            return {"e": energy_density_field(jacobian_field(self, band=band), ginv)}
 
         return read_only(assemble(self.domain, self.values, density)["e"])
 
@@ -365,6 +365,12 @@ def pullback_field(J):
     Ju, Jv = J[..., 0], J[..., 1]
     E, F, G = dot(Ju, Ju), dot(Ju, Jv), dot(Jv, Jv)
     return np.stack([np.stack([E, F], axis=-1), np.stack([F, G], axis=-1)], axis=-2)
+
+
+def energy_density_field(J, ginv):
+    """The energy density (1/2) sum_i g^ii |J_i|^2 = |df|^2 / 2 at the
+    nodes of the Jacobian J, ginv the inverse metric diagonal there."""
+    return sum(ginv[..., d] * dot(J[..., d], J[..., d]) for d in range(2)) / 2.0
 
 
 def spectrum(lam):

@@ -101,7 +101,7 @@ def build_report(f, seed=0, global_sample=0):
     tol = TOL_COEFF * h * h
     harmonic_tol = HARMONIC_COEFF * h * h
 
-    data = compute_bochner(f)
+    data = compute_bochner(f, contraction=False)
     # sup |df|^2 over every node: energy in the pole collar enters the
     # pinching threshold; the collar is left out of the second-order sups
     S0 = float(np.max(data.S))

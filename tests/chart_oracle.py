@@ -1,11 +1,40 @@
 """Oracles on the domain charts, for the closed forms the library uses:
-Christoffel symbols and the Ricci tensor from central differences of
-the dense point forms, the closed-form Jacobian of the radial scaling
+the dense point forms of the metric, Christoffel symbols and Ricci
+tensor, the symbols and the Ricci tensor again from central differences
+of those point forms, the closed-form Jacobian of the radial scaling
 map, and the catalog maps' value grids built on chart meshgrids."""
 
 import numpy as np
 
 from bochnerlab.maps import default_basepoint
+
+
+def metric_at(domain, p):
+    """The chart metric at the chart point p, a dense 2 x 2 matrix."""
+    p = domain.check_point(p)
+    if domain.kind == "torus":
+        return np.diag([domain.a**2, domain.b**2])
+    return np.diag([domain.r**2, (domain.r * np.sin(p[0])) ** 2])
+
+
+def christoffel_at(domain, p):
+    """Christoffel symbols G[k, i, j] = Gamma^k_ij at the chart point p."""
+    p = domain.check_point(p)
+    G = np.zeros((2, 2, 2))
+    if domain.kind == "sphere":
+        th = p[0]
+        G[0, 1, 1] = -np.sin(th) * np.cos(th)
+        G[1, 0, 1] = G[1, 1, 0] = np.cos(th) / np.sin(th)
+    return G
+
+
+def ricci_at(domain, p):
+    """Ricci tensor at the chart point p: zero on the flat torus, and
+    Ric = (n-1)/r^2 g with n = 2 on the sphere."""
+    if domain.kind == "torus":
+        domain.check_point(p)
+        return np.zeros((2, 2))
+    return metric_at(domain, p) / domain.r**2
 
 
 def christoffel_fd_at(domain, p, h=None):
@@ -20,8 +49,8 @@ def christoffel_fd_at(domain, p, h=None):
     for l in range(2):
         e = np.zeros(2)
         e[l] = h
-        dg[l] = (domain.metric_at(p + e) - domain.metric_at(p - e)) / (2 * h)
-    ginv = np.linalg.inv(domain.metric_at(p))
+        dg[l] = (metric_at(domain, p + e) - metric_at(domain, p - e)) / (2 * h)
+    ginv = np.linalg.inv(metric_at(domain, p))
     G = np.empty((2, 2, 2))
     for k in range(2):
         for i in range(2):
@@ -45,8 +74,8 @@ def ricci_fd_at(domain, p, h=None):
     for c in range(2):
         e = np.zeros(2)
         e[c] = h
-        dG[c] = (domain.christoffel_at(p + e) - domain.christoffel_at(p - e)) / (2 * h)
-    G = domain.christoffel_at(p)
+        dG[c] = (christoffel_at(domain, p + e) - christoffel_at(domain, p - e)) / (2 * h)
+    G = christoffel_at(domain, p)
     ric = np.empty((2, 2))
     for a in range(2):
         for b in range(2):

@@ -1,6 +1,7 @@
 """Row-banded evaluation of the map construction, the tension, the
 Bochner pass, the Hessian, the accuracy-6 integrand and the energy: the
-same bits as one whole-grid band, and temporaries the size of a band."""
+same bits as one whole-grid band, temporaries the size of a band, and
+no grid kept that a later reader does not need."""
 
 import tracemalloc
 import types
@@ -8,9 +9,9 @@ import types
 import numpy as np
 import pytest
 from chart_oracle import catalog_values_on_meshgrid
-from test_bochner import FIELDS
+from test_bochner import CONTRACTIONS, FIELDS
 
-from bochnerlab import bochner, cli, maps
+from bochnerlab import bochner, cli, maps, rigidity
 from bochnerlab.bochner import compute_bochner, integral_identity_residual
 from bochnerlab.catalog import parse_target
 from bochnerlab.domains import FlatTorus2, RoundSphere2
@@ -44,13 +45,14 @@ CASES = {
 
 
 def evaluate(build):
-    """Every Bochner field, the integrand's quadrature and the energy of a
-    freshly built map (the energy density is cached on the map)."""
+    """Every field of a contraction pass, Q, the residual, the integrand's
+    quadrature and the map's own energy of a freshly built map."""
     f = build()
-    data = compute_bochner(f)
+    data = compute_bochner(f, contraction=True)
     out = {name: getattr(data, name) for name in FIELDS}
+    out["Q"], out["residual"] = data.Q(), data.residual()
     out["integral"] = integral_identity_residual(f)
-    out["energy"] = total_energy(f)
+    out["map_energy"] = total_energy(f)
     return f, out
 
 
@@ -104,20 +106,21 @@ def test_band_sized_temporaries(tmp_path):
     # Multiples of one band that each operation may allocate beyond what
     # it keeps, set between two designs' measurements (numpy 2.4).  Bands
     # continued on their own, a banded Laplace-Beltrami, a banded map
-    # construction and a streaming node CSV: the contraction pass 13.1
-    # bands, sup_tension 6.4, lap 2.4, the integrand 11.9, the energy
-    # 10.4, the writer 10.6, and a holomorphic build at 256 x 512 19.8
-    # (its raw value grid is 16).  One continued copy of the whole grid
-    # per pass, whole-grid Laplacians, builds on chart meshgrids and
-    # whole-grid CSV columns: the pass 16.1, sup_tension 16.5, lap 5.8,
-    # the integrand 15.0, the energy 13.4, the writer 32.2 and the build
-    # 75.0.
+    # construction and a streaming node CSV: the contraction pass 12.8
+    # bands with its sup norms, energy and lap, the first-order pass 11.2,
+    # the map's L f 6.4, the integrand 11.9, the energy 10.4, the writer
+    # 10.6, and a holomorphic build at 256 x 512 19.8 (its raw value grid
+    # is 16).  One continued copy of the whole grid per pass, whole-grid
+    # Laplacians, builds on chart meshgrids and whole-grid CSV columns:
+    # the pass 16.1, sup_tension 16.5, lap 5.8, the integrand 15.0, the
+    # energy 13.4, the writer 32.2 and the build 75.0.
     KERNELS, LAPLACIANS, BUILD, WRITER = 16, 8, 24, 16
-    data = compute_bochner(f)
-    for name in FIELDS:
-        used = transient(lambda: getattr(data, name))
-        bound = LAPLACIANS if name in ("lap", "sup_tension") else KERNELS
-        assert used <= bound * band, name
+    passes = []
+    for contraction in (False, True):
+        used = transient(lambda: passes.append(compute_bochner(f, contraction=contraction)))
+        assert used <= KERNELS * band, contraction
+    data = passes[-1]
+    assert transient(lambda: f.laplacian) <= LAPLACIANS * band
     assert transient(lambda: total_energy(f)) <= KERNELS * band
     assert transient(lambda: integral_identity_residual(f)) <= KERNELS * band
     ns = types.SimpleNamespace(csv=str(tmp_path / "nodes.csv"))
@@ -126,6 +129,50 @@ def test_band_sized_temporaries(tmp_path):
     fine = RoundSphere2(n1=256)
     used = transient(lambda: built.append(catalog_map("holomorphic:k=2", fine, Sphere())))
     assert used <= BUILD * band
+
+
+# -- what each command runs and keeps ---------------------------------------
+
+
+def test_verify_level_makes_one_pass_and_one_integrand(count_calls):
+    # S^2 at 128 x 256 is 4 bands: 4 Jacobians for the pass and 4 for the
+    # accuracy-6 integrand; the energy is summed from the pass's own J
+    counts = count_calls(bochner, ("jacobian_field",))
+    own = count_calls(maps, ("jacobian_field",))
+    f = catalog_map("holomorphic:k=2", RoundSphere2(n1=128), Sphere())
+    cli._verify_level(f)
+    assert counts["jacobian_field"] + own["jacobian_field"] == 8
+    assert not {"laplacian", "energy_density"} & set(vars(f))
+
+
+def test_report_runs_no_contraction(count_calls):
+    counts = count_calls(bochner, CONTRACTIONS)
+    f = catalog_map("holomorphic:k=3", RoundSphere2(n1=32), Sphere())
+    rigidity.build_report(f)
+    assert counts == dict.fromkeys(CONTRACTIONS, 0)
+    assert not {"laplacian", "energy_density"} & set(vars(f))
+
+
+def grids_kept(op):
+    """Bytes op() leaves allocated, its result kept."""
+    held = []
+    tracemalloc.start()
+    try:
+        held.append(op())
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bochner_data_keeps_only_what_is_read():
+    # in node grids of n1 * n2 floats beyond the map at 128 x 256: verify
+    # keeps lam (2), S, hess, ricci, target and lap; a report lam, S and
+    # hess.  Storing Q, the residual, the frame term, L f and the energy
+    # density as well kept 14 and 7.
+    f = catalog_map("holomorphic:k=2", RoundSphere2(n1=128), Sphere())
+    grid = f.domain.n1 * f.domain.n2 * 8
+    assert grids_kept(lambda: cli._verify_level(f)) / grid < 7.5
+    assert grids_kept(lambda: rigidity.build_report(f)) / grid < 4.5
 
 
 # -- per-band continuation, the banded Laplacian and the map construction ----
@@ -156,13 +203,14 @@ def test_banded_laplacians_are_the_whole_grid_kernel(case, band_nodes, monkeypat
     assert len(calls) == bands
     np.testing.assert_array_equal(f.laplacian, whole_grid(f.values))
     np.testing.assert_array_equal(tau, f.target.tangent_part(f.values, whole_grid(f.values)))
-    data = compute_bochner(f)
-    lap = data.lap
+    # the pass takes L f on each band for sup|tau|, and the contraction
+    # pass then the Laplacian of S on each band for lap
+    data = compute_bochner(f, contraction=False)
     assert len(calls) == 2 * bands
-    np.testing.assert_array_equal(lap, 0.5 * whole_grid(data.S))
-    # sup|tau| reads the map's L f
     assert data.sup_tension == np.max(np.linalg.norm(tau, axis=-1)[~dom.flagged_mask()])
-    assert len(calls) == 2 * bands
+    data = compute_bochner(f, contraction=True)
+    assert len(calls) == 4 * bands
+    np.testing.assert_array_equal(data.lap, 0.5 * whole_grid(data.S))
 
 
 @pytest.mark.parametrize("band_nodes", [1, 40, maps.BAND_NODES])

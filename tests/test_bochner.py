@@ -21,8 +21,10 @@ from bochnerlab.maps import (
     constant_map,
     hessian_field,
     jacobian_field,
+    laplace_beltrami,
     pullback_field,
     spectrum,
+    total_energy,
 )
 from bochnerlab.numerics import gen_eigh
 from bochnerlab.rigidity import build_report
@@ -43,9 +45,9 @@ def sphere_map(name, n1=64, r=1.0):
 class TestCurvatureTerms:
     def test_constant_map_Q_vanishes(self):
         f = constant_map(RoundSphere2(r=1.0, n1=16, n2=32), Sphere(k=2, r=1.0))
-        data = compute_bochner(f)
-        assert np.max(np.abs(data.Q)) == 0.0
-        assert np.max(np.abs(data.residual)) < 1e-12
+        data = compute_bochner(f, contraction=True)
+        assert np.max(np.abs(data.Q())) == 0.0
+        assert np.max(np.abs(data.residual())) < 1e-12
 
     def test_flat_target_reduces_to_ricci_term(self):
         dom = RoundSphere2(r=1.0, n1=32, n2=64)
@@ -63,7 +65,7 @@ class TestCurvatureTerms:
             ginv = dom.inv_metric_diag_grid()
             assert np.max(np.abs(target_term_field(tgt, f.values, J, ginv))) < 1e-12
             np.testing.assert_allclose(
-                compute_bochner(f).Q,
+                compute_bochner(f, contraction=True).Q(),
                 ricci_term_field(pullback_field(J), ginv, dom.ricci_grid()),
                 atol=1e-12,
             )
@@ -71,17 +73,15 @@ class TestCurvatureTerms:
     def test_path_agreement_on_analytic_maps(self):
         # invariant contraction vs eigenframe sum over kept nodes
         for name in ("identity", "holomorphic:k=2"):
-            data = compute_bochner(sphere_map(name))
-            keep = ~data.f.domain.flagged_mask()
-            assert np.max(np.abs(data.target - data.target_frame)[keep]) < 1e-8
+            assert compute_bochner(sphere_map(name), contraction=True).path_disagreement < 1e-8
 
     def test_identity_map_Q_vanishes_to_grid_accuracy(self):
         # Ric term = target term for the identity (both equal 2/r^2 - ish)
         f = sphere_map("identity")
         keep = ~f.domain.flagged_mask()
-        data = compute_bochner(f)
+        data = compute_bochner(f, contraction=True)
         h = max(f.domain.spacing)
-        assert np.max(np.abs(data.Q)[keep]) < 10 * h * h
+        assert np.max(np.abs(data.Q())[keep]) < 10 * h * h
 
 
 class TestResidual:
@@ -89,7 +89,7 @@ class TestResidual:
     def test_residual_second_order(self, name):
         sups = []
         for n1 in (32, 64):
-            sups.append(compute_bochner(sphere_map(name, n1=n1)).sup_residual)
+            sups.append(compute_bochner(sphere_map(name, n1=n1), contraction=True).sup_residual)
         assert 3.0 < sups[0] / sups[1] < 5.0
 
     def test_integral_identity_refines_with_order_above_1_5(self):
@@ -134,25 +134,25 @@ class TestLambdaChain:
 class TestPointwisePinching:
     def test_constant_map_slack_zero(self):
         f = constant_map(RoundSphere2(r=1.0, n1=16, n2=32), Sphere(k=2, r=1.0))
-        data = compute_bochner(f)
+        data = compute_bochner(f, contraction=True)
         slack = pinching_slack(data, ric_min=1.0, sec_max=1.0)
-        assert data.Q[8, 8] == slack[8, 8] == 0.0
+        assert data.Q()[8, 8] == slack[8, 8] == 0.0
 
     def test_identity_slack_near_zero(self):
         # every inequality in the chain saturates for the identity
-        data = compute_bochner(sphere_map("identity"))
+        data = compute_bochner(sphere_map("identity"), contraction=True)
         slack = pinching_slack(data, ric_min=1.0, sec_max=1.0)
-        assert abs(data.Q[32, 20] - slack[32, 20]) < 1e-2  # the bound
+        assert abs(data.Q()[32, 20] - slack[32, 20]) < 1e-2  # the bound
         assert abs(slack[32, 20]) < 1e-2
 
     def test_holomorphic_slack_nonnegative(self):
         f = sphere_map("holomorphic:k=2", n1=32)
         keep = ~f.domain.flagged_mask()
-        slack = pinching_slack(compute_bochner(f), 1.0, 1.0)
+        slack = pinching_slack(compute_bochner(f, contraction=True), 1.0, 1.0)
         assert np.all(slack[keep].ravel()[:: 50] >= -1e-6)
 
     def test_negative_sec_max_flagged(self):
-        data = compute_bochner(sphere_map("identity", n1=32))
+        data = compute_bochner(sphere_map("identity", n1=32), contraction=True)
         slack = pinching_slack(data, ric_min=1.0, sec_max=-0.5)
         assert slack[8, 8] <= 0.0  # bound exceeds Q once sec flips sign
 
@@ -162,95 +162,89 @@ class TestFlatDomainCatalog:
         # non-harmonic datum: |H|^2 > 0 at interior nodes
         dom = FlatTorus2(a=1, b=1, n1=32, n2=32)
         f = catalog_map("cap:amplitude=0.3", dom, Sphere(k=2, r=1.0))
-        data = compute_bochner(f)
+        data = compute_bochner(f, contraction=False)
         assert np.min(data.hess) > 0.0
 
 
-FIELDS = (
-    "ricci", "target", "target_frame", "Q", "hess", "lap", "residual",
-    "sup_residual", "sup_tension", "path_disagreement", "S", "lam",
-)
+# every field of a contraction pass; a first-order pass fills the first
+# four and leaves the rest None
+FIELDS = ("lam", "S", "hess", "sup_tension",
+          "ricci", "target", "lap", "path_disagreement", "sup_residual", "energy")
+FIRST_ORDER = FIELDS[:4]
+KEPT = {False: {"lam", "S", "hess"}, True: {"lam", "S", "hess", "ricci", "target", "lap"}}
+CONTRACTIONS = ("ricci_term_field", "target_term_field", "target_term_diagonal_field",
+                "sectional_batch")
 
 
-class TestLazyFields:
-    PASS = ("jacobian_field", "pullback_field", "gen_eigh")
+class TestPasses:
+    PASS = ("jacobian_field", "pullback_field", "gen_eigh", "hessian_field")
 
-    def test_one_first_order_pass_for_every_field(self, count_calls):
+    @pytest.mark.parametrize("contraction", [False, True])
+    def test_one_pass_fills_every_field(self, contraction, count_calls):
         from bochnerlab import bochner
 
-        counts = count_calls(bochner, self.PASS)
-        data = compute_bochner(sphere_map("holomorphic:k=2", n1=32))
-        assert counts == dict.fromkeys(self.PASS, 0)  # nothing up front
+        counts = count_calls(bochner, self.PASS + CONTRACTIONS)
+        # 32 x 64 nodes are one band
+        data = compute_bochner(sphere_map("holomorphic:k=2", n1=32), contraction=contraction)
+        assert counts == {**dict.fromkeys(self.PASS, 1),
+                          **dict.fromkeys(CONTRACTIONS, int(contraction))}
         for name in FIELDS:
-            getattr(data, name)
-        assert counts == dict.fromkeys(self.PASS, 1)
+            filled = contraction or name in FIRST_ORDER
+            assert (getattr(data, name) is not None) == filled, name
 
-    def test_spectrum_read_skips_the_contractions(self, count_calls):
-        from bochnerlab import bochner
-
-        kernels = ("ricci_term_field", "target_term_field",
-                   "target_term_diagonal_field", "sectional_batch")
-        counts = count_calls(bochner, self.PASS + kernels)
-        data = compute_bochner(sphere_map("holomorphic:k=2", n1=32))
-        data.S, data.lam
-        assert counts == {**dict.fromkeys(self.PASS, 1), **dict.fromkeys(kernels, 0)}
-
-    def test_second_pass_skips_the_hessian(self, count_calls):
-        # a contraction read after a spectrum read runs the pass again,
-        # but the Hessian the first pass stored is kept
-        from bochnerlab import bochner
-
-        counts = count_calls(bochner, ("jacobian_field", "hessian_field"))
-        data = compute_bochner(sphere_map("holomorphic:k=2", n1=32))
-        data.S, data.Q
-        assert counts == {"jacobian_field": 2, "hessian_field": 1}
-
-    def test_fields_equal_the_kernels_on_one_pass(self):
+    def test_fields_equal_the_kernels(self):
         f = sphere_map("holomorphic:k=3", n1=32)
-        data = compute_bochner(f)
+        data = compute_bochner(f, contraction=True)
         dom, tgt, q = f.domain, f.target, f.values
+        keep = ~dom.flagged_mask()
         J = jacobian_field(f)
         P = pullback_field(J)
         lam, vecs = gen_eigh(P, dom.metric_diag_grid())
         lam_desc, S = spectrum(lam)
         ginv = dom.inv_metric_diag_grid()
+        target = target_term_field(tgt, q, J, ginv)
+        frame = target_term_diagonal_field(tgt, q, J, lam, vecs)
         for got, want in (
             (data.ricci, ricci_term_field(P, ginv, dom.ricci_grid())),
-            (data.target, target_term_field(tgt, q, J, ginv)),
-            (data.target_frame, target_term_diagonal_field(tgt, q, J, lam, vecs)),
-            (data.hess, hessian_field(f)),
-            (data.lam, lam_desc), (data.S, S),
+            (data.target, target), (data.hess, hessian_field(f)),
+            (data.lam, lam_desc), (data.S, S), (data.lap, 0.5 * laplace_beltrami(dom, S)),
+            (data.Q(), data.ricci - data.target),
+            (data.residual(), data.lap - data.hess - data.Q()),
         ):
             np.testing.assert_array_equal(got, want)
+        # the reductions the pass takes band by band, and its energy
+        assert data.path_disagreement == np.max(np.abs(target - frame)[keep])
+        assert data.sup_residual == np.max(np.abs(data.residual())[keep])
+        assert data.sup_tension == np.max(np.linalg.norm(f.tension, axis=-1)[keep])
+        assert data.energy == total_energy(f)
 
-    def test_fields_do_not_depend_on_read_order(self):
+    def test_first_order_pass_agrees_with_the_contraction_pass(self):
         f = sphere_map("holomorphic:k=2", n1=32)
-        spectrum_first, contraction_first = compute_bochner(f), compute_bochner(f)
-        for name in ("S", "lam", "ricci", "target", "target_frame"):
-            getattr(spectrum_first, name)
-        for name in ("ricci", "target", "target_frame", "S", "lam"):
-            getattr(contraction_first, name)
-        for name in FIELDS:
-            np.testing.assert_array_equal(
-                getattr(spectrum_first, name), getattr(contraction_first, name)
-            )
+        first, full = (compute_bochner(f, contraction=c) for c in (False, True))
+        for name in FIRST_ORDER:
+            np.testing.assert_array_equal(getattr(first, name), getattr(full, name))
 
-    def test_only_node_sized_arrays_are_kept(self):
+    def test_node_slices_read_the_grids(self):
+        # the node CSV reads Q and the residual a block of nodes at a time
+        data = compute_bochner(sphere_map("holomorphic:k=2", n1=16), contraction=True)
+        nodes = slice(100, 300)
+        for field in (data.Q, data.residual):
+            np.testing.assert_array_equal(field(nodes), field().reshape(-1)[nodes])
+
+    @pytest.mark.parametrize("contraction", [False, True])
+    def test_only_the_needed_grids_are_kept(self, contraction):
         f = sphere_map("holomorphic:k=2", n1=32)
-        data = compute_bochner(f)
-        for name in FIELDS:
-            getattr(data, name)
-        cap = f.domain.n1 * f.domain.n2 * 2
-        arrays = {k: v.size for k, v in vars(data).items() if isinstance(v, np.ndarray)}
-        assert set(arrays) >= {"lam", "S", "Q", "residual"}
-        assert max(arrays.values()) <= cap
+        data = compute_bochner(f, contraction=contraction)
+        arrays = {k for k, v in vars(data).items() if isinstance(v, np.ndarray)}
+        assert arrays == KEPT[contraction]
+        # the pass fills none of the map's caches either
+        assert not {"laplacian", "energy_density"} & set(vars(f))
 
     def test_fields_are_read_only(self):
-        data = compute_bochner(sphere_map("identity", n1=16))
-        with pytest.raises(ValueError):
-            data.S[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            data.residual[0, 0] = 1.0
+        data = compute_bochner(sphere_map("identity", n1=16), contraction=True)
+        for name in KEPT[True]:
+            with pytest.raises(ValueError):
+                getattr(data, name)[0, 0] = 1.0
 
 
 def test_no_dense_projector_is_built(count_calls):
@@ -259,9 +253,7 @@ def test_no_dense_projector_is_built(count_calls):
     classes = (Euclidean, Sphere, FlatTorusEmb, Ellipsoid, ProductSpheres)
     counts = [count_calls(cls, ("tangent_projector",)) for cls in classes]
     f = sphere_map("holomorphic:k=2", n1=16)
-    data = compute_bochner(f)
-    for name in FIELDS:
-        getattr(data, name)
+    compute_bochner(f, contraction=True)
     build_report(sphere_map("scaling", n1=16, r=2.0))
     for tgt in (Euclidean(m=4), FlatTorusEmb(radii=(1.0, 0.7)),
                 Ellipsoid(a=1.0, b=2.0, c=3.0), ProductSpheres(r1=1.0, r2=2.0)):

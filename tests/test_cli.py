@@ -77,7 +77,7 @@ class TestVerify:
                      "--json", str(tmp_path / "v.json"))
         assert rc == 0
         f = load_map(str(path))
-        data = compute_bochner(f)
+        data = compute_bochner(f, contraction=True)
         # the node CSV takes Sec_max over every image node, as the report does
         nodes = f.values.reshape(-1, f.target.m)
         sec_max = max(sec_max_over_region(f.target, nodes)[0], 0.0)
@@ -92,7 +92,7 @@ class TestVerify:
         assert [int(c[0]) for c in cells] == i.ravel().tolist()
         assert [int(c[1]) for c in cells] == j.ravel().tolist()
         expected = [data.S / 2.0, data.lam[..., 0], data.lam[..., 1], data.ricci,
-                    data.target, data.Q, data.hess, data.lap, data.residual, slack]
+                    data.target, data.Q(), data.hess, data.lap, data.residual(), slack]
         got = np.array([[float(x) for x in c[2:]] for c in cells])
         for col, field in enumerate(expected):
             np.testing.assert_array_equal(got[:, col], field.ravel())
@@ -118,7 +118,8 @@ class TestVerify:
         f = load_map(str(path))
         every_node = sec_max_over_region(f.target, f.values.reshape(-1, 3))[0]
         assert 0 < sec_max == every_node
-        slack = pinching_slack(compute_bochner(f), ricci_min(f.domain)[0], sec_max)
+        data = compute_bochner(f, contraction=True)
+        slack = pinching_slack(data, ricci_min(f.domain)[0], sec_max)
         got = [float(line.rsplit(",", 1)[1]) for line in csv.read_text().splitlines()[1:]]
         np.testing.assert_array_equal(got, slack.ravel())
 

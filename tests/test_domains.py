@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from chart_oracle import christoffel_fd_at, ricci_fd_at
+from chart_oracle import christoffel_at, christoffel_fd_at, metric_at, ricci_at, ricci_fd_at
 
 from bochnerlab.catalog import parse_domain
 from bochnerlab.domains import MAX_NODES, FlatTorus2, RoundSphere2, ricci_min
@@ -21,9 +21,9 @@ def interior_points(domain, count, seed=0):
 class TestFlatTorus:
     def test_metric_is_constant_diagonal(self):
         dom = FlatTorus2(a=2.0, b=0.5, n1=16, n2=16)
-        np.testing.assert_allclose(dom.metric_at((0.3, 0.4)), np.diag([4.0, 0.25]))
-        assert np.all(dom.christoffel_at((0.3, 0.4)) == 0.0)
-        assert np.all(dom.ricci_at((0.3, 0.4)) == 0.0)
+        np.testing.assert_allclose(metric_at(dom, (0.3, 0.4)), np.diag([4.0, 0.25]))
+        assert np.all(christoffel_at(dom, (0.3, 0.4)) == 0.0)
+        assert np.all(ricci_at(dom, (0.3, 0.4)) == 0.0)
 
     def test_volume(self):
         dom = FlatTorus2(a=2.0, b=0.5, n1=32, n2=32)
@@ -64,13 +64,13 @@ class TestRoundSphere:
     def test_metric_closed_form(self):
         dom = RoundSphere2(r=2.0, n1=16, n2=32)
         th = 1.1
-        g = dom.metric_at((th, 0.5))
+        g = metric_at(dom, (th, 0.5))
         np.testing.assert_allclose(g, np.diag([4.0, 4.0 * np.sin(th) ** 2]))
 
     def test_christoffel_against_metric_differences(self):
         dom = RoundSphere2(r=1.5, n1=32, n2=64)
         for p in interior_points(dom, 8):
-            G = dom.christoffel_at(p)
+            G = christoffel_at(dom, p)
             G_fd = christoffel_fd_at(dom, p, h=1e-5)
             np.testing.assert_allclose(G, G_fd, atol=1e-7)
 
@@ -78,13 +78,13 @@ class TestRoundSphere:
         dom = RoundSphere2(r=1.5, n1=32, n2=64)
         for p in interior_points(dom, 8):
             np.testing.assert_allclose(
-                dom.ricci_at(p), ricci_fd_at(dom, p, h=1e-4), atol=1e-5
+                ricci_at(dom, p), ricci_fd_at(dom, p, h=1e-4), atol=1e-5
             )
 
     def test_ricci_is_metric_over_r2(self):
         dom = RoundSphere2(r=2.0, n1=16, n2=32)
         p = (1.0, 0.3)
-        np.testing.assert_allclose(dom.ricci_at(p), dom.metric_at(p) / 4.0)
+        np.testing.assert_allclose(ricci_at(dom, p), metric_at(dom, p) / 4.0)
 
     def test_ricci_min_is_inverse_radius_squared(self):
         for r in (0.5, 1.0, 3.0):
@@ -198,12 +198,12 @@ def test_grid_forms_match_point_forms(dom):
     U, V = dom.chart_grid()
     for idx in np.ndindex(U.shape):
         p, row = (U[idx], V[idx]), idx[0]
-        G = dom.christoffel_at(p)
+        G = christoffel_at(dom, p)
         assert G[0, 1, 1] == G_grid[row, 0, 0]
         assert G[1, 0, 1] == G[1, 1, 0] == G_grid[row, 0, 1]
         assert np.all(G[~stored] == 0.0)
-        assert np.array_equal(dom.ricci_at(p), np.diag(ric_grid[row, 0]))
-        assert np.array_equal(dom.metric_at(p), np.diag(g_grid[row, 0]))
+        assert np.array_equal(ricci_at(dom, p), np.diag(ric_grid[row, 0]))
+        assert np.array_equal(metric_at(dom, p), np.diag(g_grid[row, 0]))
 
 
 @pytest.mark.parametrize(
