@@ -14,13 +14,14 @@ residual (1/2) Lap |df|^2 - |H|^2 - Q decays at second order.
 (`maps.assemble`), and its caller says which: the first-order pass
 (what a report reads) or the contraction pass (what `verify` reads).
 Per band the first-order pass takes L f on the band's continuation,
-one Hessian, one Jacobian J, one pullback metric P = J^T J and one
-eigensolve of P against the domain metric.  It keeps the spectrum
-(lam, S) and |H|^2 as node grids and reduces sup|tau| inside the band,
-so neither L f nor the tension is held.  The contraction pass also
-contracts P and J into the Ricci and target terms (ricci_term_field,
-target_term_field), which it keeps; it reduces the path check
-|target - frame| inside the band, the eigenframe term
+one Hessian, one Jacobian J, one pullback metric P = J^T J and the
+eigenvalues of P against the domain metric, without eigenvectors.  It
+keeps the spectrum (lam, S) and |H|^2 as node grids and reduces
+sup|tau| inside the band, so neither L f nor the tension is held.  The
+contraction pass also takes the eigenvectors, which only its eigenframe
+term reads, and contracts P and J into the Ricci and target terms
+(ricci_term_field, target_term_field), which it keeps; it reduces the
+path check |target - frame| inside the band, the eigenframe term
 (target_term_diagonal_field) never leaving it, and sums the energy
 density of its own J over the grid.  A second banded pass then takes
 (1/2) Lap |df|^2 of S, kept for the node CSV, and reduces sup|residual|.
@@ -46,7 +47,7 @@ from .maps import (
     pullback_field,
     spectrum,
 )
-from .numerics import gen_eigh, read_only
+from .numerics import gen_eigh, gen_eigvalsh, norm, read_only
 from .targets import sectional_batch
 
 DEGENERATE_PAIR_TOL = 1e-14
@@ -176,14 +177,15 @@ def compute_bochner(f, *, contraction):
         rows, q = band.rows, band.values
         # L f on the continuation the stencils read, dropped once reduced
         tau = tgt.tangent_part(q, dom.laplace_beltrami_rows(band.continued, rows))
-        sups["sup_tension"].append(_band_max(np.linalg.norm(tau, axis=-1), keep[rows]))
+        sups["sup_tension"].append(_band_max(norm(tau), keep[rows]))
         del tau
         # the Hessian before J, so that no J is held
         fields = {"hess": hessian_field(f, band=band)}
         J = jacobian_field(f, band=band)
         P = pullback_field(J)
-        # ascending, g-orthonormal
-        lam, vecs = gen_eigh(P, dom.metric_diag_grid()[rows])
+        # ascending; the g-orthonormal eigenvectors only for the eigenframe term
+        gd = dom.metric_diag_grid()[rows]
+        lam, vecs = gen_eigh(P, gd) if contraction else (gen_eigvalsh(P, gd), None)
         fields.update(zip(("lam", "S"), spectrum(lam)))
         if contraction:
             ginv = dom.inv_metric_diag_grid()[rows]
@@ -238,7 +240,8 @@ def integral_identity_residual(f):
         return {"hess_Q": hessian_field(f, accuracy=6, band=band) + Q}
 
     hess_Q = assemble(f.domain, f.values, integrand, accuracy=6)["hess_Q"]
-    return float(np.sum(hess_Q * f.domain.high_order_weight_grid()))
+    hess_Q *= f.domain.high_order_weight_grid()
+    return float(np.sum(hess_Q))
 
 
 # -- the lambda inequality chain --------------------------------------------

@@ -9,7 +9,8 @@ Both charts are orthogonal warped products g = diag(E(u), G(u))
 (Bishop & O'Neill 1969), so the grid forms are row profiles, shape
 (n1, 1, 2), that broadcast against node fields, and store only what
 can be nonzero: the metric and Ricci diagonals and the Christoffel
-symbols (Gamma^u_vv, Gamma^v_uv = Gamma^v_vu).  The dense point forms
+symbols (Gamma^u_vv, Gamma^v_uv = Gamma^v_vu).  The area element and
+the quadrature weights are (n1, 1) profiles.  The dense point forms
 that the test suite's finite-difference cross-checks read live in its
 chart oracle; `check_point` validates a chart point.
 
@@ -90,11 +91,13 @@ class ChartGrid:
         return 1.0 / self.metric_diag_grid()
 
     def quad_weight_grid(self):
+        """The quadrature weights sqrt(det g) h1 h2, an (n1, 1) row profile."""
         h1, h2 = self.spacing
         return self.sqrt_det_grid() * h1 * h2
 
     def volume(self):
-        return float(self.quad_weight_grid().sum())
+        # a contiguous grid: np.sum over the broadcast profile adds in another order
+        return float(np.repeat(self.quad_weight_grid(), self.n2, axis=1).sum())
 
 
 @dataclass(frozen=True)
@@ -140,7 +143,7 @@ class FlatTorus2(ChartGrid):
         return self._row_profile(self.a**2, self.b**2)
 
     def sqrt_det_grid(self):
-        return np.full((self.n1, self.n2), self.a * self.b)
+        return np.full((self.n1, 1), self.a * self.b)
 
     def christoffel_grid(self):
         """(Gamma^u_vv, Gamma^v_uv) on the last axis; flat, so zero."""
@@ -249,9 +252,7 @@ class RoundSphere2(ChartGrid):
 
     def sqrt_det_grid(self):
         theta, _ = self.axes()
-        return np.broadcast_to(
-            (self.r**2 * np.sin(theta))[:, None], (self.n1, self.n2)
-        ).copy()
+        return (self.r**2 * np.sin(theta))[:, None]
 
     def christoffel_grid(self):
         """(Gamma^theta_phiphi, Gamma^phi_thetaphi) on the last axis.
@@ -349,10 +350,7 @@ class RoundSphere2(ChartGrid):
         instead of sampling it at the midpoint: smooth fields on the
         sphere are integrated spectrally rather than at O(h^2).
         """
-        w = fejer1_weights(self.n1)
-        return np.broadcast_to(
-            (self.r**2 * w * self.spacing[1])[:, None], (self.n1, self.n2)
-        ).copy()
+        return (self.r**2 * fejer1_weights(self.n1) * self.spacing[1])[:, None]
 
     def flagged_mask(self):
         """The flagged rows, shape (n1,): field[~mask] drops their nodes."""

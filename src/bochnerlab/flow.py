@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import NumericalError, StabilityError, UsageError
 from .maps import row_bands, total_energy
+from .numerics import norm, total
 
 ENERGY_SLACK = 1e-10
 MAX_HALVINGS = 20
@@ -102,11 +103,11 @@ def image_diameter(f_or_values):
     scale = np.abs(pts).max()
     if not np.isfinite(scale):
         raise NumericalError("image diameter of non-finite node values")
-    d2 = np.sum((pts - pts.mean(axis=0)) ** 2, axis=-1)
+    d2 = total((pts - pts.mean(axis=0)) ** 2)
     r = np.sqrt(d2)
     lower = 0.0
     for _ in range(4):
-        d2 = np.sum((pts - pts[int(np.argmax(d2))]) ** 2, axis=-1)
+        d2 = total((pts - pts[int(np.argmax(d2))]) ** 2)
         lower = max(lower, float(np.sqrt(np.max(d2))))
     # r, R, L and the scanned maximum are each within (m + 4) eps / 4,
     # relative, of a length at most 2 sqrt(m) max|x|; the sqrt term
@@ -153,7 +154,7 @@ def image_radius(f):
     """Largest distance of a node value of the map f from their centroid,
     a row band at a time.  It brackets the image diameter: R <= diam <= 2R."""
     center = f.values.reshape(-1, f.target.m).mean(axis=0)
-    return float(max(np.max(np.linalg.norm(f.values[rows] - center, axis=-1))
+    return float(max(np.max(norm(f.values[rows] - center))
                      for rows in row_bands(f.domain)))
 
 
@@ -212,7 +213,7 @@ def run_flow(f0, params=None):
     # one more pass than the budget of steps tests the final map as well
     for step in range(params.max_steps + 1):
         tau = f.tension
-        sup_tau = float(np.max(np.linalg.norm(tau, axis=-1)[keep]))
+        sup_tau = float(np.max(norm(tau)[keep]))
         e_max = float(np.max(f.energy_density))
         # 2 * bounding radius dominates the diameter, so the collapse test is safe
         diam = 2 * image_radius(f)

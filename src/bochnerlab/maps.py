@@ -35,7 +35,7 @@ from .catalog import build, parse_descriptor, parse_domain, parse_target
 from .domains import FlatTorus2, RoundSphere2
 from .errors import NumericalError, UsageError
 from .io_utils import ColumnRows
-from .numerics import dot, read_only
+from .numerics import dot, norm, read_only, total
 
 
 @dataclass(frozen=True)
@@ -208,7 +208,7 @@ def cap_map(domain, target, amplitude):
     vals[..., 1] = s * np.sin(v)
     vals[..., 2] = 0.0
     vals += np.array([0.0, 0.0, 1.0])
-    vals /= np.linalg.norm(vals, axis=-1, keepdims=True)
+    vals /= norm(vals)[..., None]
     vals *= target.r
     return DiscreteMap(domain, target, vals)
 
@@ -257,9 +257,16 @@ def _stencil(domain, Fp, axis, order, accuracy):
     out = None
     for k, c in zip(range(2 * p, -1, -1), weights):
         if c:
-            term = c * (Fp[k:k + n] if axis == 0 else Fp[:, k:k + n])
-            out = term if out is None else out + term
-    return out / (den * domain.spacing[axis] ** order)
+            # +-1 adds or subtracts the slice itself: -c F is -(c F) exactly
+            F = Fp[k:k + n] if axis == 0 else Fp[:, k:k + n]
+            term = F if abs(c) == 1 else abs(c) * F
+            if out is None:
+                out = term if c > 0 else -term
+            else:  # in place, or while out is a slice of Fp into the term's own array
+                into = (None if term is F else term) if np.may_share_memory(out, Fp) else out
+                out = (np.add if c > 0 else np.subtract)(out, term, out=into)
+    out /= den * domain.spacing[axis] ** order
+    return out
 
 
 # nodes per row band of the banded kernels: a band of values is 192 KB
@@ -380,7 +387,7 @@ def spectrum(lam):
     is S / 2).
     """
     lam = np.where(lam > -1e-12, np.maximum(lam, 0.0), lam)[..., ::-1]
-    return lam, lam.sum(axis=-1)
+    return lam, total(lam)
 
 
 def total_energy(f):

@@ -1,8 +1,8 @@
-"""Small shared numerical helpers: dot products over a short last axis,
-the batched 2x2 generalized eigensolve against a diagonal metric, Fejer
-quadrature weights, 17-significant-digit float formatting for
-byte-stable output files, exact descriptor parameters and read-only
-cached arrays.
+"""Small shared numerical helpers: sums, dot products and norms over a
+short last axis, the batched 2x2 generalized eigensolve against a
+diagonal metric (or its eigenvalues alone), Fejer quadrature weights,
+17-significant-digit float formatting for byte-stable output files,
+exact descriptor parameters and read-only cached arrays.
 """
 
 from __future__ import annotations
@@ -13,11 +13,13 @@ from .errors import NumericalError, UsageError
 
 
 def dot(X, Y):
-    """Sum of X * Y over the last axis, which is short (the ambient m).
+    """Sum of X * Y over the last axis, which is short (the ambient m, a
+    factor block or an eigenvalue pair), one index at a time.
 
-    The products are added one index at a time: several times faster
-    than np.sum over a short axis, and equal to it bit for bit below
-    8 terms.
+    With `total` and `norm`, the package's one short-axis reduction:
+    several times faster than np.sum over a short axis, and equal to it
+    bit for bit below 8 terms but for an all-(-0.0) sum, which numpy
+    starts from +0.0 and this from the first term.
     """
     out = X[..., 0] * Y[..., 0]
     for k in range(1, np.shape(X)[-1]):
@@ -25,21 +27,21 @@ def dot(X, Y):
     return out
 
 
-def gen_eigh(P, gd):
-    """Solve P v = lam g v (batched) for a diagonal 2x2 metric g = diag(gd).
+def total(X):
+    """Sum of X over its short last axis, one index at a time, as `dot`."""
+    out = X[..., 0].copy()
+    for k in range(1, X.shape[-1]):
+        out += X[..., k]
+    return out
 
-    P is (..., 2, 2) symmetric and gd the metric diagonal (..., 2),
-    positive.  With d = gd^{-1/2} the problem is the symmetric one for
-    A_ij = d_i P_ij d_j = [[a, b], [b, c]], which one Jacobi rotation
-    diagonalizes (Golub & Van Loan, Matrix Computations, Alg. 8.5.2):
-    t = sign(tau) / (|tau| + hypot(1, tau)), tau = (c - a) / (2b), is
-    the tangent of its angle, and the eigenvalues are a - t b and
-    c + t b.  A diagonal A (b = 0, t = 0) gives back a and c exactly.
-    Returns (lam, vecs) with eigenvalues ascending along the last axis
-    and eigenvector columns g-orthonormal, v = d W for the rotation's
-    columns W.  lam are the eigenvalues of g^{-1} P, i.e. the squared
-    singular values when P is a pullback metric.
-    """
+
+def norm(X):
+    """np.linalg.norm(X, axis=-1) in its own operations, sqrt(dot(X, X))."""
+    return np.sqrt(dot(X, X))
+
+
+def _rotation(P, gd):
+    """gen_eigh's d, its rotation's tangent t and (a - t b, c + t b), unordered."""
     P = np.asarray(P, dtype=float)
     gd = np.asarray(gd, dtype=float)
     if P.shape[-2:] != (2, 2):
@@ -57,14 +59,39 @@ def gen_eigh(P, gd):
         tau = 0.5 * (c - a) / b
         t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
     t = np.where(b == 0.0, 0.0, t)
+    return d, t, a - t * b, c + t * b
+
+
+def gen_eigvalsh(P, gd):
+    """The ascending eigenvalues of `gen_eigh` alone, from the same rotation."""
+    _, _, lo, hi = _rotation(P, gd)
+    return np.stack([np.minimum(lo, hi), np.maximum(lo, hi)], axis=-1)
+
+
+def gen_eigh(P, gd):
+    """Solve P v = lam g v (batched) for a diagonal 2x2 metric g = diag(gd).
+
+    P is (..., 2, 2) symmetric and gd the metric diagonal (..., 2),
+    positive.  With d = gd^{-1/2} the problem is the symmetric one for
+    A_ij = d_i P_ij d_j = [[a, b], [b, c]], which one Jacobi rotation
+    diagonalizes (Golub & Van Loan, Matrix Computations, Alg. 8.5.2):
+    t = sign(tau) / (|tau| + hypot(1, tau)), tau = (c - a) / (2b), is
+    the tangent of its angle, and the eigenvalues are a - t b and
+    c + t b.  A diagonal A (b = 0, t = 0) gives back a and c exactly.
+    Returns (lam, vecs) with eigenvalues ascending along the last axis
+    and eigenvector columns g-orthonormal, v = d W for the rotation's
+    columns W.  lam are the eigenvalues of g^{-1} P, i.e. the squared
+    singular values when P is a pullback metric.  Of the Bochner passes
+    only the contraction pass reads vecs; the first-order pass takes
+    `gen_eigvalsh`.
+    """
+    d, t, lo, hi = _rotation(P, gd)
     cs = 1.0 / np.sqrt(1.0 + t * t)
     sn = t * cs
-    lam = np.stack([a - t * b, c + t * b], axis=-1)
+    lam = np.stack([np.minimum(lo, hi), np.maximum(lo, hi)], axis=-1)
     # the rotation's columns (cs, -sn) and (sn, cs), one per eigenvalue
     W = np.stack([np.stack([cs, sn], axis=-1), np.stack([-sn, cs], axis=-1)], axis=-2)
-    swap = lam[..., 0] > lam[..., 1]
-    lam = np.where(swap[..., None], lam[..., ::-1], lam)
-    W = np.where(swap[..., None, None], W[..., ::-1], W)
+    W = np.where((lo > hi)[..., None, None], W[..., ::-1], W)
     return lam, d[..., :, None] * W
 
 

@@ -149,8 +149,10 @@ def build_report(f, seed=0, global_sample=0):
     keep = ~dom.flagged_mask()
     lam = data.lam
     spread = float(np.max((lam[..., 0] - lam[..., -1])[keep]))
-    w = dom.quad_weight_grid()
-    homothety = float(np.sum(lam.mean(axis=-1) * w) / np.sum(w))
+    # the pair's mean, S / 2 bit for bit, weighted in place by the row profile
+    mean = data.S / 2.0
+    mean *= dom.quad_weight_grid()
+    homothety = float(np.sum(mean) / dom.volume())
     hess_sup = float(np.max(np.sqrt(np.maximum(data.hess, 0.0))[keep]))
 
     return PinchingReport(

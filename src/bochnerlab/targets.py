@@ -33,7 +33,7 @@ from .errors import (
     NumericalError,
     UsageError,
 )
-from .numerics import dot, fmt_param
+from .numerics import dot, fmt_param, norm, total
 
 ON_TARGET_TOL = 1e-8
 PROJECTION_MAX_ITER = 50
@@ -44,7 +44,7 @@ def _finite_norm(x):
     """Norm over the last axis, kept; NumericalError where it is not finite,
     as for a point beyond about 1e154, whose squares overflow."""
     with np.errstate(over="ignore"):
-        nrm = np.linalg.norm(x, axis=-1, keepdims=True)
+        nrm = norm(x)[..., None]
     if not np.all(np.isfinite(nrm)):
         raise NumericalError("closest-point map overflows on a huge point")
     return nrm
@@ -167,7 +167,7 @@ class _RoundSpheres(_Target):
 
     def constraint_residual(self, q):
         p = self._blocks(q)
-        res = np.abs(np.sum(p * p, axis=-1, keepdims=True) - self._r**2)
+        res = np.abs(dot(p, p)[..., None] - self._r**2)
         return np.max(res, axis=(-2, -1))
 
     def closest_point(self, x):
@@ -182,7 +182,7 @@ class _RoundSpheres(_Target):
 
     def second_fundamental(self, q, X, Y):
         X, Y = self._blocks(X), self._blocks(Y)
-        A = -np.sum(X * Y, axis=-1)[..., None] * self._blocks(q) / self._r**2
+        A = -dot(X, Y)[..., None] * self._blocks(q) / self._r**2
         return self._unblock(A)
 
     def sample_points(self, count, rng):
@@ -284,7 +284,7 @@ class Ellipsoid(_Target):
 
     def constraint_residual(self, q):
         q = np.asarray(q, dtype=float)
-        return np.abs(np.sum(self._w * q * q, axis=-1) - 1.0)
+        return np.abs(dot(self._w * q, q) - 1.0)
 
     def closest_point(self, x):
         """Euclidean closest point via Newton on the Lagrange multiplier.
@@ -306,13 +306,13 @@ class Ellipsoid(_Target):
             if np.all(done):
                 break
             d = 1.0 + mu[..., None] * w
-            phi = np.sum(w * p * p / d**2, axis=-1) - 1.0
-            dphi = -2.0 * np.sum(w**2 * p * p / d**3, axis=-1)
+            phi = total(w * p * p / d**2) - 1.0
+            dphi = -2.0 * total(w**2 * p * p / d**3)
             mu = np.where(done, mu, np.maximum(mu - phi / dphi, lo))
             done |= np.abs(phi) < PROJECTION_TOL
         else:
             d = 1.0 + mu[..., None] * w
-            phi = np.sum(w * p * p / d**2, axis=-1) - 1.0
+            phi = total(w * p * p / d**2) - 1.0
             if not np.all(np.abs(phi) <= 1e-10):
                 raise NumericalError("ellipsoid projection did not converge")
         return p / (1.0 + mu[..., None] * w)
@@ -320,28 +320,25 @@ class Ellipsoid(_Target):
     def tangent_part(self, q, V):
         # the unit normal is W q / |W q|, W = diag(a, b, c)^-2
         grad = self._w * np.asarray(q, dtype=float)
-        return _drop_normal(grad / np.linalg.norm(grad, axis=-1, keepdims=True), V)
+        return _drop_normal(grad / norm(grad)[..., None], V)
 
     def second_fundamental(self, q, X, Y):
         # A(X, Y) = -n <W X, Y> / |W q| for tangent X, Y, n = W q / |W q|
-        q = np.asarray(q, dtype=float)
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        w = self._w
-        grad_norm = np.linalg.norm(w * q, axis=-1, keepdims=True)
-        coef = -np.sum(w * X * Y, axis=-1, keepdims=True) / grad_norm
-        return coef * (w * q / grad_norm)
+        wq, wX = (self._w * np.asarray(v, dtype=float) for v in (q, X))
+        grad_norm = norm(wq)[..., None]
+        coef = -dot(wX, np.asarray(Y, dtype=float))[..., None] / grad_norm
+        return coef * (wq / grad_norm)
 
     def sec_range(self, q):
         # Gauss curvature 1/(a^2 b^2 c^2 h^4), h^2 = x^2/a^4 + y^2/b^4 + z^2/c^4
         q = np.asarray(q, dtype=float)
-        h2 = np.sum(self._w**2 * q * q, axis=-1)
+        h2 = dot(self._w**2 * q, q)
         K = 1.0 / ((self.a * self.b * self.c) ** 2 * h2**2)
         return K, K
 
     def sample_points(self, count, rng):
         u = rng.standard_normal((count, 3))
-        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        u /= norm(u)[..., None]
         return u * np.array([self.a, self.b, self.c])
 
 
@@ -353,7 +350,7 @@ def _gauss_numerator(target, q, X, Y):
     Axx = target.second_fundamental(q, X, X)
     Ayy = target.second_fundamental(q, Y, Y)
     Axy = target.second_fundamental(q, X, Y)
-    return np.sum(Axx * Ayy, axis=-1) - np.sum(Axy * Axy, axis=-1)
+    return dot(Axx, Ayy) - dot(Axy, Axy)
 
 
 def sectional_batch(target, q, X, Y):
@@ -361,16 +358,10 @@ def sectional_batch(target, q, X, Y):
 
     X, Y need not be orthonormal; degenerate pairs yield nan.
     """
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     if target.constant_sec is not None:
-        X = np.asarray(X, dtype=float)
-        shape = np.broadcast_shapes(X.shape[:-1], np.shape(Y)[:-1])
-        return np.full(shape, target.constant_sec)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    gram = (
-        np.sum(X * X, axis=-1) * np.sum(Y * Y, axis=-1)
-        - np.sum(X * Y, axis=-1) ** 2
-    )
+        return np.full(np.broadcast_shapes(X.shape[:-1], Y.shape[:-1]), target.constant_sec)
+    gram = dot(X, X) * dot(Y, Y) - dot(X, Y) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
         return _gauss_numerator(target, q, X, Y) / gram
 

@@ -160,8 +160,9 @@ class TestRoundSphere:
 
     def test_fejer_weights_are_the_sphere_area(self):
         dom = RoundSphere2(r=2.0, n1=16, n2=32)
-        W = dom.high_order_weight_grid()
-        assert W.sum() == pytest.approx(4 * np.pi * 4.0, rel=1e-14)
+        W = dom.high_order_weight_grid()  # a row profile: one weight per row
+        assert W.shape == (dom.n1, 1)
+        assert dom.n2 * W.sum() == pytest.approx(4 * np.pi * 4.0, rel=1e-14)
 
     def test_flagged_mask_covers_pole_collar(self):
         dom = RoundSphere2(r=1.0, n1=64, n2=128)

@@ -9,6 +9,7 @@ from bochnerlab.domains import FlatTorus2, RoundSphere2
 from bochnerlab.errors import UsageError
 from bochnerlab.maps import (
     DiscreteMap,
+    _STENCILS,
     _stencil,
     catalog_map,
     constant_map,
@@ -199,6 +200,31 @@ class TestStencils:
             derivative(dom, F, 0, 2), (Fp[2:, 1:-1] - 2 * c + Fp[:-2, 1:-1]) / h1**2)
         np.testing.assert_array_equal(
             derivative(dom, F, 1, 2), (Fp[1:-1, 2:] - 2 * c + Fp[1:-1, :-2]) / h2**2)
+
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("key", sorted(_STENCILS))
+    def test_stencil_is_the_weighted_sum_of_its_slices(self, key, axis):
+        # bit for bit the sum of c * F_k in table order, divided once,
+        # however the +-1 weights are applied; signed zeros included
+        order, accuracy = key
+        weights, den = _STENCILS[key]
+        p = accuracy // 2
+        rng = np.random.default_rng(accuracy + order)
+        Fp = rng.standard_normal((10 + 2 * p, 12 + 2 * p, 3))
+        Fp[:, :, 0] = 0.0
+        Fp[::2, ::3, 0] = -0.0
+        Fp[4, 5, 1] = np.inf
+        Fp.flags.writeable = False  # the stencil must not write its input
+        n = Fp.shape[axis] - 2 * p
+        want = None
+        for k, c in zip(range(2 * p, -1, -1), weights):
+            if c:
+                term = c * (Fp[k:k + n] if axis == 0 else Fp[:, k:k + n])
+                want = term if want is None else want + term
+        want = want / (den * SPHERE.spacing[axis] ** order)
+        got = _stencil(SPHERE, Fp, axis, order, accuracy)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestHessian:

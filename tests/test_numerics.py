@@ -1,10 +1,11 @@
-"""Batched 2x2 generalized eigensolve against a diagonal metric."""
+"""Short-axis reductions, and the batched 2x2 generalized eigensolve
+against a diagonal metric."""
 
 import numpy as np
 import pytest
 
 from bochnerlab.errors import NumericalError, UsageError
-from bochnerlab.numerics import gen_eigh
+from bochnerlab.numerics import dot, gen_eigh, gen_eigvalsh, norm, total
 
 
 def random_problem(n, batch=64, seed=0):
@@ -107,3 +108,44 @@ def test_nearly_diagonal_problem_stays_finite(b):
     np.testing.assert_array_equal(lam, [[1.0, 3.0], [1.0, 3.0]])
     assert np.all(np.isfinite(vecs))
     assert_g_orthonormal(vecs, gd, atol=0.0)
+
+
+def bits(x):
+    """The float64 bit patterns, so that -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
+def test_eigenvalues_alone_are_gen_eighs():
+    P, gd = random_problem(2, batch=512, seed=4)
+    # ties, a diagonal and a rank-one problem among them
+    P[:3] = [[[2.0, 0.0], [0.0, 2.0]], [[0.3, 0.0], [0.0, 7.0]], [[1.0, 1.0], [1.0, 1.0]]]
+    gd[:3] = 1.0
+    lam, _ = gen_eigh(P, gd)
+    np.testing.assert_array_equal(bits(gen_eigvalsh(P, gd)), bits(lam))
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_short_axis_reductions_are_numpys_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    X, Y = (rng.standard_normal((512, m)) * np.exp2(rng.integers(-80, 80, (512, m)))
+            for _ in range(2))
+    X[0, 0], X[1, -1], Y[2, 0], Y[3, -1] = np.inf, np.nan, -np.inf, np.nan
+    # signed zeros, mixed: an all-(-0.0) sum is pinned below
+    X[4], X[4, :-1], Y[4] = 0.0, -0.0, 1.0
+    X[5] = 1e200  # products and squares that overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.testing.assert_array_equal(bits(dot(X, Y)), bits(np.sum(X * Y, axis=-1)))
+        np.testing.assert_array_equal(bits(total(X)), bits(np.sum(X, axis=-1)))
+        np.testing.assert_array_equal(bits(norm(X)), bits(np.linalg.norm(X, axis=-1)))
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_an_all_negative_zero_sum_keeps_its_sign(m):
+    # numpy's sum starts from +0.0, these from the first term: the one
+    # place where they differ below 8 terms
+    Z = np.full((2, m), -0.0)
+    assert not np.signbit(np.sum(Z, axis=-1)).any()
+    assert np.signbit(total(Z)).all()
+    assert np.signbit(dot(Z, np.ones((2, m)))).all()
+    # squares are +0.0, so the norms agree
+    np.testing.assert_array_equal(bits(norm(Z)), bits(np.linalg.norm(Z, axis=-1)))

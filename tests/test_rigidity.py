@@ -88,12 +88,26 @@ class TestPassCounts:
         from bochnerlab import bochner
 
         kernels = ("ricci_term_field", "target_term_field",
-                   "target_term_diagonal_field")
-        one_pass = ("jacobian_field", "pullback_field", "gen_eigh")
+                   "target_term_diagonal_field", "gen_eigh")
+        one_pass = ("jacobian_field", "pullback_field", "gen_eigvalsh")
         counts = count_calls(bochner, kernels + one_pass)
         rep = build_report(sphere_map("holomorphic:k=2"))
         assert not rep.is_constant
         assert counts == {**dict.fromkeys(kernels, 0), **dict.fromkeys(one_pass, 1)}
+
+    @pytest.mark.parametrize("name", ["holomorphic:k=2", "identity"])
+    def test_report_builds_no_eigenvectors(self, name, monkeypatch):
+        from bochnerlab import bochner, numerics
+
+        def refused(*args, **kwargs):
+            raise AssertionError("eigenvectors solved for")
+
+        # the eigenvector path: gen_eigh, wherever it is bound
+        for module in (bochner, numerics):
+            monkeypatch.setattr(module, "gen_eigh", refused)
+        rep = build_report(sphere_map(name))
+        assert rep.bochner.lam.shape == (48, 96, 2)
+        assert rep.classification in ("equality", "violated")
 
     def test_equality_diagnostics_reuse_the_reports_pass(self, count_calls):
         from bochnerlab import bochner, numerics

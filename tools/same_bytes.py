@@ -43,6 +43,24 @@ def _product_map(run_dir):
     write_product_map(os.path.join(run_dir, "product.map"), 1)
 
 
+def _ellipsoid_map(run_dir):
+    """A nonconstant map of S^2 at 32 x 64 into ellipsoid:a=1,b=1,c=2, off
+    the surface as written: the unit directions u scaled by (1.2, 0.9, 2.1),
+    which the map constructor reprojects by the ellipsoid's Newton iteration."""
+    n1, n2 = 32, 64
+    with open(os.path.join(run_dir, "ellipsoid.map"), "w") as fh:
+        fh.write(f"bochnerlab-map 1\ndomain sphere:r=1\ntarget ellipsoid:a=1,b=1,c=2\n"
+                 f"grid {n1} {n2} 3\n")
+        for i in range(n1):
+            theta = (i + 0.5) * math.pi / n1
+            for j in range(n2):
+                phi = j * 2.0 * math.pi / n2
+                u = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
+                     math.cos(theta))
+                fh.write(" ".join(format(c * x, ".17g") for c, x in zip((1.2, 0.9, 2.1), u))
+                         + "\n")
+
+
 # (name, CLI arguments, preparation run in the run directory first or
 # None); every path is relative to the run directory
 CONFIGS = (
@@ -91,6 +109,13 @@ CONFIGS = (
     ("report-constant-prodspheres", ["report", "--map", "constant", "--domain", TORUS,
                                      "--target", PRODUCT, "--resolution", "32",
                                      "--json", "c-prodspheres.json"], None),
+    # zero products, where a sum's sign of zero could move, and every CSV column
+    ("verify-constant-sphere", ["verify", "--map", "constant", "--resolution", "32",
+                                "--json", "vc.json", "--csv", "vc.csv"], None),
+    # the ellipsoid's Newton projection, curvature sums and contractions
+    ("verify-ellipsoid", ["verify", "--load", "ellipsoid.map", "--json", "ve.json",
+                          "--csv", "ve.csv"], _ellipsoid_map),
+    ("report-ellipsoid", ["report", "--load", "ellipsoid.map", "--json", "re.json"], None),
     # the parameter scans
     ("scan-scaling", ["scan", "--map", "scaling", "--param", "r=0.5:2:0.5",
                       "--resolution", "16", "--csv", "scan.csv", "--json", "scan.json"],
