@@ -1,12 +1,15 @@
 """Sectional-curvature extremizers on the embedded targets.
 
-Every target carries curvature through the Gauss equation of its
-embedding, and the extent of its sectional curvatures at each point in
-closed form; the extremizer takes the largest over a point set, which
-covers all 2-planes based there.  A sphere of radius r has constant
-curvature 1/r^2; the ellipsoid x^2 + y^2 + z^2/4 = 1 ranges from 1/4
-on the equator to 4 at the poles; S^2(1) x S^2(2) ranges over
-{0} union [1/4, 1] depending on how the plane splits across factors.
+Every target gives the Gauss equation of its embedding and, in closed
+form, the least and greatest sectional curvature at each point
+(`sec_range`).  Where the two agree, as on the sphere and the
+ellipsoid, `sectional_curvature` returns that one value; the extremizer
+takes the largest over a point set, which covers all 2-planes based
+there.  A sphere of radius r has constant curvature 1/r^2; the
+ellipsoid x^2 + y^2 + z^2/4 = 1 ranges from 1/4 on the equator to 4 at
+the poles; S^2(1) x S^2(2) ranges over [0, 1] depending on how the
+plane splits across factors: 0 on mixed planes, 1/r^2 on a plane in
+one factor.
 """
 
 import numpy as np

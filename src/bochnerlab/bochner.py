@@ -5,10 +5,13 @@ The curvature quantity is
 
     Q = Ric^{ij} (f*gbar)_{ij}  -  g^{ia} g^{jb} <Rbar(d_i f, d_j f) d_b f, d_a f>,
 
-a frame-invariant contraction; the eigenframe evaluation (weights
-lam_i lam_j on the pullback singular directions) is a second path that
-must agree with the contraction.  For a harmonic map the discrete
-residual (1/2) Lap |df|^2 - |H|^2 - Q decays at second order.
+a frame-invariant contraction, whose target part on a diagonal chart
+metric is 2 g^uu g^vv times the Gauss numerator of (d_u f, d_v f).  The
+eigenframe evaluation (2 lam_1 lam_2 times the sectional curvature of
+the pullback singular directions, from the closed-form `sec_range` on
+every target but S^2 x S^2) is a second path that must agree with it.
+For a harmonic map the discrete residual (1/2) Lap |df|^2 - |H|^2 - Q
+decays at second order.
 
 `compute_bochner` runs one pass over the map, one row band at a time
 (`maps.assemble`), and its caller says which: the first-order pass
@@ -48,7 +51,7 @@ from .maps import (
     spectrum,
 )
 from .numerics import gen_eigh, gen_eigvalsh, norm, read_only
-from .targets import sectional_batch
+from .targets import gauss_numerator, sectional_batch
 
 DEGENERATE_PAIR_TOL = 1e-14
 
@@ -70,32 +73,11 @@ def target_term_field(target, q, J, ginv):
     """Invariant contraction of the target curvature term (Gauss equation)
     at the image points q, with Jacobian J and inverse metric diagonal ginv.
 
-    With a diagonal metric it is
-    sum_{i,j} g^ii g^jj (<A_ii, A_jj> - <A_ij, A_ji>),
-    A_ij the second fundamental form of the target on the columns of J;
-    A is symmetric, so A_vu is A_uv.
+    With a diagonal metric it is sum_{i,j} g^ii g^jj (<A_ii, A_jj> - |A_ij|^2),
+    A_ij the second fundamental form on the columns of J, whose i = j
+    terms vanish: 2 g^uu g^vv times the Gauss numerator of (J_u, J_v).
     """
-    Auv = target.second_fundamental(q, J[..., 0], J[..., 1])
-    A = [[target.second_fundamental(q, J[..., 0], J[..., 0]), Auv],
-         [Auv, target.second_fundamental(q, J[..., 1], J[..., 1])]]
-    t1 = np.zeros(q.shape[:-1])
-    t2 = np.zeros(q.shape[:-1])
-    term = np.empty(q.shape[:-1])
-    # accumulate one term at a time over i, then j, then the ambient
-    # index m: the order of the dense contraction g^ia g^jb A_iam A_jbm
-    # that the output files were first written with (summing over m
-    # first with np.sum changes the last bits)
-    for i in range(2):
-        for j in range(2):
-            w = ginv[..., i] * ginv[..., j]
-            for m in range(target.m):
-                np.multiply(w, A[i][i][..., m], out=term)
-                term *= A[j][j][..., m]
-                t1 += term
-                np.multiply(w, A[i][j][..., m], out=term)
-                term *= A[j][i][..., m]
-                t2 += term
-    return t1 - t2
+    return 2.0 * ginv[..., 0] * ginv[..., 1] * gauss_numerator(target, q, J[..., 0], J[..., 1])
 
 
 def target_term_diagonal_field(target, q, J, lam, vecs):

@@ -26,7 +26,7 @@ from .bochner import compute_bochner, integral_identity_residual, pinching_slack
 from .catalog import build_target, parse_descriptor, parse_domain, parse_target
 from .domains import ricci_min
 from .errors import ChartDomainError, NumericalError, UsageError
-from .flow import DT_MAX, IMPLICIT_DT, FlowParams, run_flow
+from .flow import DT_MAX, ENERGY_SLACK, IMPLICIT_DT, FlowParams, run_flow
 from .io_utils import ColumnRows, dump_json, json_dumps, write_csv
 from .maps import catalog_map, load_map, save_map
 from .rigidity import (
@@ -37,6 +37,7 @@ from .rigidity import (
     image_curvature_bounds,
     theorem_consistency_scan,
 )
+from .targets import ON_TARGET_TOL
 
 MIN_RESOLUTION = 8
 VERIFY_RES_COEFF = 100.0  # residual band C h^2, calibrated on the catalog
@@ -266,7 +267,7 @@ def cmd_verify(ns):
         for i in range(len(levels) - 1)
     ]
     checks = {}
-    checks["constraint"] = all(s["constraint_residual"] <= 1e-8 for s in levels)
+    checks["constraint"] = all(s["constraint_residual"] <= ON_TARGET_TOL for s in levels)
     checks["path_agreement"] = all(
         s["path_disagreement"] <= PATH_AGREEMENT_TOL for s in levels
     )
@@ -351,7 +352,7 @@ def cmd_flow(ns):
             ColumnRows(zip(*summary.trace)),
         )
     energies = np.asarray(summary.energies)
-    monotone = bool(np.all(np.diff(energies) <= 1e-10))
+    monotone = bool(np.all(np.diff(energies) <= ENERGY_SLACK))
     passed = monotone and summary.outcome != "max_steps"
     payload = {
         "provenance": _provenance(ns, f0),

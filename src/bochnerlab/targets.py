@@ -4,20 +4,21 @@ Every target exposes the tangent part P(q) V of ambient vectors V
 (`tangent_part`, matrix-free: V less its components along the unit
 normals at q), a closest-point map onto the submanifold, and an
 analytic second fundamental form A(X, Y).
-Ambient space is flat, so sectional curvature comes from the Gauss
-equation
+Ambient space is flat, so the Gauss equation
 
-    <R(X, Y) Y, X> = <A(X, X), A(Y, Y)> - |A(X, Y)|^2,
+    <R(X, Y) Y, X> = <A(X, X), A(Y, Y)> - |A(X, Y)|^2
 
-with closed-form overrides for the constant-curvature kinds.  Besides
-Euclidean space and the ellipsoid, the targets are products of round
-spheres (S^k(r), the flat torus S^1(rho_1) x ... x S^1(rho_k) and
+(`gauss_numerator`) gives the curvature from A.  Besides Euclidean
+space and the ellipsoid, the targets are products of round spheres
+(S^k(r), the flat torus S^1(rho_1) x ... x S^1(rho_k) and
 S^2(r1) x S^2(r2)), which share one implementation, `_RoundSpheres`.
 Each target also gives in closed form the least and greatest
 eigenvalue of its curvature operator on the 2-vectors of T_q
 (`sec_range`); every eigenvector is decomposable for these kinds, so
-the two are the least and greatest sectional curvature at q.  The
-region extremizer takes their extremes over a point set, so it is
+the two are the least and greatest sectional curvature at q.  On every
+kind but S^2(r1) x S^2(r2) they agree, and `sectional_batch` reads
+their one value as the curvature of every plane.  The region
+extremizer takes their extremes over a point set, so it is
 deterministic and monotone under set inclusion.
 """
 
@@ -75,7 +76,6 @@ class Euclidean(_Target):
     m: int = 3
 
     kind = "euclid"
-    constant_sec = 0.0
 
     def __post_init__(self):
         if self.m < 2:
@@ -153,11 +153,6 @@ class _RoundSpheres(_Target):
         radii, d = self._factors
         values = {1.0 / r**2 for r in radii} if d >= 2 else set()
         return values | {0.0} if len(radii) >= 2 else values
-
-    @property
-    def constant_sec(self):
-        values = self._sec_values
-        return min(values) if len(values) == 1 else None
 
     def sec_range(self, q):
         """Least and greatest curvature-operator eigenvalue at each point,
@@ -266,7 +261,6 @@ class Ellipsoid(_Target):
     c: float = 2.0
 
     kind = "ellipsoid"
-    constant_sec = None
     m = 3
     dim = 2
 
@@ -345,8 +339,9 @@ class Ellipsoid(_Target):
 # -- sectional curvature -----------------------------------------------------
 
 
-def _gauss_numerator(target, q, X, Y):
-    """<R(X, Y) Y, X> from the Gauss equation with the analytic A."""
+def gauss_numerator(target, q, X, Y):
+    """<R(X, Y) Y, X> = <A(X, X), A(Y, Y)> - |A(X, Y)|^2, the Gauss
+    equation with the analytic A."""
     Axx = target.second_fundamental(q, X, X)
     Ayy = target.second_fundamental(q, Y, Y)
     Axy = target.second_fundamental(q, X, Y)
@@ -354,34 +349,29 @@ def _gauss_numerator(target, q, X, Y):
 
 
 def sectional_batch(target, q, X, Y):
-    """Sectional curvature of span(X, Y) at q, batched, no validity checks.
-
-    X, Y need not be orthonormal; degenerate pairs yield nan.
-    """
-    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
-    if target.constant_sec is not None:
-        return np.full(np.broadcast_shapes(X.shape[:-1], Y.shape[:-1]), target.constant_sec)
+    """Sectional curvature of span(X, Y) at q, batched over q, X and Y
+    together, no validity checks: the one value of `sec_range` where its
+    least and greatest agree, else the Gauss equation, for which X, Y
+    need not be orthonormal and degenerate pairs yield nan."""
+    q, X, Y = (np.asarray(v, dtype=float) for v in (q, X, Y))
+    least, greatest = target.sec_range(q)
+    if np.array_equal(least, greatest):
+        shape = np.broadcast_shapes(q.shape[:-1], X.shape[:-1], Y.shape[:-1])
+        return np.array(np.broadcast_to(greatest, shape))
     gram = dot(X, X) * dot(Y, Y) - dot(X, Y) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _gauss_numerator(target, q, X, Y) / gram
+        return gauss_numerator(target, q, X, Y) / gram
 
 
 def sectional_curvature(target, q, X, Y):
     """Sectional curvature of the 2-plane span(X, Y) at an on-target point."""
-    q = np.asarray(q, dtype=float)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    q, X, Y = (np.asarray(v, dtype=float) for v in (q, X, Y))
     res = float(target.constraint_residual(q))
     if not np.all(res <= ON_TARGET_TOL):
         raise ChartDomainError(f"base point off target (residual {res:.3e})")
-    gram = float(
-        np.dot(X, X) * np.dot(Y, Y) - np.dot(X, Y) ** 2
-    )
-    if gram < 1e-14:
+    if np.dot(X, X) * np.dot(Y, Y) - np.dot(X, Y) ** 2 < 1e-14:
         raise DegeneratePlaneError("vectors do not span a 2-plane")
-    if target.constant_sec is not None:
-        return float(target.constant_sec)
-    return float(_gauss_numerator(target, q, X, Y) / gram)
+    return float(sectional_batch(target, q, X, Y))
 
 
 def curvature_bounds(target, points):

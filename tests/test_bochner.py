@@ -75,6 +75,27 @@ class TestCurvatureTerms:
         for name in ("identity", "holomorphic:k=2"):
             assert compute_bochner(sphere_map(name), contraction=True).path_disagreement < 1e-8
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than double here")
+    def test_target_term_rounding_against_long_double(self):
+        # the same discrete term, sum_ij g^ii g^jj (<A_ii, A_jj> - |A_ij|^2)
+        # with the sphere's A(X, Y) = -<X, Y> q, from the same float64 J, q
+        # and g^-1, in long double
+        f = sphere_map("holomorphic:k=3", n1=128)
+        J = jacobian_field(f)
+        ginv = f.domain.inv_metric_diag_grid()
+        got = target_term_field(f.target, f.values, J, ginv)
+        q, J, ginv = (np.asarray(a, dtype=np.longdouble) for a in (f.values, J, ginv))
+        cols = (J[..., 0], J[..., 1])
+
+        def A(i, j):
+            return -np.sum(cols[i] * cols[j], axis=-1)[..., None] * q
+
+        want = sum(ginv[..., i] * ginv[..., j]
+                   * (np.sum(A(i, i) * A(j, j), axis=-1) - np.sum(A(i, j) ** 2, axis=-1))
+                   for i in range(2) for j in range(2))
+        assert np.max(np.abs(got - want)) <= 8e-16 * np.max(np.abs(want))
+
     def test_identity_map_Q_vanishes_to_grid_accuracy(self):
         # Ric term = target term for the identity (both equal 2/r^2 - ish)
         f = sphere_map("identity")

@@ -123,6 +123,27 @@ class TestVerify:
         got = [float(line.rsplit(",", 1)[1]) for line in csv.read_text().splitlines()[1:]]
         np.testing.assert_array_equal(got, slack.ravel())
 
+    def test_ellipsoid_path_check_reads_the_closed_form_curvature(self, tmp_path, monkeypatch):
+        # the eigenframe term takes the ellipsoid's Gauss curvature from
+        # sec_range and the contraction takes it from the Gauss equation,
+        # so a 1 % error in the closed form fails the path check
+        dom = parse_domain("sphere:r=1", 32)
+        TH, PH = dom.chart_grid()
+        u = np.stack([np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)], axis=-1)
+        path = tmp_path / "ellipsoid.map"
+        save_map(DiscreteMap(dom, Ellipsoid(a=1, b=1, c=2), u * [1.2, 0.9, 2.1]), path)
+
+        def path_agreement():
+            out = tmp_path / "v.json"
+            run_cli("verify", "--load", str(path), "--json", str(out))
+            return json.loads(out.read_text())["checks"]["path_agreement"]
+
+        assert path_agreement() is True
+        closed_form = Ellipsoid.sec_range
+        monkeypatch.setattr(Ellipsoid, "sec_range",
+                            lambda self, q: tuple(1.01 * K for K in closed_form(self, q)))
+        assert path_agreement() is False
+
     def test_map_and_load_conflict(self, tmp_path):
         rc = run_cli("verify", "--map", "identity", "--load", "nope.txt")
         assert rc == 2
@@ -297,6 +318,15 @@ class TestScan:
         assert doc["sweep"]["values"] == [0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
         assert len(doc["reports"]) == 7
         assert len(csv.read_text().splitlines()) == 8  # header + 7 rows
+
+    def test_reports_carry_hess_sup_once(self, tmp_path):
+        # each swept report carries hess_sup and no second copy of it
+        out = tmp_path / "scan.json"
+        assert run_cli("scan", "--map", "scaling", "--param", "r=0.5:2:0.5",
+                       "--resolution", "16", "--json", str(out)) == 0
+        reps = json.loads(out.read_text())["reports"]
+        assert len(reps) == 4
+        assert all("hess_sup" in r and "totally_geodesic_residual" not in r for r in reps)
 
     def test_malformed_param(self):
         assert run_cli("scan", "--param", "r=1:2", "--map", "scaling") == 2

@@ -18,6 +18,7 @@ from bochnerlab.targets import (
     FlatTorusEmb,
     ProductSpheres,
     Sphere,
+    gauss_numerator,
     sec_max_over_region,
     sectional_batch,
     sectional_curvature,
@@ -86,6 +87,18 @@ class TestEmbeddingBasics:
         tangential = np.einsum("bij,bj->bi", P, A_xy)
         assert np.max(np.abs(tangential)) < 1e-9
 
+    def test_sectional_batch_broadcasts_over_q_x_and_y(self, target):
+        # one (X, Y) pair at 5 points gives one value per point, and an
+        # axis of pairs against an axis of points gives the grid of both
+        q = on_target_points(target, 5)
+        X, Y = np.eye(target.m)[:2]
+        sec = sectional_batch(target, q, X, Y)
+        assert sec.shape == (5,)
+        for qi, si in zip(q, sec):
+            np.testing.assert_array_equal(sectional_batch(target, qi, X, Y), si)
+        XY = np.stack([X, X + Y, Y])
+        assert sectional_batch(target, q[:, None], XY, Y).shape == (5, 3)
+
 
 def unit_normals(target, q):
     """Orthonormal normal fields of the target at q, one (B, m) array each,
@@ -151,6 +164,7 @@ class TestSectionalOracles:
             B = tangent_basis(tgt, qi)
             sec = sectional_curvature(tgt, qi, B[:, 0], B[:, 1])
             assert sec == pytest.approx(0.25, abs=1e-8)
+            assert gauss_numerator(tgt, qi, B[:, 0], B[:, 1]) == pytest.approx(0.25, abs=1e-8)
 
     def test_flat_torus_curvature_vanishes(self):
         tgt = FlatTorusEmb(radii=(1.0, 0.7))
@@ -172,6 +186,8 @@ class TestSectionalOracles:
             B = tangent_basis(tgt, qi)
             sec = sectional_curvature(tgt, qi, B[:, 0], B[:, 1])
             assert sec == pytest.approx(Ki, rel=1e-9)
+            # the Gauss equation on the orthonormal pair, as verify contracts it
+            assert gauss_numerator(tgt, qi, B[:, 0], B[:, 1]) == pytest.approx(Ki, rel=1e-9)
 
     def test_gauss_path_agrees_with_projector_differences(self):
         # second fundamental form recomputed from finite differences of
@@ -183,6 +199,8 @@ class TestSectionalOracles:
                 s1 = sectional_curvature(tgt, qi, B[:, 0], B[:, 1])
                 s2 = gauss_sectional_fd(tgt, qi, B[:, 0], B[:, 1])
                 assert s1 == pytest.approx(s2, abs=1e-5)
+                s3 = gauss_numerator(tgt, qi, B[:, 0], B[:, 1])
+                assert s3 == pytest.approx(s2, abs=1e-5)
 
     def test_product_spheres_range(self):
         # sec on S^2(r1) x S^2(r2) lies in [0, 1/min(r1,r2)^2]; mixed
@@ -423,22 +441,28 @@ class TestRoundSphereFamily:
         np.testing.assert_array_equal(tgt.constraint_residual(x), np.max(res, axis=0))
 
     @pytest.mark.parametrize(
-        "tgt, least, greatest, constant",
+        "tgt, least, greatest",
         [
-            (Sphere(k=3, r=0.5), 4.0, 4.0, 4.0),
-            (FlatTorusEmb(radii=(1.3, 0.7, 2.1)), 0.0, 0.0, 0.0),
-            (ProductSpheres(r1=2.0, r2=0.5), 0.0, 4.0, None),
-            (ProductSpheres(r1=0.5, r2=0.5), 0.0, 4.0, None),
+            (Sphere(k=3, r=0.5), 4.0, 4.0),
+            (FlatTorusEmb(radii=(1.3, 0.7, 2.1)), 0.0, 0.0),
+            (ProductSpheres(r1=2.0, r2=0.5), 0.0, 4.0),
+            (ProductSpheres(r1=0.5, r2=0.5), 0.0, 4.0),
         ],
         ids=["sphere-k3", "torus-k3", "product", "product-equal-radii"],
     )
-    def test_curvature_values(self, tgt, least, greatest, constant):
+    def test_curvature_values(self, tgt, least, greatest):
         # 1/r^2 inside each factor of dimension >= 2; mixed planes are flat
         q = on_target_points(tgt, 3)
         lo, hi = tgt.sec_range(q)
         np.testing.assert_array_equal(lo, [least] * 3)
         np.testing.assert_array_equal(hi, [greatest] * 3)
-        assert tgt.constant_sec == constant
+        if least == greatest:
+            # one value: the curvature of every tangent plane
+            P = tgt.tangent_projector(q)
+            rng = np.random.default_rng(23)
+            X, Y = (np.einsum("bij,bj->bi", P, rng.standard_normal(q.shape))
+                    for _ in range(2))
+            np.testing.assert_array_equal(sectional_batch(tgt, q, X, Y), [least] * 3)
 
 
 class TestConstruction:

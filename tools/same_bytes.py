@@ -82,6 +82,10 @@ CONFIGS = (
     ("report-product-circles", ["report", "--load", "product.map", "--global-sample",
                                 "4096", "--seed", "1", "--json", "circles.json"],
      _product_map),
+    # the sphere's resolvent steps with a trace
+    ("flow-k2-trace", ["flow", "--init", "holomorphic:k=2", "--resolution", "32",
+                       "--steps", "40", "--trace", "h.csv", "--json", "h.json",
+                       "--save", "h.map"], None),
     # banded verifies: bands reading the antipodal ghost rows, the torus's
     # constant profiles, and several levels
     ("verify-k2-64", ["verify", "--map", "holomorphic:k=2", "--resolution", "64",
@@ -91,6 +95,9 @@ CONFIGS = (
      None),
     ("verify-k3-96", ["verify", "--map", "holomorphic:k=3", "--resolution", "96",
                       "--refine", "2", "--json", "k3.json", "--csv", "k3.csv"], None),
+    # a first-order pass alone, on a map off the equality case
+    ("report-k3-128", ["report", "--map", "holomorphic:k=3", "--resolution", "128",
+                       "--json", "k3-128.json"], None),
     ("report-k3-global", ["report", "--map", "holomorphic:k=3", "--resolution", "96",
                           "--global-sample", "512", "--seed", "3",
                           "--json", "k3-global.json"], None),
