@@ -6,33 +6,31 @@ The curvature quantity is
     Q = Ric^{ij} (f*gbar)_{ij}  -  g^{ia} g^{jb} <Rbar(d_i f, d_j f) d_b f, d_a f>,
 
 a frame-invariant contraction, whose target part on a diagonal chart
-metric is 2 g^uu g^vv times the Gauss numerator of (d_u f, d_v f).  The
-eigenframe evaluation (2 lam_1 lam_2 times the sectional curvature of
-the pullback singular directions, from the closed-form `sec_range` on
-every target but S^2 x S^2) is a second path that must agree with it.
-For a harmonic map the discrete residual (1/2) Lap |df|^2 - |H|^2 - Q
-decays at second order.
+metric is 2 g^uu g^vv times the Gauss numerator of (d_u f, d_v f), that
+is 2 Sec(image plane) lam_1 lam_2.  It must lie in the target's
+closed-form `sec_range` at the image point times 2 lam_1 lam_2, and the
+path check is its distance from that enclosure.  For a harmonic map the
+discrete residual (1/2) Lap |df|^2 - |H|^2 - Q decays at second order.
 
 `compute_bochner` runs one pass over the map, one row band at a time
 (`maps.assemble`), and its caller says which: the first-order pass
 (what a report reads) or the contraction pass (what `verify` reads).
 Per band the first-order pass takes L f on the band's continuation,
 one Hessian, one Jacobian J, one pullback metric P = J^T J and the
-eigenvalues of P against the domain metric, without eigenvectors.  It
+eigenvalues of P against the domain metric (no eigenvectors).  It
 keeps the spectrum (lam, S) and |H|^2 as node grids and reduces
 sup|tau| inside the band, so neither L f nor the tension is held.  The
-contraction pass also takes the eigenvectors, which only its eigenframe
-term reads, and contracts P and J into the Ricci and target terms
-(ricci_term_field, target_term_field), which it keeps; it reduces the
-path check |target - frame| inside the band, the eigenframe term
-(target_term_diagonal_field) never leaving it, and sums the energy
-density of its own J over the grid.  A second banded pass then takes
-(1/2) Lap |df|^2 of S, kept for the node CSV, and reduces sup|residual|.
-Q and the residual are never stored: they are derived from the kept
-grids a band or a CSV block at a time.  J, P, the eigenvectors and
-each band's continued values never exceed a band, and the domain
-coefficients are row profiles.  `integral_identity_residual` applies
-the contractions to its own accuracy-6 Jacobian, also a band at a time.
+contraction pass also contracts P and J into the Ricci and target
+terms (ricci_term_field, target_term_field), which it keeps; it
+reduces the path check against the curvature enclosure inside the
+band, and sums the energy density of its own J over the grid.  A
+second banded pass then takes (1/2) Lap |df|^2 of S, kept for the node
+CSV, and reduces sup|residual|.  Q and the residual are never stored:
+they are derived from the kept grids a band or a CSV block at a time.
+J, P and each band's continued values never exceed a band, and the
+domain coefficients are row profiles.  `integral_identity_residual`
+applies the contractions to its own accuracy-6 Jacobian, also a band
+at a time.
 """
 
 from __future__ import annotations
@@ -50,10 +48,8 @@ from .maps import (
     pullback_field,
     spectrum,
 )
-from .numerics import gen_eigh, gen_eigvalsh, norm, read_only
-from .targets import gauss_numerator, sectional_batch
-
-DEGENERATE_PAIR_TOL = 1e-14
+from .numerics import gen_eigvalsh, norm, read_only
+from .targets import gauss_numerator
 
 
 def ricci_term_field(P, ginv, ric):
@@ -80,20 +76,16 @@ def target_term_field(target, q, J, ginv):
     return 2.0 * ginv[..., 0] * ginv[..., 1] * gauss_numerator(target, q, J[..., 0], J[..., 1])
 
 
-def target_term_diagonal_field(target, q, J, lam, vecs):
-    """Eigenframe evaluation: 2 Sec(u_1, u_2) lam_1 lam_2 at the image points q.
+def enclosure_gap(term, sec_range, lam):
+    """How far the target term lies outside [least w, greatest w] at every
+    node, w = 2 lam_1 lam_2 from the raw ascending eigenvalue pair lam and
+    (least, greatest) the target's `sec_range` at the image points.
 
-    lam and vecs are the ascending eigenvalue pair and g-orthonormal
-    eigenvectors of the pullback metric, u_a = J vecs_a.  Where
-    lam_1 lam_2 is below the degeneracy cutoff the term is 0 (its
-    weight vanishes).  Cross-check path for target_term_field.
+    Where the two are one value K this is |term - 2 K lam_1 lam_2|.
     """
-    w = lam[..., 0] * lam[..., 1]
-    ua, ub = (J[..., 0] * vecs[..., 0, a, None] + J[..., 1] * vecs[..., 1, a, None]
-              for a in range(2))
-    sec = sectional_batch(target, q, ua, ub)
-    sec = np.nan_to_num(sec, nan=0.0, posinf=0.0, neginf=0.0)
-    return np.where(w > DEGENERATE_PAIR_TOL, 2.0 * sec * w, 0.0)
+    least, greatest = sec_range
+    w = 2.0 * lam[..., 0] * lam[..., 1]
+    return np.maximum(np.maximum(least * w - term, term - greatest * w), 0.0)
 
 
 def _at(grid, nodes):
@@ -165,15 +157,13 @@ def compute_bochner(f, *, contraction):
         fields = {"hess": hessian_field(f, band=band)}
         J = jacobian_field(f, band=band)
         P = pullback_field(J)
-        # ascending; the g-orthonormal eigenvectors only for the eigenframe term
-        gd = dom.metric_diag_grid()[rows]
-        lam, vecs = gen_eigh(P, gd) if contraction else (gen_eigvalsh(P, gd), None)
+        lam = gen_eigvalsh(P, dom.metric_diag_grid()[rows])  # ascending
         fields.update(zip(("lam", "S"), spectrum(lam)))
         if contraction:
             ginv = dom.inv_metric_diag_grid()[rows]
             target = target_term_field(tgt, q, J, ginv)
-            frame = target_term_diagonal_field(tgt, q, J, lam, vecs)
-            sups["path_disagreement"].append(_band_max(np.abs(target - frame), keep[rows]))
+            gap = enclosure_gap(target, tgt.sec_range(q), lam)
+            sups["path_disagreement"].append(_band_max(gap, keep[rows]))
             fields.update(ricci=ricci_term_field(P, ginv, dom.ricci_grid()[rows]),
                           target=target, e=energy_density_field(J, ginv))
         return fields

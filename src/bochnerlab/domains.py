@@ -364,7 +364,7 @@ def ricci_min(domain):
     """Minimum over the grid nodes of the least eigenvalue of g^{-1} Ric.
 
     Metric and Ricci tensor are diagonal, so the eigenvalues at a node
-    are (d_i Ric_ii) d_i with d = g_ii^{-1/2}, associated as `gen_eigh`
+    are (d_i Ric_ii) d_i with d = g_ii^{-1/2}, associated as `gen_eigvalsh`
     scales its matrix; no eigensolve is needed.  They depend on the row
     alone.  Returns (value, witness chart point), the witness the first
     node in C order that attains the minimum.

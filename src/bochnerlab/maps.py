@@ -370,8 +370,11 @@ def pullback_field(J):
     E, F and G are the dot products of the two Jacobian columns.
     """
     Ju, Jv = J[..., 0], J[..., 1]
-    E, F, G = dot(Ju, Ju), dot(Ju, Jv), dot(Jv, Jv)
-    return np.stack([np.stack([E, F], axis=-1), np.stack([F, G], axis=-1)], axis=-2)
+    P = np.empty(J.shape[:-2] + (2, 2))
+    P[..., 0, 0] = dot(Ju, Ju)
+    P[..., 0, 1] = P[..., 1, 0] = dot(Ju, Jv)
+    P[..., 1, 1] = dot(Jv, Jv)
+    return P
 
 
 def energy_density_field(J, ginv):

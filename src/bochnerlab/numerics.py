@@ -1,6 +1,6 @@
 """Small shared numerical helpers: sums, dot products and norms over a
-short last axis, the batched 2x2 generalized eigensolve against a
-diagonal metric (or its eigenvalues alone), Fejer quadrature weights,
+short last axis, the eigenvalues of the batched 2x2 generalized
+eigenproblem against a diagonal metric, Fejer quadrature weights,
 17-significant-digit float formatting for byte-stable output files,
 exact descriptor parameters and read-only cached arrays.
 """
@@ -40,12 +40,24 @@ def norm(X):
     return np.sqrt(dot(X, X))
 
 
-def _rotation(P, gd):
-    """gen_eigh's d, its rotation's tangent t and (a - t b, c + t b), unordered."""
+def gen_eigvalsh(P, gd):
+    """Eigenvalues of P v = lam g v (batched) for a diagonal 2x2 metric g = diag(gd).
+
+    P is (..., 2, 2) symmetric and gd the metric diagonal (..., 2),
+    positive.  With d = gd^{-1/2} the problem is the symmetric one for
+    A_ij = d_i P_ij d_j = [[a, b], [b, c]], which one Jacobi rotation
+    diagonalizes (Golub & Van Loan, Matrix Computations, Alg. 8.5.2):
+    t = sign(tau) / (|tau| + hypot(1, tau)), tau = (c - a) / (2b), is
+    the tangent of its angle, and the eigenvalues are a - t b and
+    c + t b.  A diagonal A (b = 0, t = 0) gives back a and c exactly.
+    Returns the eigenvalues ascending along the last axis: those of
+    g^{-1} P, i.e. the squared singular values when P is a pullback
+    metric.
+    """
     P = np.asarray(P, dtype=float)
     gd = np.asarray(gd, dtype=float)
     if P.shape[-2:] != (2, 2):
-        raise UsageError("gen_eigh solves the 2x2 problem of a 2-D chart")
+        raise UsageError("gen_eigvalsh solves the 2x2 problem of a 2-D chart")
     if not np.all(gd > 0):
         raise NumericalError("metric not positive definite")
     d = 1.0 / np.sqrt(gd)
@@ -59,40 +71,8 @@ def _rotation(P, gd):
         tau = 0.5 * (c - a) / b
         t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
     t = np.where(b == 0.0, 0.0, t)
-    return d, t, a - t * b, c + t * b
-
-
-def gen_eigvalsh(P, gd):
-    """The ascending eigenvalues of `gen_eigh` alone, from the same rotation."""
-    _, _, lo, hi = _rotation(P, gd)
+    lo, hi = a - t * b, c + t * b
     return np.stack([np.minimum(lo, hi), np.maximum(lo, hi)], axis=-1)
-
-
-def gen_eigh(P, gd):
-    """Solve P v = lam g v (batched) for a diagonal 2x2 metric g = diag(gd).
-
-    P is (..., 2, 2) symmetric and gd the metric diagonal (..., 2),
-    positive.  With d = gd^{-1/2} the problem is the symmetric one for
-    A_ij = d_i P_ij d_j = [[a, b], [b, c]], which one Jacobi rotation
-    diagonalizes (Golub & Van Loan, Matrix Computations, Alg. 8.5.2):
-    t = sign(tau) / (|tau| + hypot(1, tau)), tau = (c - a) / (2b), is
-    the tangent of its angle, and the eigenvalues are a - t b and
-    c + t b.  A diagonal A (b = 0, t = 0) gives back a and c exactly.
-    Returns (lam, vecs) with eigenvalues ascending along the last axis
-    and eigenvector columns g-orthonormal, v = d W for the rotation's
-    columns W.  lam are the eigenvalues of g^{-1} P, i.e. the squared
-    singular values when P is a pullback metric.  Of the Bochner passes
-    only the contraction pass reads vecs; the first-order pass takes
-    `gen_eigvalsh`.
-    """
-    d, t, lo, hi = _rotation(P, gd)
-    cs = 1.0 / np.sqrt(1.0 + t * t)
-    sn = t * cs
-    lam = np.stack([np.minimum(lo, hi), np.maximum(lo, hi)], axis=-1)
-    # the rotation's columns (cs, -sn) and (sn, cs), one per eigenvalue
-    W = np.stack([np.stack([cs, sn], axis=-1), np.stack([-sn, cs], axis=-1)], axis=-2)
-    W = np.where((lo > hi)[..., None, None], W[..., ::-1], W)
-    return lam, d[..., :, None] * W
 
 
 def fejer1_weights(n):

@@ -16,10 +16,11 @@ Each target also gives in closed form the least and greatest
 eigenvalue of its curvature operator on the 2-vectors of T_q
 (`sec_range`); every eigenvector is decomposable for these kinds, so
 the two are the least and greatest sectional curvature at q.  On every
-kind but S^2(r1) x S^2(r2) they agree, and `sectional_batch` reads
-their one value as the curvature of every plane.  The region
-extremizer takes their extremes over a point set, so it is
-deterministic and monotone under set inclusion.
+kind but S^2(r1) x S^2(r2) they agree, and `sectional_curvature` reads
+their one value as the curvature of every plane.  The Bochner
+contraction pass checks its Gauss contraction against them at every
+image node.  The region extremizer takes their extremes over a point
+set, so it is deterministic and monotone under set inclusion.
 """
 
 from __future__ import annotations
@@ -348,30 +349,20 @@ def gauss_numerator(target, q, X, Y):
     return dot(Axx, Ayy) - dot(Axy, Axy)
 
 
-def sectional_batch(target, q, X, Y):
-    """Sectional curvature of span(X, Y) at q, batched over q, X and Y
-    together, no validity checks: the one value of `sec_range` where its
-    least and greatest agree, else the Gauss equation, for which X, Y
-    need not be orthonormal and degenerate pairs yield nan."""
-    q, X, Y = (np.asarray(v, dtype=float) for v in (q, X, Y))
-    least, greatest = target.sec_range(q)
-    if np.array_equal(least, greatest):
-        shape = np.broadcast_shapes(q.shape[:-1], X.shape[:-1], Y.shape[:-1])
-        return np.array(np.broadcast_to(greatest, shape))
-    gram = dot(X, X) * dot(Y, Y) - dot(X, Y) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return gauss_numerator(target, q, X, Y) / gram
-
-
 def sectional_curvature(target, q, X, Y):
-    """Sectional curvature of the 2-plane span(X, Y) at an on-target point."""
+    """Sectional curvature of the 2-plane span(X, Y) at an on-target point:
+    the one value of `sec_range` where its least and greatest agree, else
+    the Gauss equation, for which X, Y need not be orthonormal."""
     q, X, Y = (np.asarray(v, dtype=float) for v in (q, X, Y))
     res = float(target.constraint_residual(q))
     if not np.all(res <= ON_TARGET_TOL):
         raise ChartDomainError(f"base point off target (residual {res:.3e})")
-    if np.dot(X, X) * np.dot(Y, Y) - np.dot(X, Y) ** 2 < 1e-14:
+    norms = dot(X, X) * dot(Y, Y)
+    gram = norms - dot(X, Y) ** 2
+    if not gram > 1e-14 * norms:  # relative: scaling X or Y moves nothing
         raise DegeneratePlaneError("vectors do not span a 2-plane")
-    return float(sectional_batch(target, q, X, Y))
+    least, greatest = target.sec_range(q)
+    return float(greatest if least == greatest else gauss_numerator(target, q, X, Y) / gram)
 
 
 def curvature_bounds(target, points):

@@ -1,10 +1,12 @@
 """Curvature from the embedding alone, the oracle for the targets' closed
-forms: a tangent frame, the curvature operator on 2-vectors, and a
-Gauss-equation value from finite differences of the projector."""
+forms: a tangent frame, the curvature operator on 2-vectors, a
+Gauss-equation value from finite differences of the projector, and the
+Gauss quotient of many planes at once."""
 
 import numpy as np
 
 from bochnerlab.errors import DegeneratePlaneError
+from bochnerlab.targets import gauss_numerator
 
 
 def gauss_sectional_fd(target, q, X, Y, eps=1e-5):
@@ -29,6 +31,19 @@ def gauss_sectional_fd(target, q, X, Y, eps=1e-5):
     if gram < 1e-14:
         raise DegeneratePlaneError("vectors do not span a 2-plane")
     return num / gram
+
+
+def sectional_batch(target, q, X, Y):
+    """Sectional curvature of span(X, Y) at q from the Gauss equation with
+    the analytic A, batched over q, X and Y together, no validity checks:
+    X, Y need not be orthonormal, and a degenerate pair reads as a
+    non-finite value."""
+    q, X, Y = (np.asarray(v, dtype=float) for v in (q, X, Y))
+    gram = np.sum(X * X, axis=-1) * np.sum(Y * Y, axis=-1) - np.sum(X * Y, axis=-1) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sec = gauss_numerator(target, q, X, Y) / gram
+    # flat R^m's A = 0 does not broadcast against q
+    return np.broadcast_to(sec, np.broadcast_shapes(q.shape[:-1], sec.shape)).copy()
 
 
 def tangent_basis(target, q):

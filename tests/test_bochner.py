@@ -6,17 +6,18 @@ import pytest
 
 from bochnerlab.bochner import (
     compute_bochner,
+    enclosure_gap,
     integral_identity_residual,
     lambda_chain_check,
     pinching_slack,
     ricci_term_field,
-    target_term_diagonal_field,
     target_term_field,
 )
 from bochnerlab.domains import FlatTorus2, RoundSphere2
 from bochnerlab.errors import UsageError
 from bochnerlab.flow import FlowParams, run_flow
 from bochnerlab.maps import (
+    DiscreteMap,
     catalog_map,
     constant_map,
     hessian_field,
@@ -26,7 +27,7 @@ from bochnerlab.maps import (
     spectrum,
     total_energy,
 )
-from bochnerlab.numerics import gen_eigh
+from bochnerlab.numerics import gen_eigvalsh
 from bochnerlab.rigidity import build_report
 from bochnerlab.targets import (
     Ellipsoid,
@@ -71,7 +72,7 @@ class TestCurvatureTerms:
             )
 
     def test_path_agreement_on_analytic_maps(self):
-        # invariant contraction vs eigenframe sum over kept nodes
+        # invariant contraction vs its curvature enclosure over kept nodes
         for name in ("identity", "holomorphic:k=2"):
             assert compute_bochner(sphere_map(name), contraction=True).path_disagreement < 1e-8
 
@@ -103,6 +104,42 @@ class TestCurvatureTerms:
         data = compute_bochner(f, contraction=True)
         h = max(f.domain.spacing)
         assert np.max(np.abs(data.Q())[keep]) < 10 * h * h
+
+
+def product_map(second, n1=32):
+    """S^2 -> S^2(1) x S^2(2), x -> (x, second(x)), at n1 x 2 n1."""
+    dom = RoundSphere2(r=1.0, n1=n1, n2=2 * n1)
+    TH, PH = dom.chart_grid()
+    x = np.stack([np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)], axis=-1)
+    return DiscreteMap(dom, ProductSpheres(r1=1.0, r2=2.0),
+                       np.concatenate([x, np.broadcast_to(second(x), x.shape)], axis=-1))
+
+
+class TestPathCheck:
+    """The target term is 2 Sec(image plane) lam_1 lam_2, so the path check
+    holds it against sec_range(q) times 2 lam_1 lam_2."""
+
+    SECOND = {
+        "factor": lambda x: np.array([0.0, 0.0, 2.0]),  # planes in the first factor
+        "diagonal": lambda x: 2.0 * x,  # planes mixing the factors, Sec = 1/5
+        "reversed": lambda x: 2.0 * x * [1.0, 1.0, -1.0],  # orientation reversed
+    }
+
+    @pytest.mark.parametrize("name", SECOND)
+    def test_product_maps_lie_in_the_enclosure(self, name):
+        data = compute_bochner(product_map(self.SECOND[name]), contraction=True)
+        assert np.max(np.abs(data.target)) > 1.0
+        assert data.path_disagreement <= 1e-13
+
+    def test_a_wrong_curvature_range_is_caught(self, monkeypatch):
+        from bochnerlab.cli import PATH_AGREEMENT_TOL
+
+        # halve the first factor's curvature: its planes have Sec = 1,
+        # above the greatest value the target would then claim
+        halved = property(lambda self: {0.5, 0.25, 0.0})
+        monkeypatch.setattr(ProductSpheres, "_sec_values", halved)
+        data = compute_bochner(product_map(self.SECOND["factor"]), contraction=True)
+        assert data.path_disagreement > PATH_AGREEMENT_TOL
 
 
 class TestResidual:
@@ -193,24 +230,21 @@ FIELDS = ("lam", "S", "hess", "sup_tension",
           "ricci", "target", "lap", "path_disagreement", "sup_residual", "energy")
 FIRST_ORDER = FIELDS[:4]
 KEPT = {False: {"lam", "S", "hess"}, True: {"lam", "S", "hess", "ricci", "target", "lap"}}
-CONTRACTIONS = ("ricci_term_field", "target_term_field", "target_term_diagonal_field",
-                "sectional_batch")
+CONTRACTIONS = ("ricci_term_field", "target_term_field", "enclosure_gap")
 
 
 class TestPasses:
-    PASS = ("jacobian_field", "pullback_field", "hessian_field")
-    # the eigenvectors are solved for only where the eigenframe term reads them
-    EIGEN = ("gen_eigvalsh", "gen_eigh")
+    # both passes take the eigenvalues alone
+    PASS = ("jacobian_field", "pullback_field", "hessian_field", "gen_eigvalsh")
 
     @pytest.mark.parametrize("contraction", [False, True])
     def test_one_pass_fills_every_field(self, contraction, count_calls):
         from bochnerlab import bochner
 
-        counts = count_calls(bochner, self.PASS + self.EIGEN + CONTRACTIONS)
+        counts = count_calls(bochner, self.PASS + CONTRACTIONS)
         # 32 x 64 nodes are one band
         data = compute_bochner(sphere_map("holomorphic:k=2", n1=32), contraction=contraction)
         assert counts == {**dict.fromkeys(self.PASS, 1),
-                          self.EIGEN[contraction]: 1, self.EIGEN[not contraction]: 0,
                           **dict.fromkeys(CONTRACTIONS, int(contraction))}
         for name in FIELDS:
             filled = contraction or name in FIRST_ORDER
@@ -223,11 +257,10 @@ class TestPasses:
         keep = ~dom.flagged_mask()
         J = jacobian_field(f)
         P = pullback_field(J)
-        lam, vecs = gen_eigh(P, dom.metric_diag_grid())
+        lam = gen_eigvalsh(P, dom.metric_diag_grid())
         lam_desc, S = spectrum(lam)
         ginv = dom.inv_metric_diag_grid()
         target = target_term_field(tgt, q, J, ginv)
-        frame = target_term_diagonal_field(tgt, q, J, lam, vecs)
         for got, want in (
             (data.ricci, ricci_term_field(P, ginv, dom.ricci_grid())),
             (data.target, target), (data.hess, hessian_field(f)),
@@ -237,6 +270,10 @@ class TestPasses:
         ):
             np.testing.assert_array_equal(got, want)
         # the reductions the pass takes band by band, and its energy
+        gap = enclosure_gap(target, tgt.sec_range(q), lam)
+        assert data.path_disagreement == np.max(gap[keep])
+        # on the unit sphere the enclosure is the one value 2 lam_1 lam_2
+        frame = 2.0 * lam[..., 0] * lam[..., 1]
         assert data.path_disagreement == np.max(np.abs(target - frame)[keep])
         assert data.sup_residual == np.max(np.abs(data.residual())[keep])
         assert data.sup_tension == np.max(np.linalg.norm(f.tension, axis=-1)[keep])

@@ -61,7 +61,7 @@ class TestVerify:
     @pytest.mark.parametrize("source", ["circles", "holomorphic"])
     def test_node_csv_round_trips_the_bochner_fields(self, tmp_path, source):
         # circles: S^1 x S^1 into S^2(1) x S^2(2), whose curvature is not
-        # constant, so the eigenframe term runs through sectional_batch;
+        # one value, so the path check reads both ends of sec_range;
         # holomorphic: S^2 -> S^2, where the Ricci, target and Q columns
         # all differ
         path, csv = tmp_path / "in.map", tmp_path / "nodes.csv"
@@ -124,7 +124,7 @@ class TestVerify:
         np.testing.assert_array_equal(got, slack.ravel())
 
     def test_ellipsoid_path_check_reads_the_closed_form_curvature(self, tmp_path, monkeypatch):
-        # the eigenframe term takes the ellipsoid's Gauss curvature from
+        # the enclosure takes the ellipsoid's Gauss curvature from
         # sec_range and the contraction takes it from the Gauss equation,
         # so a 1 % error in the closed form fails the path check
         dom = parse_domain("sphere:r=1", 32)

@@ -8,7 +8,7 @@ from bochnerlab.catalog import parse_domain
 from bochnerlab.domains import MAX_NODES, FlatTorus2, RoundSphere2, ricci_min
 from bochnerlab.errors import ChartDomainError, UsageError
 from bochnerlab.maps import laplace_beltrami
-from bochnerlab.numerics import fejer1_weights, gen_eigh
+from bochnerlab.numerics import fejer1_weights, gen_eigvalsh
 
 
 def interior_points(domain, count, seed=0):
@@ -276,7 +276,7 @@ class TestRicciMin:
         ric_d = np.broadcast_to(domain.ricci_grid(), nodes).reshape(-1, 2)
         ric = np.zeros(gd.shape + (2,))
         ric[:, (0, 1), (0, 1)] = ric_d
-        lam = gen_eigh(ric, gd)[0][..., 0]
+        lam = gen_eigvalsh(ric, gd)[..., 0]
         k = int(np.argmin(lam))
         U, V = domain.chart_grid()
         value, witness = ricci_min(domain)
@@ -287,8 +287,8 @@ class TestRicciMin:
         from bochnerlab import domains, numerics
 
         def refused(*args):
-            raise AssertionError("gen_eigh called")
+            raise AssertionError("gen_eigvalsh called")
 
-        monkeypatch.setattr(numerics, "gen_eigh", refused)
-        monkeypatch.setattr(domains, "gen_eigh", refused, raising=False)
+        monkeypatch.setattr(numerics, "gen_eigvalsh", refused)
+        monkeypatch.setattr(domains, "gen_eigvalsh", refused, raising=False)
         assert ricci_min(RoundSphere2(r=2.0, n1=16, n2=32))[0] > 0.0

@@ -87,38 +87,23 @@ class TestPassCounts:
     def test_report_reads_the_spectrum_only(self, count_calls):
         from bochnerlab import bochner
 
-        kernels = ("ricci_term_field", "target_term_field",
-                   "target_term_diagonal_field", "gen_eigh")
+        kernels = ("ricci_term_field", "target_term_field", "enclosure_gap")
         one_pass = ("jacobian_field", "pullback_field", "gen_eigvalsh")
         counts = count_calls(bochner, kernels + one_pass)
         rep = build_report(sphere_map("holomorphic:k=2"))
         assert not rep.is_constant
         assert counts == {**dict.fromkeys(kernels, 0), **dict.fromkeys(one_pass, 1)}
 
-    @pytest.mark.parametrize("name", ["holomorphic:k=2", "identity"])
-    def test_report_builds_no_eigenvectors(self, name, monkeypatch):
-        from bochnerlab import bochner, numerics
-
-        def refused(*args, **kwargs):
-            raise AssertionError("eigenvectors solved for")
-
-        # the eigenvector path: gen_eigh, wherever it is bound
-        for module in (bochner, numerics):
-            monkeypatch.setattr(module, "gen_eigh", refused)
-        rep = build_report(sphere_map(name))
-        assert rep.bochner.lam.shape == (48, 96, 2)
-        assert rep.classification in ("equality", "violated")
-
     def test_equality_diagnostics_reuse_the_reports_pass(self, count_calls):
         from bochnerlab import bochner, numerics
 
         f = sphere_map("scaling", r=2.0)
         rep = build_report(f)
-        # the Bochner pass is the package's one caller of gen_eigh
+        # the Bochner pass is the package's one caller of gen_eigvalsh
         modules = (bochner, numerics)
-        counts = [count_calls(module, ("gen_eigh",)) for module in modules]
+        counts = [count_calls(module, ("gen_eigvalsh",)) for module in modules]
         assert equality_diagnostics(f, rep).ok
-        assert [c["gen_eigh"] for c in counts] == [0, 0]
+        assert [c["gen_eigvalsh"] for c in counts] == [0, 0]
 
     def test_report_bochner_data_is_not_output(self):
         rep = build_report(sphere_map("identity"))

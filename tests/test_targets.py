@@ -4,7 +4,12 @@ against the curvature operator, and the region extremizer."""
 
 import numpy as np
 import pytest
-from curvature_oracle import curvature_operator, gauss_sectional_fd, tangent_basis
+from curvature_oracle import (
+    curvature_operator,
+    gauss_sectional_fd,
+    sectional_batch,
+    tangent_basis,
+)
 
 from bochnerlab.errors import (
     ChartDomainError,
@@ -20,7 +25,6 @@ from bochnerlab.targets import (
     Sphere,
     gauss_numerator,
     sec_max_over_region,
-    sectional_batch,
     sectional_curvature,
 )
 
@@ -98,6 +102,23 @@ class TestEmbeddingBasics:
             np.testing.assert_array_equal(sectional_batch(target, qi, X, Y), si)
         XY = np.stack([X, X + Y, Y])
         assert sectional_batch(target, q[:, None], XY, Y).shape == (5, 3)
+        # on tangent pairs the library's value, a point at a time
+        V = np.random.default_rng(3).standard_normal((2,) + q.shape)
+        X, Y = target.tangent_part(q, V)
+        for qi, Xi, Yi, si in zip(q, X, Y, sectional_batch(target, q, X, Y)):
+            sec = sectional_curvature(target, qi, Xi, Yi)
+            assert sec == pytest.approx(si, rel=1e-9, abs=1e-12)
+
+    def test_sectional_curvature_is_scale_invariant(self, target):
+        # the degeneracy test is relative to |X|^2 |Y|^2, so a plane keeps
+        # its value however small or large its spanning vectors
+        q = on_target_points(target, 1)[0]
+        X, Y = target.tangent_part(q, np.random.default_rng(4).standard_normal((2, target.m)))
+        sec = sectional_curvature(target, q, X, Y)
+        for s in (1e-6, 1e6):
+            for Xs, Ys in ((s * X, Y), (X, s * Y), (s * X, s * Y)):
+                scaled = sectional_curvature(target, q, Xs, Ys)
+                assert scaled == pytest.approx(sec, rel=1e-12, abs=1e-15)
 
 
 def unit_normals(target, q):
@@ -247,8 +268,17 @@ class TestSectionalOracles:
         tgt = Sphere(k=2, r=1.0)
         q = np.array([0.0, 0.0, 1.0])
         X = np.array([1.0, 0.0, 0.0])
+        for s in (1.0, 1e-4, 1e4):
+            with pytest.raises(DegeneratePlaneError):
+                sectional_curvature(tgt, q, s * X, 2.0 * s * X)
         with pytest.raises(DegeneratePlaneError):
-            sectional_curvature(tgt, q, X, 2.0 * X)
+            sectional_curvature(tgt, q, X, 0.0 * X)
+
+    def test_short_vectors_span_a_plane(self):
+        # |X|^2 |Y|^2 - <X, Y>^2 = 1e-16 here, below any absolute threshold
+        q = np.array([0.0, 0.0, 1.0])
+        X, Y = 1e-4 * np.eye(3)[:2]
+        assert sectional_curvature(Sphere(), q, X, Y) == 1.0
 
     def test_off_target_point_rejected(self):
         tgt = Sphere(k=2, r=1.0)
@@ -344,7 +374,7 @@ class TestCurvatureOperator:
         for _ in range(50):
             X = np.einsum("bij,bj->bi", P, rng.standard_normal(q.shape))
             Y = np.einsum("bij,bj->bi", P, rng.standard_normal(q.shape))
-            # sectional_batch takes non-orthonormal pairs; a degenerate one
+            # the oracle takes non-orthonormal pairs; a degenerate one
             # reads as a non-finite value.  Its Gauss numerator cancels to
             # the Gram determinant, so rounding grows as 1 / sin^2 of the
             # angle between X and Y
@@ -462,7 +492,8 @@ class TestRoundSphereFamily:
             rng = np.random.default_rng(23)
             X, Y = (np.einsum("bij,bj->bi", P, rng.standard_normal(q.shape))
                     for _ in range(2))
-            np.testing.assert_array_equal(sectional_batch(tgt, q, X, Y), [least] * 3)
+            secs = [sectional_curvature(tgt, *point) for point in zip(q, X, Y)]
+            np.testing.assert_array_equal(secs, [least] * 3)
 
 
 class TestConstruction:

@@ -43,22 +43,36 @@ def _product_map(run_dir):
     write_product_map(os.path.join(run_dir, "product.map"), 1)
 
 
-def _ellipsoid_map(run_dir):
-    """A nonconstant map of S^2 at 32 x 64 into ellipsoid:a=1,b=1,c=2, off
-    the surface as written: the unit directions u scaled by (1.2, 0.9, 2.1),
-    which the map constructor reprojects by the ellipsoid's Newton iteration."""
-    n1, n2 = 32, 64
-    with open(os.path.join(run_dir, "ellipsoid.map"), "w") as fh:
-        fh.write(f"bochnerlab-map 1\ndomain sphere:r=1\ntarget ellipsoid:a=1,b=1,c=2\n"
-                 f"grid {n1} {n2} 3\n")
+def _sphere_map(path, target, image, n1=32):
+    """Write a map of S^2 at n1 x 2 n1 into the target descriptor `target`,
+    each node's unit direction u sent to the coordinates image(u)."""
+    n2 = 2 * n1
+    with open(path, "w") as fh:
+        fh.write(f"bochnerlab-map 1\ndomain sphere:r=1\ntarget {target}\n"
+                 f"grid {n1} {n2} {len(image((0.0, 0.0, 1.0)))}\n")
         for i in range(n1):
             theta = (i + 0.5) * math.pi / n1
             for j in range(n2):
                 phi = j * 2.0 * math.pi / n2
                 u = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
                      math.cos(theta))
-                fh.write(" ".join(format(c * x, ".17g") for c, x in zip((1.2, 0.9, 2.1), u))
-                         + "\n")
+                fh.write(" ".join(format(x, ".17g") for x in image(u)) + "\n")
+
+
+def _ellipsoid_map(run_dir):
+    """A nonconstant map of S^2 at 32 x 64 into ellipsoid:a=1,b=1,c=2, off
+    the surface as written: the unit directions u scaled by (1.2, 0.9, 2.1),
+    which the map constructor reprojects by the ellipsoid's Newton iteration."""
+    _sphere_map(os.path.join(run_dir, "ellipsoid.map"), "ellipsoid:a=1,b=1,c=2",
+                lambda u: [c * x for c, x in zip((1.2, 0.9, 2.1), u)])
+
+
+def _diagonal_map(run_dir):
+    """u -> (u, 2u) from S^2 at 32 x 64 into S^2(1) x S^2(2): its image
+    planes mix the factors (curvature 1/5), so the path check meets both
+    ends of the target's curvature range."""
+    _sphere_map(os.path.join(run_dir, "diagonal.map"), PRODUCT,
+                lambda u: list(u) + [2.0 * x for x in u])
 
 
 # (name, CLI arguments, preparation run in the run directory first or
@@ -123,6 +137,9 @@ CONFIGS = (
     ("verify-ellipsoid", ["verify", "--load", "ellipsoid.map", "--json", "ve.json",
                           "--csv", "ve.csv"], _ellipsoid_map),
     ("report-ellipsoid", ["report", "--load", "ellipsoid.map", "--json", "re.json"], None),
+    # the path check on a target whose curvature is not one value
+    ("verify-product-diagonal", ["verify", "--load", "diagonal.map", "--json", "vd.json",
+                                 "--csv", "vd.csv"], _diagonal_map),
     # the parameter scans
     ("scan-scaling", ["scan", "--map", "scaling", "--param", "r=0.5:2:0.5",
                       "--resolution", "16", "--csv", "scan.csv", "--json", "scan.json"],
