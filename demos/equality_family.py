@@ -12,7 +12,7 @@ image, here all of S^2(r)).
 """
 
 from bochnerlab import RoundSphere2, Sphere, catalog_map
-from bochnerlab.rigidity import build_report, equality_diagnostics
+from bochnerlab.rigidity import build_report
 
 
 def main():
@@ -22,7 +22,7 @@ def main():
     for r in (0.5, 0.75, 1.0, 1.5, 2.0):
         f = catalog_map("scaling", dom, Sphere(k=2, r=r))
         rep = build_report(f)
-        diag = equality_diagnostics(f, rep)
+        diag = rep.equality
         print(f"{r:5.2f} {rep.margin:11.3e} {rep.tol:10.3e} "
               f"{rep.classification:>9s} {rep.homothety_factor:8.4f} "
               f"{rep.lambda_spread:10.2e} {rep.hess_sup:10.2e} "

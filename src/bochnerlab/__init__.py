@@ -38,12 +38,7 @@ from .maps import (
     save_map,
     total_energy,
 )
-from .rigidity import (
-    PinchingReport,
-    build_report,
-    equality_diagnostics,
-    theorem_consistency_scan,
-)
+from .rigidity import PinchingReport, build_report, theorem_consistency_scan
 from .targets import (
     Ellipsoid,
     Euclidean,

@@ -7,7 +7,8 @@ JSON), scan (parameter sweep, one report per CSV row), consistency
 
 Exit codes: 0 all enabled assertions pass, 1 assertion failure,
 2 usage error (an unreadable input path or an unwritable output path
-included), 3 numerical error.  All floats are written with 17
+included), 3 numerical error (a NaN or infinite number in the result
+included).  All floats are written with 17
 significant digits so identical configs and seeds reproduce identical
 bytes.  To cap the BLAS/OpenMP worker threads, set OMP_NUM_THREADS and
 OPENBLAS_NUM_THREADS before Python starts: the pools are sized when
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -27,12 +29,11 @@ from .catalog import build_target, parse_descriptor, parse_domain, parse_target
 from .domains import ricci_min
 from .errors import ChartDomainError, NumericalError, UsageError
 from .flow import DT_MAX, ENERGY_SLACK, IMPLICIT_DT, FlowParams, run_flow
-from .io_utils import ColumnRows, dump_json, json_dumps, write_csv
+from .io_utils import ColumnRows, json_dumps, write_csv
 from .maps import catalog_map, load_map, save_map
 from .rigidity import (
     HARMONIC_COEFF,
     build_report,
-    equality_diagnostics,
     grid_h,
     image_curvature_bounds,
     theorem_consistency_scan,
@@ -210,8 +211,29 @@ def _provenance(ns, f=None):
     return prov
 
 
-def _emit(ns, payload):
-    text = json_dumps(payload)
+def _nonfinite(obj, key=""):
+    """The key path of the first NaN or infinite number in obj, or None."""
+    if isinstance(obj, dict):
+        items = ((f"{key}.{k}" if key else str(k), v) for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{key}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return key if isinstance(obj, float) and not math.isfinite(obj) else None
+    found = (_nonfinite(v, k) for k, v in items)
+    return next((path for path in found if path is not None), None)
+
+
+def _json(payload):
+    """The payload's JSON text.  A command serializes its payload before
+    it writes any output file, so a NaN or infinite number, which no
+    check can pass, ends the run as a numerical error with no output."""
+    key = _nonfinite(payload)
+    if key is not None:
+        raise NumericalError(f"non-finite result: {key}")
+    return json_dumps(payload)
+
+
+def _emit(ns, text):
     if ns.json:
         with open(ns.json, "w") as fh:
             fh.write(text)
@@ -262,9 +284,11 @@ def cmd_verify(ns):
         data, summary = _verify_level(f)
         levels.append(summary)
 
+    # a pair of exactly zero residuals (an exactly harmonic map) has no
+    # order to check: its ratio is None
+    sups = [s["sup_residual"] for s in levels]
     ratios = [
-        levels[i]["sup_residual"] / max(levels[i + 1]["sup_residual"], 1e-300)
-        for i in range(len(levels) - 1)
+        None if a == b == 0 else a / max(b, 1e-300) for a, b in zip(sups, sups[1:])
     ]
     checks = {}
     checks["constraint"] = all(s["constraint_residual"] <= ON_TARGET_TOL for s in levels)
@@ -278,12 +302,9 @@ def cmd_verify(ns):
         )
         if ratios:
             checks["refinement_ratio"] = all(
-                RATIO_BAND[0] <= r <= RATIO_BAND[1] for r in ratios
+                RATIO_BAND[0] <= r <= RATIO_BAND[1] for r in ratios if r is not None
             )
     passed = all(checks.values())
-
-    if ns.csv:
-        _write_node_csv(ns, f, data)
 
     payload = {
         "provenance": _provenance(ns, f),
@@ -295,7 +316,10 @@ def cmd_verify(ns):
         "checks": checks,
         "passed": passed,
     }
-    _emit(ns, payload)
+    text = _json(payload)
+    if ns.csv:
+        _write_node_csv(ns, f, data)
+    _emit(ns, text)
     return 0 if passed else 1
 
 
@@ -343,14 +367,6 @@ def cmd_flow(ns):
         snapshot_stride=ns.trace_stride if ns.trace else 0,
     )
     f, summary = run_flow(f0, params)
-    if ns.save:
-        save_map(f, ns.save)
-    if ns.trace:
-        write_csv(
-            ns.trace,
-            ["step", "energy", "sup_tension", "image_diameter", "e_max"],
-            ColumnRows(zip(*summary.trace)),
-        )
     energies = np.asarray(summary.energies)
     monotone = bool(np.all(np.diff(energies) <= ENERGY_SLACK))
     passed = monotone and summary.outcome != "max_steps"
@@ -368,7 +384,16 @@ def cmd_flow(ns):
         "energy_monotone": monotone,
         "passed": passed,
     }
-    _emit(ns, payload)
+    text = _json(payload)
+    if ns.save:
+        save_map(f, ns.save)
+    if ns.trace:
+        write_csv(
+            ns.trace,
+            ["step", "energy", "sup_tension", "image_diameter", "e_max"],
+            ColumnRows(zip(*summary.trace)),
+        )
+    _emit(ns, text)
     return 0 if passed else 1
 
 
@@ -376,8 +401,8 @@ def cmd_report(ns):
     f = _build_map(ns)
     rep = build_report(f, seed=ns.seed, global_sample=ns.global_sample)
     payload = {"provenance": _provenance(ns, f), "report": rep.to_dict()}
-    if rep.classification == "equality" and not rep.is_constant:
-        diag = equality_diagnostics(f, rep)
+    diag = rep.equality
+    if diag is not None:
         payload["equality_diagnostics"] = {
             "hess_sup": rep.hess_sup,
             "lambda_spread": rep.lambda_spread,
@@ -387,7 +412,7 @@ def cmd_report(ns):
             "tol": diag.tol,
             "ok": diag.ok,
         }
-    _emit(ns, payload)
+    _emit(ns, _json(payload))
     return 0
 
 
@@ -448,10 +473,8 @@ def cmd_scan(ns):
         d["sweep_value"] = v
         reports.append(d)
         rows.append([v, rep.domain, rep.target] + [d[c] for c in _SCAN_COLUMNS])
-        if rep.harmonic and not rep.is_constant and rep.margin > rep.tol:
+        if rep.counterexample:
             ok = False
-    if ns.csv:
-        write_csv(ns.csv, [key, "domain", "target"] + list(_SCAN_COLUMNS), rows)
     payload = {
         "provenance": _provenance(ns),
         "map": ns.map,
@@ -459,7 +482,10 @@ def cmd_scan(ns):
         "reports": reports,
         "passed": ok,
     }
-    _emit(ns, payload)
+    text = _json(payload)
+    if ns.csv:
+        write_csv(ns.csv, [key, "domain", "target"] + list(_SCAN_COLUMNS), rows)
+    _emit(ns, text)
     return 0 if ok else 1
 
 
@@ -471,14 +497,14 @@ def cmd_consistency(ns):
         for name, tgt, spec in CONSISTENCY_CATALOG
     )
     result = theorem_consistency_scan(entries, seed=ns.seed)
-    sys.stdout.write(result.table() + "\n")
-    payload = {
+    text = _json({
         "provenance": _provenance(ns),
         "rows": [vars(r) for r in result.rows],
         "passed": result.ok,
-    }
+    })
+    sys.stdout.write(result.table() + "\n")
     if ns.json:
-        dump_json(payload, ns.json)
+        _emit(ns, text)
     return 0 if result.ok else 1
 
 

@@ -69,11 +69,6 @@ def json_dumps(obj, indent=2):
     return _serialize(obj, indent, 0) + "\n"
 
 
-def dump_json(obj, path):
-    with open(path, "w") as fh:
-        fh.write(json_dumps(obj))
-
-
 # -- the vectorised %.17g kernel ---------------------------------------------
 
 # A cell's field is FIELD bytes, four little-endian uint64 words: the

@@ -6,6 +6,10 @@ pinched (prediction: constant), at the threshold (prediction: constant
 or homothetic with totally geodesic image), or outside the hypothesis.
 The exact dichotomy of the continuum statement is realized numerically
 with a resolution-indexed equality band tol(h) = C h^2.
+
+A report is the one judge of a map: at the threshold it carries the
+equality diagnostics from its own Bochner pass, and `counterexample`
+states the falsification rule that both scans apply.
 """
 
 from __future__ import annotations
@@ -33,6 +37,22 @@ CONSTANT_DIAMETER_TOL = 1e-8
 
 def grid_h(domain):
     return max(domain.spacing)
+
+
+@dataclass(frozen=True)
+class EqualityDiagnostics:
+    """Threshold-case saturation measurements beyond the report's own.
+
+    At equality the differential must be parallel: the report's Hessian
+    sup and singular-value spread sit at discretization level, |df|^2
+    is constant, and the common squared singular value is the report's
+    homothety factor.
+    """
+
+    energy_density_variation: float
+    affine_fit_residual: float | None
+    tol: float
+    ok: bool
 
 
 @dataclass(frozen=True)
@@ -64,8 +84,8 @@ class PinchingReport:
     lambda_spread: float
     homothety_factor: float
     seed: int
-    # the map's Bochner fields, for the equality diagnostics; not output
-    bochner: object = field(default=None, repr=False, compare=False)
+    # set for a nonconstant equality-classified map; not output
+    equality: EqualityDiagnostics | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self):
         d = {k.name: getattr(self, k.name) for k in fields(self) if k.compare}
@@ -73,6 +93,22 @@ class PinchingReport:
         d["sec_max_witness_point"] = list(self.sec_max_witness_point)
         d["resolution"] = list(self.resolution)
         return d
+
+    @property
+    def counterexample(self):
+        """Why this map falsifies the theorem, or None: a harmonic
+        nonconstant map must neither lie above the pinching threshold
+        nor fail the threshold diagnostics at it."""
+        if not self.harmonic or self.is_constant:
+            return None
+        if self.classification == "strict":
+            return "harmonic nonconstant map above the pinching threshold"
+        if self.equality is not None and not self.equality.ok:
+            return (
+                f"threshold diagnostics failed (hess_sup={self.hess_sup:.3e}, "
+                f"spread={self.lambda_spread:.3e}, tol={self.equality.tol:.3e})"
+            )
+        return None
 
 
 def image_curvature_bounds(f):
@@ -155,6 +191,25 @@ def build_report(f, seed=0, global_sample=0):
     homothety = float(np.sum(mean) / dom.volume())
     hess_sup = float(np.max(np.sqrt(np.maximum(data.hess, 0.0))[keep]))
 
+    equality = None
+    if classification == "equality" and not is_constant:
+        diag_tol = DIAG_COEFF * h * h
+        S = data.S[keep]
+        svar = float(np.max(np.abs(S - S.mean())))
+        affine = None
+        if tgt.kind == "euclid":
+            pts = f.values.reshape(-1, tgt.m)
+            sv = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+            # a totally geodesic image in flat space fits an affine subspace
+            affine = float(sv[n:].max() / max(sv[0], 1e-30)) if sv.size > n else 0.0
+        band = diag_tol * max(1.0, homothety)
+        ok = spread <= band and hess_sup <= band and svar <= band
+        if affine is not None:
+            ok = ok and affine <= diag_tol
+        equality = EqualityDiagnostics(
+            energy_density_variation=svar, affine_fit_residual=affine, tol=diag_tol, ok=ok
+        )
+
     return PinchingReport(
         n=n,
         resolution=(dom.n1, dom.n2),
@@ -183,57 +238,7 @@ def build_report(f, seed=0, global_sample=0):
         lambda_spread=spread,
         homothety_factor=homothety,
         seed=int(seed),
-        bochner=data,
-    )
-
-
-@dataclass(frozen=True)
-class EqualityDiagnostics:
-    """Threshold-case saturation measurements beyond the report's own.
-
-    At equality the differential must be parallel: the report's Hessian
-    sup and singular-value spread sit at discretization level, |df|^2
-    is constant, and the common squared singular value is the report's
-    homothety factor.
-    """
-
-    energy_density_variation: float
-    affine_fit_residual: float | None
-    tol: float
-    ok: bool
-
-
-def equality_diagnostics(f, report):
-    """Check the threshold-case predictions on an equality-classified map.
-
-    The Hessian sup, singular-value spread and homothety factor are read
-    from the report; the |df|^2 variation is computed here from the S of
-    the report's Bochner pass.
-    """
-    if report.classification != "equality":
-        raise UsageError("equality diagnostics apply only to equality-classified maps")
-    if report.is_constant:
-        raise UsageError("equality diagnostics apply to nonconstant maps")
-    dom = f.domain
-    h = grid_h(dom)
-    tol = DIAG_COEFF * h * h
-    Svals = report.bochner.S[~dom.flagged_mask()]
-    svar = float(np.max(np.abs(Svals - Svals.mean())))
-
-    affine = None
-    if f.target.kind == "euclid":
-        pts = f.values.reshape(-1, f.target.m)
-        centered = pts - pts.mean(axis=0)
-        sv = np.linalg.svd(centered, compute_uv=False)
-        # a totally geodesic image in flat space fits an affine subspace
-        affine = float(sv[dom.n:].max() / max(sv[0], 1e-30)) if sv.size > dom.n else 0.0
-
-    band = tol * max(1.0, report.homothety_factor)
-    ok = report.lambda_spread <= band and report.hess_sup <= band and svar <= band
-    if affine is not None:
-        ok = ok and affine <= tol
-    return EqualityDiagnostics(
-        energy_density_variation=svar, affine_fit_residual=affine, tol=tol, ok=ok
+        equality=equality,
     )
 
 
@@ -247,7 +252,7 @@ class ScanRow:
     harmonic: bool
     is_constant: bool
     status: str
-    detail: str = ""
+    detail: str
 
 
 @dataclass
@@ -270,16 +275,20 @@ class ScanResult:
 def theorem_consistency_scan(entries, seed=0):
     """Falsification sweep over a set of numerically harmonic maps.
 
-    For every harmonic nonconstant map the margin must not exceed the
-    equality band (a strictly pinched harmonic map would have to be
-    constant), and every equality-classified map must pass the
-    threshold diagnostics.  Non-harmonic entries are listed as skipped.
+    An entry fails when its report names a counterexample; non-harmonic
+    entries are listed as skipped.
     """
     rows = []
-    ok = True
     for name, f in entries:
         rep = build_report(f, seed=seed)
-        row = ScanRow(
+        reason = rep.counterexample
+        if reason:
+            status, detail = "fail", reason
+        elif rep.harmonic:
+            status, detail = "pass", ""
+        else:
+            status, detail = "skipped", "not numerically harmonic"
+        rows.append(ScanRow(
             name=name,
             classification=rep.classification,
             margin=rep.margin,
@@ -287,26 +296,8 @@ def theorem_consistency_scan(entries, seed=0):
             sup_tension=rep.sup_tension,
             harmonic=rep.harmonic,
             is_constant=rep.is_constant,
-            status="pass",
-        )
-        if not rep.harmonic:
-            row.status = "skipped"
-            row.detail = "not numerically harmonic"
-        elif rep.is_constant:
-            row.status = "pass"
-        elif rep.margin > rep.tol:
-            row.status = "fail"
-            row.detail = "harmonic nonconstant map above the pinching threshold"
-            ok = False
-        elif rep.classification == "equality":
-            diag = equality_diagnostics(f, rep)
-            if not diag.ok:
-                row.status = "fail"
-                row.detail = (
-                    f"threshold diagnostics failed (hess_sup={rep.hess_sup:.3e}, "
-                    f"spread={rep.lambda_spread:.3e}, tol={diag.tol:.3e})"
-                )
-                ok = False
-        rows.append(row)
+            status=status,
+            detail=detail,
+        ))
         del f, rep  # a generator of entries builds the next map only now
-    return ScanResult(rows=rows, ok=ok)
+    return ScanResult(rows=rows, ok=all(r.status != "fail" for r in rows))

@@ -100,8 +100,7 @@ class Euclidean(_Target):
         return np.broadcast_to(V, np.broadcast_shapes(np.shape(q), np.shape(V)))
 
     def second_fundamental(self, q, X, Y):
-        X = np.asarray(X, dtype=float)
-        return np.zeros(np.broadcast_shapes(X.shape, np.shape(Y)))
+        return np.zeros(np.broadcast_shapes(np.shape(q), np.shape(X), np.shape(Y)))
 
     def sec_range(self, q):
         zero = np.zeros(np.shape(q)[:-1])

@@ -41,9 +41,7 @@ def sectional_batch(target, q, X, Y):
     q, X, Y = (np.asarray(v, dtype=float) for v in (q, X, Y))
     gram = np.sum(X * X, axis=-1) * np.sum(Y * Y, axis=-1) - np.sum(X * Y, axis=-1) ** 2
     with np.errstate(divide="ignore", invalid="ignore"):
-        sec = gauss_numerator(target, q, X, Y) / gram
-    # flat R^m's A = 0 does not broadcast against q
-    return np.broadcast_to(sec, np.broadcast_shapes(q.shape[:-1], sec.shape)).copy()
+        return gauss_numerator(target, q, X, Y) / gram
 
 
 def tangent_basis(target, q):

@@ -25,7 +25,7 @@ from bochnerlab.cli import main as cli_main
 from bochnerlab.domains import FlatTorus2, RoundSphere2
 from bochnerlab.flow import FlowParams, run_flow
 from bochnerlab.maps import DiscreteMap, catalog_map, total_energy
-from bochnerlab.rigidity import build_report, equality_diagnostics
+from bochnerlab.rigidity import build_report
 from bochnerlab.targets import Ellipsoid, ProductSpheres, Sphere, sec_max_over_region
 
 

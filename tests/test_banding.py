@@ -166,13 +166,15 @@ def grids_kept(op):
 
 def test_bochner_data_keeps_only_what_is_read():
     # in node grids of n1 * n2 floats beyond the map at 128 x 256: verify
-    # keeps lam (2), S, hess, ricci, target and lap; a report lam, S and
-    # hess.  Storing Q, the residual, the frame term, L f and the energy
-    # density as well kept 14 and 7.
+    # keeps lam (2), S, hess, ricci, target and lap; a report keeps none,
+    # its equality diagnostics included.  Storing Q, the residual, the
+    # frame term, L f and the energy density as well kept 14 and 7.
     f = catalog_map("holomorphic:k=2", RoundSphere2(n1=128), Sphere())
     grid = f.domain.n1 * f.domain.n2 * 8
     assert grids_kept(lambda: cli._verify_level(f)) / grid < 7.5
-    assert grids_kept(lambda: rigidity.build_report(f)) / grid < 4.5
+    # an equality map, so the report measures its diagnostics as well
+    f = catalog_map("scaling", RoundSphere2(n1=128), Sphere(r=2.0))
+    assert grids_kept(lambda: rigidity.build_report(f)) / grid < 0.5
 
 
 # -- per-band continuation, the banded Laplacian and the map construction ----

@@ -19,6 +19,7 @@ from bochnerlab.cli import main
 from bochnerlab.domains import FlatTorus2, ricci_min
 from bochnerlab.errors import UsageError
 from bochnerlab.maps import DiscreteMap, catalog_map, load_map, save_map
+from bochnerlab.rigidity import build_report
 from bochnerlab.targets import Ellipsoid, sec_max_over_region
 
 pytestmark = pytest.mark.usefixtures("tmp_path")
@@ -143,6 +144,19 @@ class TestVerify:
         monkeypatch.setattr(Ellipsoid, "sec_range",
                             lambda self, q: tuple(1.01 * K for K in closed_form(self, q)))
         assert path_agreement() is False
+
+    @pytest.mark.parametrize("refine", [2, 3])
+    def test_exactly_harmonic_map_has_no_ratio_to_check(self, tmp_path, refine):
+        # the constant map's residual is exactly 0 at every level, so a
+        # ratio of the pair is no refinement order
+        out = tmp_path / "verify.json"
+        argv = ["verify", "--map", "constant", "--refine", str(refine),
+                "--resolution", "16", "--json", str(out)]
+        assert run_cli(*argv) == 0
+        doc = json.loads(out.read_text())
+        assert [s["sup_residual"] for s in doc["levels"]] == [0.0] * refine
+        assert doc["residual_ratios"] == [None] * (refine - 1)
+        assert doc["checks"]["refinement_ratio"] is True and doc["passed"] is True
 
     def test_map_and_load_conflict(self, tmp_path):
         rc = run_cli("verify", "--map", "identity", "--load", "nope.txt")
@@ -513,6 +527,54 @@ class TestExitCodes:
         assert exit_code(FLOW + ["--dt", "1e308", "--json", str(out)]) == 3
         assert json.loads(capsys.readouterr().err)["error"] == "StabilityError"
         assert not out.exists()
+
+
+def noise_map(path, domain, target):
+    """8 x 8 (or 8 x 16) nodes of standard normal noise, saved."""
+    dom, tgt = parse_domain(domain, 8), parse_target(target)
+    values = np.random.default_rng(0).standard_normal((dom.n1, dom.n2, tgt.m))
+    save_map(DiscreteMap(dom, tgt, values), path)
+    return str(path)
+
+
+class TestNonFiniteResults:
+    """A result with a NaN or infinite number is a numerical error (exit 3),
+    and the command writes no output file."""
+
+    def refused(self, tmp_path, capsys, argv, key):
+        out = tmp_path / "out.json"
+        with np.errstate(all="ignore"):
+            assert exit_code(argv + ["--json", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "NumericalError", "message": f"non-finite result: {key}"}
+        assert not out.exists()
+
+    def test_flow_on_a_degenerate_torus(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        argv = ["flow", "--domain", "torus:a=1e-300,b=1", "--init", "constant",
+                "--steps", "5", "--resolution", "8", "--trace", str(trace)]
+        self.refused(tmp_path, capsys, argv, "final_tension")
+        assert not trace.exists()
+
+    def test_verify_of_noise_on_a_tiny_torus(self, tmp_path, capsys):
+        path = noise_map(tmp_path / "n.map", "torus:a=1e-150,b=1", "euclid:m=3")
+        csv = tmp_path / "nodes.csv"
+        argv = ["verify", "--load", path, "--csv", str(csv)]
+        self.refused(tmp_path, capsys, argv, "levels[0].sup_residual")
+        assert not csv.exists()
+
+    @pytest.mark.parametrize(
+        "domain, target, classification",
+        [("sphere:r=1e-100", "torusemb:rho1=0.001,rho2=1", "strict"),
+         ("torus:a=1e-150,b=1", "euclid:m=3", "equality")],
+    )
+    def test_report_of_noise_on_a_tiny_domain(self, tmp_path, capsys, domain, target,
+                                              classification):
+        path = noise_map(tmp_path / "n.map", domain, target)
+        f = load_map(path)
+        with np.errstate(all="ignore"):
+            assert build_report(f).classification == classification
+        self.refused(tmp_path, capsys, ["report", "--load", path], "report.sup_tension")
 
 
 # flag values: signs, zero, non-finite, huge, tiny, fractional, non-numeric

@@ -1,16 +1,13 @@
 """Pinching reports, equality diagnostics, localization, consistency scan."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from bochnerlab.domains import FlatTorus2, RoundSphere2
-from bochnerlab.errors import UsageError
 from bochnerlab.maps import DiscreteMap, catalog_map
-from bochnerlab.rigidity import (
-    build_report,
-    equality_diagnostics,
-    theorem_consistency_scan,
-)
+from bochnerlab.rigidity import PinchingReport, build_report, theorem_consistency_scan
 from bochnerlab.targets import Ellipsoid, Euclidean, Sphere
 
 
@@ -95,21 +92,21 @@ class TestPassCounts:
         assert counts == {**dict.fromkeys(kernels, 0), **dict.fromkeys(one_pass, 1)}
 
     def test_equality_diagnostics_reuse_the_reports_pass(self, count_calls):
-        from bochnerlab import bochner, numerics
+        from bochnerlab import bochner
 
-        f = sphere_map("scaling", r=2.0)
-        rep = build_report(f)
-        # the Bochner pass is the package's one caller of gen_eigvalsh
-        modules = (bochner, numerics)
-        counts = [count_calls(module, ("gen_eigvalsh",)) for module in modules]
-        assert equality_diagnostics(f, rep).ok
-        assert [c["gen_eigvalsh"] for c in counts] == [0, 0]
+        # the Bochner pass is the package's one caller of gen_eigvalsh;
+        # at 48 x 96 it takes one band
+        counts = count_calls(bochner, ("gen_eigvalsh",))
+        rep = build_report(sphere_map("scaling", r=2.0))
+        assert rep.equality.ok
+        assert counts == {"gen_eigvalsh": 1}
 
-    def test_report_bochner_data_is_not_output(self):
+    def test_report_equality_diagnostics_are_not_output(self):
         rep = build_report(sphere_map("identity"))
-        assert rep.bochner is not None
-        assert "bochner" not in rep.to_dict()
-        assert "bochner" not in repr(rep)
+        assert rep.classification == "equality" and rep.equality is not None
+        assert "equality" not in rep.to_dict()
+        assert "EqualityDiagnostics" not in repr(rep)
+        assert not hasattr(rep, "bochner")  # the report holds no grid
 
 
 class TestEqualityDiagnostics:
@@ -118,16 +115,18 @@ class TestEqualityDiagnostics:
             f = sphere_map("scaling", r=r)
             rep = build_report(f)
             assert rep.classification == "equality"
-            diag = equality_diagnostics(f, rep)
+            diag = rep.equality
             assert diag.ok
             assert rep.homothety_factor == pytest.approx(r * r, rel=2e-2)
             assert rep.lambda_spread < diag.tol * max(1.0, r * r)
 
-    def test_rejects_wrong_classification(self):
-        f = sphere_map("holomorphic:k=2")
-        rep = build_report(f)
-        with pytest.raises(UsageError):
-            equality_diagnostics(f, rep)
+    def test_no_diagnostics_off_the_threshold(self):
+        # a violated map and a constant map at the threshold carry none
+        assert build_report(sphere_map("holomorphic:k=2")).equality is None
+        dom = FlatTorus2(a=1, b=1, n1=16, n2=16)
+        rep = build_report(catalog_map("constant", dom, Euclidean(m=3)))
+        assert rep.classification == "equality" and rep.is_constant
+        assert rep.equality is None
 
     def test_euclidean_equality_case_fits_affine_subspace(self):
         # a totally geodesic linear embedding of the flat torus chart
@@ -138,7 +137,7 @@ class TestEqualityDiagnostics:
         f = DiscreteMap(dom, Euclidean(m=4), vals)
         rep = build_report(f)
         assert rep.classification == "equality"
-        diag = equality_diagnostics(f, rep)
+        diag = rep.equality
         assert diag.affine_fit_residual is not None
         # the Clifford-style image spans the full 4-space evenly
         assert diag.energy_density_variation < diag.tol
@@ -158,6 +157,26 @@ class TestLocalization:
 
 
 class TestConsistencyScan:
+    def test_counterexample_rule(self):
+        rep = build_report(sphere_map("scaling", r=2.0))
+        assert rep.harmonic and rep.equality.ok and rep.counterexample is None
+        above = replace(rep, margin=1.0, classification="strict")
+        assert above.counterexample == "harmonic nonconstant map above the pinching threshold"
+        failed = replace(rep, equality=replace(rep.equality, ok=False))
+        assert failed.counterexample.startswith("threshold diagnostics failed")
+        for exempt in (replace(above, harmonic=False), replace(failed, is_constant=True)):
+            assert exempt.counterexample is None
+
+    def test_both_scans_read_the_reports_rule(self, monkeypatch, tmp_path):
+        from bochnerlab import cli
+
+        monkeypatch.setattr(PinchingReport, "counterexample", property(lambda rep: "planted"))
+        result = theorem_consistency_scan([("identity", sphere_map("identity", n1=16))])
+        assert not result.ok and result.rows[0].detail == "planted"
+        argv = ["scan", "--map", "scaling", "--param", "r=1:1:1", "--resolution", "16",
+                "--json", str(tmp_path / "scan.json")]
+        assert cli.main(argv) == 1
+
     def test_catalog_passes(self):
         entries = [
             ("constant", sphere_map("constant")),

@@ -96,6 +96,7 @@ class TestEmbeddingBasics:
         # axis of pairs against an axis of points gives the grid of both
         q = on_target_points(target, 5)
         X, Y = np.eye(target.m)[:2]
+        assert gauss_numerator(target, q, X, Y).shape == (5,)  # flat R^m's too
         sec = sectional_batch(target, q, X, Y)
         assert sec.shape == (5,)
         for qi, si in zip(q, sec):

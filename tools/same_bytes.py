@@ -75,6 +75,19 @@ def _diagonal_map(run_dir):
                 lambda u: list(u) + [2.0 * x for x in u])
 
 
+def _clifford_map(run_dir, n=32):
+    """(u, v) -> (cos u, sin u, cos v, sin v) from torus:a=1,b=1 at n x n
+    into euclid:m=4: an equality-classified map into a flat target."""
+    step = 2.0 * math.pi / n
+    with open(os.path.join(run_dir, "clifford.map"), "w") as fh:
+        fh.write(f"bochnerlab-map 1\ndomain {TORUS}\ntarget euclid:m=4\ngrid {n} {n} 4\n")
+        for i in range(n):
+            for j in range(n):
+                u, v = i * step, j * step
+                fh.write(" ".join(format(x, ".17g") for x in
+                                  (math.cos(u), math.sin(u), math.cos(v), math.sin(v))) + "\n")
+
+
 # (name, CLI arguments, preparation run in the run directory first or
 # None); every path is relative to the run directory
 CONFIGS = (
@@ -148,6 +161,9 @@ CONFIGS = (
                        "--target", "torusemb:rho1=1,rho2=1", "--param", "rho2=0.5:1:0.25",
                        "--resolution", "16", "--csv", "scan-t.csv",
                        "--json", "scan-t.json"], None),
+    # the affine fit of the equality diagnostics, which only a flat target takes
+    ("report-clifford", ["report", "--load", "clifford.map", "--json", "clifford.json"],
+     _clifford_map),
     # a report on the criterion-5 flow's saved map
     ("report-flowed", ["report", "--load", "flow.map", "--json", "flowed.json"], None),
 )
