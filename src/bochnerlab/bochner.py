@@ -16,8 +16,9 @@ discrete residual (1/2) Lap |df|^2 - |H|^2 - Q decays at second order.
 (`maps.assemble`), and its caller says which: the first-order pass
 (what a report reads) or the contraction pass (what `verify` reads).
 Per band the first-order pass takes L f on the band's continuation,
-one Hessian, one Jacobian J, one pullback metric P = J^T J and the
-eigenvalues of P against the domain metric (no eigenvectors).  It
+then the Jacobian J and |H|^2 from one set of chart derivatives, one
+pullback metric P = J^T J and the eigenvalues of P against the domain
+metric (no eigenvectors).  It
 keeps the spectrum (lam, S) and |H|^2 as node grids and reduces
 sup|tau| inside the band, so neither L f nor the tension is held.  The
 contraction pass also contracts P and J into the Ricci and target
@@ -29,8 +30,8 @@ CSV, and reduces sup|residual|.  Q and the residual are never stored:
 they are derived from the kept grids a band or a CSV block at a time.
 J, P and each band's continued values never exceed a band, and the
 domain coefficients are row profiles.  `integral_identity_residual`
-applies the contractions to its own accuracy-6 Jacobian, also a band
-at a time.
+applies the contractions to its own accuracy-6 Jacobian and |H|^2,
+also a band at a time.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .errors import UsageError
 from .maps import (
     assemble,
     energy_density_field,
-    hessian_field,
     jacobian_field,
     pullback_field,
     spectrum,
@@ -153,9 +153,8 @@ def compute_bochner(f, *, contraction):
         tau = tgt.tangent_part(q, dom.laplace_beltrami_rows(band.continued, rows))
         sups["sup_tension"].append(_band_max(norm(tau), keep[rows]))
         del tau
-        # the Hessian before J, so that no J is held
-        fields = {"hess": hessian_field(f, band=band)}
-        J = jacobian_field(f, band=band)
+        J, hess = jacobian_field(f, band=band, hessian=True)
+        fields = {"hess": hess}
         P = pullback_field(J)
         lam = gen_eigvalsh(P, dom.metric_diag_grid()[rows])  # ascending
         fields.update(zip(("lam", "S"), spectrum(lam)))
@@ -205,11 +204,11 @@ def integral_identity_residual(f):
     carrying the O(h^2) bias of the pointwise fields.
     """
     def integrand(band):
-        J = jacobian_field(f, accuracy=6, band=band)
+        J, hess = jacobian_field(f, accuracy=6, band=band, hessian=True)
         ginv = f.domain.inv_metric_diag_grid()[band.rows]
         Q = (ricci_term_field(pullback_field(J), ginv, f.domain.ricci_grid()[band.rows])
              - target_term_field(f.target, band.values, J, ginv))
-        return {"hess_Q": hessian_field(f, accuracy=6, band=band) + Q}
+        return {"hess_Q": hess + Q}
 
     hess_Q = assemble(f.domain, f.values, integrand, accuracy=6)["hess_Q"]
     hess_Q *= f.domain.high_order_weight_grid()

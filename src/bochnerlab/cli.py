@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -211,28 +210,6 @@ def _provenance(ns, f=None):
     return prov
 
 
-def _nonfinite(obj, key=""):
-    """The key path of the first NaN or infinite number in obj, or None."""
-    if isinstance(obj, dict):
-        items = ((f"{key}.{k}" if key else str(k), v) for k, v in obj.items())
-    elif isinstance(obj, (list, tuple)):
-        items = ((f"{key}[{i}]", v) for i, v in enumerate(obj))
-    else:
-        return key if isinstance(obj, float) and not math.isfinite(obj) else None
-    found = (_nonfinite(v, k) for k, v in items)
-    return next((path for path in found if path is not None), None)
-
-
-def _json(payload):
-    """The payload's JSON text.  A command serializes its payload before
-    it writes any output file, so a NaN or infinite number, which no
-    check can pass, ends the run as a numerical error with no output."""
-    key = _nonfinite(payload)
-    if key is not None:
-        raise NumericalError(f"non-finite result: {key}")
-    return json_dumps(payload)
-
-
 def _emit(ns, text):
     if ns.json:
         with open(ns.json, "w") as fh:
@@ -316,7 +293,7 @@ def cmd_verify(ns):
         "checks": checks,
         "passed": passed,
     }
-    text = _json(payload)
+    text = json_dumps(payload)
     if ns.csv:
         _write_node_csv(ns, f, data)
     _emit(ns, text)
@@ -384,7 +361,7 @@ def cmd_flow(ns):
         "energy_monotone": monotone,
         "passed": passed,
     }
-    text = _json(payload)
+    text = json_dumps(payload)
     if ns.save:
         save_map(f, ns.save)
     if ns.trace:
@@ -412,7 +389,7 @@ def cmd_report(ns):
             "tol": diag.tol,
             "ok": diag.ok,
         }
-    _emit(ns, _json(payload))
+    _emit(ns, json_dumps(payload))
     return 0
 
 
@@ -482,7 +459,7 @@ def cmd_scan(ns):
         "reports": reports,
         "passed": ok,
     }
-    text = _json(payload)
+    text = json_dumps(payload)
     if ns.csv:
         write_csv(ns.csv, [key, "domain", "target"] + list(_SCAN_COLUMNS), rows)
     _emit(ns, text)
@@ -497,7 +474,7 @@ def cmd_consistency(ns):
         for name, tgt, spec in CONSISTENCY_CATALOG
     )
     result = theorem_consistency_scan(entries, seed=ns.seed)
-    text = _json({
+    text = json_dumps({
         "provenance": _provenance(ns),
         "rows": [vars(r) for r in result.rows],
         "passed": result.ok,

@@ -23,13 +23,15 @@ tie, is formatted by `fmt17` on its own.  Tables of other cell types
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
+from .errors import NumericalError
 from .numerics import fmt17
 
 
-def _serialize(obj, indent, level):
+def _serialize(obj, indent, level, path):
     pad = " " * (indent * level)
     pad_in = " " * (indent * (level + 1))
     if obj is None:
@@ -40,10 +42,8 @@ def _serialize(obj, indent, level):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
-        if np.isnan(x):
-            return '"nan"'
-        if np.isinf(x):
-            return '"inf"' if x > 0 else '"-inf"'
+        if not math.isfinite(x):
+            raise NumericalError(f"non-finite result: {path}")
         return fmt17(x)
     if isinstance(obj, str):
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
@@ -52,13 +52,14 @@ def _serialize(obj, indent, level):
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [_serialize(x, indent, level + 1) for x in obj]
+        items = [_serialize(x, indent, level + 1, f"{path}[{i}]") for i, x in enumerate(obj)]
         return "[\n" + ",\n".join(pad_in + it for it in items) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [
-            f"{pad_in}{_serialize(str(k), indent, 0)}: {_serialize(v, indent, level + 1)}"
+            f"{pad_in}{_serialize(str(k), indent, 0, path)}: "
+            f"{_serialize(v, indent, level + 1, f'{path}.{k}' if path else str(k))}"
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
@@ -66,7 +67,11 @@ def _serialize(obj, indent, level):
 
 
 def json_dumps(obj, indent=2):
-    return _serialize(obj, indent, 0) + "\n"
+    """The JSON text of obj.  A NaN or infinite number, which no check
+    can pass, is a NumericalError naming its key path, such as
+    `levels[0].sup_residual`, so that a command that serializes its
+    result before it writes any file writes none."""
+    return _serialize(obj, indent, 0, "") + "\n"
 
 
 # -- the vectorised %.17g kernel ---------------------------------------------

@@ -10,13 +10,13 @@ of elementwise products.  The pointwise calculus uses second-order
 stencils; `accuracy=6` selects 7-point ones where a quadrature needs a
 smaller truncation error.
 
-The stencil kernels `jacobian_field`, `hessian_field` and
-`laplace_beltrami` and the map's reprojection evaluate one row band of
-the grid at a time, on a `Band` that `assemble` passes its kernel:
-about BAND_NODES nodes, so that their temporaries stay the size of a
-band however fine the grid.  Each band is continued on its own, an
-interior band by a slice and one column wrap, so no pass continues the
-whole grid.  The domain's coefficients are row profiles, and a kernel
+The stencil kernels `jacobian_field` (J alone, or J and |H|^2 from
+one set of chart derivatives) and `laplace_beltrami` and the map's
+reprojection evaluate one row band of the grid at a time, on a `Band`
+that `assemble` passes its kernel: about BAND_NODES nodes, so that
+their temporaries stay the size of a band however fine the grid.  Each
+band is continued on its own, an interior band by a slice and one
+column wrap, so no pass continues the whole grid.  The domain's coefficients are row profiles, and a kernel
 slices the band's rows of them; every node sees the same arithmetic as
 in a whole-grid evaluation, so the assembled grids are bit-identical.
 The catalog maps are built from the chart axes as row and column
@@ -347,21 +347,51 @@ def laplace_beltrami(domain, F):
     return assemble(domain, np.asarray(F, dtype=float), lap)["lap"]
 
 
-def jacobian_field(f, accuracy=2, band=None):
+def jacobian_field(f, accuracy=2, band=None, hessian=False):
     """Tangent-projected chart Jacobian, shape (n1, n2, m, 2), or its
-    rows on a `Band` that `assemble` passes its kernel.
+    rows on a `Band` that `assemble` passes its kernel; with hessian=True
+    the pair (J, |H|^2), |H|^2 the squared norm of the second fundamental
+    form of the map, taken from the same chart derivatives f_u and f_v.
 
-    Both chart derivatives go through one `tangent_part` call; the
-    result is a view whose columns J[..., i] are contiguous.
+    Both chart derivatives go through one `tangent_part` call; J is a
+    view whose columns J[..., i] are contiguous.
+
+    H_ij = P(f) (d_i d_j f - Gamma^k_ij d_k f).  The chart is a warped
+    product, so H_uu = f_uu, H_uv = H_vu = f_uv - Gamma^v_uv f_v and
+    H_vv = f_vv - Gamma^u_vv f_u before the projection, and the metric
+    is diagonal, so |H|^2 = sum_ij g^ii g^jj |H_ij|^2.  Each component
+    is projected and added in as soon as it is taken, so H itself is
+    never formed.
     """
+    dom = f.domain
     if band is None:
-        band = _band(f.domain, f.values, slice(0, f.domain.n1), accuracy)
+        band = _band(dom, f.values, slice(0, dom.n1), accuracy)
     p = accuracy // 2
     vp = band.continued
-    du = _stencil(f.domain, vp[:, p:-p], 0, 1, accuracy)
-    dv = _stencil(f.domain, vp[p:-p], 1, 1, accuracy)
-    JT = f.target.tangent_part(band.values[..., None, :], np.stack([du, dv], axis=-2))
-    return np.swapaxes(JT, -1, -2)
+    along_u, along_v = vp[:, p:-p], vp[p:-p]
+    fu = _stencil(dom, along_u, 0, 1, accuracy)
+    # for f_uv, f_v on the ghost rows as well: the continuation commutes
+    # with the v-stencil, so these rows are f_v's own continuation
+    fv = _stencil(dom, vp if hessian else along_v, 1, 1, accuracy)
+    v = band.values
+    J = np.swapaxes(f.target.tangent_part(
+        v[..., None, :], np.stack([fu, fv[p:-p] if hessian else fv], axis=-2)), -1, -2)
+    if not hessian:
+        return J
+    G = dom.christoffel_grid()[band.rows]  # (Gamma^u_vv, Gamma^v_uv)
+    ginv = dom.inv_metric_diag_grid()[band.rows]
+
+    def sq(Hij):
+        Hij = f.target.tangent_part(v, Hij)
+        return dot(Hij, Hij)
+
+    norm2 = ginv[..., 0] * ginv[..., 0] * sq(_stencil(dom, along_u, 0, 2, accuracy))
+    fuv = _stencil(dom, fv, 0, 1, accuracy)
+    norm2 += 2.0 * ginv[..., 0] * ginv[..., 1] * sq(fuv - G[..., 1, None] * fv[p:-p])
+    del fv, fuv
+    norm2 += ginv[..., 1] * ginv[..., 1] * sq(_stencil(dom, along_v, 1, 2, accuracy)
+                                               - G[..., 0, None] * fu)
+    return J, norm2
 
 
 def pullback_field(J):
@@ -396,45 +426,6 @@ def spectrum(lam):
 def total_energy(f):
     """Quadrature of the energy density over the domain."""
     return float(np.sum(f.energy_density * f.domain.quad_weight_grid()))
-
-
-def hessian_field(f, accuracy=2, band=None):
-    """Squared norm |H|^2 of the second fundamental form of the map, on
-    the grid or on a `Band` that `assemble` passes its kernel.
-
-    H_ij = P(f) (d_i d_j f - Gamma^k_ij d_k f), the chart derivatives
-    taken with stencils of the given accuracy.  The chart is a warped
-    product, so H_uu = f_uu, H_uv = H_vu = f_uv - Gamma^v_uv f_v and
-    H_vv = f_vv - Gamma^u_vv f_u before the projection, and the metric
-    is diagonal, so |H|^2 = sum_ij g^ii g^jj |H_ij|^2.  Each component
-    is projected and added in as soon as it is taken, so only a few
-    node fields are held at once and H itself is never formed.
-    """
-    if band is None:
-        band = _band(f.domain, f.values, slice(0, f.domain.n1), accuracy)
-    dom = f.domain
-    v = band.values
-    G = dom.christoffel_grid()[band.rows]  # (Gamma^u_vv, Gamma^v_uv)
-    ginv = dom.inv_metric_diag_grid()[band.rows]
-
-    def sq(Hij):
-        Hij = f.target.tangent_part(v, Hij)
-        return dot(Hij, Hij)
-
-    p = accuracy // 2
-    vp = band.continued
-    along_u, along_v = vp[:, p:-p], vp[p:-p]
-    norm2 = ginv[..., 0] * ginv[..., 0] * sq(_stencil(dom, along_u, 0, 2, accuracy))
-    # f_v on the ghost rows as well: the continuation commutes with the
-    # v-stencil, so these rows are f_v's own continuation
-    fv = _stencil(dom, vp, 1, 1, accuracy)
-    fuv = _stencil(dom, fv, 0, 1, accuracy)
-    norm2 += 2.0 * ginv[..., 0] * ginv[..., 1] * sq(fuv - G[..., 1, None] * fv[p:-p])
-    del fv, fuv
-    fvv = _stencil(dom, along_v, 1, 2, accuracy)
-    fu = _stencil(dom, along_u, 0, 1, accuracy)
-    norm2 += ginv[..., 1] * ginv[..., 1] * sq(fvv - G[..., 0, None] * fu)
-    return norm2
 
 
 # -- serialization -----------------------------------------------------------

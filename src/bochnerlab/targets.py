@@ -21,6 +21,10 @@ their one value as the curvature of every plane.  The Bochner
 contraction pass checks its Gauss contraction against them at every
 image node.  The region extremizer takes their extremes over a point
 set, so it is deterministic and monotone under set inclusion.
+
+A point is on target when its `constraint_residual`, relative to the
+target's size (| |q|^2 / r^2 - 1 | per sphere factor), is at most
+ON_TARGET_TOL, so the closest-point map's values pass at any radius.
 """
 
 from __future__ import annotations
@@ -162,7 +166,7 @@ class _RoundSpheres(_Target):
 
     def constraint_residual(self, q):
         p = self._blocks(q)
-        res = np.abs(dot(p, p)[..., None] - self._r**2)
+        res = np.abs(dot(p, p)[..., None] / self._r**2 - 1.0)
         return np.max(res, axis=(-2, -1))
 
     def closest_point(self, x):

@@ -18,7 +18,7 @@ from bochnerlab.domains import FlatTorus2, RoundSphere2
 from bochnerlab.maps import (
     DiscreteMap,
     catalog_map,
-    hessian_field,
+    jacobian_field,
     row_bands,
     total_energy,
 )
@@ -65,12 +65,11 @@ def assert_same(got, want):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_banding_is_bit_exact(case, count_calls, monkeypatch):
     build, bands = CASES[case]
-    counts = count_calls(bochner, ("jacobian_field", "hessian_field"))
+    counts = count_calls(bochner, ("jacobian_field",))
     f, banded = evaluate(build)
-    # one Jacobian per band for the pass and one for the integrand, and one
-    # Hessian per band for the field and one for the integrand
-    assert counts == {"jacobian_field": 2 * bands, "hessian_field": 2 * bands}
-    np.testing.assert_array_equal(banded["hess"], hessian_field(f))
+    # one Jacobian and |H|^2 per band for the pass and one for the integrand
+    assert counts == {"jacobian_field": 2 * bands}
+    np.testing.assert_array_equal(banded["hess"], jacobian_field(f, hessian=True)[1])
     monkeypatch.setattr(maps, "BAND_NODES", f.domain.n1 * f.domain.n2)
     _, whole = evaluate(build)
     assert_same(banded, whole)
@@ -132,6 +131,32 @@ def test_band_sized_temporaries(tmp_path):
 
 
 # -- what each command runs and keeps ---------------------------------------
+
+
+def test_one_set_of_chart_derivatives_per_band(monkeypatch):
+    # S^2 at 16 x 32 is one band: f_u, f_v, f_uu, f_uv and f_vv for each
+    # pass and for the integrand, f_u and f_v for the energy density
+    calls = []
+    stencil = maps._stencil
+
+    def counted(*args):
+        calls.append(args[2:4])  # (axis, order)
+        return stencil(*args)
+
+    monkeypatch.setattr(maps, "_stencil", counted)
+    f = catalog_map("holomorphic:k=2", RoundSphere2(n1=16), Sphere())
+    assert len(row_bands(f.domain)) == 1
+    # (axis, order) of f_u, f_v, f_uu, f_uv (the u-derivative of f_v), f_vv
+    five = sorted([(0, 1), (1, 1), (0, 2), (0, 1), (1, 2)])
+    for op in (lambda: compute_bochner(f, contraction=False),
+               lambda: compute_bochner(f, contraction=True),
+               lambda: integral_identity_residual(f)):
+        calls.clear()
+        op()
+        assert sorted(calls) == five
+    calls.clear()
+    f.energy_density
+    assert sorted(calls) == [(0, 1), (1, 1)]
 
 
 def test_verify_level_makes_one_pass_and_one_integrand(count_calls):

@@ -311,6 +311,19 @@ class TestReport:
         assert loaded["target"] == catalog["target"] == target
         assert loaded["sec_max_image"] == catalog["sec_max_image"]
 
+    def test_a_large_target_sphere_is_on_target(self, tmp_path):
+        # the on-target residual is relative to the radius, so the radial
+        # scaling onto a sphere of radius 1e4 or 1e5 is the r = 1 report
+        margins = []
+        for r in ("1", "1e4", "1e5"):
+            out = tmp_path / f"r{r}.json"
+            assert run_cli("report", "--map", "scaling", "--target", f"sphere:r={r}",
+                           "--resolution", "16", "--json", str(out)) == 0
+            rep = json.loads(out.read_text())["report"]
+            assert rep["classification"] == "equality"
+            margins.append(rep["margin"])
+        assert np.max(np.abs(np.subtract(margins[1:], margins[0]))) < 1e-12
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["report", "--map", "holomorphic:k=2", "--resolution", "32"]

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bochnerlab import cli, io_utils
-from bochnerlab.io_utils import CSV_BLOCK, ColumnRows, fmt17_fields, write_csv
+from bochnerlab.errors import NumericalError
+from bochnerlab.io_utils import CSV_BLOCK, ColumnRows, fmt17_fields, json_dumps, write_csv
 from bochnerlab.maps import load_map, save_map
 from bochnerlab.numerics import fmt17
 
@@ -82,6 +83,16 @@ def test_cell_types_may_change_from_row_to_row(tmp_path):
 
 def test_empty_table_is_the_header(tmp_path):
     assert written(tmp_path, ["a", "b"], []) == "a,b\n"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("-inf"), np.float32("inf")])
+def test_json_refuses_a_non_finite_number_by_its_key_path(bad):
+    payload = {"passed": True, "levels": [{"h": 0.5}, {"h": 0.25, "sup_residual": bad}]}
+    with pytest.raises(NumericalError, match=r"^non-finite result: levels\[1\]\.sup_residual$"):
+        json_dumps(payload)
+    with pytest.raises(NumericalError, match=r"^non-finite result: \[0\]$"):
+        json_dumps([bad])
+    assert json_dumps({"h": [0.5, -0.0]}) == '{\n  "h": [\n    0.5,\n    -0\n  ]\n}\n'
 
 
 @pytest.mark.parametrize("count", [0, 1, CSV_BLOCK, CSV_BLOCK + 1, 2 * CSV_BLOCK + 5])

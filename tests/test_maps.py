@@ -13,7 +13,6 @@ from bochnerlab.maps import (
     _stencil,
     catalog_map,
     constant_map,
-    hessian_field,
     identity_sphere_map,
     jacobian_field,
     laplace_beltrami,
@@ -234,14 +233,20 @@ class TestHessian:
         for n1 in (32, 64):
             dom = RoundSphere2(r=1.0, n1=n1, n2=2 * n1)
             f = identity_sphere_map(dom, Sphere(k=2, r=1.0))
-            h2 = hessian_field(f)
+            _, h2 = jacobian_field(f, hessian=True)
             sups.append(np.max(np.sqrt(h2)[keep(dom)]))
         assert 3.0 < sups[0] / sups[1] < 5.0
 
     def test_constant_map_hessian_vanishes(self):
         f = constant_map(SPHERE, Sphere(k=2, r=1.0))
-        h2 = hessian_field(f)
+        _, h2 = jacobian_field(f, hessian=True)
         assert np.max(h2) == 0.0
+
+    @pytest.mark.parametrize("accuracy", [2, 6])
+    def test_hessian_leaves_the_jacobian_as_it_is(self, accuracy):
+        f = catalog_map("holomorphic:k=3", SPHERE, Sphere(k=2, r=1.0))
+        J, _ = jacobian_field(f, accuracy=accuracy, hessian=True)
+        np.testing.assert_array_equal(J, jacobian_field(f, accuracy=accuracy))
 
 
 class TestEnergy:

@@ -18,6 +18,7 @@ from bochnerlab.errors import (
     UsageError,
 )
 from bochnerlab.targets import (
+    ON_TARGET_TOL,
     Ellipsoid,
     Euclidean,
     FlatTorusEmb,
@@ -417,6 +418,19 @@ class TestRoundSphereFamily:
 
     SHAPE = (4, 5)
 
+    @pytest.mark.parametrize(
+        "tgt",
+        [Sphere(r=1e4), Sphere(k=3, r=1e5), ProductSpheres(r1=1.0, r2=1e5),
+         FlatTorusEmb(radii=(1e4, 1e-4))],
+        ids=lambda t: t.descriptor(),
+    )
+    def test_closest_points_are_on_target_at_any_radius(self, tgt):
+        # the residual is relative to each radius: the absolute
+        # | |q|^2 - r^2 | of a projected point grows as r^2 times round-off
+        q = tgt.closest_point(self._data(tgt.m, 3)[0])
+        assert np.max(tgt.constraint_residual(q)) <= ON_TARGET_TOL
+        sec_max_over_region(tgt, q.reshape(-1, tgt.m))  # refuses an off-target point
+
     def _data(self, m, seed):
         rng = np.random.default_rng(seed)
         x, X, Y = (rng.standard_normal(self.SHAPE + (m,)) for _ in range(3))
@@ -467,7 +481,7 @@ class TestRoundSphereFamily:
                 tgt.second_fundamental(q, X, Y)[..., sl],
                 -np.sum(Xi * Yi, axis=-1, keepdims=True) * qi / rho**2,
             )
-        res = [np.abs(np.sum(x[..., 2 * i:2 * i + 2] ** 2, axis=-1) - rho**2)
+        res = [np.abs(np.sum(x[..., 2 * i:2 * i + 2] ** 2, axis=-1) / rho**2 - 1.0)
                for i, rho in enumerate(radii)]
         np.testing.assert_array_equal(tgt.constraint_residual(x), np.max(res, axis=0))
 
