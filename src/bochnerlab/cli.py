@@ -80,9 +80,10 @@ def _dt(text):
     return v
 
 
-def _add_common(sub):
-    sub.add_argument("--domain", default="sphere:r=1", help="domain descriptor")
-    sub.add_argument("--target", default="sphere:r=1", help="target descriptor")
+def _add_common(sub, descriptors=True):
+    if descriptors:
+        sub.add_argument("--domain", default="sphere:r=1", help="domain descriptor")
+        sub.add_argument("--target", default="sphere:r=1", help="target descriptor")
     sub.add_argument(
         "--resolution",
         type=_resolution,
@@ -155,7 +156,7 @@ def build_parser():
     p = subs.add_parser(
         "consistency", help="falsification scan over the harmonic catalog"
     )
-    _add_common(p)
+    _add_common(p, descriptors=False)
 
     return parser, subs
 
@@ -437,46 +438,40 @@ def cmd_scan(ns):
         raise UsageError("scan needs a catalog map")
     key, values = _sweep_values(ns.param)
     kind, params = parse_descriptor(ns.target)
-    rows = []
-    reports = []
-    ok = True
-    for v in values:
-        dom = parse_domain(ns.domain, ns.resolution)
-        tgt = build_target(kind, {**params, key: v})
-        f = catalog_map(ns.map, dom, tgt)
-        rep = build_report(f, seed=ns.seed)
-        d = rep.to_dict()
-        d["sweep_key"] = key
-        d["sweep_value"] = v
-        reports.append(d)
-        rows.append([v, rep.domain, rep.target] + [d[c] for c in _SCAN_COLUMNS])
-        if rep.counterexample:
-            ok = False
+    entries = (
+        (v, catalog_map(ns.map, parse_domain(ns.domain, ns.resolution),
+                        build_target(kind, {**params, key: v})))
+        for v in values
+    )
+    result = theorem_consistency_scan(entries, seed=ns.seed)
+    swept = [(r.name, r.report) for r in result.rows]
     payload = {
         "provenance": _provenance(ns),
         "map": ns.map,
         "sweep": {"key": key, "values": values},
-        "reports": reports,
-        "passed": ok,
+        "reports": [{**rep.to_dict(), "sweep_key": key, "sweep_value": v}
+                    for v, rep in swept],
+        "passed": result.ok,
     }
     text = json_dumps(payload)
     if ns.csv:
+        rows = [[v, rep.domain, rep.target] + [getattr(rep, c) for c in _SCAN_COLUMNS]
+                for v, rep in swept]
         write_csv(ns.csv, [key, "domain", "target"] + list(_SCAN_COLUMNS), rows)
     _emit(ns, text)
-    return 0 if ok else 1
+    return 0 if result.ok else 1
 
 
 def cmd_consistency(ns):
-    # built one at a time as the scan reaches them: a map and its cached
-    # fields are gone before the next is built
+    # built on the unit sphere one at a time as the scan reaches them
     entries = (
-        (name, catalog_map(spec, parse_domain(ns.domain, ns.resolution), parse_target(tgt)))
+        (name, catalog_map(spec, parse_domain("sphere:r=1", ns.resolution), parse_target(tgt)))
         for name, tgt, spec in CONSISTENCY_CATALOG
     )
     result = theorem_consistency_scan(entries, seed=ns.seed)
     text = json_dumps({
         "provenance": _provenance(ns),
-        "rows": [vars(r) for r in result.rows],
+        "rows": [r.to_dict() for r in result.rows],
         "passed": result.ok,
     })
     sys.stdout.write(result.table() + "\n")

@@ -12,7 +12,7 @@ can be nonzero: the metric and Ricci diagonals and the Christoffel
 symbols (Gamma^u_vv, Gamma^v_uv = Gamma^v_vu).  The area element and
 the quadrature weights are (n1, 1) profiles.  The dense point forms
 that the test suite's finite-difference cross-checks read live in its
-chart oracle; `check_point` validates a chart point.
+chart oracle.
 
 Sphere grids stagger the latitude nodes so no node sits on a chart
 pole; ghost rows continue fields across the pole antipodally, which
@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ChartDomainError, UsageError
+from .errors import UsageError
 from .numerics import fejer1_weights, fmt_param
 
 TWO_PI = 2.0 * np.pi
@@ -50,13 +50,6 @@ def _mode_symbol(count, h):
     Mode k has eigenvalue -(2 sin(k h / 2) / h)^2 on a grid of spacing h.
     """
     return (2 * np.sin(np.arange(count) * h / 2) / h) ** 2
-
-
-def _as_point(p):
-    p = np.asarray(p, dtype=float)
-    if p.shape != (2,):
-        raise UsageError(f"chart point must have 2 coordinates, got shape {p.shape}")
-    return p
 
 
 class ChartGrid:
@@ -127,12 +120,6 @@ class FlatTorus2(ChartGrid):
     def axes(self):
         h1, h2 = self.spacing
         return np.arange(self.n1) * h1, np.arange(self.n2) * h2
-
-    def check_point(self, p):
-        p = _as_point(p)
-        if not (0.0 <= p[0] <= TWO_PI and 0.0 <= p[1] <= TWO_PI):
-            raise ChartDomainError(f"point {p} outside torus chart [0, 2pi]^2")
-        return p
 
     def descriptor(self):
         return f"torus:a={fmt_param(self.a)},b={fmt_param(self.b)}"
@@ -232,14 +219,6 @@ class RoundSphere2(ChartGrid):
         theta = (np.arange(self.n1) + 0.5) * h1
         phi = np.arange(self.n2) * h2
         return theta, phi
-
-    def check_point(self, p):
-        p = _as_point(p)
-        if not (0.0 < p[0] < np.pi):
-            raise ChartDomainError(f"theta={p[0]} outside (0, pi)")
-        if not (0.0 <= p[1] <= TWO_PI):
-            raise ChartDomainError(f"phi={p[1]} outside [0, 2pi]")
-        return p
 
     def descriptor(self):
         return f"sphere:r={fmt_param(self.r)}"

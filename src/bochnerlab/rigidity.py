@@ -9,7 +9,8 @@ with a resolution-indexed equality band tol(h) = C h^2.
 
 A report is the one judge of a map: at the threshold it carries the
 equality diagnostics from its own Bochner pass, and `counterexample`
-states the falsification rule that both scans apply.
+states the falsification rule.  `theorem_consistency_scan` is the one
+sweep that applies it, for the CLI's `scan` and `consistency` alike.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .bochner import compute_bochner
-from .domains import ricci_min
+from .domains import MAX_NODES, ricci_min
 from .errors import UsageError
 from .flow import image_diameter, image_radius
 from .maps import row_bands
@@ -131,6 +132,8 @@ def build_report(f, seed=0, global_sample=0):
     """
     if global_sample < 0 or seed < 0:
         raise UsageError("the seed and the global sample size must not be negative")
+    if global_sample > MAX_NODES:
+        raise UsageError(f"global sample of {global_sample} exceeds MAX_NODES = {MAX_NODES}")
     dom, tgt = f.domain, f.target
     n = dom.n
     h = grid_h(dom)
@@ -242,17 +245,19 @@ def build_report(f, seed=0, global_sample=0):
     )
 
 
+_ROW_FIELDS = ("classification", "margin", "tol", "sup_tension", "harmonic", "is_constant")
+
+
 @dataclass
 class ScanRow:
-    name: str
-    classification: str
-    margin: float
-    tol: float
-    sup_tension: float
-    harmonic: bool
-    is_constant: bool
+    name: str | float  # a catalog name, or the sweep value of a parameter scan
+    report: PinchingReport
     status: str
     detail: str
+
+    def to_dict(self):
+        return {"name": self.name, **{k: getattr(self.report, k) for k in _ROW_FIELDS},
+                "status": self.status, "detail": self.detail}
 
 
 @dataclass
@@ -265,22 +270,26 @@ class ScanResult:
             f"{'map':24s} {'class':10s} {'margin':>12s} {'sup|tau|':>10s} {'status':8s}"
         ]
         for r in self.rows:
+            rep = r.report
             lines.append(
-                f"{r.name:24s} {r.classification:10s} {r.margin:12.4e} "
-                f"{r.sup_tension:10.2e} {r.status:8s} {r.detail}"
+                f"{r.name:24s} {rep.classification:10s} {rep.margin:12.4e} "
+                f"{rep.sup_tension:10.2e} {r.status:8s} {r.detail}"
             )
         return "\n".join(lines)
 
 
 def theorem_consistency_scan(entries, seed=0):
-    """Falsification sweep over a set of numerically harmonic maps.
+    """Falsification sweep: one report per (name, map) entry.
 
-    An entry fails when its report names a counterexample; non-harmonic
-    entries are listed as skipped.
+    An entry fails when its report names a counterexample and passes
+    when its map is numerically harmonic; a non-harmonic entry is
+    listed as skipped.  Each map is dropped once its report is built,
+    so a generator of entries holds one map at a time.
     """
     rows = []
     for name, f in entries:
         rep = build_report(f, seed=seed)
+        del f  # gone before a generator of entries builds the next map
         reason = rep.counterexample
         if reason:
             status, detail = "fail", reason
@@ -288,16 +297,5 @@ def theorem_consistency_scan(entries, seed=0):
             status, detail = "pass", ""
         else:
             status, detail = "skipped", "not numerically harmonic"
-        rows.append(ScanRow(
-            name=name,
-            classification=rep.classification,
-            margin=rep.margin,
-            tol=rep.tol,
-            sup_tension=rep.sup_tension,
-            harmonic=rep.harmonic,
-            is_constant=rep.is_constant,
-            status=status,
-            detail=detail,
-        ))
-        del f, rep  # a generator of entries builds the next map only now
+        rows.append(ScanRow(name, rep, status, detail))
     return ScanResult(rows=rows, ok=all(r.status != "fail" for r in rows))

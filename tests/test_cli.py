@@ -332,6 +332,22 @@ class TestReport:
         assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.fixture
+def built_maps(monkeypatch):
+    """Weak references to the catalog maps the CLI builds; building one
+    while an earlier one is alive fails the test."""
+    built = []
+
+    def build_one(*args):
+        assert all(ref() is None for ref in built)
+        f = catalog_map(*args)
+        built.append(weakref.ref(f))
+        return f
+
+    monkeypatch.setattr("bochnerlab.cli.catalog_map", build_one)
+    return built
+
+
 class TestScan:
     def test_sweep_has_seven_points(self, tmp_path):
         out = tmp_path / "scan.json"
@@ -358,6 +374,11 @@ class TestScan:
     def test_malformed_param(self):
         assert run_cli("scan", "--param", "r=1:2", "--map", "scaling") == 2
 
+    def test_one_map_alive_at_a_time(self, built_maps):
+        assert run_cli("scan", "--map", "scaling", "--param", "r=0.5:2:0.5",
+                       "--resolution", "16") == 0
+        assert len(built_maps) == 4
+
     def test_oversized_sweep_is_a_usage_error(self):
         # a million valid radii would build a million reports
         t0 = time.perf_counter()
@@ -377,19 +398,15 @@ class TestConsistency:
         table = capsys.readouterr().out
         assert "identity_sphere" in table
 
-    def test_one_catalog_map_alive_at_a_time(self, monkeypatch):
-        # each map is built when the scan reaches it, once the last is gone
-        built = []
-
-        def build_one(*args):
-            assert all(ref() is None for ref in built)
-            f = catalog_map(*args)
-            built.append(weakref.ref(f))
-            return f
-
-        monkeypatch.setattr("bochnerlab.cli.catalog_map", build_one)
+    def test_one_catalog_map_alive_at_a_time(self, built_maps):
         assert run_cli("consistency", "--resolution", "16") == 0
-        assert len(built) == 7
+        assert len(built_maps) == 7
+
+    @pytest.mark.parametrize("flag", [["--target", "euclid:m=3"], ["--domain", "sphere:r=2"]],
+                             ids=["target", "domain"])
+    def test_the_catalog_takes_no_descriptor(self, flag):
+        # the catalog fixes its own domain and targets
+        assert exit_code(["consistency", "--resolution", "16"] + flag) == 2
 
 
 class TestConfig:

@@ -1,11 +1,12 @@
 """Pinching reports, equality diagnostics, localization, consistency scan."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from bochnerlab.domains import FlatTorus2, RoundSphere2
+from bochnerlab.domains import MAX_NODES, FlatTorus2, RoundSphere2
+from bochnerlab.errors import UsageError
 from bochnerlab.maps import DiscreteMap, catalog_map
 from bochnerlab.rigidity import PinchingReport, build_report, theorem_consistency_scan
 from bochnerlab.targets import Ellipsoid, Euclidean, Sphere
@@ -155,6 +156,17 @@ class TestLocalization:
         assert rep.sec_max_global_sample is not None
         assert rep.sec_max_global_sample >= rep.sec_max_image - 1e-9
 
+    def test_global_sample_beyond_max_nodes_is_refused_before_any_draw(self, monkeypatch):
+        # a (count, m) normal draw of 1e9 points would ask for about 24 GB
+        f = band_map(n=8)
+
+        def drawn(*args):
+            raise AssertionError("the global sample was drawn")
+
+        monkeypatch.setattr(type(f.target), "sample_points", drawn)
+        with pytest.raises(UsageError, match="MAX_NODES"):
+            build_report(f, global_sample=MAX_NODES + 1)
+
 
 class TestConsistencyScan:
     def test_counterexample_rule(self):
@@ -176,6 +188,15 @@ class TestConsistencyScan:
         argv = ["scan", "--map", "scaling", "--param", "r=1:1:1", "--resolution", "16",
                 "--json", str(tmp_path / "scan.json")]
         assert cli.main(argv) == 1
+
+    def test_row_reads_its_report(self):
+        result = theorem_consistency_scan([("identity", sphere_map("identity", n1=16))])
+        row = result.rows[0]
+        assert [f.name for f in fields(row)] == ["name", "report", "status", "detail"]
+        d = row.to_dict()
+        assert list(d) == ["name", "classification", "margin", "tol", "sup_tension",
+                           "harmonic", "is_constant", "status", "detail"]
+        assert d["margin"] == row.report.margin and d["status"] == row.status == "pass"
 
     def test_catalog_passes(self):
         entries = [
@@ -201,7 +222,7 @@ class TestConsistencyScan:
         assert summary.outcome == "collapsed_to_constant"
         result = theorem_consistency_scan([("cap_flow_limit", f)])
         assert result.ok
-        assert result.rows[0].is_constant
+        assert result.rows[0].report.is_constant
         assert result.rows[0].status == "pass"
 
     def test_non_harmonic_entry_is_skipped(self):

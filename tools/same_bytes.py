@@ -161,6 +161,10 @@ CONFIGS = (
                        "--target", "torusemb:rho1=1,rho2=1", "--param", "rho2=0.5:1:0.25",
                        "--resolution", "16", "--csv", "scan-t.csv",
                        "--json", "scan-t.json"], None),
+    # a sweep whose entries are harmonic at r = 1 and not at 1.5 and 2
+    ("scan-cap", ["scan", "--map", "cap:amplitude=0.3", "--domain", TORUS,
+                  "--param", "r=1:2:0.5", "--resolution", "64", "--csv", "scan-cap.csv",
+                  "--json", "scan-cap.json"], None),
     # the affine fit of the equality diagnostics, which only a flat target takes
     ("report-clifford", ["report", "--load", "clifford.map", "--json", "clifford.json"],
      _clifford_map),
