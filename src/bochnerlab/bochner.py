@@ -18,20 +18,22 @@ discrete residual (1/2) Lap |df|^2 - |H|^2 - Q decays at second order.
 Per band the first-order pass takes L f on the band's continuation,
 then the Jacobian J and |H|^2 from one set of chart derivatives, one
 pullback metric P = J^T J and the eigenvalues of P against the domain
-metric (no eigenvectors).  It
-keeps the spectrum (lam, S) and |H|^2 as node grids and reduces
-sup|tau| inside the band, so neither L f nor the tension is held.  The
-contraction pass also contracts P and J into the Ricci and target
-terms (ricci_term_field, target_term_field), which it keeps; it
-reduces the path check against the curvature enclosure inside the
-band, and sums the energy density of its own J over the grid.  A
-second banded pass then takes (1/2) Lap |df|^2 of S, kept for the node
-CSV, and reduces sup|residual|.  Q and the residual are never stored:
-they are derived from the kept grids a band or a CSV block at a time.
-J, P and each band's continued values never exceed a band, and the
-domain coefficients are row profiles.  `integral_identity_residual`
-applies the contractions to its own accuracy-6 Jacobian and |H|^2,
-also a band at a time.
+metric (no eigenvectors).  It keeps the spectrum (lam, S) and |H|^2
+as node grids and reduces sup|tau| inside the band, so neither L f nor
+the tension is held.  It takes the target's `sec_range` and
+`constraint_residual` at the band's image nodes once, for the image's
+curvature range (Sec_max with the first node that reaches it) and its
+on-target residual.  The contraction pass also contracts P and J into
+the Ricci and target terms (ricci_term_field, target_term_field),
+which it keeps; it reduces the path check against the same curvature
+enclosure inside the band, and sums the energy density of its own J
+over the grid.  A second banded pass then takes (1/2) Lap |df|^2 of S,
+kept for the node CSV, and reduces sup|residual|.  Q and the residual
+are never stored: they are derived from the kept grids a band or a CSV
+block at a time.  J, P and each band's continued values never exceed a
+band, and the domain coefficients are row profiles.
+`integral_identity_residual` applies the contractions to its own
+accuracy-6 Jacobian and |H|^2, also a band at a time.
 """
 
 from __future__ import annotations
@@ -113,7 +115,9 @@ class BochnerData:
     ((1/2) Lap |df|^2) from the contraction pass only, as are
     path_disagreement, sup_residual and energy (None after the
     first-order pass).  The sup norms are floats over the unflagged
-    nodes.  The residual is meaningful when sup_tension is small
+    nodes.  sec_least, sec_max (first reached at the image point
+    sec_max_witness, in C order) and constraint_residual are over every
+    image node.  The residual is meaningful when sup_tension is small
     (numerically harmonic map).
     """
 
@@ -122,6 +126,10 @@ class BochnerData:
     S: np.ndarray
     hess: np.ndarray
     sup_tension: float
+    sec_least: float
+    sec_max: float
+    sec_max_witness: tuple
+    constraint_residual: float
     ricci: np.ndarray | None = None
     target: np.ndarray | None = None
     lap: np.ndarray | None = None
@@ -145,10 +153,16 @@ def compute_bochner(f, *, contraction):
     the first-order pass, or with contraction=True the contraction pass."""
     dom, tgt = f.domain, f.target
     keep = ~dom.flagged_mask()
-    sups = {"sup_tension": [], "path_disagreement": [], "sup_residual": []}
+    sups = {"sup_tension": [], "path_disagreement": [], "sup_residual": [],
+            "constraint_residual": []}
+    image = []  # per band: least and greatest Sec, the first node reaching it
 
     def first_order(band):
         rows, q = band.rows, band.values
+        least, greatest = tgt.sec_range(q)
+        node = np.unravel_index(np.argmax(greatest), greatest.shape)
+        image.append((np.min(least), greatest[node], q[node]))
+        sups["constraint_residual"].append(np.max(tgt.constraint_residual(q)))
         # L f on the continuation the stencils read, dropped once reduced
         tau = tgt.tangent_part(q, dom.laplace_beltrami_rows(band.continued, rows))
         sups["sup_tension"].append(_band_max(norm(tau), keep[rows]))
@@ -161,14 +175,17 @@ def compute_bochner(f, *, contraction):
         if contraction:
             ginv = dom.inv_metric_diag_grid()[rows]
             target = target_term_field(tgt, q, J, ginv)
-            gap = enclosure_gap(target, tgt.sec_range(q), lam)
+            gap = enclosure_gap(target, (least, greatest), lam)
             sups["path_disagreement"].append(_band_max(gap, keep[rows]))
             fields.update(ricci=ricci_term_field(P, ginv, dom.ricci_grid()[rows]),
                           target=target, e=energy_density_field(J, ginv))
         return fields
 
     grids = assemble(dom, f.values, first_order)
-    floats = {}
+    band_least, band_max, band_node = zip(*image)
+    top = int(np.argmax(band_max))  # the first band that reaches it
+    floats = {"sec_least": float(np.min(band_least)), "sec_max": float(band_max[top]),
+              "sec_max_witness": tuple(map(float, band_node[top]))}
     if contraction:
         # one whole-grid sum, as total_energy takes it: sums per band move bits
         e = grids.pop("e")

@@ -30,13 +30,7 @@ from .errors import ChartDomainError, NumericalError, UsageError
 from .flow import DT_MAX, ENERGY_SLACK, IMPLICIT_DT, FlowParams, run_flow
 from .io_utils import ColumnRows, json_dumps, write_csv
 from .maps import catalog_map, load_map, save_map
-from .rigidity import (
-    HARMONIC_COEFF,
-    build_report,
-    grid_h,
-    image_curvature_bounds,
-    theorem_consistency_scan,
-)
+from .rigidity import HARMONIC_COEFF, build_report, grid_h, theorem_consistency_scan
 from .targets import ON_TARGET_TOL
 
 MIN_RESOLUTION = 8
@@ -240,7 +234,7 @@ def _verify_level(f):
         "energy": data.energy,
         "integral_identity_residual": integral,
         "volume": vol,
-        "constraint_residual": f.max_constraint_residual(),
+        "constraint_residual": data.constraint_residual,
     }
 
 
@@ -305,7 +299,7 @@ def _write_node_csv(ns, f, data):
     dom = f.domain
     rmin, _ = ricci_min(dom)
     # Sec_max over every image node, as the report takes it
-    sec_max = max(image_curvature_bounds(f)[1], 0.0)
+    sec_max = max(data.sec_max, 0.0)
     n = dom.n
     header = (
         ["i", "j", "e"]
@@ -438,11 +432,10 @@ def cmd_scan(ns):
         raise UsageError("scan needs a catalog map")
     key, values = _sweep_values(ns.param)
     kind, params = parse_descriptor(ns.target)
-    entries = (
-        (v, catalog_map(ns.map, parse_domain(ns.domain, ns.resolution),
-                        build_target(kind, {**params, key: v})))
-        for v in values
-    )
+    dom = parse_domain(ns.domain, ns.resolution)
+    # every target first, so a bad sweep value is refused before any map
+    targets = [build_target(kind, {**params, key: v}) for v in values]
+    entries = ((v, catalog_map(ns.map, dom, tgt)) for v, tgt in zip(values, targets))
     result = theorem_consistency_scan(entries, seed=ns.seed)
     swept = [(r.name, r.report) for r in result.rows]
     payload = {

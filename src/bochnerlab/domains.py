@@ -66,6 +66,19 @@ class ChartGrid:
             object.__setattr__(self, "n2", self.N2_PER_N1 * self.n1)
         if self.n1 * self.n2 > MAX_NODES:
             raise UsageError(f"{self.n1} x {self.n2} grid exceeds MAX_NODES = {MAX_NODES}")
+        if self.n1 < 4 or self.n2 < 4:
+            raise UsageError(f"{self.kind} grid needs at least 4 nodes per axis")
+        # the calculus divides by g_ii and h_i^2 g_ii at every node (a
+        # Python float squared beyond the range raises OverflowError)
+        try:
+            with np.errstate(all="ignore"):
+                g = self.metric_diag_grid()
+                g = np.concatenate([g, g * np.square(self.spacing)])
+        except OverflowError:
+            g = np.inf
+        if not np.all((g >= np.finfo(float).tiny) & (g <= np.finfo(float).max)):
+            raise UsageError(f"{self.descriptor()} at {self.n1} x {self.n2} nodes has a metric "
+                             "g_ii or h_i^2 g_ii that is not a finite normal float")
 
     def chart_grid(self):
         return np.meshgrid(*self.axes(), indexing="ij")
@@ -108,8 +121,6 @@ class FlatTorus2(ChartGrid):
         super().__post_init__()
         if self.a <= 0 or self.b <= 0:
             raise UsageError("torus periods must be positive")
-        if self.n1 < 4 or self.n2 < 4:
-            raise UsageError("torus grid needs at least 4 nodes per axis")
 
     # -- chart ---------------------------------------------------------------
 
@@ -203,8 +214,6 @@ class RoundSphere2(ChartGrid):
         super().__post_init__()
         if self.r <= 0:
             raise UsageError("sphere radius must be positive")
-        if self.n1 < 4 or self.n2 < 4:
-            raise UsageError("sphere grid needs at least 4 nodes per axis")
         if self.n2 % 2 != 0:
             raise UsageError("sphere grid needs an even longitude count")
 

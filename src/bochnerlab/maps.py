@@ -94,10 +94,6 @@ class DiscreteMap:
     def with_values(self, values):
         return DiscreteMap(self.domain, self.target, values)
 
-    def max_constraint_residual(self):
-        return float(np.max([np.max(self.target.constraint_residual(self.values[rows]))
-                             for rows in row_bands(self.domain)]))
-
 
 # -- analytic map catalog ----------------------------------------------------
 

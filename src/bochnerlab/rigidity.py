@@ -21,10 +21,9 @@ import numpy as np
 
 from .bochner import compute_bochner
 from .domains import MAX_NODES, ricci_min
-from .errors import UsageError
+from .errors import ChartDomainError, NumericalError, UsageError
 from .flow import image_diameter, image_radius
-from .maps import row_bands
-from .targets import curvature_bounds, sec_max_over_region
+from .targets import ON_TARGET_TOL, sec_max_over_region
 
 # Margin/diagnostic band coefficients for tol(h) = C h^2, calibrated on
 # the homothety family (see tests): discrete margins and Hessian sups of
@@ -112,15 +111,6 @@ class PinchingReport:
         return None
 
 
-def image_curvature_bounds(f):
-    """`curvature_bounds` over the image nodes of f, a row band at a time:
-    (least, greatest, the first node in C order that reaches the greatest)."""
-    bands = [curvature_bounds(f.target, f.values[rows].reshape(-1, f.target.m))
-             for rows in row_bands(f.domain)]
-    top = max(bands, key=lambda b: b[1])  # the first band that reaches it
-    return min(b[0] for b in bands), top[1], top[2]
-
-
 def build_report(f, seed=0, global_sample=0):
     """Assemble the pinching report for a map.
 
@@ -141,24 +131,29 @@ def build_report(f, seed=0, global_sample=0):
     harmonic_tol = HARMONIC_COEFF * h * h
 
     data = compute_bochner(f, contraction=False)
+    if not data.constraint_residual <= ON_TARGET_TOL:
+        raise ChartDomainError("point set contains off-target points "
+                               f"(max residual {data.constraint_residual:.3e})")
     # sup |df|^2 over every node: energy in the pole collar enters the
     # pinching threshold; the collar is left out of the second-order sups
     S0 = float(np.max(data.S))
     e_max = S0 / 2.0
 
     rmin, rwit = ricci_min(dom)
-    # Sec >= 0 on all planes at the image nodes (the hypothesis) when
-    # the least eigenvalue of the curvature operator is nonnegative
-    least, sec_img, wit = image_curvature_bounds(f)
+    threshold_S0 = (n - 1) / n * data.sec_max * S0
+    threshold_e = (n - 1) / n * data.sec_max * e_max
+    margin = rmin - threshold_S0
+    # never classified: an infinite margin would read strict, a NaN one violated
+    for name, value in (("S0", S0), ("sup_tension", data.sup_tension),
+                        ("sec_max_image", data.sec_max), ("margin", margin)):
+        if not np.isfinite(value):
+            raise NumericalError(f"non-finite result: {name}")
+
     sec_global = None
     if global_sample:
         rng = np.random.default_rng(seed)
         sample = tgt.sample_points(global_sample, rng)
         sec_global = sec_max_over_region(tgt, sample)[0]
-
-    threshold_S0 = (n - 1) / n * sec_img * S0
-    threshold_e = (n - 1) / n * sec_img * e_max
-    margin = rmin - threshold_S0
 
     # R <= diam <= 2R decides diam < tol without the pairwise scan
     # unless R lies in [tol/2, tol)
@@ -175,7 +170,9 @@ def build_report(f, seed=0, global_sample=0):
     else:
         classification = "violated"
 
-    hypothesis_ok = least >= 0
+    # Sec >= 0 on all planes at the image nodes (the hypothesis) when
+    # the least eigenvalue of the curvature operator is nonnegative
+    hypothesis_ok = data.sec_least >= 0
     if is_constant:
         prediction = "constant"
     elif not hypothesis_ok or classification == "violated":
@@ -220,8 +217,8 @@ def build_report(f, seed=0, global_sample=0):
         target=tgt.descriptor(),
         ric_min=rmin,
         ric_min_witness=tuple(float(x) for x in rwit),
-        sec_max_image=float(sec_img),
-        sec_max_witness_point=tuple(float(x) for x in wit),
+        sec_max_image=data.sec_max,
+        sec_max_witness_point=data.sec_max_witness,
         sec_max_global_sample=sec_global,
         S0=S0,
         e_max=e_max,

@@ -18,9 +18,10 @@ eigenvalue of its curvature operator on the 2-vectors of T_q
 the two are the least and greatest sectional curvature at q.  On every
 kind but S^2(r1) x S^2(r2) they agree, and `sectional_curvature` reads
 their one value as the curvature of every plane.  The Bochner
-contraction pass checks its Gauss contraction against them at every
-image node.  The region extremizer takes their extremes over a point
-set, so it is deterministic and monotone under set inclusion.
+passes read them at every image node, and the contraction pass checks
+its Gauss contraction against them there.  The region extremizer
+`sec_max_over_region` takes the greatest over a point set, so it is
+deterministic and monotone under set inclusion.
 
 A point is on target when its `constraint_residual`, relative to the
 target's size (| |q|^2 / r^2 - 1 | per sphere factor), is at most
@@ -368,34 +369,20 @@ def sectional_curvature(target, q, X, Y):
     return float(greatest if least == greatest else gauss_numerator(target, q, X, Y) / gram)
 
 
-def curvature_bounds(target, points):
-    """Least and greatest curvature-operator eigenvalue over the points.
-
-    Returns (least, greatest, the first point that reaches the
-    greatest), from the target's closed-form `sec_range`.  The greatest
-    is the largest sectional curvature at the points; the least is
-    nonnegative exactly when every sectional curvature there is.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.size == 0:
-        raise UsageError("curvature bounds need a nonempty point set")
-    if pts.shape[-1] != target.m:
-        raise UsageError(
-            f"points have ambient dimension {pts.shape[-1]}, expected {target.m}"
-        )
-    res = target.constraint_residual(pts)
-    if not np.all(res <= ON_TARGET_TOL):
-        raise ChartDomainError(
-            f"point set contains off-target points (max residual {np.max(res):.3e})"
-        )
-    least, greatest = target.sec_range(pts)
-    b = int(np.argmax(greatest))
-    return float(np.min(least)), float(greatest[b]), pts[b]
-
-
 def sec_max_over_region(target, points):
     """Maximum sectional curvature over all 2-planes at the given points.
 
-    Returns (value, witness point) from `curvature_bounds`.
+    Returns (value, the first point that reaches it), from the target's
+    closed-form `sec_range`: the greatest curvature-operator eigenvalue,
+    which is the largest sectional curvature there.
     """
-    return curvature_bounds(target, points)[1:]
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.size == 0 or pts.shape[-1] != target.m:
+        raise UsageError(f"Sec_max needs a nonempty set of points in R^{target.m}, "
+                         f"got shape {pts.shape}")
+    res = np.max(target.constraint_residual(pts))
+    if not res <= ON_TARGET_TOL:
+        raise ChartDomainError(f"point set contains off-target points (max residual {res:.3e})")
+    greatest = target.sec_range(pts)[1]
+    b = int(np.argmax(greatest))
+    return float(greatest[b]), pts[b]

@@ -224,10 +224,11 @@ class TestFlatDomainCatalog:
 
 
 # every field of a contraction pass; a first-order pass fills the first
-# four and leaves the rest None
+# eight and leaves the rest None
 FIELDS = ("lam", "S", "hess", "sup_tension",
+          "sec_least", "sec_max", "sec_max_witness", "constraint_residual",
           "ricci", "target", "lap", "path_disagreement", "sup_residual", "energy")
-FIRST_ORDER = FIELDS[:4]
+FIRST_ORDER = FIELDS[:8]
 KEPT = {False: {"lam", "S", "hess"}, True: {"lam", "S", "hess", "ricci", "target", "lap"}}
 CONTRACTIONS = ("ricci_term_field", "target_term_field", "enclosure_gap")
 
@@ -277,6 +278,26 @@ class TestPasses:
         assert data.sup_residual == np.max(np.abs(data.residual())[keep])
         assert data.sup_tension == np.max(np.linalg.norm(f.tension, axis=-1)[keep])
         assert data.energy == total_energy(f)
+
+    @pytest.mark.parametrize("contraction", [False, True])
+    def test_image_reading_spans_the_bands(self, contraction, count_calls):
+        # 128 x 256 nodes into ellipsoid(1, 1, 2) are four bands, and the
+        # curvature maximum sits at both poles: the pass reads the target
+        # once per band and takes the first node in C order that reaches it
+        dom = RoundSphere2(r=1.0, n1=128, n2=256)
+        TH, PH = dom.chart_grid()
+        u = np.stack([np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)], axis=-1)
+        tgt = Ellipsoid(a=1, b=1, c=2)
+        f = DiscreteMap(dom, tgt, u * [1.2, 0.9, 2.1])
+        counts = count_calls(Ellipsoid, ("sec_range", "constraint_residual"))
+        data = compute_bochner(f, contraction=contraction)
+        assert counts == {"sec_range": 4, "constraint_residual": 4}
+        least, greatest = tgt.sec_range(f.values)
+        first = np.argmax(greatest)
+        assert data.sec_max == greatest.ravel()[first] == np.max(greatest[-1])  # both poles
+        assert data.sec_least == np.min(least) > 0
+        assert data.sec_max_witness == tuple(f.values.reshape(-1, 3)[first])
+        assert data.constraint_residual == np.max(tgt.constraint_residual(f.values))
 
     def test_first_order_pass_agrees_with_the_contraction_pass(self):
         f = sphere_map("holomorphic:k=2", n1=32)

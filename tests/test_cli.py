@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import time
+import warnings
 import weakref
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from bochnerlab.bochner import compute_bochner, pinching_slack
 from bochnerlab.catalog import parse_domain, parse_target
 from bochnerlab.cli import main
 from bochnerlab.domains import FlatTorus2, ricci_min
-from bochnerlab.errors import UsageError
+from bochnerlab.errors import NumericalError, UsageError
 from bochnerlab.maps import DiscreteMap, catalog_map, load_map, save_map
 from bochnerlab.rigidity import build_report
 from bochnerlab.targets import Ellipsoid, sec_max_over_region
@@ -36,6 +37,17 @@ def exit_code(argv):
         return main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+def ellipsoid_map(path, n1):
+    """Save the unit directions of S^2 at n1 x 2 n1 scaled by (1.2, 0.9, 2.1),
+    reprojected onto ellipsoid(1, 1, 2); its Gauss curvature peaks near
+    both poles."""
+    dom = parse_domain("sphere:r=1", n1)
+    TH, PH = dom.chart_grid()
+    u = np.stack([np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)], axis=-1)
+    save_map(DiscreteMap(dom, Ellipsoid(a=1, b=1, c=2), u * [1.2, 0.9, 2.1]), path)
+    return str(path)
 
 
 class TestVerify:
@@ -128,11 +140,7 @@ class TestVerify:
         # the enclosure takes the ellipsoid's Gauss curvature from
         # sec_range and the contraction takes it from the Gauss equation,
         # so a 1 % error in the closed form fails the path check
-        dom = parse_domain("sphere:r=1", 32)
-        TH, PH = dom.chart_grid()
-        u = np.stack([np.sin(TH) * np.cos(PH), np.sin(TH) * np.sin(PH), np.cos(TH)], axis=-1)
-        path = tmp_path / "ellipsoid.map"
-        save_map(DiscreteMap(dom, Ellipsoid(a=1, b=1, c=2), u * [1.2, 0.9, 2.1]), path)
+        path = ellipsoid_map(tmp_path / "ellipsoid.map", 32)
 
         def path_agreement():
             out = tmp_path / "v.json"
@@ -144,6 +152,19 @@ class TestVerify:
         monkeypatch.setattr(Ellipsoid, "sec_range",
                             lambda self, q: tuple(1.01 * K for K in closed_form(self, q)))
         assert path_agreement() is False
+
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    def test_the_image_is_read_once_per_band(self, tmp_path, count_calls, command):
+        # 128 x 256 nodes are four bands; the pass reads the target at
+        # the image nodes, and the report, the verify level and the node
+        # CSV read the pass (8 calls each at a verify with --csv before)
+        path = ellipsoid_map(tmp_path / "ellipsoid.map", 128)
+        counts = count_calls(Ellipsoid, ("sec_range", "constraint_residual"))
+        argv = [command, "--load", path, "--json", str(tmp_path / "out.json")]
+        if command == "verify":
+            argv += ["--csv", str(tmp_path / "nodes.csv")]
+        assert run_cli(*argv) == 0
+        assert counts == {"sec_range": 4, "constraint_residual": 4}
 
     @pytest.mark.parametrize("refine", [2, 3])
     def test_exactly_harmonic_map_has_no_ratio_to_check(self, tmp_path, refine):
@@ -379,6 +400,15 @@ class TestScan:
                        "--resolution", "16") == 0
         assert len(built_maps) == 4
 
+    def test_a_bad_sweep_value_is_refused_before_any_map(self, monkeypatch):
+        # k = 2.5 is no sphere dimension: refused before the k = 2 map is built
+        def no_map(*args):
+            raise AssertionError("a map was built")
+
+        monkeypatch.setattr("bochnerlab.cli.catalog_map", no_map)
+        assert run_cli("scan", "--map", "identity", "--param", "k=2:3:0.5",
+                       "--resolution", "16") == 2
+
     def test_oversized_sweep_is_a_usage_error(self):
         # a million valid radii would build a million reports
         t0 = time.perf_counter()
@@ -580,11 +610,25 @@ class TestNonFiniteResults:
         assert not out.exists()
 
     def test_flow_on_a_degenerate_torus(self, tmp_path, capsys):
-        trace = tmp_path / "trace.csv"
+        # a^2 h^2 underflows to 0: refused with the domain, before any step
+        trace, out = tmp_path / "trace.csv", tmp_path / "out.json"
         argv = ["flow", "--domain", "torus:a=1e-300,b=1", "--init", "constant",
-                "--steps", "5", "--resolution", "8", "--trace", str(trace)]
-        self.refused(tmp_path, capsys, argv, "final_tension")
-        assert not trace.exists()
+                "--steps", "5", "--resolution", "8", "--trace", str(trace),
+                "--json", str(out)]
+        assert exit_code(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "usage"
+        assert not trace.exists() and not out.exists()
+
+    @pytest.mark.parametrize("domain", ["torus:a=1e-300,b=1", "torus:a=1e200,b=1",
+                                        "torus:a=1e-160,b=1", "sphere:r=1e160"])
+    def test_a_metric_beyond_normal_floats_is_a_usage_error(self, capsys, domain):
+        # one JSON object on stderr: no RuntimeWarning and no OverflowError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert exit_code(["flow", "--domain", domain, "--init", "constant",
+                              "--steps", "1", "--resolution", "8"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage" and "not a finite normal float" in err["message"]
 
     def test_verify_of_noise_on_a_tiny_torus(self, tmp_path, capsys):
         path = noise_map(tmp_path / "n.map", "torus:a=1e-150,b=1", "euclid:m=3")
@@ -594,17 +638,19 @@ class TestNonFiniteResults:
         assert not csv.exists()
 
     @pytest.mark.parametrize(
-        "domain, target, classification",
-        [("sphere:r=1e-100", "torusemb:rho1=0.001,rho2=1", "strict"),
-         ("torus:a=1e-150,b=1", "euclid:m=3", "equality")],
+        "domain, target",
+        [("sphere:r=1e-100", "torusemb:rho1=0.001,rho2=1"),
+         ("torus:a=1e-150,b=1", "euclid:m=3")],
     )
-    def test_report_of_noise_on_a_tiny_domain(self, tmp_path, capsys, domain, target,
-                                              classification):
+    def test_report_of_noise_on_a_tiny_domain(self, tmp_path, capsys, domain, target):
+        # sup_tension is infinite: the library classified these strict
+        # and equality, and now refuses to classify them at all
         path = noise_map(tmp_path / "n.map", domain, target)
         f = load_map(path)
-        with np.errstate(all="ignore"):
-            assert build_report(f).classification == classification
-        self.refused(tmp_path, capsys, ["report", "--load", path], "report.sup_tension")
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericalError, match="^non-finite result: sup_tension$"):
+            build_report(f)
+        self.refused(tmp_path, capsys, ["report", "--load", path], "sup_tension")
 
 
 # flag values: signs, zero, non-finite, huge, tiny, fractional, non-numeric

@@ -174,6 +174,17 @@ class TestRoundSphere:
         with pytest.raises(UsageError):
             FlatTorus2(a=1.0, b=1.0, n1=2, n2=16)
 
+    @pytest.mark.parametrize("descriptor", ["torus:a=1e-300,b=1", "torus:a=1e-160,b=1",
+                                            "torus:a=1,b=1e200", "sphere:r=1e160",
+                                            "sphere:r=1e-160"])
+    def test_metric_beyond_normal_floats_is_refused(self, descriptor):
+        # the calculus divides by g_ii and h_i^2 g_ii
+        with pytest.raises(UsageError, match="not a finite normal float"):
+            parse_domain(descriptor, 8)
+
+    def test_tiny_metric_of_normal_floats_is_accepted(self):
+        assert FlatTorus2(a=1e-150, n1=8).metric_diag_grid()[0, 0, 0] == 1e-300
+
 
 @pytest.mark.parametrize(
     "dom",

@@ -59,12 +59,12 @@ def _sphere_map(path, target, image, n1=32):
                 fh.write(" ".join(format(x, ".17g") for x in image(u)) + "\n")
 
 
-def _ellipsoid_map(run_dir):
-    """A nonconstant map of S^2 at 32 x 64 into ellipsoid:a=1,b=1,c=2, off
+def _ellipsoid_map(run_dir, n1=32, name="ellipsoid.map"):
+    """A nonconstant map of S^2 at n1 x 2 n1 into ellipsoid:a=1,b=1,c=2, off
     the surface as written: the unit directions u scaled by (1.2, 0.9, 2.1),
     which the map constructor reprojects by the ellipsoid's Newton iteration."""
-    _sphere_map(os.path.join(run_dir, "ellipsoid.map"), "ellipsoid:a=1,b=1,c=2",
-                lambda u: [c * x for c, x in zip((1.2, 0.9, 2.1), u)])
+    _sphere_map(os.path.join(run_dir, name), "ellipsoid:a=1,b=1,c=2",
+                lambda u: [c * x for c, x in zip((1.2, 0.9, 2.1), u)], n1)
 
 
 def _diagonal_map(run_dir):
@@ -150,6 +150,10 @@ CONFIGS = (
     ("verify-ellipsoid", ["verify", "--load", "ellipsoid.map", "--json", "ve.json",
                           "--csv", "ve.csv"], _ellipsoid_map),
     ("report-ellipsoid", ["report", "--load", "ellipsoid.map", "--json", "re.json"], None),
+    # four bands whose curvature varies, its maximum reached at both
+    # poles: the report's Sec_max witness is chosen across the bands
+    ("report-ellipsoid-128", ["report", "--load", "ellipsoid-128.map", "--json", "re-128.json"],
+     lambda run_dir: _ellipsoid_map(run_dir, 128, "ellipsoid-128.map")),
     # the path check on a target whose curvature is not one value
     ("verify-product-diagonal", ["verify", "--load", "diagonal.map", "--json", "vd.json",
                                  "--csv", "vd.csv"], _diagonal_map),
