@@ -5,7 +5,7 @@ maximal sectional curvature over planes based at image points -- not
 over the whole target.  A map whose image stays in the flat equatorial
 belt of the elongated ellipsoid x^2 + y^2 + z^2/4 = 1 therefore faces
 the threshold constant 1/4, even though the poles of the same target
-carry curvature 4.
+carry curvature 4, the target's closed-form `sec_bounds` maximum.
 """
 
 import numpy as np
@@ -30,7 +30,7 @@ def main():
           f"{rep.sec_max_global_sample - rep.sec_max_image:.4f}")
     print(f"\npinching threshold with the image extremizer: "
           f"{rep.threshold_S0:.4f}")
-    print(f"the same threshold with the global extremizer would be "
+    print(f"the same threshold with the global Sec_max would be "
           f"{(rep.n - 1) / rep.n * rep.sec_max_global_sample * rep.S0:.4f}")
     print(f"classification of the band map: {rep.classification} "
           f"(harmonic={rep.harmonic})")

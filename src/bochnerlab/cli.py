@@ -8,11 +8,10 @@ JSON), scan (parameter sweep, one report per CSV row), consistency
 Exit codes: 0 all enabled assertions pass, 1 assertion failure,
 2 usage error (an unreadable input path or an unwritable output path
 included), 3 numerical error (a NaN or infinite number in the result
-included).  All floats are written with 17
-significant digits so identical configs and seeds reproduce identical
-bytes.  To cap the BLAS/OpenMP worker threads, set OMP_NUM_THREADS and
-OPENBLAS_NUM_THREADS before Python starts: the pools are sized when
-numpy is imported.
+included).  All floats are written with 17 significant digits so
+identical configs reproduce identical bytes.  To cap the BLAS/OpenMP
+worker threads, set OMP_NUM_THREADS and OPENBLAS_NUM_THREADS before
+Python starts: the pools are sized when numpy is imported.
 """
 
 from __future__ import annotations
@@ -85,7 +84,8 @@ def _add_common(sub, descriptors=True):
         help=f"latitude nodes n1 (>= {MIN_RESOLUTION}); n2 follows the domain kind",
     )
     sub.add_argument(
-        "--seed", type=int, default=0, help="seed for the report --global-sample draw"
+        "--seed", type=int, default=0,
+        help="unused: nothing is drawn; kept while perfbench passes it",
     )
     sub.add_argument("--json", default=None, help="write the JSON summary here")
     sub.add_argument("--config", default=None, help="JSON config file; flags override")
@@ -134,7 +134,7 @@ def build_parser():
         "--global-sample",
         type=int,
         default=0,
-        help="also extremize curvature over this many whole-target samples",
+        help="N > 0 adds the exact global Sec_max; N is unused, kept while perfbench passes it",
     )
 
     p = subs.add_parser("scan", help="sweep a target parameter, one report per row")

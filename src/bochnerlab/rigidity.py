@@ -20,10 +20,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .bochner import compute_bochner
-from .domains import MAX_NODES, ricci_min
+from .domains import ricci_min
 from .errors import ChartDomainError, NumericalError, UsageError
 from .flow import image_diameter, image_radius
-from .targets import ON_TARGET_TOL, sec_max_over_region
+from .targets import ON_TARGET_TOL
 
 # Margin/diagnostic band coefficients for tol(h) = C h^2, calibrated on
 # the homothety family (see tests): discrete margins and Hessian sups of
@@ -114,16 +114,15 @@ class PinchingReport:
 def build_report(f, seed=0, global_sample=0):
     """Assemble the pinching report for a map.
 
-    global_sample > 0 additionally evaluates the curvature extremizer
-    over a fixed-seed quasi-uniform sample of the whole target; it is
+    global_sample > 0 additionally writes the target's exact Sec_max
+    over the whole target, its closed-form `sec_bounds`; it is
     diagnostic only.  Its excess over sec_max_image exhibits
     localization: curvature away from the image does not enter the
-    pinching hypothesis.
+    pinching hypothesis.  Neither the size nor the seed moves any value.
+    A float of the report that is not finite raises NumericalError.
     """
     if global_sample < 0 or seed < 0:
         raise UsageError("the seed and the global sample size must not be negative")
-    if global_sample > MAX_NODES:
-        raise UsageError(f"global sample of {global_sample} exceeds MAX_NODES = {MAX_NODES}")
     dom, tgt = f.domain, f.target
     n = dom.n
     h = grid_h(dom)
@@ -143,17 +142,6 @@ def build_report(f, seed=0, global_sample=0):
     threshold_S0 = (n - 1) / n * data.sec_max * S0
     threshold_e = (n - 1) / n * data.sec_max * e_max
     margin = rmin - threshold_S0
-    # never classified: an infinite margin would read strict, a NaN one violated
-    for name, value in (("S0", S0), ("sup_tension", data.sup_tension),
-                        ("sec_max_image", data.sec_max), ("margin", margin)):
-        if not np.isfinite(value):
-            raise NumericalError(f"non-finite result: {name}")
-
-    sec_global = None
-    if global_sample:
-        rng = np.random.default_rng(seed)
-        sample = tgt.sample_points(global_sample, rng)
-        sec_global = sec_max_over_region(tgt, sample)[0]
 
     # R <= diam <= 2R decides diam < tol without the pairwise scan
     # unless R lies in [tol/2, tol)
@@ -190,6 +178,14 @@ def build_report(f, seed=0, global_sample=0):
     mean *= dom.quad_weight_grid()
     homothety = float(np.sum(mean) / dom.volume())
     hess_sup = float(np.max(np.sqrt(np.maximum(data.hess, 0.0))[keep]))
+    # never returned: an infinite margin would read strict, a NaN one
+    # violated, and a NaN hess_sup would fail the diagnostics silently
+    for name, value in (("S0", S0), ("sup_tension", data.sup_tension),
+                        ("sec_max_image", data.sec_max), ("margin", margin),
+                        ("hess_sup", hess_sup), ("lambda_spread", spread),
+                        ("homothety_factor", homothety)):
+        if not np.isfinite(value):
+            raise NumericalError(f"non-finite result: {name}")
 
     equality = None
     if classification == "equality" and not is_constant:
@@ -219,7 +215,7 @@ def build_report(f, seed=0, global_sample=0):
         ric_min_witness=tuple(float(x) for x in rwit),
         sec_max_image=data.sec_max,
         sec_max_witness_point=data.sec_max_witness,
-        sec_max_global_sample=sec_global,
+        sec_max_global_sample=tgt.sec_bounds[1] if global_sample else None,
         S0=S0,
         e_max=e_max,
         threshold_S0=float(threshold_S0),

@@ -21,7 +21,8 @@ their one value as the curvature of every plane.  The Bochner
 passes read them at every image node, and the contraction pass checks
 its Gauss contraction against them there.  The region extremizer
 `sec_max_over_region` takes the greatest over a point set, so it is
-deterministic and monotone under set inclusion.
+deterministic and monotone under set inclusion.  `sec_bounds` is the
+least and greatest over the whole target, also in closed form.
 
 A point is on target when its `constraint_residual`, relative to the
 target's size (| |q|^2 / r^2 - 1 | per sphere factor), is at most
@@ -64,7 +65,15 @@ def _drop_normal(n, V):
 
 class _Target:
     """What every target derives from its own `tangent_part(q, V)`, which
-    returns P(q) V along V's last axis, q broadcast against V."""
+    returns P(q) V along V's last axis, q broadcast against V, and from
+    its global curvature range `sec_bounds` = (least, greatest)."""
+
+    def sec_range(self, q):
+        """Least and greatest curvature-operator eigenvalue at each point,
+        as read-only views of `sec_bounds`: a target whose curvature
+        varies overrides this."""
+        shape, (least, greatest) = np.shape(q)[:-1], self.sec_bounds
+        return np.broadcast_to(least, shape), np.broadcast_to(greatest, shape)
 
     def tangent_projector(self, q):
         """Dense projector P(q), shape q.shape[:-1] + (m, m).
@@ -107,12 +116,7 @@ class Euclidean(_Target):
     def second_fundamental(self, q, X, Y):
         return np.zeros(np.broadcast_shapes(np.shape(q), np.shape(X), np.shape(Y)))
 
-    def sec_range(self, q):
-        zero = np.zeros(np.shape(q)[:-1])
-        return zero, zero
-
-    def sample_points(self, count, rng):
-        return rng.standard_normal((count, self.m))
+    sec_bounds = (0.0, 0.0)
 
 
 class _RoundSpheres(_Target):
@@ -159,11 +163,9 @@ class _RoundSpheres(_Target):
         values = {1.0 / r**2 for r in radii} if d >= 2 else set()
         return values | {0.0} if len(radii) >= 2 else values
 
-    def sec_range(self, q):
-        """Least and greatest curvature-operator eigenvalue at each point,
-        as read-only views of one value each: they are the same everywhere."""
-        values, shape = self._sec_values, np.shape(q)[:-1]
-        return np.broadcast_to(min(values), shape), np.broadcast_to(max(values), shape)
+    @property
+    def sec_bounds(self):
+        return min(self._sec_values), max(self._sec_values)
 
     def constraint_residual(self, q):
         p = self._blocks(q)
@@ -184,9 +186,6 @@ class _RoundSpheres(_Target):
         X, Y = self._blocks(X), self._blocks(Y)
         A = -dot(X, Y)[..., None] * self._blocks(q) / self._r**2
         return self._unblock(A)
-
-    def sample_points(self, count, rng):
-        return self.closest_point(rng.standard_normal((count, self.m)))
 
 
 @dataclass(frozen=True)
@@ -335,10 +334,12 @@ class Ellipsoid(_Target):
         K = 1.0 / ((self.a * self.b * self.c) ** 2 * h2**2)
         return K, K
 
-    def sample_points(self, count, rng):
-        u = rng.standard_normal((count, 3))
-        u /= norm(u)[..., None]
-        return u * np.array([self.a, self.b, self.c])
+    @property
+    def sec_bounds(self):
+        # K = (abc)^-2 h^-4 and h^2 = sum y_i / a_i^2 is linear in
+        # y_i = x_i^2 / a_i^2 on the simplex: its extremes sit at the axes
+        K = [s**4 / (self.a * self.b * self.c) ** 2 for s in (self.a, self.b, self.c)]
+        return min(K), max(K)
 
 
 # -- sectional curvature -----------------------------------------------------

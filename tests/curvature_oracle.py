@@ -1,12 +1,27 @@
 """Curvature from the embedding alone, the oracle for the targets' closed
 forms: a tangent frame, the curvature operator on 2-vectors, a
 Gauss-equation value from finite differences of the projector, and the
-Gauss quotient of many planes at once."""
+Gauss quotient of many planes at once.  Also seeded points on a target."""
 
 import numpy as np
 
 from bochnerlab.errors import DegeneratePlaneError
+from bochnerlab.numerics import norm
 from bochnerlab.targets import gauss_numerator
+
+
+def sample_points(target, count, rng):
+    """`count` points of the target from the generator `rng`: standard
+    normal ones in Euclidean space, normal directions scaled by the
+    semi-axes on the ellipsoid, and the closest points of normal ones on
+    the round targets."""
+    x = rng.standard_normal((count, target.m))
+    if target.kind == "euclid":
+        return x
+    if target.kind == "ellipsoid":
+        x /= norm(x)[..., None]
+        return x * np.array([target.a, target.b, target.c])
+    return target.closest_point(x)
 
 
 def gauss_sectional_fd(target, q, X, Y, eps=1e-5):

@@ -9,6 +9,7 @@ import types
 import numpy as np
 import pytest
 from chart_oracle import catalog_values_on_meshgrid
+from curvature_oracle import sample_points
 from test_bochner import CONTRACTIONS, FIELDS
 
 from bochnerlab import bochner, cli, maps, rigidity
@@ -274,7 +275,7 @@ def test_banded_reprojection_is_one_closest_point_call(descriptor, monkeypatch):
     target = parse_target(descriptor)
     dom = FlatTorus2(n1=12, n2=10)
     rng = np.random.default_rng(7)
-    raw = target.sample_points(dom.n1 * dom.n2, rng)
+    raw = sample_points(target, dom.n1 * dom.n2, rng)
     raw = raw * (1.0 + 0.3 * rng.uniform(-1, 1, (raw.shape[0], 1)))
     raw = raw.reshape(dom.n1, dom.n2, target.m)
     monkeypatch.setattr(maps, "BAND_NODES", 3 * dom.n2)

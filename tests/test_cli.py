@@ -251,6 +251,17 @@ def test_import_leaves_out_scipy_optimize():
     assert out.stdout.strip() == "False"
 
 
+def test_report_of_the_global_sec_max_leaves_out_numpy_random():
+    # the exact global value is closed form: no random number is drawn
+    code = ("import sys, bochnerlab.cli; bochnerlab.cli.main(['report', '--map', 'identity', "
+            "'--resolution', '8', '--global-sample', '4096']); "
+            "print('numpy.random' in sys.modules)")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.splitlines()[-1] == "False"
+
+
 class TestFlow:
     def test_cap_collapse_with_trace(self, tmp_path):
         trace = tmp_path / "trace.csv"
@@ -651,6 +662,17 @@ class TestNonFiniteResults:
                 NumericalError, match="^non-finite result: sup_tension$"):
             build_report(f)
         self.refused(tmp_path, capsys, ["report", "--load", path], "sup_tension")
+
+    def test_report_of_the_constant_map_on_a_tiny_torus(self, tmp_path, capsys):
+        # (g^uu)^2 = 1e600 overflows in |H|^2 and times a zero second
+        # difference reads NaN: hess_sup alone is not finite
+        domain = "torus:a=1e-150,b=1"
+        f = catalog_map("constant", parse_domain(domain, 8), parse_target("sphere:r=1"))
+        with np.errstate(all="ignore"), pytest.raises(
+                NumericalError, match="^non-finite result: hess_sup$"):
+            build_report(f)
+        argv = ["report", "--map", "constant", "--domain", domain, "--resolution", "8"]
+        self.refused(tmp_path, capsys, argv, "hess_sup")
 
 
 # flag values: signs, zero, non-finite, huge, tiny, fractional, non-numeric

@@ -60,5 +60,5 @@ def test_equality_family():
 def test_localization_gap():
     out = run_demo("localization_gap")
     assert "sec_max over the image:          0.2538" in out
-    assert "localization gap:                3.7424" in out
+    assert "localization gap:                3.7462" in out
     assert "classification of the band map: violated (harmonic=True)" in out

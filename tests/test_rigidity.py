@@ -1,12 +1,12 @@
 """Pinching reports, equality diagnostics, localization, consistency scan."""
 
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from bochnerlab.domains import MAX_NODES, FlatTorus2, RoundSphere2
-from bochnerlab.errors import UsageError
 from bochnerlab.maps import DiscreteMap, catalog_map
 from bochnerlab.rigidity import PinchingReport, build_report, theorem_consistency_scan
 from bochnerlab.targets import Ellipsoid, Euclidean, Sphere
@@ -156,16 +156,17 @@ class TestLocalization:
         assert rep.sec_max_global_sample is not None
         assert rep.sec_max_global_sample >= rep.sec_max_image - 1e-9
 
-    def test_global_sample_beyond_max_nodes_is_refused_before_any_draw(self, monkeypatch):
-        # a (count, m) normal draw of 1e9 points would ask for about 24 GB
+    def test_global_sample_beyond_max_nodes_reads_the_closed_form(self):
+        # nothing is drawn: a (count, 3) sample of this size would take 400 MB
         f = band_map(n=8)
-
-        def drawn(*args):
-            raise AssertionError("the global sample was drawn")
-
-        monkeypatch.setattr(type(f.target), "sample_points", drawn)
-        with pytest.raises(UsageError, match="MAX_NODES"):
-            build_report(f, global_sample=MAX_NODES + 1)
+        tracemalloc.start()
+        try:
+            rep = build_report(f, global_sample=MAX_NODES + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.sec_max_global_sample == f.target.sec_bounds[1] == 4.0
+        assert peak < 0.01 * (MAX_NODES + 1) * 3 * 8
 
 
 class TestConsistencyScan:

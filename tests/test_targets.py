@@ -7,10 +7,12 @@ import pytest
 from curvature_oracle import (
     curvature_operator,
     gauss_sectional_fd,
+    sample_points,
     sectional_batch,
     tangent_basis,
 )
 
+from bochnerlab.catalog import parse_target
 from bochnerlab.errors import (
     ChartDomainError,
     DegeneratePlaneError,
@@ -39,8 +41,7 @@ ALL_TARGETS = [
 
 
 def on_target_points(target, count=16, seed=0):
-    rng = np.random.default_rng(seed)
-    return target.sample_points(count, rng)
+    return sample_points(target, count, np.random.default_rng(seed))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -319,8 +320,7 @@ class TestSecMaxExtremizer:
 
     def test_monotone_under_inclusion(self):
         tgt = Ellipsoid(a=1, b=1, c=2)
-        rng = np.random.default_rng(0)
-        pts = tgt.sample_points(64, rng)
+        pts = sample_points(tgt, 64, np.random.default_rng(0))
         small, _ = sec_max_over_region(tgt, pts[:16])
         large, _ = sec_max_over_region(tgt, pts)
         assert large >= small
@@ -344,6 +344,36 @@ class TestSecMaxExtremizer:
         pts[3, 0] = np.nan
         with pytest.raises(ChartDomainError):
             sec_max_over_region(tgt, pts)
+
+
+SEC_BOUNDS = {
+    "euclid": (0.0, 0.0),
+    "sphere:r=2": (0.25, 0.25),
+    "torusemb": (0.0, 0.0),
+    "prodspheres:r1=1,r2=2": (0.0, 1.0),
+    "ellipsoid:a=1,b=1.5,c=2": (1 / 9, 16 / 9),
+}
+
+
+@pytest.mark.parametrize("descriptor", SEC_BOUNDS)
+class TestSecBounds:
+    def test_closed_form(self, descriptor):
+        assert parse_target(descriptor).sec_bounds == pytest.approx(SEC_BOUNDS[descriptor])
+
+    def test_sec_range_fills_the_bounds(self, descriptor):
+        # cubed normals cluster at the coordinate axes, where the
+        # ellipsoid's curvature takes its extremes, and still reach
+        # every direction
+        tgt = parse_target(descriptor)
+        x = np.random.default_rng(19).standard_normal((10**4, tgt.m)) ** 3
+        if tgt.kind == "ellipsoid":
+            q = x / np.linalg.norm(x, axis=-1, keepdims=True) * [tgt.a, tgt.b, tgt.c]
+        else:
+            q = tgt.closest_point(x)
+        least, greatest = tgt.sec_range(q)
+        lo, hi = tgt.sec_bounds
+        assert lo - 1e-12 <= np.min(least) <= lo + 1e-3
+        assert hi - 1e-3 <= np.max(greatest) <= hi + 1e-12
 
 
 class TestCurvatureOperator:

@@ -150,6 +150,9 @@ CONFIGS = (
     ("verify-ellipsoid", ["verify", "--load", "ellipsoid.map", "--json", "ve.json",
                           "--csv", "ve.csv"], _ellipsoid_map),
     ("report-ellipsoid", ["report", "--load", "ellipsoid.map", "--json", "re.json"], None),
+    # the closed-form global Sec_max of a target whose curvature varies
+    ("report-ellipsoid-global", ["report", "--load", "ellipsoid.map", "--global-sample",
+                                 "4096", "--seed", "1", "--json", "re-global.json"], None),
     # four bands whose curvature varies, its maximum reached at both
     # poles: the report's Sec_max witness is chosen across the bands
     ("report-ellipsoid-128", ["report", "--load", "ellipsoid-128.map", "--json", "re-128.json"],
