@@ -22,7 +22,7 @@ def band_map(n=64, amplitude=0.2):
 
 
 def main():
-    rep = build_report(band_map(), seed=0, global_sample=4096)
+    rep = build_report(band_map())
     print("equatorial band map T^2 -> ellipsoid(1,1,2)")
     print(f"sec_max over the image:          {rep.sec_max_image:.4f}")
     print(f"sec_max over the whole target:   {rep.sec_max_global_sample:.4f}")

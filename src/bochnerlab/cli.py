@@ -83,10 +83,8 @@ def _add_common(sub, descriptors=True):
         default=64,
         help=f"latitude nodes n1 (>= {MIN_RESOLUTION}); n2 follows the domain kind",
     )
-    sub.add_argument(
-        "--seed", type=int, default=0,
-        help="unused: nothing is drawn; kept while perfbench passes it",
-    )
+    # accepted and ignored until the benchmark's calls stop passing it
+    sub.add_argument("--seed", type=int, help=argparse.SUPPRESS)
     sub.add_argument("--json", default=None, help="write the JSON summary here")
     sub.add_argument("--config", default=None, help="JSON config file; flags override")
 
@@ -130,12 +128,8 @@ def build_parser():
     _add_common(p)
     p.add_argument("--map", default=None, help="catalog map descriptor")
     p.add_argument("--load", default=None, help="saved-map path")
-    p.add_argument(
-        "--global-sample",
-        type=int,
-        default=0,
-        help="N > 0 adds the exact global Sec_max; N is unused, kept while perfbench passes it",
-    )
+    # accepted and ignored until the benchmark's calls stop passing it
+    p.add_argument("--global-sample", type=int, help=argparse.SUPPRESS)
 
     p = subs.add_parser("scan", help="sweep a target parameter, one report per row")
     _add_common(p)
@@ -194,7 +188,7 @@ def _build_map(ns, attr="map"):
 
 def _provenance(ns, f=None):
     """The run's settings; a saved map supplies its own domain, target and n1."""
-    keys = ("command", "domain", "target", "resolution", "seed")
+    keys = ("command", "domain", "target", "resolution")
     prov = {k: getattr(ns, k) for k in keys if hasattr(ns, k)}
     if getattr(ns, "load", None):
         prov.update(
@@ -371,7 +365,7 @@ def cmd_flow(ns):
 
 def cmd_report(ns):
     f = _build_map(ns)
-    rep = build_report(f, seed=ns.seed, global_sample=ns.global_sample)
+    rep = build_report(f)
     payload = {"provenance": _provenance(ns, f), "report": rep.to_dict()}
     diag = rep.equality
     if diag is not None:
@@ -423,7 +417,6 @@ _SCAN_COLUMNS = (
     "hess_sup",
     "lambda_spread",
     "homothety_factor",
-    "seed",
 )
 
 
@@ -436,7 +429,7 @@ def cmd_scan(ns):
     # every target first, so a bad sweep value is refused before any map
     targets = [build_target(kind, {**params, key: v}) for v in values]
     entries = ((v, catalog_map(ns.map, dom, tgt)) for v, tgt in zip(values, targets))
-    result = theorem_consistency_scan(entries, seed=ns.seed)
+    result = theorem_consistency_scan(entries)
     swept = [(r.name, r.report) for r in result.rows]
     payload = {
         "provenance": _provenance(ns),
@@ -461,7 +454,7 @@ def cmd_consistency(ns):
         (name, catalog_map(spec, parse_domain("sphere:r=1", ns.resolution), parse_target(tgt)))
         for name, tgt, spec in CONSISTENCY_CATALOG
     )
-    result = theorem_consistency_scan(entries, seed=ns.seed)
+    result = theorem_consistency_scan(entries)
     text = json_dumps({
         "provenance": _provenance(ns),
         "rows": [r.to_dict() for r in result.rows],

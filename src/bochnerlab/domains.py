@@ -68,17 +68,17 @@ class ChartGrid:
             raise UsageError(f"{self.n1} x {self.n2} grid exceeds MAX_NODES = {MAX_NODES}")
         if self.n1 < 4 or self.n2 < 4:
             raise UsageError(f"{self.kind} grid needs at least 4 nodes per axis")
-        # the calculus divides by g_ii and h_i^2 g_ii at every node (a
-        # Python float squared beyond the range raises OverflowError)
+        # the calculus divides by g_ii, g_ii^2 and h_i^2 g_ii at every node
+        # (a Python float squared beyond the range raises OverflowError)
         try:
             with np.errstate(all="ignore"):
                 g = self.metric_diag_grid()
-                g = np.concatenate([g, g * np.square(self.spacing)])
+                g = np.concatenate([g, g * g, g * np.square(self.spacing)])
         except OverflowError:
             g = np.inf
         if not np.all((g >= np.finfo(float).tiny) & (g <= np.finfo(float).max)):
             raise UsageError(f"{self.descriptor()} at {self.n1} x {self.n2} nodes has a metric "
-                             "g_ii or h_i^2 g_ii that is not a finite normal float")
+                             "g_ii, g_ii^2 or h_i^2 g_ii that is not a finite normal float")
 
     def chart_grid(self):
         return np.meshgrid(*self.axes(), indexing="ij")

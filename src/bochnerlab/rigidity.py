@@ -21,7 +21,7 @@ import numpy as np
 
 from .bochner import compute_bochner
 from .domains import ricci_min
-from .errors import ChartDomainError, NumericalError, UsageError
+from .errors import ChartDomainError, NumericalError
 from .flow import image_diameter, image_radius
 from .targets import ON_TARGET_TOL
 
@@ -65,7 +65,7 @@ class PinchingReport:
     ric_min_witness: tuple
     sec_max_image: float
     sec_max_witness_point: tuple
-    sec_max_global_sample: float | None
+    sec_max_global_sample: float
     S0: float
     e_max: float
     threshold_S0: float
@@ -83,7 +83,6 @@ class PinchingReport:
     hess_sup: float
     lambda_spread: float
     homothety_factor: float
-    seed: int
     # set for a nonconstant equality-classified map; not output
     equality: EqualityDiagnostics | None = field(default=None, repr=False, compare=False)
 
@@ -111,18 +110,15 @@ class PinchingReport:
         return None
 
 
-def build_report(f, seed=0, global_sample=0):
+def build_report(f):
     """Assemble the pinching report for a map.
 
-    global_sample > 0 additionally writes the target's exact Sec_max
-    over the whole target, its closed-form `sec_bounds`; it is
-    diagnostic only.  Its excess over sec_max_image exhibits
-    localization: curvature away from the image does not enter the
-    pinching hypothesis.  Neither the size nor the seed moves any value.
-    A float of the report that is not finite raises NumericalError.
+    sec_max_global_sample is the target's exact Sec_max over the whole
+    target, its closed-form `sec_bounds`; it is diagnostic only.  Its
+    excess over sec_max_image exhibits localization: curvature away
+    from the image does not enter the pinching hypothesis.  A float of
+    the report that is not finite raises NumericalError.
     """
-    if global_sample < 0 or seed < 0:
-        raise UsageError("the seed and the global sample size must not be negative")
     dom, tgt = f.domain, f.target
     n = dom.n
     h = grid_h(dom)
@@ -215,7 +211,7 @@ def build_report(f, seed=0, global_sample=0):
         ric_min_witness=tuple(float(x) for x in rwit),
         sec_max_image=data.sec_max,
         sec_max_witness_point=data.sec_max_witness,
-        sec_max_global_sample=tgt.sec_bounds[1] if global_sample else None,
+        sec_max_global_sample=tgt.sec_bounds[1],
         S0=S0,
         e_max=e_max,
         threshold_S0=float(threshold_S0),
@@ -233,7 +229,6 @@ def build_report(f, seed=0, global_sample=0):
         hess_sup=hess_sup,
         lambda_spread=spread,
         homothety_factor=homothety,
-        seed=int(seed),
         equality=equality,
     )
 
@@ -271,7 +266,7 @@ class ScanResult:
         return "\n".join(lines)
 
 
-def theorem_consistency_scan(entries, seed=0):
+def theorem_consistency_scan(entries):
     """Falsification sweep: one report per (name, map) entry.
 
     An entry fails when its report names a counterexample and passes
@@ -281,7 +276,7 @@ def theorem_consistency_scan(entries, seed=0):
     """
     rows = []
     for name, f in entries:
-        rep = build_report(f, seed=seed)
+        rep = build_report(f)
         del f  # gone before a generator of entries builds the next map
         reason = rep.counterexample
         if reason:

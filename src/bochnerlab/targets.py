@@ -22,7 +22,8 @@ passes read them at every image node, and the contraction pass checks
 its Gauss contraction against them there.  The region extremizer
 `sec_max_over_region` takes the greatest over a point set, so it is
 deterministic and monotone under set inclusion.  `sec_bounds` is the
-least and greatest over the whole target, also in closed form.
+least and greatest over the whole target, also in closed form; every
+pinching report writes its greatest as `sec_max_global_sample`.
 
 A point is on target when its `constraint_residual`, relative to the
 target's size (| |q|^2 / r^2 - 1 | per sphere factor), is at most

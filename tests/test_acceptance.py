@@ -160,7 +160,7 @@ def test_criterion_7_localization():
     U, V = dom.chart_grid()
     vals = np.stack([np.cos(U), np.sin(U), 0.2 * np.sin(V)], axis=-1)
     f = DiscreteMap(dom, Ellipsoid(a=1, b=1, c=2), vals)
-    rep = build_report(f, seed=0, global_sample=4096)
+    rep = build_report(f)
     gap = rep.sec_max_global_sample - rep.sec_max_image
     ok = (
         rep.sec_max_image <= 0.25 + 1e-2

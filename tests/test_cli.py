@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 import time
@@ -310,7 +311,6 @@ class TestReport:
         doc = json.loads(out.read_text())
         assert doc["report"]["classification"] == "equality"
         assert doc["equality_diagnostics"]["ok"] is True
-        assert doc["report"]["seed"] == 0
 
     def test_saved_map_provenance_is_the_maps(self, tmp_path):
         # a saved map's own domain, target and n1 are recorded, not the
@@ -325,7 +325,6 @@ class TestReport:
             "domain": "torus:a=1,b=2",
             "target": "sphere:r=2",
             "resolution": 16,
-            "seed": 0,
         }
 
     def test_saved_map_reloads_onto_the_same_target(self, tmp_path):
@@ -450,6 +449,50 @@ class TestConsistency:
         assert exit_code(["consistency", "--resolution", "16"] + flag) == 2
 
 
+def json_items(obj):
+    """(key, value) of every object member and array item of parsed JSON,
+    at any depth; an array item's key is its index."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    else:
+        items = enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield key, value
+        yield from json_items(value)
+
+
+# one passing call of each command, before --resolution, --seed and --json
+PASSING_CALLS = {
+    "verify": ["verify", "--map", "constant"],
+    "flow": ["flow", "--init", "constant", "--steps", "1"],
+    "report": ["report", "--map", "constant", "--global-sample", "-1"],
+    "scan": ["scan", "--map", "scaling", "--param", "r=1:2:1", "--csv", "{tmp}/scan.csv"],
+    "consistency": ["consistency"],
+}
+
+
+class TestIgnoredFlags:
+    """--seed and --global-sample take any integer and move nothing."""
+
+    @pytest.mark.parametrize("command", list(PASSING_CALLS))
+    def test_a_negative_seed_passes_and_no_output_names_a_seed(self, tmp_path, command):
+        out = tmp_path / "out.json"
+        argv = [a.format(tmp=tmp_path) for a in PASSING_CALLS[command]]
+        assert run_cli(*argv, "--resolution", "16", "--seed", "-1", "--json", str(out)) == 0
+        assert "seed" not in {key for key, _ in json_items(json.loads(out.read_text()))}
+        if command == "scan":
+            header = (tmp_path / "scan.csv").read_text().splitlines()[0]
+            assert header.split(",")[:3] == ["r", "domain", "target"]
+            assert "seed" not in header.split(",")
+
+    @pytest.mark.parametrize("command", list(PASSING_CALLS))
+    def test_help_lists_neither_flag(self, capsys, command):
+        assert exit_code([command, "--help"]) == 0
+        text = capsys.readouterr().out
+        assert "--resolution" in text
+        assert "--seed" not in text and "--global-sample" not in text
+
+
 class TestConfig:
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -490,7 +533,6 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["report", "--map", "identity", "--resolution", "8", "--global-sample", "-1"],
             FLOW + ["--dt", "nan"],
             FLOW + ["--tol", "nan"],
             FLOW + ["--collapse-tol", "nan"],
@@ -498,7 +540,7 @@ class TestExitCodes:
             FLOW + ["--collapse-tol", "inf"],
             FLOW + ["--trace", "{tmp}/trace.csv", "--trace-stride", "0"],
         ],
-        ids=["global-sample", "dt", "tol", "collapse-tol",
+        ids=["dt", "tol", "collapse-tol",
              "tol-inf", "collapse-tol-inf", "trace-stride"],
     )
     def test_bad_value_is_a_usage_error(self, tmp_path, argv):
@@ -600,10 +642,10 @@ class TestExitCodes:
         assert not out.exists()
 
 
-def noise_map(path, domain, target):
-    """8 x 8 (or 8 x 16) nodes of standard normal noise, saved."""
+def noise_map(path, domain, target, scale=1.0):
+    """8 x 8 (or 8 x 16) nodes of normal noise of deviation `scale`, saved."""
     dom, tgt = parse_domain(domain, 8), parse_target(target)
-    values = np.random.default_rng(0).standard_normal((dom.n1, dom.n2, tgt.m))
+    values = scale * np.random.default_rng(0).standard_normal((dom.n1, dom.n2, tgt.m))
     save_map(DiscreteMap(dom, tgt, values), path)
     return str(path)
 
@@ -631,9 +673,11 @@ class TestNonFiniteResults:
         assert not trace.exists() and not out.exists()
 
     @pytest.mark.parametrize("domain", ["torus:a=1e-300,b=1", "torus:a=1e200,b=1",
-                                        "torus:a=1e-160,b=1", "sphere:r=1e160"])
+                                        "torus:a=1e-160,b=1", "sphere:r=1e160",
+                                        "torus:a=1e-150,b=1", "sphere:r=1e-100"])
     def test_a_metric_beyond_normal_floats_is_a_usage_error(self, capsys, domain):
-        # one JSON object on stderr: no RuntimeWarning and no OverflowError
+        # one JSON object on stderr: no RuntimeWarning and no OverflowError;
+        # at 1e-150 and 1e-100 g_ii is normal but g_ii^2 is not
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert exit_code(["flow", "--domain", domain, "--init", "constant",
@@ -642,37 +686,52 @@ class TestNonFiniteResults:
         assert err["error"] == "usage" and "not a finite normal float" in err["message"]
 
     def test_verify_of_noise_on_a_tiny_torus(self, tmp_path, capsys):
-        path = noise_map(tmp_path / "n.map", "torus:a=1e-150,b=1", "euclid:m=3")
+        path = noise_map(tmp_path / "n.map", "torus:a=1e-70,b=1", "euclid:m=3", 1e14)
         csv = tmp_path / "nodes.csv"
         argv = ["verify", "--load", path, "--csv", str(csv)]
         self.refused(tmp_path, capsys, argv, "levels[0].sup_residual")
         assert not csv.exists()
 
-    @pytest.mark.parametrize(
-        "domain, target",
-        [("sphere:r=1e-100", "torusemb:rho1=0.001,rho2=1"),
-         ("torus:a=1e-150,b=1", "euclid:m=3")],
-    )
-    def test_report_of_noise_on_a_tiny_domain(self, tmp_path, capsys, domain, target):
-        # sup_tension is infinite: the library classified these strict
-        # and equality, and now refuses to classify them at all
-        path = noise_map(tmp_path / "n.map", domain, target)
+    @pytest.mark.parametrize("domain", ["sphere:r=1e-70", "torus:a=1e-70,b=1"])
+    def test_report_of_noise_on_a_tiny_domain(self, tmp_path, capsys, domain):
+        # g^ii f_ii overflows, so sup_tension is infinite: the report
+        # refuses to classify the map
+        path = noise_map(tmp_path / "n.map", domain, "euclid:m=3", 1e14)
         f = load_map(path)
         with np.errstate(all="ignore"), pytest.raises(
                 NumericalError, match="^non-finite result: sup_tension$"):
             build_report(f)
         self.refused(tmp_path, capsys, ["report", "--load", path], "sup_tension")
 
-    def test_report_of_the_constant_map_on_a_tiny_torus(self, tmp_path, capsys):
-        # (g^uu)^2 = 1e600 overflows in |H|^2 and times a zero second
-        # difference reads NaN: hess_sup alone is not finite
-        domain = "torus:a=1e-150,b=1"
-        f = catalog_map("constant", parse_domain(domain, 8), parse_target("sphere:r=1"))
+    def test_report_of_the_constant_map_on_a_tiny_torus(self, capsys):
+        # g_uu^2 = 1e-600 underflows, so (g^uu)^2 would overflow in |H|^2:
+        # the domain is refused before any pass, without a RuntimeWarning
+        with pytest.raises(UsageError, match=r"g_ii, g_ii\^2 or h_i\^2 g_ii"):
+            parse_domain("torus:a=1e-150,b=1", 8)
+        argv = ["report", "--map", "constant", "--domain", "torus:a=1e-150,b=1",
+                "--resolution", "8"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert exit_code(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "usage" and "not a finite normal float" in err["message"]
+
+    def test_report_of_a_harmonic_map_of_a_tiny_torus(self, tmp_path, capsys):
+        # (cos u, sin u, cos v, sin v) R / sqrt(2) into S^3(R) is harmonic,
+        # so its tension stays finite; on a torus of side 1e-70 with
+        # R = 1e16, (g^uu)^2 |H_uu|^2 ~ 1e280 R^2 / 4 overflows: hess_sup
+        # alone is not finite
+        dom = parse_domain("torus:a=1e-70,b=1e-70", 8)
+        U, V = dom.chart_grid()
+        values = 1e16 / np.sqrt(2) * np.stack([np.cos(U), np.sin(U), np.cos(V), np.sin(V)],
+                                              axis=-1)
+        f = DiscreteMap(dom, parse_target("sphere:r=1e16,k=3"), values)
         with np.errstate(all="ignore"), pytest.raises(
                 NumericalError, match="^non-finite result: hess_sup$"):
             build_report(f)
-        argv = ["report", "--map", "constant", "--domain", domain, "--resolution", "8"]
-        self.refused(tmp_path, capsys, argv, "hess_sup")
+        path = tmp_path / "c.map"
+        save_map(f, path)
+        self.refused(tmp_path, capsys, ["report", "--load", str(path)], "hess_sup")
 
 
 # flag values: signs, zero, non-finite, huge, tiny, fractional, non-numeric
@@ -685,45 +744,87 @@ SMALL_INT = st.integers(-3, 3).map(str)
 BOUND = st.sampled_from(["nan", "inf", "-1", "0", "1", "1e-9", "x"])
 
 
+# the flags whose values a call may draw; the others keep a valid value
+DRAWN_FLAGS = ("seed", "domain", "target", "map", "dt", "tol", "collapse-tol",
+               "steps", "trace-stride", "param", "refine", "global-sample")
+
+
 @st.composite
 def cli_argv(draw, work):
     """One CLI call with drawn flag and descriptor values.
 
-    Grids, step budgets, refinement levels and sample sizes stay small,
-    so every call runs in milliseconds.
+    A drawn subset of DRAWN_FLAGS takes drawn values and the rest keep a
+    valid one, so calls exit 0 and 1 as well as 2 and 3.  Grids, step
+    budgets and refinement levels stay small, so every call runs in
+    milliseconds.
     """
-    seed = draw(st.sampled_from(["0", "-1", "2", "x"]))
-    common = ["--resolution=8", f"--seed={seed}"]
+    drawn = draw(st.sets(st.sampled_from(DRAWN_FLAGS)))
+
+    def value(flag, strategy, valid):
+        return draw(strategy) if flag in drawn else valid
+
+    seed = value("seed", st.sampled_from(["0", "-1", "2", "x"]), "0")
+    common = ["--resolution=8", f"--seed={seed}", f"--json={work}/out.json"]
     cmd = draw(st.sampled_from(["flow", "report", "verify", "scan"]))
-    if cmd == "flow":
-        flags = {"dt": NUMBER, "tol": NUMBER, "collapse-tol": NUMBER,
-                 "steps": SMALL_INT, "trace-stride": st.one_of(SMALL_INT, NUMBER)}
-        return [
-            "flow", "--domain=torus:a=1,b=1",
-            f"--init=cap:amplitude={draw(NUMBER)}",
-            f"--trace={work}/trace.csv", f"--save={work}/final.map",
-            f"--json={work}/flow.json",
-        ] + [f"--{k}={draw(v)}" for k, v in flags.items()] + common
     target = draw(st.sampled_from(
         ["sphere:r={}", "ellipsoid:a=1,b=1,c={}", "prodspheres:r1=1,r2={}", "euclid:m=3"]
-    )).format(draw(NUMBER))
+    )).format(value("target", NUMBER, "2"))
     if cmd == "scan":
-        sweep = ":".join(draw(BOUND) for _ in range(3))
-        return ["scan", "--map=scaling", f"--target={target}", f"--param=r={sweep}"] + common
-    domain = draw(st.sampled_from(["sphere:r={}", "torus:a=1,b={}"])).format(draw(NUMBER))
+        sweep = ":".join(value("param", BOUND, v) for v in ("1", "2", "1"))
+        return ["scan", "--map=scaling", f"--target={target}", f"--param=r={sweep}",
+                f"--csv={work}/scan.csv"] + common
+    domain = draw(st.sampled_from(["sphere:r={}", "torus:a=1,b={}"])).format(
+        value("domain", NUMBER, "1"))
     name = draw(st.sampled_from(
         ["holomorphic:k={}", "cap:amplitude={}", "scaling", "constant", "identity"]
-    )).format(draw(NUMBER))
+    )).format(value("map", NUMBER, "2"))
+    if cmd == "flow":
+        flags = {"dt": (NUMBER, "auto"), "tol": (NUMBER, "1e-6"),
+                 "collapse-tol": (NUMBER, "1e-3"), "steps": (SMALL_INT, "3"),
+                 "trace-stride": (st.one_of(SMALL_INT, NUMBER), "1")}
+        return [
+            "flow", f"--domain={domain}", f"--init={name}", f"--target={target}",
+            f"--trace={work}/trace.csv", f"--save={work}/final.map",
+        ] + [f"--{k}={value(k, *v)}" for k, v in flags.items()] + common
     argv = [cmd, f"--domain={domain}", f"--map={name}", f"--target={target}"] + common
     if cmd == "verify":
-        return argv + [f"--refine={draw(st.integers(-1, 2))}"]
-    return argv + [f"--global-sample={draw(st.one_of(SMALL_INT, NUMBER))}"]
+        refine = value("refine", st.integers(-1, 2).map(str), "1")
+        return argv + [f"--refine={refine}", f"--csv={work}/nodes.csv"]
+    size = value("global-sample", st.one_of(SMALL_INT, NUMBER), "0")
+    return argv + [f"--global-sample={size}"]
+
+
+def csv_numbers(text):
+    """Every cell of a CSV text that reads as a float, NaN and inf included;
+    no number holds a comma, so a quoted cell's pieces are never read."""
+    numbers = []
+    for cell in text.replace("\n", ",").split(","):
+        try:
+            numbers.append(float(cell))
+        except ValueError:
+            pass
+    return numbers
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(data=st.data())
 def test_exit_code_contract_fuzz(tmp_path_factory, data):
-    """Whatever the flag and descriptor values, the CLI exits 0-3."""
-    work = tmp_path_factory.getbasetemp()
+    """Whatever the flag and descriptor values, the CLI exits 0-3, and
+    every number of a JSON or CSV file it writes on exit 0 or 1 is finite."""
+    work = tmp_path_factory.getbasetemp() / "fuzz"
+    shutil.rmtree(work, ignore_errors=True)
+    work.mkdir()
     argv = data.draw(cli_argv(work))
-    assert exit_code(argv) in (0, 1, 2, 3)
+    code = exit_code(argv)
+    assert code in (0, 1, 2, 3)
+    if code > 1:
+        return
+    for path in work.iterdir():
+        if path.suffix == ".json":
+            numbers = [v for _, v in json_items(json.loads(path.read_text()))
+                       if isinstance(v, float)]
+        elif path.suffix == ".csv":
+            numbers = csv_numbers(path.read_text())
+        else:
+            continue
+        assert np.all(np.isfinite(numbers)), (argv, path.name)

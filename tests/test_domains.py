@@ -176,14 +176,16 @@ class TestRoundSphere:
 
     @pytest.mark.parametrize("descriptor", ["torus:a=1e-300,b=1", "torus:a=1e-160,b=1",
                                             "torus:a=1,b=1e200", "sphere:r=1e160",
-                                            "sphere:r=1e-160"])
+                                            "sphere:r=1e-160", "torus:a=1e-150,b=1"])
     def test_metric_beyond_normal_floats_is_refused(self, descriptor):
-        # the calculus divides by g_ii and h_i^2 g_ii
+        # the calculus divides by g_ii, g_ii^2 and h_i^2 g_ii
         with pytest.raises(UsageError, match="not a finite normal float"):
             parse_domain(descriptor, 8)
 
     def test_tiny_metric_of_normal_floats_is_accepted(self):
-        assert FlatTorus2(a=1e-150, n1=8).metric_diag_grid()[0, 0, 0] == 1e-300
+        # the torus's g_uu^2 = 1e-280 and the sphere's g_thth^2 = 1e280 are normal
+        assert FlatTorus2(a=1e-70, n1=8).metric_diag_grid()[0, 0, 0] == 1e-70 * 1e-70
+        assert parse_domain("sphere:r=1e70", 8).metric_diag_grid()[0, 0, 0] == 1e140
 
 
 @pytest.mark.parametrize(

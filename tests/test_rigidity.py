@@ -1,12 +1,12 @@
 """Pinching reports, equality diagnostics, localization, consistency scan."""
 
-import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from bochnerlab.domains import MAX_NODES, FlatTorus2, RoundSphere2
+from bochnerlab.catalog import parse_target
+from bochnerlab.domains import FlatTorus2, RoundSphere2
 from bochnerlab.maps import DiscreteMap, catalog_map
 from bochnerlab.rigidity import PinchingReport, build_report, theorem_consistency_scan
 from bochnerlab.targets import Ellipsoid, Euclidean, Sphere
@@ -71,8 +71,8 @@ class TestReport:
 
     def test_deterministic(self):
         f = band_map()
-        r1 = build_report(f, seed=3)
-        r2 = build_report(f, seed=3)
+        r1 = build_report(f)
+        r2 = build_report(f)
         assert r1 == r2
 
     def test_report_round_trips_to_dict(self):
@@ -146,27 +146,24 @@ class TestEqualityDiagnostics:
 
 class TestLocalization:
     def test_band_into_ellipsoid(self):
-        rep = build_report(band_map(), seed=0, global_sample=1024)
+        rep = build_report(band_map())
         assert rep.sec_max_image < 0.3
         assert rep.sec_max_global_sample > 3.5
         assert rep.sec_max_global_sample - rep.sec_max_image > 3.0
 
     def test_global_sample_in_report(self):
-        rep = build_report(band_map(), global_sample=512)
-        assert rep.sec_max_global_sample is not None
+        rep = build_report(band_map())
+        assert rep.sec_max_global_sample == 4.0
         assert rep.sec_max_global_sample >= rep.sec_max_image - 1e-9
 
-    def test_global_sample_beyond_max_nodes_reads_the_closed_form(self):
-        # nothing is drawn: a (count, 3) sample of this size would take 400 MB
-        f = band_map(n=8)
-        tracemalloc.start()
-        try:
-            rep = build_report(f, global_sample=MAX_NODES + 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rep.sec_max_global_sample == f.target.sec_bounds[1] == 4.0
-        assert peak < 0.01 * (MAX_NODES + 1) * 3 * 8
+    @pytest.mark.parametrize("descriptor", ["sphere:r=2", "euclid:m=3", "ellipsoid:a=1,b=1.5,c=2",
+                                            "torusemb:rho1=1,rho2=2", "prodspheres:r1=1,r2=2"])
+    def test_every_report_carries_the_exact_global_sec_max(self, descriptor):
+        target = parse_target(descriptor)
+        f = catalog_map("constant", FlatTorus2(a=1, b=1, n1=8, n2=8), target)
+        rep = build_report(f)
+        assert rep.sec_max_global_sample == target.sec_bounds[1]
+        assert rep.to_dict()["sec_max_global_sample"] == target.sec_bounds[1]
 
 
 class TestConsistencyScan:

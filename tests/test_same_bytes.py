@@ -49,3 +49,18 @@ def test_same_tree_agrees_and_an_edit_is_reported(tmp_path):
     assert report[2] == "scan.json: bytes differ"
     assert report[3].startswith("  reports[1].margin: max rel change 0.001")
     assert len(report) == 4
+
+
+def test_columns_are_matched_by_name(tmp_path):
+    tool = load_tool()
+    old, new, moved = tmp_path / "old.csv", tmp_path / "new.csv", tmp_path / "moved.csv"
+    old.write_text("r,margin,seed\n1,0.5,0\n2,0.25,0\n")
+    new.write_text("r,margin,hess\n1,0.5,3\n2,0.5,4\n")
+    moved.write_text("margin,r\n0.5,1\n0.25,2\n")
+    assert tool.csv_moves(str(old), str(new)) == [
+        "seed: only in the revision",
+        "hess: only in the working tree",
+        "margin: 1 cells, max rel change 1",
+    ]
+    assert tool.csv_moves(str(old), str(moved)) == [
+        "seed: only in the revision", "column order differs"]

@@ -256,18 +256,24 @@ def json_moves(old_path, new_path):
 
 
 def csv_moves(old_path, new_path):
-    """The moved columns of two CSV files, each with its largest relative change."""
+    """The columns of two CSV files that one side lacks, matched by name,
+    and the shared columns that moved, each with its largest relative change."""
     with open(old_path, newline="") as fh:
         old = list(csv.reader(fh))
     with open(new_path, newline="") as fh:
         new = list(csv.reader(fh))
-    if not old or not new or old[0] != new[0]:
-        return ["header differs"]
+    if not old or not new:
+        return ["no header"]
     if len(old) != len(new):
         return [f"{len(old) - 1} rows in the revision, {len(new) - 1} in the working tree"]
-    out = []
-    for col, name in enumerate(old[0]):
-        pairs = [(a[col], b[col]) for a, b in zip(old[1:], new[1:]) if a[col] != b[col]]
+    out = [f"{name}: only in the revision" for name in old[0] if name not in new[0]]
+    out += [f"{name}: only in the working tree" for name in new[0] if name not in old[0]]
+    shared = [name for name in old[0] if name in new[0]]
+    if shared != [name for name in new[0] if name in old[0]]:
+        out.append("column order differs")
+    for name in shared:
+        i, j = old[0].index(name), new[0].index(name)
+        pairs = [(a[i], b[j]) for a, b in zip(old[1:], new[1:]) if a[i] != b[j]]
         if pairs:
             out.append(f"{name}: {len(pairs)} cells, {_moved(pairs)}")
     return out
