@@ -100,7 +100,14 @@ def parse_target(text):
 
 
 def build_target(kind, params):
-    """Build a target manifold from a parsed descriptor (kind, params)."""
+    """Build a target manifold from a parsed descriptor (kind, params).
+
+    A non-finite value is refused here as `parse_descriptor` refuses it,
+    for the params a caller builds itself (a scan's sweep values).
+    """
+    bad = sorted(key for key, value in params.items() if not math.isfinite(value))
+    if bad:
+        raise UsageError(f"non-finite value for {bad} of target {kind!r}")
     fixed = {}
     if kind == FlatTorusEmb.kind:
         # radii from rho1, rho2, ... up to the first gap

@@ -89,20 +89,15 @@ def _add_common(sub, descriptors=True):
     sub.add_argument("--config", default=None, help="JSON config file; flags override")
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="bochnerlab", description=__doc__.splitlines()[0]
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("verify", help="check the Bochner identity on a map")
+def _verify_options(p):
     _add_common(p)
     p.add_argument("--map", default=None, help="catalog map descriptor")
     p.add_argument("--load", default=None, help="saved-map path")
     p.add_argument("--refine", type=int, default=1, help="number of doubling levels")
     p.add_argument("--csv", default=None, help="write the per-node CSV here")
 
-    p = subs.add_parser("flow", help="run the heat flow")
+
+def _flow_options(p):
     _add_common(p)
     p.add_argument("--init", default=None, help="catalog map descriptor")
     p.add_argument("--load", default=None, help="saved-map path")
@@ -124,14 +119,16 @@ def build_parser():
         "--trace-stride", type=int, default=1, help="record every k-th step"
     )
 
-    p = subs.add_parser("report", help="build a pinching report")
+
+def _report_options(p):
     _add_common(p)
     p.add_argument("--map", default=None, help="catalog map descriptor")
     p.add_argument("--load", default=None, help="saved-map path")
     # accepted and ignored until the benchmark's calls stop passing it
     p.add_argument("--global-sample", type=int, help=argparse.SUPPRESS)
 
-    p = subs.add_parser("scan", help="sweep a target parameter, one report per row")
+
+def _scan_options(p):
     _add_common(p)
     p.add_argument("--map", default=None, help="catalog map descriptor")
     p.add_argument(
@@ -141,17 +138,46 @@ def build_parser():
     )
     p.add_argument("--csv", default=None, help="write the sweep table here")
 
-    p = subs.add_parser(
-        "consistency", help="falsification scan over the harmonic catalog"
-    )
+
+def _consistency_options(p):
     _add_common(p, descriptors=False)
 
+
+# each command's help line and the function that adds its options
+_SUBCOMMANDS = {
+    "verify": ("check the Bochner identity on a map", _verify_options),
+    "flow": ("run the heat flow", _flow_options),
+    "report": ("build a pinching report", _report_options),
+    "scan": ("sweep a target parameter, one report per row", _scan_options),
+    "consistency": ("falsification scan over the harmonic catalog", _consistency_options),
+}
+
+
+def build_parser(command=None):
+    """The parser of every command, with the options of `command` alone,
+    or of every command when it is None.
+
+    A call parses one command, and the others' options change neither
+    the top-level help nor any message about the command line before
+    the command, so `parse_config` builds only the options it reads.
+    """
+    parser = argparse.ArgumentParser(
+        prog="bochnerlab", description=__doc__.splitlines()[0]
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add_options) in _SUBCOMMANDS.items():
+        p = subs.add_parser(name, help=text)
+        if command in (None, name):
+            add_options(p)
     return parser, subs
 
 
 def parse_config(argv):
     """Parse flags, merging in a JSON config file if one is named."""
-    parser, subs = build_parser()
+    # argparse takes the first positional argument for the command, and
+    # reports an unknown option before it only after parsing the command;
+    # no top-level option takes a value, so it is the first command name
+    parser, subs = build_parser(next((a for a in argv if a in _SUBCOMMANDS), None))
     ns = parser.parse_args(argv)
     if ns.config:
         try:
@@ -393,8 +419,9 @@ def _sweep_values(spec):
         start, stop, step = (float(x) for x in parts)
     except ValueError as exc:
         raise UsageError(f"non-numeric sweep bound in {spec!r}") from exc
-    if not (step > 0 and np.isfinite(stop - start) and stop >= start):
-        raise UsageError("sweep needs finite bounds, step > 0 and stop >= start")
+    # an infinite step would make start + 0 * step NaN
+    if not (0 < step < np.inf and np.isfinite(stop - start) and stop >= start):
+        raise UsageError("sweep needs finite bounds, a finite step > 0 and stop >= start")
     count = np.floor((stop - start) / step + 1e-9) + 1
     if count > MAX_SWEEP:
         raise UsageError(f"sweep of {count:g} values exceeds the limit of {MAX_SWEEP}")

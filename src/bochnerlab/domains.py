@@ -170,15 +170,19 @@ class FlatTorus2(ChartGrid):
         """X with (I - dt L) X = F, L the stencil of laplace_beltrami_rows.
 
         L is periodic with constant coefficients, so the discrete
-        Fourier modes diagonalize it.
+        Fourier modes diagonalize it.  The grid axes are moved last, so
+        that the transforms and the division run over each component's
+        grid, not over the short last axis; every grid line is transformed
+        on its own either way, so the bits are those of transforms along
+        axes (0, 1).
         """
         h1, h2 = self.spacing
         lam1 = _mode_symbol(self.n1, h1) / self.a**2
         lam2 = _mode_symbol(self.n2 // 2 + 1, h2) / self.b**2
         symbol = 1 + dt * (lam1[:, None] + lam2[None, :])
-        Fh = np.fft.rfft2(F, axes=(0, 1))
-        Fh /= symbol.reshape(symbol.shape + (1,) * (Fh.ndim - 2))
-        return np.fft.irfft2(Fh, s=(self.n1, self.n2), axes=(0, 1))
+        Fh = np.fft.rfft2(np.ascontiguousarray(np.moveaxis(F, (0, 1), (-2, -1))))
+        Fh /= symbol
+        return np.moveaxis(np.fft.irfft2(Fh, s=(self.n1, self.n2)), (-2, -1), (0, 1))
 
     def high_order_weight_grid(self):
         """Trapezoid weights, spectrally accurate for periodic fields."""

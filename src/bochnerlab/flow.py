@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import NumericalError, StabilityError, UsageError
 from .maps import row_bands, total_energy
-from .numerics import norm, total
+from .numerics import norm, per_index, total
 
 ENERGY_SLACK = 1e-10
 MAX_HALVINGS = 20
@@ -103,11 +103,11 @@ def image_diameter(f_or_values):
     scale = np.abs(pts).max()
     if not np.isfinite(scale):
         raise NumericalError("image diameter of non-finite node values")
-    d2 = total((pts - pts.mean(axis=0)) ** 2)
+    d2 = total(per_index(np.subtract, pts, pts.mean(axis=0)) ** 2)
     r = np.sqrt(d2)
     lower = 0.0
     for _ in range(4):
-        d2 = total((pts - pts[int(np.argmax(d2))]) ** 2)
+        d2 = total(per_index(np.subtract, pts, pts[int(np.argmax(d2))]) ** 2)
         lower = max(lower, float(np.sqrt(np.max(d2))))
     # r, R, L and the scanned maximum are each within (m + 4) eps / 4,
     # relative, of a length at most 2 sqrt(m) max|x|; the sqrt term
@@ -154,7 +154,7 @@ def image_radius(f):
     """Largest distance of a node value of the map f from their centroid,
     a row band at a time.  It brackets the image diameter: R <= diam <= 2R."""
     center = f.values.reshape(-1, f.target.m).mean(axis=0)
-    return float(max(np.max(norm(f.values[rows] - center))
+    return float(max(np.max(norm(per_index(np.subtract, f.values[rows], center)))
                      for rows in row_bands(f.domain)))
 
 

@@ -13,7 +13,9 @@ the arrays it reads.  `fmt17_fields` scales |x| to a 17-digit
 integer in double-double arithmetic (Veltkamp split and Dekker
 product, Numer. Math. 18, 1971) with a correctly rounded two-double
 power of ten, rounds it half to even, and reads the digits from a
-10^4-entry table.  A cell that is NaN,
+10^4-entry table.  The tables are built on first use in whole-array
+operations, and the powers of ten only for the decades that calls
+have met, extended as a later call meets more.  A cell that is NaN,
 infinite, subnormal or outside [1e-270, 1e270] (zero excepted), or
 whose inexactly scaled value lies within `TIE_MARGIN` of a rounding
 tie, is formatted by `fmt17` on its own.  Tables of other cell types
@@ -113,36 +115,62 @@ def _split(a):
     return a1, a - a1
 
 
+class _PowersOfTen:
+    """10**(16 - k) as hi, lo and the split of hi, the four rows of
+    `rows`, indexed by k + _K and computed on the decades first..last.
+
+    `cover` extends that range to take in a call's decades, so each
+    decade is computed once, and only when some call meets it.
+    """
+
+    def __init__(self):
+        self.rows = np.zeros((4, 2 * _K + 1))
+        self.first, self.last = 0, -1  # none yet
+
+    def cover(self, first, last):
+        """The rows, computed on at least the decades first..last."""
+        if self.first > self.last:
+            new = range(first, last + 1)
+        else:
+            new = [*range(first, self.first), *range(self.last + 1, last + 1)]
+            first, last = min(first, self.first), max(last, self.last)
+        if new:
+            hi, lo = np.array([_pow10(16 - k) for k in new]).T
+            self.rows[:, np.array(new) + _K] = (hi, lo) + _split(hi)
+            self.first, self.last = first, last
+        return self.rows
+
+
 @functools.cache
 def _tables():
-    """Constants built on first use.
+    """Constants built on first use, in whole-array operations.
 
-    pow10: 10**(16 - k) as hi, lo and the split of hi, one array each,
-    indexed by k + _K.  frame: each decade's field words with its "0."
-    prefix or exponent; point and frac: the point's slot among the 18
-    and the number of digits after it.  masks[:, 18 * point + keep]:
-    the three body words that take the digit at their slot (A), the
-    three that take the digit before it (B) and the three holding the
-    point, when `keep` digits are shown.  quad: 4-digit ASCII groups as
+    powers: the `_PowersOfTen` of the calls so far.  frame: each
+    decade's field words with its "0." prefix or exponent; point and
+    frac: the point's slot among the 18 and the number of digits after
+    it.  Each is indexed by k + _K.  masks[:, 18 * point + keep]: the
+    three body words that take the digit at their slot (A), the three
+    that take the digit before it (B) and the three holding the point,
+    when `keep` digits are shown.  quad: 4-digit ASCII groups as
     integers, tz: their trailing zeros.
     """
-    ks = range(-_K, _K + 1)
-    hi, lo = np.array([_pow10(16 - k) for k in ks]).T
-    pow10 = (hi, lo) + _split(hi)
-    frame = np.zeros((len(ks), FIELD), np.uint8)
-    point = np.empty(len(ks), np.int64)
-    frac = np.empty(len(ks), np.int64)
-    for i, k in enumerate(ks):
-        if -4 <= k < 0:
-            text = b"0." + b"0" * (-k - 1)
-            frame[i, 1:1 + len(text)] = np.frombuffer(text, np.uint8)
-            point[i], frac[i] = 17, 17
-        elif 0 <= k < 17:
-            point[i], frac[i] = k + 1, 16 - k
-        else:
-            text = b"e%+03d" % k
-            frame[i, _TAIL:_TAIL + len(text)] = np.frombuffer(text, np.uint8)
-            point[i], frac[i] = 1, 16
+    k = np.arange(-_K, _K + 1)
+    small = (-4 <= k) & (k < 0)  # written 0.000ddd
+    plain = (0 <= k) & (k < 17)  # written ddd.ddd
+    point = np.where(small, 17, np.where(plain, k + 1, 1))
+    frac = np.where(small, 17, np.where(plain, 16 - k, 16))
+    # small: "0." and -k - 1 zeros from byte 1
+    slot = np.arange(FIELD)
+    frame = (48 * (small[:, None] & (slot >= 1) & (slot <= 1 - k[:, None]))).astype(np.uint8)
+    frame[small, 2] = ord(".")
+    # the rest: "e", the sign and |k| in two digits and a NUL, or three
+    sci = ~(small | plain)
+    a = np.abs(k)[sci, None]
+    digits = 48 + np.where(a < 100, a // [10, 1, 1], a // [100, 10, 1]) % 10
+    digits[a[:, 0] < 100, 2] = 0
+    frame[sci, _TAIL] = ord("e")
+    frame[sci, _TAIL + 1] = np.where(k[sci] < 0, ord("-"), ord("+"))
+    frame[sci, _TAIL + 2:_TAIL + 5] = digits
     j, keep, slot = np.ogrid[:18, :18, :24]
     # the tables are built in small integer types, so that the build
     # holds a few hundred KB
@@ -151,12 +179,15 @@ def _tables():
         np.uint8(255) * ((slot > j) & (slot <= keep)),
         np.uint8(46) * ((slot == j) & (j < keep)),
     ], axis=2).view("<u8").reshape(18 * 18, 9).T.copy()
-    n = np.arange(10000, dtype=np.uint16)
-    groups = 48 + np.stack([n // 1000, n // 100 % 10, n // 10 % 10, n % 10], axis=1)
-    groups = groups.astype(np.uint8)
-    quad = groups.view("<u4").ravel().astype(np.uint64)
-    tz = np.sum(np.cumprod(groups[:, ::-1] == 48, axis=1, dtype=np.uint8), axis=1, dtype=np.int64)
-    return pow10, frame.view("<u8"), point, frac, masks, quad, tz
+    # the four digits of 0..9999, one row each, and each group's ASCII
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1)
+    quad = (48 + digits).T.copy().view("<u4").ravel().astype(np.uint64)
+    tz = np.zeros(10000, np.int64)
+    run = np.ones(10000, bool)  # the digits so far, from the last, all 0
+    for row in digits[::-1]:
+        run &= row == 0
+        tz += run
+    return _PowersOfTen(), frame.view("<u8"), point, frac, masks, quad, tz
 
 
 def _scaled(a, i, pow10):
@@ -177,14 +208,17 @@ def fmt17_fields(x):
     17-digit rounding lies within TIE_MARGIN of a tie, call fmt17.
     """
     x = np.ravel(np.asarray(x, dtype=float))
-    pow10, frame, point, frac, masks, quad, tz = _tables()
+    powers, frame, point, frac, masks, quad, tz = _tables()
     # each temporary is dropped once it is dead, so that a block holds a
     # few cell-sized arrays at a time
     a = np.abs(x)
     zero = a == 0.0
     fast = (a >= _LOW) & (a <= _HIGH)
     a = np.where(fast, a, 1.0)  # 0 is written as 1, then its digit fixed
-    i = np.floor(np.log10(a)).astype(np.int64) + _K  # decade k, offset
+    i = np.floor(np.log10(a)).astype(np.int64)  # decade k
+    # the decades met, and one either side, where the product may move a cell
+    pow10 = powers.cover(i.min(initial=0) - 1, i.max(initial=0) + 1)
+    i += _K  # decade k, offset
     p, e = _scaled(a, i, pow10)
     # log10 may miss the decade by one; decide it from the unrounded product
     low = (p - 1e16) + e < 0.0

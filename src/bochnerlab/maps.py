@@ -35,7 +35,7 @@ from .catalog import build, parse_descriptor, parse_domain, parse_target
 from .domains import FlatTorus2, RoundSphere2
 from .errors import NumericalError, UsageError
 from .io_utils import ColumnRows
-from .numerics import dot, norm, read_only, total
+from .numerics import dot, norm, per_index, read_only, total
 
 
 @dataclass(frozen=True)
@@ -243,26 +243,26 @@ _STENCILS = {
 }
 
 
-def _stencil(domain, Fp, axis, order, accuracy):
+def _stencil(domain, Fp, axis, order, accuracy, out=None):
     """Central difference of order 1 or 2 and accuracy 2 or 6 along a chart
     axis, of the field that Fp, its `domain.extend` by accuracy // 2 nodes
-    along that axis, continues (periodic on a torus, antipodal on a sphere)."""
+    along that axis, continues (periodic on a torus, antipodal on a sphere);
+    written into `out` when it is given."""
     weights, den = _STENCILS[order, accuracy]
     p = accuracy // 2
     n = Fp.shape[axis] - 2 * p
-    out = None
+    acc = None
     for k, c in zip(range(2 * p, -1, -1), weights):
         if c:
             # +-1 adds or subtracts the slice itself: -c F is -(c F) exactly
             F = Fp[k:k + n] if axis == 0 else Fp[:, k:k + n]
             term = F if abs(c) == 1 else abs(c) * F
-            if out is None:
-                out = term if c > 0 else -term
-            else:  # in place, or while out is a slice of Fp into the term's own array
-                into = (None if term is F else term) if np.may_share_memory(out, Fp) else out
-                out = (np.add if c > 0 else np.subtract)(out, term, out=into)
-    out /= den * domain.spacing[axis] ** order
-    return out
+            if acc is None:
+                acc = term if c > 0 else -term
+            else:  # in place, or while acc is a slice of Fp into out or the term's own array
+                into = (out if term is F else term) if np.may_share_memory(acc, Fp) else acc
+                acc = (np.add if c > 0 else np.subtract)(acc, term, out=into)
+    return np.divide(acc, den * domain.spacing[axis] ** order, out=acc if out is None else out)
 
 
 # nodes per row band of the banded kernels: a band of values is 192 KB
@@ -349,15 +349,18 @@ def jacobian_field(f, accuracy=2, band=None, hessian=False):
     the pair (J, |H|^2), |H|^2 the squared norm of the second fundamental
     form of the map, taken from the same chart derivatives f_u and f_v.
 
-    Both chart derivatives go through one `tangent_part` call; J is a
-    view whose columns J[..., i] are contiguous.
+    Both chart derivatives are written along a leading axis of one array
+    and go through one `tangent_part` call, so that the image point
+    meets each column's nodes, not the two-entry column axis; J is a
+    view whose columns J[..., i] are contiguous arrays.
 
     H_ij = P(f) (d_i d_j f - Gamma^k_ij d_k f).  The chart is a warped
     product, so H_uu = f_uu, H_uv = H_vu = f_uv - Gamma^v_uv f_v and
     H_vv = f_vv - Gamma^u_vv f_u before the projection, and the metric
     is diagonal, so |H|^2 = sum_ij g^ii g^jj |H_ij|^2.  Each component
     is projected and added in as soon as it is taken, so H itself is
-    never formed.
+    never formed; the Christoffel corrections are taken an ambient
+    index at a time (`per_index`).
     """
     dom = f.domain
     if band is None:
@@ -365,13 +368,17 @@ def jacobian_field(f, accuracy=2, band=None, hessian=False):
     p = accuracy // 2
     vp = band.continued
     along_u, along_v = vp[:, p:-p], vp[p:-p]
-    fu = _stencil(dom, along_u, 0, 1, accuracy)
-    # for f_uv, f_v on the ghost rows as well: the continuation commutes
-    # with the v-stencil, so these rows are f_v's own continuation
-    fv = _stencil(dom, vp if hessian else along_v, 1, 1, accuracy)
     v = band.values
-    J = np.swapaxes(f.target.tangent_part(
-        v[..., None, :], np.stack([fu, fv[p:-p] if hessian else fv], axis=-2)), -1, -2)
+    columns = np.empty((2,) + v.shape)
+    fu = _stencil(dom, along_u, 0, 1, accuracy, columns[0])
+    if hessian:
+        # for f_uv, f_v on the ghost rows as well: the continuation commutes
+        # with the v-stencil, so these rows are f_v's own continuation
+        fv = _stencil(dom, vp, 1, 1, accuracy)
+        columns[1] = fv[p:-p]
+    else:
+        _stencil(dom, along_v, 1, 1, accuracy, columns[1])
+    J = np.moveaxis(f.target.tangent_part(v, columns), 0, -1)
     if not hessian:
         return J
     G = dom.christoffel_grid()[band.rows]  # (Gamma^u_vv, Gamma^v_uv)
@@ -381,12 +388,15 @@ def jacobian_field(f, accuracy=2, band=None, hessian=False):
         Hij = f.target.tangent_part(v, Hij)
         return dot(Hij, Hij)
 
+    def corrected(F, Gamma, dF):  # F - Gamma dF
+        return per_index(lambda Fk, Gk, dFk, out: np.subtract(Fk, Gk * dFk, out), F, Gamma, dF)
+
     norm2 = ginv[..., 0] * ginv[..., 0] * sq(_stencil(dom, along_u, 0, 2, accuracy))
     fuv = _stencil(dom, fv, 0, 1, accuracy)
-    norm2 += 2.0 * ginv[..., 0] * ginv[..., 1] * sq(fuv - G[..., 1, None] * fv[p:-p])
+    norm2 += 2.0 * ginv[..., 0] * ginv[..., 1] * sq(corrected(fuv, G[..., 1, None], fv[p:-p]))
     del fv, fuv
-    norm2 += ginv[..., 1] * ginv[..., 1] * sq(_stencil(dom, along_v, 1, 2, accuracy)
-                                               - G[..., 0, None] * fu)
+    norm2 += ginv[..., 1] * ginv[..., 1] * sq(corrected(_stencil(dom, along_v, 1, 2, accuracy),
+                                                        G[..., 0, None], fu))
     return J, norm2
 
 

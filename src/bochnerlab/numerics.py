@@ -1,11 +1,15 @@
 """Small shared numerical helpers: sums, dot products and norms over a
-short last axis, the eigenvalues of the batched 2x2 generalized
+short last axis, and elementwise kernels along it (`per_index`), each
+looping over that axis one index at a time rather than broadcasting
+against it; the eigenvalues of the batched 2x2 generalized
 eigenproblem against a diagonal metric, Fejer quadrature weights,
 17-significant-digit float formatting for byte-stable output files,
 exact descriptor parameters and read-only cached arrays.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -38,6 +42,43 @@ def total(X):
 def norm(X):
     """np.linalg.norm(X, axis=-1) in its own operations, sqrt(dot(X, X))."""
     return np.sqrt(dot(X, X))
+
+
+def per_index(f, *X, blocks=1):
+    """The array whose [..., k] is written by f(X_0[..., k], X_1[..., k],
+    ..., out), out that column of it, for each index k of the short last
+    axis in turn.
+
+    Broadcast against the short axis (the ambient m, a factor block or
+    the two Jacobian columns), a node array makes numpy run every inner
+    loop over the 2 to 6 entries of that axis; taken an index at a time
+    as `dot` adds, each numpy call in f runs over the nodes.  Each
+    element sees the operations of the broadcast formula, so the result
+    is the same bits.  f reads arrays through X alone and writes through
+    numpy's out arguments.  The last axis of each array holds m entries
+    (a constant per index, or a field), `blocks` entries, one for each
+    run of m / blocks indices (a product target's factors), or one,
+    which every index reads (a node array joins as X[..., None]).  The
+    arrays' other axes broadcast, and when they are all one node shape,
+    it is read as one axis, so that each column is a 1-D array, numpy's
+    fastest loop.
+    """
+    X = [np.asarray(x) for x in X]
+    m = max(x.shape[-1] for x in X)
+    if any(x.shape[-1] not in (1, blocks, m) for x in X) or m % blocks:
+        raise ValueError(f"shapes {[x.shape for x in X]} do not split {m} indices "
+                         f"into {blocks} blocks")
+    nodes = {x.shape[:-1] for x in X if x.ndim > 1}
+    if len(nodes) == 1:
+        (nodes,) = nodes
+        X = [x.reshape(-1, x.shape[-1]) if x.ndim > 1 else x for x in X]
+        out = np.empty((math.prod(nodes), m))
+    else:
+        nodes = np.broadcast(*(x[..., 0] for x in X)).shape
+        out = np.empty(nodes + (m,))
+    for k in range(m):
+        f(*(x[..., k * x.shape[-1] // m] for x in X), out[..., k])
+    return out.reshape(nodes + (m,))
 
 
 def gen_eigvalsh(P, gd):

@@ -3,7 +3,9 @@
 Every target exposes the tangent part P(q) V of ambient vectors V
 (`tangent_part`, matrix-free: V less its components along the unit
 normals at q), a closest-point map onto the submanifold, and an
-analytic second fundamental form A(X, Y).
+analytic second fundamental form A(X, Y).  Each takes the ambient axis
+an index at a time (`numerics.per_index`), with the bits of its
+broadcast formula.
 Ambient space is flat, so the Gauss equation
 
     <R(X, Y) Y, X> = <A(X, X), A(Y, Y)> - |A(X, Y)|^2
@@ -42,7 +44,7 @@ from .errors import (
     NumericalError,
     UsageError,
 )
-from .numerics import dot, fmt_param, norm, total
+from .numerics import dot, fmt_param, norm, per_index, total
 
 ON_TARGET_TOL = 1e-8
 PROJECTION_MAX_ITER = 50
@@ -59,9 +61,11 @@ def _finite_norm(x):
     return nrm
 
 
-def _drop_normal(n, V):
-    """V less its component along the unit vector n, over the last axis."""
-    return V - n * dot(n, V)[..., None]
+def _drop_normal(n, V, s, blocks=1):
+    """V less its components s = <n, V> along the unit normals n, one a
+    block of the last axis: V_k - n_k s."""
+    return per_index(lambda nk, Vk, sk, out: np.subtract(Vk, nk * sk, out), n, V, s,
+                     blocks=blocks)
 
 
 class _Target:
@@ -153,10 +157,6 @@ class _RoundSpheres(_Target):
         x = np.asarray(x, dtype=float)
         return x.reshape(x.shape[:-1] + (len(radii), d + 1))
 
-    @staticmethod
-    def _unblock(a):
-        return a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
-
     @property
     def _sec_values(self):
         """Every sectional curvature the target takes, at any point."""
@@ -174,19 +174,31 @@ class _RoundSpheres(_Target):
         return np.max(res, axis=(-2, -1))
 
     def closest_point(self, x):
-        p = self._blocks(x)
-        nrm = _finite_norm(p)
+        nrm = _finite_norm(self._blocks(x))[..., 0]
         if np.any(nrm < 1e-14):
             raise NumericalError("closest-point map undefined at the origin")
-        return self._unblock(self._r * p / nrm)
+        # r p / |p|, each factor's radius and norm against its coordinates
+        radii = self._factors[0]
+        if set(radii) == {1}:  # multiplying by 1 changes no bit
+            return per_index(np.divide, x, nrm, blocks=len(radii))
+        return per_index(lambda rk, pk, nk, out: np.divide(rk * pk, nk, out),
+                         np.array(radii, dtype=float), x, nrm, blocks=len(radii))
 
     def tangent_part(self, q, V):
-        return self._unblock(_drop_normal(self._blocks(q) / self._r, self._blocks(V)))
+        # the unit normals q_i / r_i; dividing by 1 changes no bit
+        radii = self._factors[0]
+        n = q
+        if set(radii) != {1}:
+            n = per_index(np.divide, q, np.array(radii, dtype=float), blocks=len(radii))
+        return _drop_normal(n, V, dot(self._blocks(n), self._blocks(V)), len(radii))
 
     def second_fundamental(self, q, X, Y):
-        X, Y = self._blocks(X), self._blocks(Y)
-        A = -dot(X, Y)[..., None] * self._blocks(q) / self._r**2
-        return self._unblock(A)
+        # -<X_i, Y_i> q_i / r_i^2, with r_i^2 as `_r**2` takes it: a Python
+        # power for one radius, numpy's square for several, which can
+        # differ in the last bit
+        s = -dot(self._blocks(X), self._blocks(Y))
+        return per_index(lambda sk, qk, r2k, out: np.divide(sk * qk, r2k, out),
+                         s, q, np.reshape(self._r**2, -1), blocks=len(self._factors[0]))
 
 
 @dataclass(frozen=True)
@@ -301,32 +313,40 @@ class Ellipsoid(_Target):
         done = np.zeros(mu.shape, dtype=bool)
         lo = -0.9 / w.max()
         _finite_norm(p)  # a huge point would overflow p * p below
+        # the numerators' factors w p p and w^2 p p, which mu leaves as they are
+        wpp, w2pp = (per_index(lambda ck, pk, out: np.multiply(ck * pk, pk, out), c, p)
+                     for c in (w, w**2))
+
+        def denominator():  # 1 + mu w
+            return per_index(lambda mk, wk, out: np.add(1.0, mk * wk, out), mu[..., None], w)
+
         for _ in range(PROJECTION_MAX_ITER):
             if np.all(done):
                 break
-            d = 1.0 + mu[..., None] * w
-            phi = total(w * p * p / d**2) - 1.0
-            dphi = -2.0 * total(w**2 * p * p / d**3)
+            d = denominator()
+            phi = total(wpp / d**2) - 1.0
+            dphi = -2.0 * total(w2pp / d**3)
             mu = np.where(done, mu, np.maximum(mu - phi / dphi, lo))
             done |= np.abs(phi) < PROJECTION_TOL
         else:
-            d = 1.0 + mu[..., None] * w
-            phi = total(w * p * p / d**2) - 1.0
+            phi = total(wpp / denominator()**2) - 1.0
             if not np.all(np.abs(phi) <= 1e-10):
                 raise NumericalError("ellipsoid projection did not converge")
-        return p / (1.0 + mu[..., None] * w)
+        return p / denominator()
 
     def tangent_part(self, q, V):
         # the unit normal is W q / |W q|, W = diag(a, b, c)^-2
-        grad = self._w * np.asarray(q, dtype=float)
-        return _drop_normal(grad / norm(grad)[..., None], V)
+        grad = per_index(np.multiply, self._w, q)
+        n = per_index(np.divide, grad, norm(grad)[..., None])
+        return _drop_normal(n, V, dot(n, V)[..., None])
 
     def second_fundamental(self, q, X, Y):
         # A(X, Y) = -n <W X, Y> / |W q| for tangent X, Y, n = W q / |W q|
-        wq, wX = (self._w * np.asarray(v, dtype=float) for v in (q, X))
+        wq, wX = (per_index(np.multiply, self._w, v) for v in (q, X))
         grad_norm = norm(wq)[..., None]
         coef = -dot(wX, np.asarray(Y, dtype=float))[..., None] / grad_norm
-        return coef * (wq / grad_norm)
+        return per_index(lambda ck, wqk, gk, out: np.multiply(ck, wqk / gk, out),
+                         coef, wq, grad_norm)
 
     def sec_range(self, q):
         # Gauss curvature 1/(a^2 b^2 c^2 h^4), h^2 = x^2/a^4 + y^2/b^4 + z^2/c^4

@@ -1,13 +1,16 @@
 """Curvature from the embedding alone, the oracle for the targets' closed
 forms: a tangent frame, the curvature operator on 2-vectors, a
 Gauss-equation value from finite differences of the projector, and the
-Gauss quotient of many planes at once.  Also seeded points on a target."""
+Gauss quotient of many planes at once.  Also seeded points on a target,
+and the targets' kernels as broadcast formulas, the bit-for-bit
+reference for the kernels that take the ambient axis an index at a
+time."""
 
 import numpy as np
 
-from bochnerlab.errors import DegeneratePlaneError
-from bochnerlab.numerics import norm
-from bochnerlab.targets import gauss_numerator
+from bochnerlab.errors import DegeneratePlaneError, NumericalError
+from bochnerlab.numerics import dot, norm, total
+from bochnerlab.targets import PROJECTION_MAX_ITER, PROJECTION_TOL, gauss_numerator
 
 
 def sample_points(target, count, rng):
@@ -89,3 +92,83 @@ def curvature_operator(target, q):
     a, b = np.triu_indices(target.dim, 1)
     a1, a2, b1, b2 = a[:, None], a[None, :], b[:, None], b[None, :]
     return G[..., a1, a2, b1, b2] - G[..., a1, b2, b1, a2], T
+
+
+# -- the kernels as broadcast formulas -----------------------------------------
+#
+# Each broadcasts a node array against the short ambient axis, as
+# `V - n * dot(n, V)[..., None]`.  A round-sphere target (sphere, flat
+# torus, two spheres) applies the sphere's formula to each factor's block
+# of d + 1 coordinates, its radius a scalar for one factor and an array
+# against the blocks for several.
+
+
+def _round(target):
+    """(blocks, unblock, r) of a round-sphere target."""
+    radii, d = target._factors
+    r = radii[0] if len(radii) == 1 else np.array(radii, dtype=float)[:, None]
+
+    def blocks(x):
+        x = np.asarray(x, dtype=float)
+        return x.reshape(x.shape[:-1] + (len(radii), d + 1))
+
+    def unblock(a):
+        return a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
+
+    return blocks, unblock, r
+
+
+def _ellipsoid_w(target):
+    return np.array([target.a, target.b, target.c], dtype=float) ** -2
+
+
+def broadcast_tangent_part(target, q, V):
+    q, V = (np.asarray(v, dtype=float) for v in (q, V))
+    if target.kind == "euclid":
+        return np.broadcast_to(V, np.broadcast_shapes(q.shape, V.shape))
+    if target.kind == "ellipsoid":
+        grad = _ellipsoid_w(target) * q
+        n = grad / norm(grad)[..., None]
+        return V - n * dot(n, V)[..., None]
+    blocks, unblock, r = _round(target)
+    n, V = blocks(q) / r, blocks(V)
+    return unblock(V - n * dot(n, V)[..., None])
+
+
+def broadcast_second_fundamental(target, q, X, Y):
+    q, X, Y = (np.asarray(v, dtype=float) for v in (q, X, Y))
+    if target.kind == "euclid":
+        return np.zeros(np.broadcast_shapes(q.shape, X.shape, Y.shape))
+    if target.kind == "ellipsoid":
+        w = _ellipsoid_w(target)
+        wq, wX = w * q, w * X
+        grad_norm = norm(wq)[..., None]
+        coef = -dot(wX, Y)[..., None] / grad_norm
+        return coef * (wq / grad_norm)
+    blocks, unblock, r = _round(target)
+    return unblock(-dot(blocks(X), blocks(Y))[..., None] * blocks(q) / r**2)
+
+
+def broadcast_closest_point(target, x):
+    p = np.asarray(x, dtype=float)
+    if target.kind == "euclid":
+        return p.copy()
+    if target.kind != "ellipsoid":
+        blocks, unblock, r = _round(target)
+        p = blocks(p)
+        return unblock(r * p / norm(p)[..., None])
+    w = _ellipsoid_w(target)
+    mu = np.zeros(p.shape[:-1])
+    done = np.zeros(mu.shape, dtype=bool)
+    lo = -0.9 / w.max()
+    for _ in range(PROJECTION_MAX_ITER):
+        if np.all(done):
+            break
+        d = 1.0 + mu[..., None] * w
+        phi = total(w * p * p / d**2) - 1.0
+        dphi = -2.0 * total(w**2 * p * p / d**3)
+        mu = np.where(done, mu, np.maximum(mu - phi / dphi, lo))
+        done |= np.abs(phi) < PROJECTION_TOL
+    else:
+        raise NumericalError("ellipsoid projection did not converge")
+    return p / (1.0 + mu[..., None] * w)

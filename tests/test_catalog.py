@@ -4,7 +4,7 @@ validated by the one build path of `catalog`."""
 import numpy as np
 import pytest
 
-from bochnerlab.catalog import parse_domain, parse_target
+from bochnerlab.catalog import build_target, parse_domain, parse_target
 from bochnerlab.domains import FlatTorus2, RoundSphere2
 from bochnerlab.errors import UsageError
 from bochnerlab.maps import (
@@ -124,3 +124,12 @@ def test_torusemb_radii_have_no_gap(text):
 def test_torusemb_radii_are_the_consecutive_keys():
     tgt = parse_target("torusemb:rho3=0.5,rho1=1,rho2=2")
     assert tgt == FlatTorusEmb(radii=(1.0, 2.0, 0.5))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_built_target_refuses_a_non_finite_value(value):
+    # as a descriptor's text is refused, so are the params a caller builds
+    with pytest.raises(UsageError, match="non-finite"):
+        build_target("sphere", {"r": value})
+    with pytest.raises(UsageError, match="non-finite"):
+        build_target("torusemb", {"rho1": 1.0, "rho2": value})

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bochnerlab import cli
 from bochnerlab.bochner import compute_bochner, pinching_slack
 from bochnerlab.catalog import parse_domain, parse_target
 from bochnerlab.cli import main
@@ -419,6 +420,16 @@ class TestScan:
         assert run_cli("scan", "--map", "identity", "--param", "k=2:3:0.5",
                        "--resolution", "16") == 2
 
+    @pytest.mark.parametrize("param", ["r=1:2:inf", "r=-1:1e-9:inf", "r=1:inf:1", "r=nan:2:1"])
+    def test_a_non_finite_sweep_is_a_usage_error(self, param, monkeypatch):
+        # an infinite step makes the one value start + 0 * inf NaN, which
+        # is no radius: refused as the command line's error, before any map
+        def no_map(*args):
+            raise AssertionError("a map was built")
+
+        monkeypatch.setattr("bochnerlab.cli.catalog_map", no_map)
+        assert run_cli("scan", "--map", "scaling", "--param", param, "--resolution", "8") == 2
+
     def test_oversized_sweep_is_a_usage_error(self):
         # a million valid radii would build a million reports
         t0 = time.perf_counter()
@@ -527,6 +538,40 @@ class TestConfig:
 
 FLOW = ["flow", "--domain", "torus:a=1,b=1", "--init", "cap:amplitude=0.3",
         "--resolution", "8", "--steps", "3"]
+
+
+class TestOneCommandParser:
+    """A call builds the options of the command it parses alone; its help
+    and messages must be those of the parser of every command."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], [], ["bogus"], ["bogus", "flow"], ["--bogus", "flow", "--steps", "1"],
+        ["--", "flow", "--steps", "1", "--help"],
+        *([command, "--help"] for command in cli._COMMANDS),
+        ["flow", "--bogus", "1"], ["report", "--map", "constant", "--dt", "1"],
+        ["verify", "--resolution", "x"], ["verify", "--config", "CONFIG"],
+        ["scan", "--map", "scaling", "--config", "CONFIG"],
+    ], ids=" ".join)
+    def test_matches_the_parser_of_every_command(self, argv, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"map": "identity", "param": "r=1:2:1", "bogus": 1}))
+        argv = [str(cfg) if a == "CONFIG" else a for a in argv]
+
+        def outcome():
+            rc = exit_code(argv)
+            return (rc,) + tuple(capsys.readouterr())
+
+        one = outcome()
+        every = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: every())
+        assert outcome() == one
+        assert one[0] == 2 or "usage: bochnerlab" in one[1]
+
+    def test_only_the_named_command_has_options(self):
+        _, subs = cli.build_parser("flow")
+        options = {name: {a.dest for a in p._actions} - {"help"} for name, p in subs.choices.items()}
+        assert "trace_stride" in options["flow"]
+        assert all(not dests for name, dests in options.items() if name != "flow")
 
 
 class TestExitCodes:

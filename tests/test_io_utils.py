@@ -227,6 +227,34 @@ def test_ordinary_values_take_the_vectorised_path(monkeypatch):
     assert len(calls) == 4
 
 
+def test_powers_of_ten_are_computed_for_the_decades_met(monkeypatch):
+    computed = []  # the decade k of each 10**(16 - k) computed
+    pow10 = io_utils._pow10
+    monkeypatch.setattr(io_utils, "_pow10", lambda p: computed.append(16 - p) or pow10(p))
+    io_utils._tables.cache_clear()
+    try:
+        narrow = np.geomspace(1e-5, 1e5, 301)
+        assert_cells_match(np.concatenate([narrow, -narrow, [0.0, 1.0]]))
+        # its decades -5..5, and one either side where a product may move
+        assert sorted(computed) == list(range(-6, 7))
+        computed.clear()
+        assert_cells_match(narrow[::7])
+        assert computed == []
+        edges = np.array([float(f"1e{k}") for k in (-270, -100, -6, -5, -4, -1, 0, 1, 16, 17,
+                                                    100, 269, 270)])
+        assert_cells_match(np.concatenate([
+            edges, np.nextafter(edges, 0), np.nextafter(edges, np.inf), -edges,
+            [5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e300, 1.7976931348623157e308],
+        ]))
+        # the later call computes only the decades no earlier one met, once
+        # each, out to the ends of the vectorised range
+        lo, hi = min(computed), max(computed)
+        assert sorted(computed) == [*range(lo, -6), *range(7, hi + 1)]
+        assert lo <= -271 and hi >= 271
+    finally:
+        io_utils._tables.cache_clear()
+
+
 # -- whole files through the command line ------------------------------------
 
 

@@ -4,12 +4,14 @@ closed-form oracles, energy quadrature, serialization."""
 import numpy as np
 import pytest
 from chart_oracle import analytic_scaling_jacobian
+from curvature_oracle import broadcast_tangent_part
 
 from bochnerlab.domains import FlatTorus2, RoundSphere2
 from bochnerlab.errors import UsageError
 from bochnerlab.maps import (
     DiscreteMap,
     _STENCILS,
+    _band,
     _stencil,
     catalog_map,
     constant_map,
@@ -23,7 +25,7 @@ from bochnerlab.maps import (
     spectrum,
     total_energy,
 )
-from bochnerlab.numerics import fmt17, gen_eigvalsh
+from bochnerlab.numerics import dot, fmt17, gen_eigvalsh
 from bochnerlab.targets import Ellipsoid, Euclidean, Sphere
 
 SPHERE = RoundSphere2(r=1.0, n1=64, n2=128)
@@ -241,6 +243,33 @@ class TestHessian:
         f = constant_map(SPHERE, Sphere(k=2, r=1.0))
         _, h2 = jacobian_field(f, hessian=True)
         assert np.max(h2) == 0.0
+
+    @pytest.mark.parametrize("accuracy", [2, 6])
+    def test_jacobian_and_hessian_are_the_broadcast_formulas(self, accuracy):
+        # the columns against the image point and the Christoffel
+        # corrections go an ambient index at a time, with these bits
+        f = catalog_map("holomorphic:k=3", SPHERE, Sphere(k=2, r=1.3))
+        dom, tgt, p = f.domain, f.target, accuracy // 2
+        band = _band(dom, f.values, slice(0, dom.n1), accuracy)
+        vp, v = band.continued, band.values
+        along_u, along_v = vp[:, p:-p], vp[p:-p]
+        fu, fv = _stencil(dom, along_u, 0, 1, accuracy), _stencil(dom, vp, 1, 1, accuracy)
+        J = np.swapaxes(broadcast_tangent_part(
+            tgt, v[..., None, :], np.stack([fu, fv[p:-p]], axis=-2)), -1, -2)
+        G, ginv = dom.christoffel_grid(), dom.inv_metric_diag_grid()
+
+        def sq(H):
+            H = broadcast_tangent_part(tgt, v, H)
+            return dot(H, H)
+
+        h2 = ginv[..., 0] * ginv[..., 0] * sq(_stencil(dom, along_u, 0, 2, accuracy))
+        fuv = _stencil(dom, fv, 0, 1, accuracy)
+        h2 += 2.0 * ginv[..., 0] * ginv[..., 1] * sq(fuv - G[..., 1, None] * fv[p:-p])
+        h2 += ginv[..., 1] * ginv[..., 1] * sq(_stencil(dom, along_v, 1, 2, accuracy)
+                                               - G[..., 0, None] * fu)
+        got_J, got_h2 = jacobian_field(f, accuracy=accuracy, hessian=True)
+        np.testing.assert_array_equal(got_J.view(np.int64), J.view(np.int64))
+        np.testing.assert_array_equal(got_h2.view(np.int64), h2.view(np.int64))
 
     @pytest.mark.parametrize("accuracy", [2, 6])
     def test_hessian_leaves_the_jacobian_as_it_is(self, accuracy):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bochnerlab.errors import NumericalError, UsageError
-from bochnerlab.numerics import dot, gen_eigvalsh, norm, total
+from bochnerlab.numerics import dot, gen_eigvalsh, norm, per_index, total
 
 
 def random_problem(n, batch=64, seed=0):
@@ -115,3 +115,53 @@ def test_an_all_negative_zero_sum_keeps_its_sign(m):
     assert np.signbit(dot(Z, np.ones((2, m)))).all()
     # squares are +0.0, so the norms agree
     np.testing.assert_array_equal(bits(norm(Z)), bits(np.linalg.norm(Z, axis=-1)))
+
+
+def axpy(ak, xk, yk, out):
+    return np.subtract(yk, ak * xk, out)
+
+
+@pytest.mark.parametrize("nodes", [(5,), (3, 4), (2, 3, 4)])
+def test_per_index_is_the_broadcast_formula_bit_for_bit(nodes):
+    rng = np.random.default_rng(9)
+    X, Y = rng.standard_normal((2,) + nodes + (6,))
+    a = rng.standard_normal(nodes)
+    want = Y - a[..., None] * X
+    # a node array, the same node array per index, a constant per index
+    for got in (per_index(axpy, a[..., None], X, Y),
+                per_index(axpy, np.repeat(a[..., None], 6, axis=-1), X, Y)):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(bits(got), bits(want))
+    c = rng.standard_normal(6)
+    np.testing.assert_array_equal(bits(per_index(axpy, c, X, Y)), bits(Y - c * X))
+
+
+def test_per_index_gives_each_block_its_own_column():
+    # an array of p entries along the axis serves the m / p indices of
+    # each block, as a product target's factors
+    rng = np.random.default_rng(10)
+    X, Y = rng.standard_normal((2, 4, 6))
+    a = rng.standard_normal((4, 2))
+    want = (Y.reshape(4, 2, 3) - a[..., None] * X.reshape(4, 2, 3)).reshape(4, 6)
+    np.testing.assert_array_equal(bits(per_index(axpy, a, X, Y, blocks=2)), bits(want))
+    r = np.array([2.0, 3.0])
+    np.testing.assert_array_equal(bits(per_index(np.divide, X, r, blocks=2)),
+                                  bits((X.reshape(4, 2, 3) / r[:, None]).reshape(4, 6)))
+    # an axis that matches neither m, the blocks nor 1 is refused, as
+    # broadcasting refuses it
+    for args, blocks in (((X, r), 1), ((X, np.ones(3)), 2), ((X, np.ones((4, 4))), 4)):
+        with pytest.raises(ValueError):
+            per_index(np.divide, *args, blocks=blocks)
+
+
+def test_per_index_broadcasts_node_shapes():
+    # one point per node against two columns along a leading axis, and
+    # against two columns per node
+    rng = np.random.default_rng(11)
+    q, V = rng.standard_normal((3, 5, 3)), rng.standard_normal((2, 3, 5, 3))
+    got = per_index(lambda qk, vk, out: np.multiply(qk, vk, out), q, V)
+    np.testing.assert_array_equal(bits(got), bits(q * V))
+    W = np.moveaxis(V, 0, -2)
+    got = per_index(lambda qk, wk, out: np.multiply(qk, wk, out), q[..., None, :], W)
+    assert got.shape == (3, 5, 2, 3)
+    np.testing.assert_array_equal(bits(got), bits(q[..., None, :] * W))

@@ -5,6 +5,9 @@ against the curvature operator, and the region extremizer."""
 import numpy as np
 import pytest
 from curvature_oracle import (
+    broadcast_closest_point,
+    broadcast_second_fundamental,
+    broadcast_tangent_part,
     curvature_operator,
     gauss_sectional_fd,
     sample_points,
@@ -177,6 +180,49 @@ class TestTangentPart:
         q = on_target_points(target, seed=8)
         for n in unit_normals(target, q):
             np.testing.assert_allclose(target.tangent_part(q, n), 0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "target",
+    PROJECTION_TARGETS + [Sphere(k=3, r=0.3), ProductSpheres(r1=1.3, r2=0.7),
+                          FlatTorusEmb(radii=(1.3, 0.7, 2.1))],
+    ids=lambda t: t.descriptor(),
+)
+class TestKernelsIndexByIndex:
+    """The kernels take the ambient axis an index at a time; each must
+    give the bits of its broadcast formula, whatever the shapes."""
+
+    SHAPE = (3, 7)
+
+    def _data(self, target, seed):
+        rng = np.random.default_rng(seed)
+        q = on_target_points(target, 21, seed).reshape(self.SHAPE + (target.m,))
+        X, Y = rng.standard_normal((2,) + q.shape)
+        return rng, q, X, Y
+
+    def test_tangent_part(self, target):
+        rng, q, X, _ = self._data(target, 31)
+        columns = rng.standard_normal(self.SHAPE + (2, target.m))
+        # a vector per node, two columns per node, and two columns along
+        # a leading axis against one point per node, as the Jacobian
+        for args in ((q, X), (q[..., None, :], columns), (q, np.moveaxis(columns, -2, 0))):
+            got, want = target.tangent_part(*args), broadcast_tangent_part(target, *args)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_second_fundamental(self, target):
+        _, q, X, Y = self._data(target, 32)
+        E = np.stack([X, Y], axis=-2)
+        # node by node, and every pair of two frame vectors at each node
+        for args in ((q, X, Y), (q[..., None, None, :], E[..., :, None, :], E[..., None, :, :])):
+            got, want = target.second_fundamental(*args), broadcast_second_fundamental(target, *args)
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+    def test_closest_point(self, target):
+        rng, q, _, _ = self._data(target, 33)
+        # off the target, within the ellipsoid's projection tube
+        x = q * (1.0 + 0.1 * rng.standard_normal(q.shape))
+        got, want = target.closest_point(x), broadcast_closest_point(target, x)
+        assert got.shape == want.shape and np.array_equal(got, want)
 
 
 class TestSectionalOracles:

@@ -11,7 +11,11 @@ WORKLOAD --seed S --seconds T``, one run on each tree per pair, the
 tree that runs first alternating.  For each end-to-end metric of
 ``BENCHMARK.json`` it prints each side's median and quartiles over the
 pairs, the change of the medians, and in how many pairs the working
-tree was better in the metric's direction.
+tree was better in the metric's direction, then a verdict line: a gain
+when the working tree wins at least 9 of every 10 pairs and its median
+is better by more than the revision's quartile spread, a regression
+when its median is worse by more than the metric's ``bound`` (a
+fraction of the revision's median), and within bound otherwise.
 
 Exit code 0 when every run completed, 1 when a run failed, 2 on a
 usage error (a revision git cannot archive included).
@@ -39,22 +43,45 @@ def _quartiles(values):
     return med, q1, q3
 
 
+def _sides(pairs, metric):
+    """The revision's and the working tree's values of a metric, and the
+    number of pairs the working tree won in the metric's direction."""
+    name, lower = metric["name"], metric["better"] == "lower"
+    old = [p[0][name]["value"] for p in pairs]
+    new = [p[1][name]["value"] for p in pairs]
+    wins = sum((b < a) if lower else (b > a) for a, b in zip(old, new))
+    return old, new, wins
+
+
 def summarize(pairs, metrics):
     """One line per metric from pairs of (revision, working tree) metric
     dicts, as run.py prints them ({name: {"value": v, ...}}); metrics is
     BENCHMARK.json's end_to_end list."""
     lines = []
     for metric in metrics:
-        name, lower = metric["name"], metric["better"] == "lower"
-        old = [p[0][name]["value"] for p in pairs]
-        new = [p[1][name]["value"] for p in pairs]
-        wins = sum((b < a) if lower else (b > a) for a, b in zip(old, new))
+        name = metric["name"]
+        old, new, wins = _sides(pairs, metric)
         (mo, lo, ho), (mn, ln, hn) = _quartiles(old), _quartiles(new)
         change = f"{(mn - mo) / mo:+.1%}" if mo else "n/a"
         lines.append(f"{name:12s} revision {mo:.6g} [{lo:.6g}-{ho:.6g}]  "
                      f"working {mn:.6g} [{ln:.6g}-{hn:.6g}] {metric['unit']}  {change}  "
                      f"working better in {wins}/{len(pairs)} pairs")
     return lines
+
+
+def verdict(pairs, metric):
+    """The verdict line on one metric, with its BENCHMARK.json bound, over
+    the pairs: gain, regression or within bound."""
+    old, new, wins = _sides(pairs, metric)
+    (mo, lo, ho), (mn, _, _) = _quartiles(old), _quartiles(new)
+    lead = mo - mn if metric["better"] == "lower" else mn - mo  # the working tree's
+    if 10 * wins >= 9 * len(pairs) and lead > ho - lo:
+        return (f"  verdict: gain, working better in {wins}/{len(pairs)} pairs and by "
+                f"{lead:.6g} in the median, beyond the revision's spread {ho - lo:.6g}")
+    if -lead > metric["bound"] * abs(mo):
+        return (f"  verdict: regression, working median worse by {-lead:.6g}, beyond the "
+                f"bound {metric['bound']:g} of the revision's {mo:.6g}")
+    return "  verdict: within bound"
 
 
 def _run(tree, args):
@@ -104,8 +131,9 @@ def main(argv=None):
                   f"-> {runs[new]['solve_s']['value']:.4g}", file=sys.stderr)
     print(f"{args.workload}, {args.n} pairs, seed {args.seed}, {args.seconds:g} s a run: "
           f"revision {args.rev} against the working tree, median [q1-q3]")
-    for line in summarize(pairs, metrics):
+    for metric, line in zip(metrics, summarize(pairs, metrics)):
         print(line)
+        print(verdict(pairs, metric))
     return 0
 
 
