@@ -243,26 +243,26 @@ _STENCILS = {
 }
 
 
-def _stencil(domain, Fp, axis, order, accuracy, out=None):
+def _stencil(domain, Fp, axis, order, accuracy):
     """Central difference of order 1 or 2 and accuracy 2 or 6 along a chart
     axis, of the field that Fp, its `domain.extend` by accuracy // 2 nodes
-    along that axis, continues (periodic on a torus, antipodal on a sphere);
-    written into `out` when it is given."""
+    along that axis, continues (periodic on a torus, antipodal on a sphere)."""
     weights, den = _STENCILS[order, accuracy]
     p = accuracy // 2
     n = Fp.shape[axis] - 2 * p
-    acc = None
+    out = None
     for k, c in zip(range(2 * p, -1, -1), weights):
         if c:
             # +-1 adds or subtracts the slice itself: -c F is -(c F) exactly
             F = Fp[k:k + n] if axis == 0 else Fp[:, k:k + n]
             term = F if abs(c) == 1 else abs(c) * F
-            if acc is None:
-                acc = term if c > 0 else -term
-            else:  # in place, or while acc is a slice of Fp into out or the term's own array
-                into = (out if term is F else term) if np.may_share_memory(acc, Fp) else acc
-                acc = (np.add if c > 0 else np.subtract)(acc, term, out=into)
-    return np.divide(acc, den * domain.spacing[axis] ** order, out=acc if out is None else out)
+            if out is None:
+                out = term if c > 0 else -term
+            else:  # in place, or while out is a slice of Fp into the term's own array
+                into = (None if term is F else term) if np.may_share_memory(out, Fp) else out
+                out = (np.add if c > 0 else np.subtract)(out, term, out=into)
+    out /= den * domain.spacing[axis] ** order
+    return out
 
 
 # nodes per row band of the banded kernels: a band of values is 192 KB
@@ -368,17 +368,12 @@ def jacobian_field(f, accuracy=2, band=None, hessian=False):
     p = accuracy // 2
     vp = band.continued
     along_u, along_v = vp[:, p:-p], vp[p:-p]
+    fu = _stencil(dom, along_u, 0, 1, accuracy)
+    # for f_uv, f_v on the ghost rows as well: the continuation commutes
+    # with the v-stencil, so these rows are f_v's own continuation
+    fv = _stencil(dom, vp if hessian else along_v, 1, 1, accuracy)
     v = band.values
-    columns = np.empty((2,) + v.shape)
-    fu = _stencil(dom, along_u, 0, 1, accuracy, columns[0])
-    if hessian:
-        # for f_uv, f_v on the ghost rows as well: the continuation commutes
-        # with the v-stencil, so these rows are f_v's own continuation
-        fv = _stencil(dom, vp, 1, 1, accuracy)
-        columns[1] = fv[p:-p]
-    else:
-        _stencil(dom, along_v, 1, 1, accuracy, columns[1])
-    J = np.moveaxis(f.target.tangent_part(v, columns), 0, -1)
+    J = np.moveaxis(f.target.tangent_part(v, np.stack([fu, fv[p:-p] if hessian else fv])), 0, -1)
     if not hessian:
         return J
     G = dom.christoffel_grid()[band.rows]  # (Gamma^u_vv, Gamma^v_uv)

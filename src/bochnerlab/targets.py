@@ -179,17 +179,13 @@ class _RoundSpheres(_Target):
             raise NumericalError("closest-point map undefined at the origin")
         # r p / |p|, each factor's radius and norm against its coordinates
         radii = self._factors[0]
-        if set(radii) == {1}:  # multiplying by 1 changes no bit
-            return per_index(np.divide, x, nrm, blocks=len(radii))
         return per_index(lambda rk, pk, nk, out: np.divide(rk * pk, nk, out),
                          np.array(radii, dtype=float), x, nrm, blocks=len(radii))
 
     def tangent_part(self, q, V):
-        # the unit normals q_i / r_i; dividing by 1 changes no bit
+        # the unit normals q_i / r_i
         radii = self._factors[0]
-        n = q
-        if set(radii) != {1}:
-            n = per_index(np.divide, q, np.array(radii, dtype=float), blocks=len(radii))
+        n = per_index(np.divide, q, np.array(radii, dtype=float), blocks=len(radii))
         return _drop_normal(n, V, dot(self._blocks(n), self._blocks(V)), len(radii))
 
     def second_fundamental(self, q, X, Y):

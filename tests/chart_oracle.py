@@ -2,10 +2,13 @@
 the dense point forms of the metric, Christoffel symbols and Ricci
 tensor, the symbols and the Ricci tensor again from central differences
 of those point forms, the closed-form Jacobian of the radial scaling
-map, and the catalog maps' value grids built on chart meshgrids."""
+map, the catalog maps' value grids built on chart meshgrids, and the
+flat torus's resolvent with its transforms along the grid axes (0, 1),
+the bit-for-bit reference for the one that moves them last."""
 
 import numpy as np
 
+from bochnerlab.domains import _mode_symbol
 from bochnerlab.maps import default_basepoint
 
 
@@ -125,3 +128,16 @@ def catalog_values_on_meshgrid(name, domain, target):
         v = np.array([0.0, 0.0, 1.0]) + disp
         return target.r * (v / np.linalg.norm(v, axis=-1, keepdims=True))
     raise ValueError(name)
+
+
+def torus_resolvent_axes01(domain, F, dt):
+    """X with (I - dt L) X = F on a FlatTorus2, its Fourier transforms
+    taken along the grid axes (0, 1) of F and the symbol broadcast
+    against any trailing axes."""
+    h1, h2 = domain.spacing
+    lam1 = _mode_symbol(domain.n1, h1) / domain.a**2
+    lam2 = _mode_symbol(domain.n2 // 2 + 1, h2) / domain.b**2
+    symbol = 1 + dt * (lam1[:, None] + lam2[None, :])
+    Fh = np.fft.rfft2(F, axes=(0, 1))
+    Fh /= symbol.reshape(symbol.shape + (1,) * (Fh.ndim - 2))
+    return np.fft.irfft2(Fh, s=(domain.n1, domain.n2), axes=(0, 1))

@@ -2,7 +2,14 @@
 
 import numpy as np
 import pytest
-from chart_oracle import christoffel_at, christoffel_fd_at, metric_at, ricci_at, ricci_fd_at
+from chart_oracle import (
+    christoffel_at,
+    christoffel_fd_at,
+    metric_at,
+    ricci_at,
+    ricci_fd_at,
+    torus_resolvent_axes01,
+)
 
 from bochnerlab.catalog import parse_domain
 from bochnerlab.domains import MAX_NODES, FlatTorus2, RoundSphere2, ricci_min
@@ -53,6 +60,18 @@ class TestFlatTorus:
         X = dom.resolvent(F, dt)
         residual = X - dt * laplace_beltrami(dom, X) - F
         assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(F))
+
+    @pytest.mark.parametrize("trailing", [(), (3,), (6,)])
+    @pytest.mark.parametrize("n1, n2, a, b", [(8, 8, 1.0, 1.0), (32, 48, 1.0, 2.0),
+                                              (17, 30, 0.7, 1.3), (64, 64, 1.0, 1.0)])
+    def test_resolvent_is_the_transform_along_the_grid_axes_bit_for_bit(self, n1, n2, a, b,
+                                                                        trailing):
+        dom = FlatTorus2(a=a, b=b, n1=n1, n2=n2)
+        F = np.random.default_rng(n1 + n2).standard_normal((n1, n2) + trailing)
+        for dt in (1e-5, 1e-3, 0.05, 1.0, 10.0):
+            X = dom.resolvent(F, dt)
+            assert X.shape == F.shape
+            assert np.array_equal(X, torus_resolvent_axes01(dom, F, dt))
 
 
 class TestRoundSphere:
